@@ -26,7 +26,8 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.live.antientropy import AntiEntropyLoop, serve_connection
+from repro.live.antientropy import AntiEntropyLoop
+from repro.live.protocol import serve_connection
 from repro.live.transport import LoopbackTransport
 from repro.obs import Observability, RingBufferSink
 from repro.obs.live import OpsServer

@@ -33,9 +33,9 @@ from repro.chain.validation import BlockValidator
 from repro.chain.verifycache import VerifiedBlockCache, shared_cache
 from repro.crypto import backend
 from repro.crypto.keys import KeyPair
-from repro.live.antientropy import serve_connection
-from repro.live.protocol import LiveFrontier
+from repro.live.protocol import run_session, serve_connection
 from repro.live.transport import LoopbackTransport
+from repro.reconcile import FrontierProtocol
 from repro.wire.framing import FrameDecoder, encode_frame
 
 from benchmarks.bench_util import Table, make_fleet
@@ -177,12 +177,12 @@ def _run_live_cold(name: str, seed: int) -> tuple[int, float]:
     backend.set_backend("cryptography" if ACCEL else "pure")
     left, right = _fanin_pair(seed)
     backend.set_backend(name)
-    protocol = LiveFrontier()
+    protocol = FrontierProtocol()
 
     async def scenario():
         init_end, resp_end = LoopbackTransport.pair()
         server = asyncio.ensure_future(serve_connection(right, resp_end))
-        stats = await protocol.run(left, init_end)
+        stats = await run_session(protocol, left, init_end)
         await init_end.close()
         await server
         return stats

@@ -16,8 +16,7 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.live.antientropy import serve_connection
-from repro.live.protocol import LiveBloom, LiveFrontier
+from repro.live.protocol import run_session, serve_connection
 from repro.live.transport import LoopbackTransport
 from repro.reconcile import BloomProtocol, FrontierProtocol
 from repro.reconcile.engine import drive_to_completion
@@ -26,8 +25,7 @@ from benchmarks.bench_util import Table, make_fleet
 
 DIVERGENCES = (4, 16, 64)
 
-SIM_PROTOCOLS = {"frontier": FrontierProtocol, "bloom": BloomProtocol}
-LIVE_PROTOCOLS = {"frontier": LiveFrontier, "bloom": LiveBloom}
+PROTOCOLS = {"frontier": FrontierProtocol, "bloom": BloomProtocol}
 
 
 def _pair(divergence: int, seed: int):
@@ -44,7 +42,7 @@ def _pair(divergence: int, seed: int):
 
 def _run_sim(protocol_name: str, divergence: int):
     left, right = _pair(divergence, seed=divergence)
-    protocol = SIM_PROTOCOLS[protocol_name]()
+    protocol = PROTOCOLS[protocol_name]()
     start = time.perf_counter()
     stats = drive_to_completion(protocol, left, right)
     wall_s = time.perf_counter() - start
@@ -55,12 +53,12 @@ def _run_sim(protocol_name: str, divergence: int):
 
 def _run_live(protocol_name: str, divergence: int):
     left, right = _pair(divergence, seed=divergence)
-    protocol = LIVE_PROTOCOLS[protocol_name]()
+    protocol = PROTOCOLS[protocol_name]()
 
     async def scenario():
         init_end, resp_end = LoopbackTransport.pair()
         server = asyncio.ensure_future(serve_connection(right, resp_end))
-        stats = await protocol.run(left, init_end)
+        stats = await run_session(protocol, left, init_end)
         await init_end.close()
         await server
         return stats

@@ -468,15 +468,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.live import ListenError, LiveNode, PeerSpec
     from repro.live import loop_policy
-    from repro.live.protocol import LIVE_PROTOCOLS
     from repro.obs.live import OpsError
+    from repro.reconcile import protocol_class
 
-    if args.protocol not in LIVE_PROTOCOLS:
-        print(
-            f"error: unknown protocol {args.protocol!r}: "
-            f"expected one of {sorted(LIVE_PROTOCOLS)}",
-            file=sys.stderr,
-        )
+    try:
+        protocol_class(args.protocol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.crypto_backend is not None:
         from repro.crypto import backend as crypto_backend
@@ -903,8 +901,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--name", default=None,
                        help="node name for logs and traces")
     serve.add_argument("--protocol", default="frontier", metavar="NAME",
-                       help="anti-entropy protocol: frontier, bloom, "
-                            "sketch, or delta (default frontier)")
+                       help="anti-entropy protocol: frontier, full, "
+                            "bloom, height_skip, sketch, or delta "
+                            "(default frontier)")
     serve.add_argument("--interval", type=float, default=1.0,
                        help="anti-entropy interval in seconds")
     serve.add_argument("--pipeline", type=int, default=1,

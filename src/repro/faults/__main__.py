@@ -97,14 +97,12 @@ def main(argv=None) -> int:
     # exercises the whole family against the same fault matrix.
     rotation = ("frontier", "bloom", "sketch", "delta")
     if args.protocol != "rotate":
-        from repro.reconcile import PROTOCOLS_BY_NAME
+        from repro.reconcile import protocol_class
 
-        if args.protocol not in PROTOCOLS_BY_NAME:
-            print(
-                f"error: unknown protocol {args.protocol!r}: expected "
-                f"one of {sorted(PROTOCOLS_BY_NAME) + ['rotate']}",
-                file=sys.stderr,
-            )
+        try:
+            protocol_class(args.protocol)
+        except ValueError as exc:
+            print(f"error: {exc}, or 'rotate'", file=sys.stderr)
             return 1
     failures = 0
     for index, (seed, plan) in enumerate(runs):

@@ -9,10 +9,10 @@ sockets without changing a byte of what they say:
   real asyncio stream (:class:`StreamTransport`) and a deterministic
   in-process pair (:class:`LoopbackTransport`) that carries identical
   frames, for tests and benchmarks;
-* :mod:`repro.live.protocol` — the initiator/responder split of the
-  frontier and Bloom reconciliation protocols, written so the frame
-  payloads match the message-level generators byte for byte (the
-  parity tests hold them to it);
+* :mod:`repro.live.protocol` — the asyncio session driver: runs any
+  :mod:`repro.reconcile` protocol's initiator over a transport and
+  serves the generic responder, so the frame payloads *are* the
+  simulator's wire messages (the parity tests are the tripwire);
 * :mod:`repro.live.peers` — static peer lists, concurrent dial/accept,
   exponential backoff with jitter, handshake and half-open timeouts;
 * :mod:`repro.live.antientropy` — the periodic gossip loop with
@@ -26,7 +26,7 @@ Run a node from the command line with ``repro.cli serve`` or
 localhost cluster, partitions it, and shows the DAGs re-converge.
 """
 
-from repro.live.antientropy import AntiEntropyLoop, serve_connection
+from repro.live.antientropy import AntiEntropyLoop
 from repro.live.node import LiveNode
 from repro.live.peers import (
     Backoff,
@@ -36,15 +36,7 @@ from repro.live.peers import (
     PeerSpec,
     handshake,
 )
-from repro.live.protocol import (
-    LIVE_PROTOCOLS,
-    LiveBloom,
-    LiveFrontier,
-    LiveProtocolError,
-    LiveResponder,
-    LiveSessionError,
-    make_protocol,
-)
+from repro.live.protocol import LiveResponder, run_session, serve_connection
 from repro.live.transport import (
     FrameTransport,
     LoopbackTransport,
@@ -58,14 +50,9 @@ __all__ = [
     "Backoff",
     "FrameTransport",
     "HandshakeError",
-    "LIVE_PROTOCOLS",
-    "LiveBloom",
-    "LiveFrontier",
     "ListenError",
     "LiveNode",
-    "LiveProtocolError",
     "LiveResponder",
-    "LiveSessionError",
     "LoopbackTransport",
     "PeerManager",
     "PeerSpec",
@@ -73,6 +60,6 @@ __all__ = [
     "TransportClosed",
     "TransportError",
     "handshake",
-    "make_protocol",
+    "run_session",
     "serve_connection",
 ]

@@ -2,19 +2,14 @@
 
 One :class:`AntiEntropyLoop` per node plays the paper's §IV-G gossip
 role on real sockets: every interval (with jitter) it picks a random
-connected outbound peer and runs one initiator session
-(:class:`~repro.live.protocol.LiveFrontier` or
-:class:`~repro.live.protocol.LiveBloom`) under a per-session deadline.
-A session that times out, hits a transport error, or receives garbage
-is *interrupted*: its partial byte totals are kept, a
+connected outbound peer and runs one initiator session of the configured
+protocol (:func:`~repro.live.protocol.run_session`) under a per-session
+deadline.  A session that times out, hits a transport error, or receives
+garbage is *interrupted*: its partial byte totals are kept, a
 ``session.interrupted`` trace event is emitted, and the connection is
 closed so the peer manager's backoff can rebuild it.  Interruption
 never corrupts the replica — blocks only enter the DAG through
 parent-closed :func:`~repro.reconcile.session.merge_blocks` batches.
-
-The responder half, :func:`serve_connection`, answers one connection's
-requests until it closes, feeding every merged push batch to the
-persistence sink.
 """
 
 from __future__ import annotations
@@ -23,17 +18,11 @@ import asyncio
 import random
 from typing import Callable, Optional
 
-from repro import wire
 from repro.core.node import VegvisirNode
-from repro.live.protocol import (
-    BlockSink,
-    LiveProtocolError,
-    LiveResponder,
-    LiveSessionError,
-    make_protocol,
-)
-from repro.live.transport import TransportClosed, TransportError
-from repro.obs.profiling import PHASE_CODEC, PHASE_SESSION, maybe_phase
+from repro.live.protocol import BlockSink, run_session
+from repro.live.transport import TransportError
+from repro.obs.profiling import PHASE_SESSION, maybe_phase
+from repro.reconcile import ReconcileError, protocol_class
 from repro.reconcile.stats import (
     INITIATOR_TO_RESPONDER,
     RESPONDER_TO_INITIATOR,
@@ -43,50 +32,6 @@ from repro.reconcile.stats import (
 DEFAULT_INTERVAL = 1.0
 DEFAULT_JITTER = 0.2
 DEFAULT_SESSION_TIMEOUT = 30.0
-
-
-async def serve_connection(node: VegvisirNode, transport,
-                           on_blocks: Optional[BlockSink] = None,
-                           after_message: Optional[Callable[[], None]] = None,
-                           profiler=None) -> None:
-    """Serve reconciliation requests on one connection until it drops.
-
-    Malformed traffic gets one ``error`` frame (best effort) and the
-    connection is closed; the stream cannot be trusted past the first
-    bad frame.  *after_message* runs after each handled message — the
-    hook LiveNode uses to persist blocks a push batch merged.
-    """
-    responder = LiveResponder(node, on_blocks=on_blocks,
-                              profiler=profiler)
-    while True:
-        try:
-            payload = await transport.recv()
-        except TransportClosed:
-            return
-        try:
-            with maybe_phase(profiler, PHASE_CODEC) as ph:
-                message = wire.decode(payload)
-                ph.units += len(payload)
-            reply = responder.handle(message)
-        except (wire.DecodeError, LiveProtocolError) as exc:
-            try:
-                await transport.send(
-                    wire.encode({"type": "error", "reason": str(exc)})
-                )
-            except TransportError:
-                pass
-            await transport.close()
-            return
-        if reply is not None:
-            with maybe_phase(profiler, PHASE_CODEC) as ph:
-                reply_payload = wire.encode(reply)
-                ph.units += len(reply_payload)
-            try:
-                await transport.send(reply_payload)
-            except TransportClosed:
-                return
-        if after_message is not None:
-            after_message()
 
 
 class AntiEntropyLoop:
@@ -111,9 +56,9 @@ class AntiEntropyLoop:
     ):
         self._node = node
         self._peers = peer_manager
-        self._protocol_name = protocol
+        self._protocol_cls = protocol_class(protocol)
         self._protocol_kwargs = dict(protocol_kwargs or {})
-        make_protocol(protocol, **self._protocol_kwargs)  # validate early
+        self._protocol_cls(**self._protocol_kwargs)  # validate early
         self._interval = interval_s
         self._jitter = jitter_s
         self._session_timeout = session_timeout_s
@@ -137,6 +82,7 @@ class AntiEntropyLoop:
         #: session.start/completed/interrupted trace events so the
         #: cross-node merger can line sessions up deterministically.
         self._session_seq = 0
+        self._stopping = False
         if self._obs is not None:
             registry = self._obs.registry
             self._c_sessions = registry.counter(
@@ -156,13 +102,23 @@ class AntiEntropyLoop:
             )
 
     async def run(self) -> None:
-        """The periodic loop; runs until cancelled."""
-        while True:
+        """The periodic loop; runs until cancelled or :meth:`stop`."""
+        self._stopping = False
+        while not self._stopping:
             delay = self._interval
             if self._jitter:
                 delay += self._jitter * (2.0 * self._rng.random() - 1.0)
             await asyncio.sleep(max(0.01, delay))
             await self.run_tick()
+
+    def stop(self) -> None:
+        """Make :meth:`run` return after the tick in progress.
+
+        Cancelling the task is not enough on its own: on Python 3.11 a
+        cancel that lands as a session's ``asyncio.wait_for`` returns is
+        swallowed, and the loop would sleep into its next tick.
+        """
+        self._stopping = True
 
     async def run_tick(self) -> list[ReconcileStats]:
         """One tick's worth of sessions: up to ``pipeline`` concurrent
@@ -194,9 +150,7 @@ class AntiEntropyLoop:
         transport = self._peers.connection(peer_name)
         if transport is None:
             return None
-        protocol = make_protocol(
-            self._protocol_name, **self._protocol_kwargs
-        )
+        protocol = self._protocol_cls(**self._protocol_kwargs)
         stats = ReconcileStats(protocol.name)
         seq = self._session_seq
         self._session_seq += 1
@@ -211,14 +165,14 @@ class AntiEntropyLoop:
         try:
             with maybe_phase(self._profiler, PHASE_SESSION) as ph:
                 await asyncio.wait_for(
-                    protocol.run(
-                        self._node, transport, stats, on_blocks=on_blocks,
-                        profiler=self._profiler,
+                    run_session(
+                        protocol, self._node, transport, stats,
+                        on_blocks=on_blocks, profiler=self._profiler,
                     ),
                     self._session_timeout,
                 )
                 ph.units += 1
-        except (TransportError, LiveSessionError,
+        except (TransportError, ReconcileError,
                 asyncio.TimeoutError) as exc:
             stats.interrupted = True
             self.sessions_interrupted += 1

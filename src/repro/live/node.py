@@ -39,7 +39,6 @@ from repro.live.antientropy import (
     DEFAULT_INTERVAL,
     DEFAULT_JITTER,
     DEFAULT_SESSION_TIMEOUT,
-    serve_connection,
 )
 from repro.live.peers import (
     DEFAULT_DIAL_TIMEOUT,
@@ -47,6 +46,7 @@ from repro.live.peers import (
     PeerManager,
     PeerSpec,
 )
+from repro.live.protocol import serve_connection
 from repro.obs.live import OpsError, OpsServer
 from typing import TYPE_CHECKING
 
@@ -360,6 +360,7 @@ class LiveNode:
         store.  Idempotent; afterwards nothing of this node remains
         running."""
         if self._loop_task is not None:
+            self.antientropy.stop()
             self._loop_task.cancel()
             try:
                 await self._loop_task

@@ -38,8 +38,8 @@ from repro.live.transport import (
     TransportClosed,
     TransportError,
 )
-
-HELLO_TYPE = "live_hello"
+from repro.reconcile.endpoint import check_hello, hello_message
+from repro.reconcile.session import ReconcileError
 
 DEFAULT_DIAL_TIMEOUT = 5.0
 DEFAULT_HANDSHAKE_TIMEOUT = 5.0
@@ -115,15 +115,6 @@ class Backoff:
         self._attempt = 0
 
 
-def _hello_message(node: VegvisirNode, name: str) -> dict:
-    return {
-        "type": HELLO_TYPE,
-        "chain": node.chain_id.digest,
-        "node": node.user_id.digest,
-        "name": name,
-    }
-
-
 async def handshake(transport, node: VegvisirNode, name: str,
                     timeout_s: float = DEFAULT_HANDSHAKE_TIMEOUT) -> dict:
     """Exchange hellos; return the peer's, or raise :class:`HandshakeError`.
@@ -131,7 +122,7 @@ async def handshake(transport, node: VegvisirNode, name: str,
     Sends first (both sides do — the exchange is symmetric and cannot
     deadlock), then waits at most *timeout_s* for the peer's hello.
     """
-    await transport.send(wire.encode(_hello_message(node, name)))
+    await transport.send(wire.encode(hello_message(node, name)))
     try:
         payload = await asyncio.wait_for(transport.recv(), timeout_s)
     except asyncio.TimeoutError:
@@ -141,16 +132,11 @@ async def handshake(transport, node: VegvisirNode, name: str,
     except TransportError as exc:
         raise HandshakeError(f"connection lost in handshake: {exc}") from exc
     try:
-        hello = wire.decode(payload)
+        return check_hello(node, wire.decode(payload))
     except wire.DecodeError as exc:
         raise HandshakeError(f"undecodable hello: {exc}") from exc
-    if not isinstance(hello, dict) or hello.get("type") != HELLO_TYPE:
-        raise HandshakeError("first frame is not a live_hello")
-    if bytes(hello.get("chain", b"")) != node.chain_id.digest:
-        raise HandshakeError(
-            "peer follows a different blockchain (genesis mismatch)"
-        )
-    return hello
+    except ReconcileError as exc:
+        raise HandshakeError(str(exc)) from exc
 
 
 #: Serves one handshaken connection until it closes.

@@ -1,614 +1,121 @@
-"""Reconciliation split across a network boundary.
+"""The asyncio session driver: any protocol over a frame transport.
 
-The protocol classes in :mod:`repro.reconcile` describe a session as one
-generator holding *both* replicas — fine in a simulator, impossible over
-a socket where each endpoint owns only its own node.  This module splits
-the two production protocols (frontier/Algorithm 1 and Bloom) into:
-
-* an **initiator driver** (:class:`LiveFrontier`, :class:`LiveBloom`)
-  that sends requests and merges replies using only the local replica;
-* a **responder** (:class:`LiveResponder`) that answers each request
-  using only *its* local replica, carrying the one piece of per-session
-  state the frontier protocol needs (which hashes were already sent, so
-  deeper levels never resend block bodies — a ``get_frontier`` at level
-  1 starts a fresh session and resets it).
-
-The split is *byte-exact*: for the same pair of replica states, the
-sequence of frame payloads exchanged here equals the sequence of wire
-messages the sim's :class:`~repro.reconcile.engine.ReconcileSession`
-yields, message for message and byte for byte — the live/sim parity
-tests (``tests/live/test_parity.py``) enforce it.  That works because
-every decision the generator makes on the initiator side depends only
-on the initiator's replica and on previously received messages (the
-responder's frontier is recovered from the level-1 ``frontier_set`` /
-``frontier_hashes`` / ``bloom_blocks`` replies), and every responder
-computation depends only on the responder's replica plus the session's
-``sent_hashes`` memo.
+A protocol in :mod:`repro.reconcile` is two halves that each touch only
+their own replica — exactly what a socket needs, where each endpoint
+owns only its own node.  :func:`run_session` runs a protocol's
+initiator against a peer over a transport; :func:`serve_connection`
+answers one connection's requests with the generic
+:class:`~repro.reconcile.session.Responder`.  Neither knows a protocol
+message, so the frame payloads exchanged here *are* the wire messages
+the in-process driver steps through, byte for byte
+(``tests/live/test_parity.py`` is the tripwire).
 
 Nothing here trusts the peer: received blocks pass the full §IV-E
 validation inside :func:`~repro.reconcile.session.merge_blocks`, and a
-malformed or hostile reply raises :class:`LiveSessionError`, which the
-anti-entropy loop turns into a torn session — never a corrupted DAG.
+malformed or hostile message raises
+:class:`~repro.reconcile.session.ReconcileError`, which the anti-entropy
+loop turns into a torn session — never a corrupted DAG.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro import wire
-from repro.chain.block import Block
-from repro.chain.errors import MalformedBlockError
 from repro.core.node import VegvisirNode
-from repro.crypto.sha import Hash
-from repro.obs.profiling import PHASE_CODEC, PHASE_VERIFY, maybe_phase
-from repro.reconcile.bloom import BloomFilter
-from repro.reconcile.delta import (
-    count_entries,
-    delta_push_payload,
-    delta_reply,
-    delta_summaries,
-    join_delta_push,
-    join_delta_reply,
+from repro.live.transport import TransportClosed, TransportError
+from repro.reconcile.engine import Protocol
+from repro.reconcile.session import (
+    BlockSink,
+    ReconcileError,
+    Responder,
+    SessionSide,
+    decode_message,
+    encode_message,
+    error_message,
+    expects_reply,
+    merge_blocks,
+    resume,
 )
-from repro.reconcile.session import merge_blocks, responder_holdings
-from repro.reconcile.sketch import IBLT, decode_against, sketch_of
 from repro.reconcile.stats import (
     INITIATOR_TO_RESPONDER,
     RESPONDER_TO_INITIATOR,
     ReconcileStats,
 )
 
-#: Called with each batch of blocks newly merged into the local replica
-#: (the persistence hook: LiveNode appends them to its BlockStore).
-BlockSink = Callable[[List[Block]], None]
+__all__ = [
+    "BlockSink",
+    "LiveResponder",
+    "merge_blocks",
+    "run_session",
+    "serve_connection",
+]
+
+#: The responder half of a live connection.  (The perf ledger's span
+#: table binds ``LiveResponder.handle`` and ``merge_blocks`` here.)
+LiveResponder = Responder
 
 
-class LiveProtocolError(Exception):
-    """Base class for live-protocol failures."""
+async def run_session(protocol: Protocol, node: VegvisirNode, transport,
+                      stats: Optional[ReconcileStats] = None,
+                      on_blocks: Optional[BlockSink] = None,
+                      profiler=None) -> ReconcileStats:
+    """Run *protocol*'s initiator against the peer behind *transport*.
 
-
-class LiveSessionError(LiveProtocolError):
-    """The peer sent something unusable; the session must be torn down."""
-
-
-def _decoded_blocks(values) -> List[Block]:
+    Raises :class:`ReconcileError` on an unusable reply and lets
+    transport errors through; *stats* then hold the partial totals.
+    """
+    stats = stats if stats is not None else ReconcileStats(protocol.name)
+    initiator = protocol.initiate(
+        SessionSide(node, stats, on_blocks, profiler)
+    )
     try:
-        return [Block.from_wire(value) for value in values]
-    except MalformedBlockError as exc:
-        raise LiveSessionError(f"peer sent malformed block: {exc}") from exc
+        request = resume(initiator, None)
+        while request is not None:
+            payload = encode_message(request, profiler)
+            stats.record_raw(INITIATOR_TO_RESPONDER, len(payload))
+            await transport.send(payload)
+            reply = None
+            if expects_reply(request):
+                reply_payload = await transport.recv()
+                stats.record_raw(RESPONDER_TO_INITIATOR, len(reply_payload))
+                reply = decode_message(reply_payload, profiler)
+            request = resume(initiator, reply)
+    finally:
+        initiator.close()
+    return stats
 
 
-async def _request(transport, stats: ReconcileStats, message: dict,
-                   profiler=None) -> dict:
-    """One request/response round trip, charged to *stats*."""
-    with maybe_phase(profiler, PHASE_CODEC) as ph:
-        payload = wire.encode(message)
-        ph.units += len(payload)
-    stats.record_raw(INITIATOR_TO_RESPONDER, len(payload))
-    await transport.send(payload)
-    reply_payload = await transport.recv()
-    stats.record_raw(RESPONDER_TO_INITIATOR, len(reply_payload))
-    try:
-        with maybe_phase(profiler, PHASE_CODEC) as ph:
-            reply = wire.decode(reply_payload)
-            ph.units += len(reply_payload)
-    except wire.DecodeError as exc:
-        raise LiveSessionError(f"undecodable reply: {exc}") from exc
-    if not isinstance(reply, dict) or "type" not in reply:
-        raise LiveSessionError("reply is not a typed map")
-    if reply["type"] == "error":
-        raise LiveSessionError(
-            f"peer reported error: {reply.get('reason', '?')}"
-        )
-    return reply
+async def serve_connection(node: VegvisirNode, transport,
+                           on_blocks: Optional[BlockSink] = None,
+                           after_message: Optional[Callable[[], None]] = None,
+                           profiler=None) -> None:
+    """Serve reconciliation requests on one connection until it drops.
 
-
-async def _send_oneway(transport, stats: ReconcileStats,
-                       message: dict, profiler=None) -> None:
-    """Send a message that has no reply (the push batch)."""
-    with maybe_phase(profiler, PHASE_CODEC) as ph:
-        payload = wire.encode(message)
-        ph.units += len(payload)
-    stats.record_raw(INITIATOR_TO_RESPONDER, len(payload))
-    await transport.send(payload)
-
-
-def _expect(reply: dict, wanted: str) -> dict:
-    if reply["type"] != wanted:
-        raise LiveSessionError(
-            f"expected {wanted!r} reply, got {reply['type']!r}"
-        )
-    return reply
-
-
-async def _push_phase(node: VegvisirNode, transport,
-                      responder_frontier: List[Hash],
-                      stats: ReconcileStats, profiler=None) -> None:
-    """Mirror of :func:`~repro.reconcile.session.push_steps`.
-
-    Computed entirely from the local replica: everything under the
-    responder's frontier is provably held by it (§IV-A provenance), the
-    rest is sent in one batch.  There is no acknowledgement — exactly
-    like the generator — so ``blocks_pushed`` counts blocks *sent*; an
-    honest responder merges them all.
+    Malformed traffic gets one ``error`` frame (best effort) and the
+    connection is closed; the stream cannot be trusted past the first
+    bad frame.  *after_message* runs after each handled message — the
+    hook LiveNode uses to persist blocks a push batch merged.
     """
-    responder_has = responder_holdings(node, responder_frontier)
-    missing = [
-        block for block in node.dag.blocks()
-        if block.hash not in responder_has
-    ]
-    if not missing:
-        return
-    await _send_oneway(transport, stats, {
-        "type": "push_blocks",
-        "blocks": [block.to_wire() for block in missing],
-    }, profiler=profiler)
-    stats.blocks_pushed += len(missing)
-
-
-def _merge_into(node: VegvisirNode, blocks: List[Block],
-                stats: ReconcileStats, on_blocks: Optional[BlockSink],
-                profiler=None):
-    with maybe_phase(profiler, PHASE_VERIFY) as ph:
-        merged = merge_blocks(node, blocks)
-        ph.units += len(merged.added)
-    stats.blocks_pulled += len(merged.added)
-    stats.duplicate_blocks += merged.duplicates
-    stats.invalid_blocks += merged.invalid
-    if on_blocks is not None and merged.added:
-        on_blocks(merged.added)
-    return merged
-
-
-class LiveFrontier:
-    """Initiator side of Algorithm 1 over a frame transport."""
-
-    name = "frontier"
-
-    def __init__(self, max_level: int = 10_000, push: bool = True,
-                 hash_first: bool = False):
-        self._max_level = max_level
-        self._push = push
-        self._hash_first = hash_first
-
-    async def run(self, node: VegvisirNode, transport,
-                  stats: Optional[ReconcileStats] = None,
-                  on_blocks: Optional[BlockSink] = None,
-                  profiler=None) -> ReconcileStats:
-        stats = stats if stats is not None else ReconcileStats(self.name)
-        responder_frontier: Optional[List[Hash]] = None
-
-        if self._hash_first:
-            stats.rounds += 1
-            reply = _expect(
-                await _request(
-                    transport, stats, {"type": "get_frontier_hashes"},
-                    profiler=profiler,
-                ),
-                "frontier_hashes",
-            )
-            responder_frontier = [
-                Hash(bytes(digest)) for digest in reply["hashes"]
-            ]
-            if all(node.has_block(h) for h in responder_frontier):
-                stats.converged = True
-                if self._push:
-                    await _push_phase(
-                        node, transport, responder_frontier, stats,
-                        profiler=profiler,
-                    )
-                return stats
-
-        pending: List[Block] = []
-        level = 1
-        while level <= self._max_level:
-            stats.rounds += 1
-            reply = _expect(
-                await _request(
-                    transport, stats,
-                    {"type": "get_frontier", "level": level},
-                    profiler=profiler,
-                ),
-                "frontier_set",
-            )
-            new_blocks = _decoded_blocks(reply["blocks"])
-            if level == 1:
-                # Level 1 carries the full frontier (nothing was sent
-                # before it), which doubles as the responder-frontier
-                # snapshot the push phase needs.
-                level_hashes = [block.hash for block in new_blocks]
-                if responder_frontier is None:
-                    responder_frontier = level_hashes
-                if all(node.has_block(h) for h in level_hashes):
-                    stats.converged = True
-                    break
-            pending.extend(new_blocks)
-            merged = _merge_into(node, pending, stats, on_blocks,
-                                 profiler=profiler)
-            if merged.complete:
-                stats.converged = True
-                break
-            pending = merged.unplaced
-            level += 1
-
-        if stats.converged and self._push and responder_frontier is not None:
-            await _push_phase(node, transport, responder_frontier, stats,
-                              profiler=profiler)
-        return stats
-
-
-class LiveBloom:
-    """Initiator side of the Bloom-digest protocol over a transport."""
-
-    name = "bloom"
-
-    def __init__(self, false_positive_rate: float = 0.01, push: bool = True):
-        self._fp_rate = false_positive_rate
-        self._push = push
-
-    async def run(self, node: VegvisirNode, transport,
-                  stats: Optional[ReconcileStats] = None,
-                  on_blocks: Optional[BlockSink] = None,
-                  profiler=None) -> ReconcileStats:
-        stats = stats if stats is not None else ReconcileStats(self.name)
-        stats.rounds += 1
-        digest = BloomFilter.for_capacity(len(node.dag), self._fp_rate)
-        for block_hash in node.dag.hashes():
-            digest.add(block_hash.digest)
-        reply = _expect(
-            await _request(
-                transport, stats,
-                {"type": "bloom", "filter": digest.to_wire()},
-                profiler=profiler,
-            ),
-            "bloom_blocks",
-        )
-        responder_frontier = [
-            Hash(bytes(value)) for value in reply["frontier"]
-        ]
-        merged = _merge_into(
-            node, _decoded_blocks(reply["blocks"]), stats, on_blocks,
-            profiler=profiler,
-        )
-        pending = merged.unplaced
-
-        def _missing_now(merge_result) -> List[Hash]:
-            needed = set(merge_result.missing_parents)
-            needed.update(
-                h for h in responder_frontier if not node.has_block(h)
-            )
-            return sorted(needed)
-
-        missing = _missing_now(merged)
-        while missing:
-            stats.rounds += 1
-            reply = _expect(
-                await _request(
-                    transport, stats,
-                    {
-                        "type": "get_blocks",
-                        "hashes": [h.digest for h in missing],
-                    },
-                    profiler=profiler,
-                ),
-                "blocks",
-            )
-            fetched = _decoded_blocks(reply["blocks"])
-            if not fetched:
-                break
-            # Mirror of the generator: every repair fetch is a filter
-            # false positive made good.
-            stats.fp_resend += len(fetched)
-            merged = _merge_into(node, fetched + pending, stats, on_blocks,
-                                 profiler=profiler)
-            pending = merged.unplaced
-            missing = _missing_now(merged)
-
-        stats.converged = all(
-            node.has_block(h) for h in responder_frontier
-        )
-        if stats.converged and self._push:
-            await _push_phase(node, transport, responder_frontier, stats,
-                              profiler=profiler)
-        return stats
-
-
-class LiveSketch:
-    """Initiator side of the IBLT sketch protocol over a transport.
-
-    Mirrors :class:`repro.reconcile.sketch.SketchProtocol` byte for
-    byte: the same attempt loop, the same per-attempt seeds, the same
-    growth schedule (the ``sketch_fail`` reply carries the responder's
-    set size, so the next guess is computable from the message alone),
-    and the same degradation to :class:`LiveFrontier` on the shared
-    stats object after ``max_attempts`` failed peels.
-    """
-
-    name = "sketch"
-
-    def __init__(self, push: bool = True, initial_diff: int = 16,
-                 max_attempts: int = 3, growth: int = 4,
-                 hash_count: int = 4):
-        if initial_diff < 1 or max_attempts < 1 or growth < 1:
-            raise ValueError("degenerate sketch protocol parameters")
-        self._push = push
-        self._initial_diff = initial_diff
-        self._max_attempts = max_attempts
-        self._growth = growth
-        self._hash_count = hash_count
-
-    async def run(self, node: VegvisirNode, transport,
-                  stats: Optional[ReconcileStats] = None,
-                  on_blocks: Optional[BlockSink] = None,
-                  profiler=None) -> ReconcileStats:
-        stats = stats if stats is not None else ReconcileStats(self.name)
-        expected_diff = self._initial_diff
-        for attempt in range(self._max_attempts):
-            stats.rounds += 1
-            sketch = sketch_of(
-                node, expected_diff, self._hash_count, seed=attempt
-            )
-            reply = await _request(
-                transport, stats,
-                {"type": "sketch", "sketch": sketch.to_wire()},
-                profiler=profiler,
-            )
-            if reply["type"] == "sketch_fail":
-                size = reply["size"]
-                if not isinstance(size, int) or isinstance(size, bool):
-                    raise LiveSessionError("sketch_fail size is not an int")
-                bound = len(node.dag) + max(size, 0)
-                expected_diff = min(expected_diff * self._growth, bound)
-                continue
-            reply = _expect(reply, "sketch_blocks")
-            pull_blocks = _decoded_blocks(reply["blocks"])
-            want = reply["want"]
-            if not isinstance(want, list) or not all(
-                isinstance(digest, bytes) for digest in want
-            ):
-                raise LiveSessionError("sketch want-list is malformed")
-            responder_frontier = [
-                Hash(bytes(digest)) for digest in reply["frontier"]
-            ]
-            merged = _merge_into(node, pull_blocks, stats, on_blocks,
-                                 profiler=profiler)
-            if merged.complete and all(
-                node.has_block(h) for h in responder_frontier
-            ):
-                stats.converged = True
-                if self._push:
-                    wanted = set(want)
-                    missing = [
-                        block for block in node.dag.blocks()
-                        if block.hash.digest in wanted
-                    ]
-                    if missing:
-                        await _send_oneway(transport, stats, {
-                            "type": "push_blocks",
-                            "blocks": [b.to_wire() for b in missing],
-                        }, profiler=profiler)
-                        stats.blocks_pushed += len(missing)
-                return stats
-            # Decode did not close the DAG: grow and retry, exactly like
-            # the generator's garbage-decode path.
-            expected_diff *= self._growth
-        stats.fallbacks += 1
-        return await LiveFrontier(push=self._push).run(
-            node, transport, stats, on_blocks=on_blocks, profiler=profiler
-        )
-
-
-class LiveDelta:
-    """Initiator side of the delta-CRDT protocol over a transport.
-
-    One summary/state round trip, an optional one-way push, then (in the
-    default durable mode) the hash-first :class:`LiveFrontier` chained on
-    the same stats object — the exact mirror of
-    :class:`repro.reconcile.delta.DeltaProtocol`.  ``delta_entries_*``
-    counters follow the push convention: pushed entries are counted as
-    *sent*; an honest responder applies them all.
-    """
-
-    name = "delta"
-
-    def __init__(self, push: bool = True, durable: bool = True):
-        self._push = push
-        self._durable = durable
-
-    async def run(self, node: VegvisirNode, transport,
-                  stats: Optional[ReconcileStats] = None,
-                  on_blocks: Optional[BlockSink] = None,
-                  profiler=None) -> ReconcileStats:
-        stats = stats if stats is not None else ReconcileStats(self.name)
-        stats.rounds += 1
-        summaries = delta_summaries(node)
-        reply = _expect(
-            await _request(
-                transport, stats,
-                {"type": "delta_summary", "crdts": summaries},
-                profiler=profiler,
-            ),
-            "delta_state",
-        )
+    responder = LiveResponder(node, on_blocks=on_blocks, profiler=profiler)
+    while True:
         try:
-            applied, invalid = join_delta_reply(node, reply["crdts"])
-        except ValueError as exc:
-            raise LiveSessionError(f"bad delta state: {exc}") from exc
-        stats.delta_entries_pulled += applied
-        stats.delta_entries_invalid += invalid
-        if self._push:
-            payload = delta_push_payload(node, reply["crdts"])
-            if payload:
-                await _send_oneway(transport, stats, {
-                    "type": "delta_push", "crdts": payload,
-                }, profiler=profiler)
-                stats.delta_entries_pushed += count_entries(payload)
-        if self._durable:
-            return await LiveFrontier(hash_first=True, push=self._push).run(
-                node, transport, stats, on_blocks=on_blocks,
-                profiler=profiler,
-            )
-        stats.converged = True
-        return stats
-
-
-LIVE_PROTOCOLS = {
-    LiveFrontier.name: LiveFrontier,
-    LiveBloom.name: LiveBloom,
-    LiveSketch.name: LiveSketch,
-    LiveDelta.name: LiveDelta,
-}
-
-
-def make_protocol(name: str, **kwargs):
-    """Build a live initiator driver by protocol name."""
-    try:
-        factory = LIVE_PROTOCOLS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown live protocol {name!r}: "
-            f"expected one of {sorted(LIVE_PROTOCOLS)}"
-        ) from None
-    return factory(**kwargs)
-
-
-class LiveResponder:
-    """Responder state machine for one connection.
-
-    ``handle`` maps one decoded request to a reply dict, ``None`` for
-    fire-and-forget messages (the push batch), computing exactly what
-    the in-process generators compute on the responder's behalf.  Any
-    malformed input raises :class:`LiveProtocolError`; the serve loop
-    answers with an ``error`` frame and drops the connection.
-    """
-
-    def __init__(self, node: VegvisirNode,
-                 on_blocks: Optional[BlockSink] = None,
-                 profiler=None):
-        self._node = node
-        self._on_blocks = on_blocks
-        self._profiler = profiler
-        # Frontier-session memo: hashes whose bodies were already sent.
-        # Reset whenever a session restarts at level 1.
-        self._sent_hashes: set = set()
-        self.blocks_received = 0
-        self.delta_entries_received = 0
-
-    def handle(self, message: dict) -> Optional[dict]:
-        if not isinstance(message, dict) or "type" not in message:
-            raise LiveProtocolError("request is not a typed map")
-        handler = getattr(self, f"_handle_{message['type']}", None)
-        if handler is None:
-            raise LiveProtocolError(
-                f"unknown request type {message['type']!r}"
-            )
+            payload = await transport.recv()
+        except TransportClosed:
+            return
         try:
-            return handler(message)
-        except LiveProtocolError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LiveProtocolError(
-                f"malformed {message['type']}: {exc}"
-            ) from exc
-
-    # -- frontier ------------------------------------------------------
-
-    def _handle_get_frontier_hashes(self, message: dict) -> dict:
-        return {
-            "type": "frontier_hashes",
-            "hashes": [
-                h.digest for h in sorted(self._node.frontier())
-            ],
-        }
-
-    def _handle_get_frontier(self, message: dict) -> dict:
-        level = int(message["level"])
-        if level < 1:
-            raise LiveProtocolError("frontier level must be >= 1")
-        if level == 1:
-            self._sent_hashes = set()
-        level_hashes = sorted(self._node.dag.frontier_level(level))
-        new_blocks = [
-            self._node.dag.get(h)
-            for h in level_hashes
-            if h not in self._sent_hashes
-        ]
-        self._sent_hashes.update(level_hashes)
-        return {
-            "type": "frontier_set",
-            "level": level,
-            "blocks": [block.to_wire() for block in new_blocks],
-        }
-
-    # -- bloom ---------------------------------------------------------
-
-    def _handle_bloom(self, message: dict) -> dict:
-        digest = BloomFilter.from_wire(message["filter"])
-        probably_missing = [
-            block for block in self._node.dag.blocks()
-            if block.hash.digest not in digest
-        ]
-        return {
-            "type": "bloom_blocks",
-            "blocks": [block.to_wire() for block in probably_missing],
-            "frontier": [
-                h.digest for h in sorted(self._node.frontier())
-            ],
-        }
-
-    def _handle_get_blocks(self, message: dict) -> dict:
-        blocks = []
-        for digest in message["hashes"]:
-            block = self._node.dag.maybe_get(Hash(bytes(digest)))
-            if block is not None:
-                blocks.append(block.to_wire())
-        return {"type": "blocks", "blocks": blocks}
-
-    # -- sketch --------------------------------------------------------
-
-    def _handle_sketch(self, message: dict) -> dict:
-        sketch = IBLT.from_wire(message["sketch"])
-        local_only, remote_only, ok = decode_against(self._node, sketch)
-        if not ok:
-            return {"type": "sketch_fail", "size": len(self._node.dag)}
-        only_here = set(local_only)
-        pull_blocks = [
-            block for block in self._node.dag.blocks()
-            if block.hash.digest in only_here
-        ]
-        return {
-            "type": "sketch_blocks",
-            "blocks": [block.to_wire() for block in pull_blocks],
-            "want": remote_only,
-            "frontier": [
-                h.digest for h in sorted(self._node.frontier())
-            ],
-        }
-
-    # -- delta ---------------------------------------------------------
-
-    def _handle_delta_summary(self, message: dict) -> dict:
-        return {
-            "type": "delta_state",
-            "crdts": delta_reply(self._node, message["crdts"]),
-        }
-
-    def _handle_delta_push(self, message: dict) -> Optional[dict]:
-        applied, _invalid = join_delta_push(self._node, message["crdts"])
-        self.delta_entries_received += applied
-        return None
-
-    # -- push ----------------------------------------------------------
-
-    def _handle_push_blocks(self, message: dict) -> Optional[dict]:
-        try:
-            blocks = [Block.from_wire(b) for b in message["blocks"]]
-        except MalformedBlockError as exc:
-            raise LiveProtocolError(str(exc)) from exc
-        with maybe_phase(self._profiler, PHASE_VERIFY) as ph:
-            merged = merge_blocks(self._node, blocks)
-            ph.units += len(merged.added)
-        self.blocks_received += len(merged.added)
-        if self._on_blocks is not None and merged.added:
-            self._on_blocks(merged.added)
-        return None
+            reply = responder.handle(decode_message(payload, profiler))
+        except ReconcileError as exc:
+            try:
+                await transport.send(wire.encode(error_message(str(exc))))
+            except TransportError:
+                pass
+            await transport.close()
+            return
+        if reply is not None:
+            try:
+                await transport.send(encode_message(reply, profiler))
+            except TransportClosed:
+                return
+        if after_message is not None:
+            after_message()

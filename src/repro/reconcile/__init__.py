@@ -2,7 +2,7 @@
 
 Blocks spread by opportunistic pairwise reconciliation: when two nodes
 meet, the initiator pulls the blocks it lacks and then pushes the blocks
-the responder lacks.  Four protocols share that contract but differ in
+the responder lacks.  Six protocols share that contract but differ in
 how they discover the difference:
 
 * :class:`FrontierProtocol` — the paper's Algorithm 1: ask for the
@@ -14,16 +14,21 @@ how they discover the difference:
   probably-missing blocks, repairing false positives by explicit fetches.
 * :class:`HeightSkipProtocol` — per-height digests locate the lowest
   diverging height in one round trip, then transfer everything above it.
+* :class:`SketchProtocol` — an invertible sketch sized for the
+  *difference*: one round trip, bytes independent of DAG size.
+* :class:`DeltaProtocol` — delta-state CRDT sync, then the block plane.
 
-Every protocol counts the exact canonical-wire bytes and messages each
-direction, so the bandwidth experiments (F3, E5) measure real encodings.
-
-Each protocol describes its session as a *message generator*
-(:meth:`session`), which :mod:`repro.reconcile.engine` either drives to
-completion atomically (``protocol.run``) or suspends/resumes one wire
-message at a time (:class:`ReconcileSession`) — the basis of the
-simulator's message-level session model, where a session can be
-interrupted by mobility or partition onset between any two messages.
+Each protocol is written **once**, as an initiator generator plus
+responder handlers that each touch only their own replica
+(:mod:`repro.reconcile.session`).  Three generic drivers run that pair
+and know no message vocabulary: the in-process
+:class:`ReconcileSession` (the simulator, atomically or one wire
+message at a time — a session can be interrupted by mobility or
+partition onset between any two messages), the sync bytes driver
+(:class:`RemoteSession` against a :class:`ReconcileEndpoint`), and the
+asyncio driver in :mod:`repro.live.protocol`.  Every driver counts the
+exact canonical-wire bytes and messages each direction, so the
+bandwidth experiments (F3, E5) measure real encodings.
 """
 
 from repro.reconcile.adapters import ByteTransportProtocol
@@ -35,6 +40,7 @@ from repro.reconcile.endpoint import (
     RemoteSession,
 )
 from repro.reconcile.engine import (
+    Protocol,
     ReconcileSession,
     SessionStep,
     drive_to_completion,
@@ -43,16 +49,15 @@ from repro.reconcile.frontier import FrontierProtocol
 from repro.reconcile.full import FullExchangeProtocol
 from repro.reconcile.session import (
     ReconcileError,
+    Responder,
+    SessionSide,
     merge_blocks,
-    push_missing_blocks,
-    push_steps,
 )
 from repro.reconcile.sketch import IBLT, SketchProtocol
 from repro.reconcile.skip import HeightSkipProtocol
 from repro.reconcile.stats import ReconcileStats
 
 __all__ = [
-    "ALL_PROTOCOLS",
     "BloomFilter",
     "BloomProtocol",
     "ByteTransportProtocol",
@@ -64,33 +69,27 @@ __all__ = [
     "HeightSkipProtocol",
     "IBLT",
     "PROTOCOLS_BY_NAME",
+    "Protocol",
     "ReconcileEndpoint",
     "ReconcileError",
     "ReconcileSession",
     "ReconcileStats",
     "RemoteSession",
+    "Responder",
+    "SessionSide",
     "SessionStep",
     "SketchProtocol",
     "delta_view_value",
     "drive_to_completion",
     "merge_blocks",
+    "protocol_class",
     "protocol_factory",
-    "push_missing_blocks",
-    "push_steps",
 ]
 
-ALL_PROTOCOLS = (
-    FrontierProtocol,
-    FullExchangeProtocol,
-    BloomProtocol,
-    HeightSkipProtocol,
-    SketchProtocol,
-    DeltaProtocol,
-)
-
-#: Scenario/CLI protocol knob: wire name -> protocol class.  Every class
-#: accepts a ``push`` keyword (the gossip layer builds sessions through
-#: ``lambda push: cls(push=push)``).
+#: The one registry: wire name -> protocol class, for the simulator, the
+#: live runtime, the chaos runner and the CLI alike.  Every class
+#: accepts a ``push`` keyword, and importing its module registered its
+#: responder handlers.
 PROTOCOLS_BY_NAME = {
     "frontier": FrontierProtocol,
     "full": FullExchangeProtocol,
@@ -101,17 +100,22 @@ PROTOCOLS_BY_NAME = {
 }
 
 
-def protocol_factory(name: str):
-    """A ``Scenario.protocol_factory`` callable for a named protocol.
+def protocol_class(name: str):
+    """The protocol class registered under *name*.
 
     Raises ``ValueError`` naming the valid choices for anything else —
     the CLI surfaces that as its one-line ``error:`` exit.
     """
     try:
-        cls = PROTOCOLS_BY_NAME[name]
+        return PROTOCOLS_BY_NAME[name]
     except KeyError:
         raise ValueError(
             f"unknown protocol {name!r}: expected one of "
             f"{sorted(PROTOCOLS_BY_NAME)}"
         ) from None
+
+
+def protocol_factory(name: str):
+    """A ``Scenario.protocol_factory`` callable for a named protocol."""
+    cls = protocol_class(name)
     return lambda push: cls(push=push)

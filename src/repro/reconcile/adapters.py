@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.core.node import VegvisirNode
 from repro.reconcile.endpoint import ReconcileEndpoint, RemoteSession
+from repro.reconcile.frontier import FrontierProtocol
 from repro.reconcile.stats import ReconcileStats
 
 
@@ -26,5 +27,6 @@ class ByteTransportProtocol:
     def run(self, initiator: VegvisirNode,
             responder: VegvisirNode) -> ReconcileStats:
         endpoint = ReconcileEndpoint(responder)
-        session = RemoteSession(initiator, endpoint.handle, push=self._push)
-        return session.sync()
+        return RemoteSession(
+            initiator, endpoint.handle, FrontierProtocol(push=self._push)
+        ).sync()

@@ -19,14 +19,20 @@ from __future__ import annotations
 import hashlib
 import math
 
-from repro.core.node import VegvisirNode
-from repro.reconcile.engine import drive_to_completion
-from repro.reconcile.session import merge_blocks, push_steps
-from repro.reconcile.stats import (
-    INITIATOR_TO_RESPONDER,
-    RESPONDER_TO_INITIATOR,
-    ReconcileStats,
+from repro.reconcile.engine import Protocol
+from repro.reconcile.session import (
+    Responder,
+    SessionSide,
+    as_hashes,
+    expect,
+    handles,
+    push_missing,
 )
+
+#: Upper bound on hash functions accepted off the wire: an honest filter
+#: uses -log2(fp) of them (7 at 1 %), and every probe costs that many
+#: SHA-256 positions per held block.
+MAX_WIRE_HASHES = 64
 
 
 class BloomFilter:
@@ -84,8 +90,22 @@ class BloomFilter:
 
     @classmethod
     def from_wire(cls, value: dict) -> "BloomFilter":
-        instance = cls(value["bit_count"], value["hash_count"])
-        instance._bits = bytearray(value["bits"])
+        bits = value["bits"]
+        bit_count = value["bit_count"]
+        hash_count = value["hash_count"]
+        if not all(
+            isinstance(field, int) and not isinstance(field, bool)
+            for field in (bit_count, hash_count)
+        ):
+            raise ValueError("Bloom shape fields must be integers")
+        if hash_count > MAX_WIRE_HASHES:
+            raise ValueError(f"Bloom hash count {hash_count} out of range")
+        # Checked before construction, so a 20-byte frame cannot make
+        # the constructor allocate an announced gigabyte.
+        if not isinstance(bits, bytes) or len(bits) != (bit_count + 7) // 8:
+            raise ValueError("Bloom bits have the wrong length")
+        instance = cls(bit_count, hash_count)
+        instance._bits = bytearray(bits)
         return instance
 
     @property
@@ -93,7 +113,7 @@ class BloomFilter:
         return len(self._bits)
 
 
-class BloomProtocol:
+class BloomProtocol(Protocol):
     """Bloom-digest pull with explicit repair fetches, then push."""
 
     name = "bloom"
@@ -102,43 +122,21 @@ class BloomProtocol:
         self._fp_rate = false_positive_rate
         self._push = push
 
-    def run(self, initiator: VegvisirNode,
-            responder: VegvisirNode) -> ReconcileStats:
-        return drive_to_completion(self, initiator, responder)
-
-    def session(self, initiator: VegvisirNode, responder: VegvisirNode,
-                stats: ReconcileStats):
-        """Yield the session's wire messages one at a time."""
-        if initiator.chain_id != responder.chain_id:
-            return
-        responder_frontier = sorted(responder.frontier())
+    def initiate(self, me: SessionSide):
+        node, stats = me.node, me.stats
 
         # Round 1: send the filter, receive probably-missing blocks plus
         # the responder's frontier (to detect convergence exactly).
         stats.rounds += 1
-        digest = BloomFilter.for_capacity(len(initiator.dag), self._fp_rate)
-        for block_hash in initiator.dag.hashes():
+        digest = BloomFilter.for_capacity(len(node.dag), self._fp_rate)
+        for block_hash in node.dag.hashes():
             digest.add(block_hash.digest)
-        yield (
-            INITIATOR_TO_RESPONDER,
-            {"type": "bloom", "filter": digest.to_wire()},
+        reply = expect(
+            (yield {"type": "bloom", "filter": digest.to_wire()}),
+            "bloom_blocks",
         )
-        probably_missing = [
-            block for block in responder.dag.blocks()
-            if block.hash.digest not in digest
-        ]
-        yield (
-            RESPONDER_TO_INITIATOR,
-            {
-                "type": "bloom_blocks",
-                "blocks": [b.to_wire() for b in probably_missing],
-                "frontier": [h.digest for h in responder_frontier],
-            },
-        )
-        merged = merge_blocks(initiator, probably_missing)
-        stats.blocks_pulled += len(merged.added)
-        stats.duplicate_blocks += merged.duplicates
-        stats.invalid_blocks += merged.invalid
+        responder_frontier = as_hashes(reply["frontier"])
+        merged = me.pull(reply["blocks"])
 
         # Repair rounds: fetch false-positive-skipped blocks by hash —
         # both missing parents of received blocks and responder frontier
@@ -148,45 +146,47 @@ class BloomProtocol:
         def _missing_now(merge_result):
             needed = set(merge_result.missing_parents)
             needed.update(
-                h for h in responder_frontier if not initiator.has_block(h)
+                h for h in responder_frontier if not node.has_block(h)
             )
             return sorted(needed)
 
         missing = _missing_now(merged)
         while missing:
             stats.rounds += 1
-            yield (
-                INITIATOR_TO_RESPONDER,
-                {
+            reply = expect(
+                (yield {
                     "type": "get_blocks",
                     "hashes": [h.digest for h in missing],
-                },
+                }),
+                "blocks",
             )
-            fetched = [
-                responder.dag.get(h)
-                for h in missing
-                if responder.has_block(h)
-            ]
-            yield (
-                RESPONDER_TO_INITIATOR,
-                {"type": "blocks", "blocks": [b.to_wire() for b in fetched]},
-            )
+            fetched = reply["blocks"]
             if not fetched:
                 break
             # Every repair fetch exists because the filter claimed the
             # initiator already held the block — a false positive.
             stats.fp_resend += len(fetched)
-            merged = merge_blocks(initiator, fetched + pending)
-            stats.blocks_pulled += len(merged.added)
-            stats.duplicate_blocks += merged.duplicates
-            stats.invalid_blocks += merged.invalid
+            merged = me.pull(fetched + pending)
             pending = merged.unplaced
             missing = _missing_now(merged)
 
         stats.converged = all(
-            initiator.has_block(h) for h in responder_frontier
+            node.has_block(h) for h in responder_frontier
         )
         if stats.converged and self._push:
-            yield from push_steps(
-                initiator, responder, responder_frontier, stats
-            )
+            yield from push_missing(me, responder_frontier)
+
+
+@handles("bloom")
+def _on_bloom(responder: Responder, message: dict) -> dict:
+    digest = BloomFilter.from_wire(message["filter"])
+    return {
+        "type": "bloom_blocks",
+        "blocks": [
+            block for block in responder.node.dag.blocks()
+            if block.hash.digest not in digest
+        ],
+        "frontier": [
+            h.digest for h in sorted(responder.node.frontier())
+        ],
+    }

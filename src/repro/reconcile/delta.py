@@ -38,16 +38,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.node import VegvisirNode
 from repro.crdt.base import CRDTError
 from repro.crdt.schema import check_type
-from repro.reconcile.engine import drive_to_completion
+from repro.reconcile.engine import Protocol
 from repro.reconcile.frontier import FrontierProtocol
-from repro.reconcile.stats import (
-    INITIATOR_TO_RESPONDER,
-    RESPONDER_TO_INITIATOR,
-    ReconcileStats,
-)
+from repro.reconcile.session import Responder, SessionSide, expect, handles
 
 
 class DeltaStore:
@@ -85,9 +80,9 @@ def delta_store(node) -> DeltaStore:
 
 # ----------------------------------------------------------------------
 # Wire validation helpers.  Structurally malformed payloads raise
-# ValueError (the live layer tears the session down, like a malformed
-# block); entries that are well-formed but fail the CRDT's element
-# schema are *counted* invalid and skipped, like invalid blocks.
+# ValueError (the session is torn down, like a malformed block);
+# entries that are well-formed but fail the CRDT's element schema are
+# *counted* invalid and skipped, like invalid blocks.
 
 def _check_pairs(value) -> None:
     if not isinstance(value, list):
@@ -472,22 +467,22 @@ def delta_reply(node, summaries) -> list:
     return out
 
 
-def join_delta_reply(node, reply) -> tuple[int, int]:
-    """Join a ``delta_state`` reply into the store; (applied, invalid)."""
-    if not isinstance(reply, list):
-        raise ValueError("delta state must be a list")
+def _join_entries(node, entries, width: int, what: str) -> tuple[int, int]:
+    """Join ``[name, type_name, delta, ...]`` entries into the store."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{what} must be a list")
     local = _eligible(node)
     store = delta_store(node)
     applied = invalid = 0
-    for item in reply:
+    for item in entries:
         if (
             not isinstance(item, list)
-            or len(item) != 4
+            or len(item) != width
             or not isinstance(item[0], str)
             or not isinstance(item[1], str)
         ):
-            raise ValueError("malformed delta state entry")
-        name, type_name, delta, _peer_summary = item
+            raise ValueError(f"malformed {what} entry")
+        name, type_name, delta = item[:3]
         pair = local.get(name)
         if pair is None or pair[0].type_name != type_name:
             continue
@@ -501,6 +496,11 @@ def join_delta_reply(node, reply) -> tuple[int, int]:
         applied += new_applied
         invalid += new_invalid
     return applied, invalid
+
+
+def join_delta_reply(node, reply) -> tuple[int, int]:
+    """Join a ``delta_state`` reply into the store; (applied, invalid)."""
+    return _join_entries(node, reply, 4, "delta state")
 
 
 def delta_push_payload(node, reply) -> list:
@@ -528,38 +528,12 @@ def delta_push_payload(node, reply) -> list:
 
 def join_delta_push(node, payload) -> tuple[int, int]:
     """Join a ``delta_push`` payload into the store; (applied, invalid)."""
-    if not isinstance(payload, list):
-        raise ValueError("delta push must be a list")
-    local = _eligible(node)
-    store = delta_store(node)
-    applied = invalid = 0
-    for item in payload:
-        if (
-            not isinstance(item, list)
-            or len(item) != 3
-            or not isinstance(item[0], str)
-            or not isinstance(item[1], str)
-        ):
-            raise ValueError("malformed delta push entry")
-        name, type_name, delta = item
-        pair = local.get(name)
-        if pair is None or pair[0].type_name != type_name:
-            continue
-        codec, instance = pair
-        held = store.state(name, type_name)
-        view = codec.view(instance, held)
-        stored, new_applied, new_invalid = codec.join(
-            view, held, delta, instance.element_spec
-        )
-        store.put(name, type_name, stored)
-        applied += new_applied
-        invalid += new_invalid
-    return applied, invalid
+    return _join_entries(node, payload, 3, "delta push")
 
 
 def count_entries(payload) -> int:
-    """Lattice entries in a push payload (what the live initiator charges
-    to ``delta_entries_pushed``; an honest responder applies them all)."""
+    """Lattice entries in a push payload (what the initiator charges to
+    ``delta_entries_pushed``; an honest responder applies them all)."""
     total = 0
     for _name, type_name, delta in payload:
         total += CODECS[type_name].size(delta)
@@ -583,7 +557,7 @@ def delta_view_value(node, name: str):
     return codec.value(view)
 
 
-class DeltaProtocol:
+class DeltaProtocol(Protocol):
     """Delta-state CRDT sync, durable (block plane chained) by default.
 
     ``durable=False`` runs the state plane alone: CSM deltas cross the
@@ -599,42 +573,38 @@ class DeltaProtocol:
         self._push = push
         self._durable = durable
 
-    def run(self, initiator: VegvisirNode,
-            responder: VegvisirNode) -> ReconcileStats:
-        return drive_to_completion(self, initiator, responder)
-
-    def session(self, initiator: VegvisirNode, responder: VegvisirNode,
-                stats: ReconcileStats):
-        """Yield the session's wire messages one at a time."""
-        if initiator.chain_id != responder.chain_id:
-            return
+    def initiate(self, me: SessionSide):
+        node, stats = me.node, me.stats
         stats.rounds += 1
-        summaries = delta_summaries(initiator)
-        yield (
-            INITIATOR_TO_RESPONDER,
-            {"type": "delta_summary", "crdts": summaries},
+        reply = expect(
+            (yield {"type": "delta_summary", "crdts": delta_summaries(node)}),
+            "delta_state",
         )
-        reply = delta_reply(responder, summaries)
-        yield (
-            RESPONDER_TO_INITIATOR,
-            {"type": "delta_state", "crdts": reply},
-        )
-        applied, invalid = join_delta_reply(initiator, reply)
+        applied, invalid = join_delta_reply(node, reply["crdts"])
         stats.delta_entries_pulled += applied
         stats.delta_entries_invalid += invalid
         if self._push:
-            payload = delta_push_payload(initiator, reply)
+            payload = delta_push_payload(node, reply["crdts"])
             if payload:
-                yield (
-                    INITIATOR_TO_RESPONDER,
-                    {"type": "delta_push", "crdts": payload},
-                )
-                pushed, push_invalid = join_delta_push(responder, payload)
-                stats.delta_entries_pushed += pushed
-                stats.delta_entries_invalid += push_invalid
+                yield {"type": "delta_push", "crdts": payload}
+                stats.delta_entries_pushed += count_entries(payload)
         if self._durable:
             yield from FrontierProtocol(
                 hash_first=True, push=self._push
-            ).session(initiator, responder, stats)
+            ).initiate(me)
         else:
             stats.converged = True
+
+
+@handles("delta_summary")
+def _on_delta_summary(responder: Responder, message: dict) -> dict:
+    return {
+        "type": "delta_state",
+        "crdts": delta_reply(responder.node, message["crdts"]),
+    }
+
+
+@handles("delta_push", reply=False)
+def _on_delta_push(responder: Responder, message: dict) -> None:
+    _applied, invalid = join_delta_push(responder.node, message["crdts"])
+    responder.stats.delta_entries_invalid += invalid

@@ -1,39 +1,43 @@
-"""Reconciliation over a pure bytes transport.
+"""The sync bytes driver: any protocol over ``bytes -> bytes``.
 
-The protocol classes in this package call the responder replica
-directly for simulation speed.  This module proves the protocol is
-*message-complete*: :class:`ReconcileEndpoint` serves every request as
-``bytes -> bytes`` (what a Bluetooth socket would carry), and
-:class:`RemoteSession` drives a full bidirectional frontier sync from
-the initiator side using nothing but those bytes.  Malformed or
-unexpected requests get an error reply, never an exception across the
-"network".
+:class:`RemoteSession` runs a protocol's initiator against a transport
+function — an in-process endpoint in tests, a socket in a deployment —
+and :class:`ReconcileEndpoint` serves the responder half from raw
+request bytes (what a Bluetooth socket would carry).  Neither knows a
+protocol message: requests and replies are whatever the protocol's two
+halves say, in the same canonical bytes the simulator accounts and the
+live TCP runtime carries.  A one-way message has the empty reply
+``b""``.  Malformed or unexpected requests get an ``error`` reply,
+never an exception across the "network".
 
-Message vocabulary (canonical wire maps, ``type`` selects):
+Connection set-up is not protocol vocabulary: both this driver and the
+live runtime open with one ``live_hello`` each way, and a peer
+following a different blockchain (different genesis, §IV-G) is refused
+there::
 
-    -> {"type": "hello", "chain": <genesis hash>}
-    <- {"type": "hello_ack", "chain": ..., "ok": bool}
-    -> {"type": "get_frontier", "level": n, "have": [hashes]}
-    <- {"type": "frontier_set", "level": n, "blocks": [...],
-        "frontier": [hashes]}
-    -> {"type": "get_blocks", "hashes": [...]}
-    <- {"type": "blocks", "blocks": [...]}
-    -> {"type": "push_blocks", "blocks": [...]}
-    <- {"type": "push_ack", "added": k, "invalid": j}
-    <- {"type": "error", "reason": "..."}    (any bad request)
+    {"type": "live_hello", "chain": <genesis hash>,
+     "node": <user id>, "name": <display name>}
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro import wire
 from repro.wire import framing
-from repro.chain.block import Block
-from repro.chain.errors import MalformedBlockError
 from repro.core.node import VegvisirNode
-from repro.crypto.sha import Hash
-from repro.reconcile.session import merge_blocks
+from repro.reconcile.engine import Protocol
+from repro.reconcile.frontier import FrontierProtocol
+from repro.reconcile.session import (
+    ReconcileError,
+    Responder,
+    SessionSide,
+    decode_message,
+    encode_message,
+    error_message,
+    expects_reply,
+    resume,
+)
 from repro.reconcile.stats import (
     INITIATOR_TO_RESPONDER,
     RESPONDER_TO_INITIATOR,
@@ -42,81 +46,49 @@ from repro.reconcile.stats import (
 
 Transport = Callable[[bytes], bytes]
 
+HELLO_TYPE = "live_hello"
+
+
+def hello_message(node: VegvisirNode, name: Optional[str] = None) -> dict:
+    return {
+        "type": HELLO_TYPE,
+        "chain": node.chain_id.digest,
+        "node": node.user_id.digest,
+        "name": name if name is not None else node.user_id.short(),
+    }
+
+
+def check_hello(node: VegvisirNode, hello) -> dict:
+    """The peer's hello, if it is one and follows *node*'s blockchain."""
+    if not isinstance(hello, dict) or hello.get("type") != HELLO_TYPE:
+        raise ReconcileError("first frame is not a live_hello")
+    if hello.get("chain") != node.chain_id.digest:
+        raise ReconcileError(
+            "peer follows a different blockchain (genesis mismatch)"
+        )
+    return hello
+
 
 class ReconcileEndpoint:
-    """Responder side: serves reconciliation requests from raw bytes."""
+    """Responder side of one connection: serves requests from raw bytes."""
 
     def __init__(self, node: VegvisirNode):
         self._node = node
+        self._responder = Responder(node)
+        #: What this connection's responder charged: duplicate and
+        #: invalid blocks (and delta entries) pushed at it.
+        self.stats = self._responder.stats
 
     def handle(self, request: bytes) -> bytes:
         try:
-            message = wire.decode(request)
-        except wire.DecodeError:
-            return self._error("undecodable request")
-        if not isinstance(message, dict) or "type" not in message:
-            return self._error("request is not a typed map")
-        handler = getattr(
-            self, f"_handle_{message['type']}", None
-        )
-        if handler is None:
-            return self._error(f"unknown request type {message['type']!r}")
-        try:
-            return wire.encode(handler(message))
-        except (KeyError, TypeError, ValueError) as exc:
-            return self._error(f"malformed {message['type']}: {exc}")
-
-    @staticmethod
-    def _error(reason: str) -> bytes:
-        return wire.encode({"type": "error", "reason": reason})
-
-    # -- handlers ------------------------------------------------------
-
-    def _handle_hello(self, message: dict) -> dict:
-        same = message["chain"] == self._node.chain_id.digest
-        return {
-            "type": "hello_ack",
-            "chain": self._node.chain_id.digest,
-            "ok": same,
-        }
-
-    def _handle_get_frontier(self, message: dict) -> dict:
-        level = int(message["level"])
-        if level < 1:
-            raise ValueError("level must be >= 1")
-        have = {bytes(h) for h in message.get("have", [])}
-        level_hashes = sorted(self._node.dag.frontier_level(level))
-        blocks = [
-            self._node.dag.get(h).to_wire()
-            for h in level_hashes
-            if h.digest not in have
-        ]
-        return {
-            "type": "frontier_set",
-            "level": level,
-            "blocks": blocks,
-            "frontier": [h.digest for h in sorted(self._node.frontier())],
-        }
-
-    def _handle_get_blocks(self, message: dict) -> dict:
-        blocks = []
-        for digest in message["hashes"]:
-            block = self._node.dag.maybe_get(Hash(digest))
-            if block is not None:
-                blocks.append(block.to_wire())
-        return {"type": "blocks", "blocks": blocks}
-
-    def _handle_push_blocks(self, message: dict) -> dict:
-        try:
-            blocks = [Block.from_wire(b) for b in message["blocks"]]
-        except MalformedBlockError as exc:
-            raise ValueError(str(exc)) from exc
-        result = merge_blocks(self._node, blocks)
-        return {
-            "type": "push_ack",
-            "added": len(result.added),
-            "invalid": result.invalid,
-        }
+            message = decode_message(request)
+            if message["type"] == HELLO_TYPE:
+                check_hello(self._node, message)
+                return wire.encode(hello_message(self._node))
+            reply = self._responder.handle(message)
+        except ReconcileError as exc:
+            return wire.encode(error_message(str(exc)))
+        return b"" if reply is None else encode_message(reply)
 
 
 class FramedEndpoint:
@@ -149,103 +121,49 @@ class FramedEndpoint:
         """Absorb stream bytes; return framed replies (possibly empty)."""
         replies = bytearray()
         for request in self._decoder.feed(data):
-            replies += framing.encode_frame(
-                self._endpoint.handle(request), self._max_frame_bytes
-            )
+            reply = self._endpoint.handle(request)
+            if reply:
+                replies += framing.encode_frame(reply, self._max_frame_bytes)
         return bytes(replies)
 
 
 class RemoteSession:
-    """Initiator side of a full frontier sync over a transport.
+    """Initiator side of one session over a transport.
 
-    ``transport`` is any bytes→bytes request/response function — an
-    in-process endpoint in tests, a socket in a deployment.  The
+    ``transport`` is any bytes→bytes request/response function.  The
     session never trusts the peer: every received block passes the
     normal §IV-E validation in ``merge_blocks``, and error replies or
-    garbage terminate the session cleanly with ``converged=False``.
+    garbage tear the session down cleanly — ``converged=False``,
+    ``interrupted=True``, never an exception.
     """
 
     def __init__(self, node: VegvisirNode, transport: Transport,
-                 max_level: int = 10_000, push: bool = True):
+                 protocol: Optional[Protocol] = None):
         self._node = node
         self._transport = transport
-        self._max_level = max_level
-        self._push = push
-
-    def _call(self, stats: ReconcileStats, message: dict) -> dict | None:
-        request = wire.encode(message)
-        stats.messages[INITIATOR_TO_RESPONDER] += 1
-        stats.bytes[INITIATOR_TO_RESPONDER] += len(request)
-        response = self._transport(request)
-        stats.messages[RESPONDER_TO_INITIATOR] += 1
-        stats.bytes[RESPONDER_TO_INITIATOR] += len(response)
-        try:
-            decoded = wire.decode(response)
-        except wire.DecodeError:
-            return None
-        if not isinstance(decoded, dict) or decoded.get("type") == "error":
-            return None
-        return decoded
+        self._protocol = protocol if protocol is not None else (
+            FrontierProtocol()
+        )
 
     def sync(self) -> ReconcileStats:
-        """Pull everything the peer has, then push everything it lacks."""
-        stats = ReconcileStats("remote_frontier")
-
-        hello = self._call(
-            stats, {"type": "hello", "chain": self._node.chain_id.digest}
-        )
-        if hello is None or not hello.get("ok"):
-            return stats
-
-        pending: list[Block] = []
-        responder_frontier: list[bytes] = []
-        level = 1
-        while level <= self._max_level:
-            stats.rounds += 1
-            have = sorted(
-                h.digest for h in self._node.dag.frontier_level(level)
-            )
-            reply = self._call(
-                stats,
-                {"type": "get_frontier", "level": level, "have": have},
-            )
-            if reply is None:
-                return stats
-            responder_frontier = [bytes(h) for h in reply["frontier"]]
-            try:
-                new_blocks = [Block.from_wire(b) for b in reply["blocks"]]
-            except MalformedBlockError:
-                return stats
-            pending.extend(new_blocks)
-            merged = merge_blocks(self._node, pending)
-            stats.blocks_pulled += len(merged.added)
-            stats.duplicate_blocks += merged.duplicates
-            stats.invalid_blocks += merged.invalid
-            pending = merged.unplaced
-            if all(
-                self._node.has_block(Hash(d)) for d in responder_frontier
-            ):
-                stats.converged = True
-                break
-            level += 1
-        if not stats.converged or not self._push:
-            return stats
-
-        # Push phase: everything below the responder's frontier is
-        # known to it; send the rest.
-        from repro.reconcile.session import responder_holdings
-
-        responder_has = responder_holdings(
-            self._node, [Hash(d) for d in responder_frontier]
-        )
-        missing = [
-            block.to_wire() for block in self._node.dag.blocks()
-            if block.hash not in responder_has
-        ]
-        if missing:
-            ack = self._call(
-                stats, {"type": "push_blocks", "blocks": missing}
-            )
-            if ack is not None:
-                stats.blocks_pushed += int(ack.get("added", 0))
+        """Say hello, then run the protocol's initiator to the end."""
+        stats = ReconcileStats(self._protocol.name)
+        initiator = self._protocol.initiate(SessionSide(self._node, stats))
+        try:
+            hello = self._transport(wire.encode(hello_message(self._node)))
+            check_hello(self._node, decode_message(hello))
+            request = resume(initiator, None)
+            while request is not None:
+                payload = encode_message(request)
+                stats.record_raw(INITIATOR_TO_RESPONDER, len(payload))
+                response = self._transport(payload)
+                reply = None
+                if expects_reply(request):
+                    stats.record_raw(RESPONDER_TO_INITIATOR, len(response))
+                    reply = decode_message(response)
+                request = resume(initiator, reply)
+        except ReconcileError:
+            stats.interrupted = True
+        finally:
+            initiator.close()
         return stats

@@ -1,22 +1,22 @@
-"""Resumable reconciliation sessions.
+"""The in-process session driver.
 
-The protocol classes in this package describe a session as a *generator*
-of wire messages: each ``yield (direction, message)`` is one message
-about to cross the radio, and the code between two yields is the
-receiving endpoint's processing of the previous message.  That single
-description serves two execution models:
+A protocol's two halves (see :mod:`repro.reconcile.session`) exchange
+messages; this driver shuttles them between two replicas in one process,
+one wire message per step.  That single description serves two
+execution models:
 
-* **atomic** — :func:`drive_to_completion` exhausts the generator in one
-  call, exactly reproducing the historical blocking ``protocol.run``
-  behaviour (same messages, same byte accounting, same merges, in the
-  same order);
-* **message** — the gossip scheduler wraps the generator in a
-  :class:`ReconcileSession` and schedules every step as its own event on
-  the simulation loop, charging per-message latency and re-checking
-  connectivity before each delivery.  A session whose pair walks out of
-  radio range is :meth:`~ReconcileSession.abort`-ed between messages;
-  its :class:`~repro.reconcile.stats.ReconcileStats` keep the partial
+* **atomic** — :func:`drive_to_completion` runs every step in one call:
+  the blocking ``protocol.run`` behaviour;
+* **message** — the gossip scheduler holds a :class:`ReconcileSession`
+  and schedules every step as its own event on the simulation loop,
+  charging per-message latency and re-checking connectivity before each
+  delivery.  A session whose pair walks out of radio range is
+  :meth:`~ReconcileSession.abort`-ed between messages; its
+  :class:`~repro.reconcile.stats.ReconcileStats` keep the partial
   totals charged so far and are flagged ``interrupted``.
+
+Messages cross as objects: a step is lowered to its wire map for byte
+accounting (and for the fault injector), never parsed back.
 
 Interruption can never corrupt a replica: blocks are only ever inserted
 through :func:`~repro.reconcile.session.merge_blocks`, which adds a
@@ -27,13 +27,30 @@ are simply dropped with the torn session.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 from repro.core.node import VegvisirNode
-from repro.reconcile.stats import INITIATOR_TO_RESPONDER, ReconcileStats
+from repro.reconcile.session import Responder, SessionSide, lower, resume
+from repro.reconcile.stats import (
+    INITIATOR_TO_RESPONDER,
+    RESPONDER_TO_INITIATOR,
+    ReconcileStats,
+)
 
-#: One protocol step: the direction and wire message of one transmission.
-Step = Tuple[str, dict]
+
+class Protocol:
+    """Base of every protocol: a name, an initiator generator, and the
+    blocking ``run``.  The responder half is the module's handlers."""
+
+    name = "?"
+
+    def initiate(self, me: SessionSide):
+        """Yield requests, receive replies; touch only ``me.node``."""
+        raise NotImplementedError
+
+    def run(self, initiator: VegvisirNode,
+            responder: VegvisirNode) -> ReconcileStats:
+        return drive_to_completion(self, initiator, responder)
 
 
 class SessionStep:
@@ -59,22 +76,25 @@ class ReconcileSession:
     """A suspended reconciliation between two replicas.
 
     Pull wire messages one at a time with :meth:`next_step`; every call
-    delivers the previous message (running the receiving endpoint's
+    delivers the previous message (running the receiving half's
     processing) and returns the next transmission, or ``None`` once the
     protocol has finished.  :meth:`abort` tears the session down between
     messages, keeping the partial byte/block totals in :attr:`stats`.
+    Both halves charge the one :attr:`stats` object.
     """
 
-    def __init__(self, protocol, initiator: VegvisirNode,
+    def __init__(self, protocol: Protocol, initiator: VegvisirNode,
                  responder: VegvisirNode):
-        self.protocol = protocol
-        self.initiator = initiator
-        self.responder = responder
-        self.stats = ReconcileStats(getattr(protocol, "name", "?"))
-        self._steps: Iterator[Step] = protocol.session(
-            initiator, responder, self.stats
+        self.stats = ReconcileStats(protocol.name)
+        self._initiator = protocol.initiate(
+            SessionSide(initiator, self.stats)
         )
-        self._done = False
+        self._responder = Responder(responder, self.stats)
+        # The message on the air, and which way it is going.
+        self._in_flight: Optional[dict] = None
+        self._to_responder = False
+        # Different genesis blocks: not the same blockchain (§IV-G).
+        self._done = initiator.chain_id != responder.chain_id
 
     @property
     def done(self) -> bool:
@@ -95,13 +115,24 @@ class ReconcileSession:
         """
         if self._done:
             return None
-        try:
-            direction, message = next(self._steps)
-        except StopIteration:
+        message = self._in_flight
+        if self._to_responder:
+            message = self._responder.handle(message)
+            if message is not None:
+                return self._transmit(RESPONDER_TO_INITIATOR, message)
+        message = resume(self._initiator, message)
+        if message is None:
             self._done = True
             return None
-        size = self.stats.record(direction, message)
-        return SessionStep(direction, message, size)
+        return self._transmit(INITIATOR_TO_RESPONDER, message)
+
+    def _transmit(self, direction: str, message: dict) -> SessionStep:
+        self._in_flight = message
+        self._to_responder = direction == INITIATOR_TO_RESPONDER
+        wire_map = lower(message)
+        return SessionStep(
+            direction, wire_map, self.stats.record(direction, wire_map)
+        )
 
     def abort(self) -> None:
         """Tear the session down between messages.
@@ -115,12 +146,12 @@ class ReconcileSession:
             return
         self._done = True
         self.stats.interrupted = True
-        self._steps.close()
+        self._initiator.close()
 
 
-def drive_to_completion(protocol, initiator: VegvisirNode,
+def drive_to_completion(protocol: Protocol, initiator: VegvisirNode,
                         responder: VegvisirNode) -> ReconcileStats:
-    """Run a session generator to exhaustion at one instant.
+    """Run a session to the end at one instant.
 
     This is the atomic execution model: identical message sequence and
     accounting to the message-level model with an ideal (zero-latency,

@@ -12,30 +12,28 @@ After a successful pull the initiator pushes the blocks the responder
 lacks, making one contact sufficient for bidirectional convergence (the
 gossip layer relies on this).
 
-The responder sends full blocks for the *new* level and bare hashes for
-levels already transmitted, so the deepening loop does not resend data.
-
-The protocol is written as a message generator (see
-:mod:`repro.reconcile.engine`): :meth:`FrontierProtocol.session` yields
-one wire message per step and can be suspended or aborted between any
-two of them; :meth:`FrontierProtocol.run` drives it to completion
-atomically.
+The responder sends full blocks for the *new* level only: it remembers,
+per connection, which bodies it already sent, so the deepening loop does
+not resend data.  A ``get_frontier`` at level 1 starts a fresh session
+and resets that memo.
 """
 
 from __future__ import annotations
 
 from repro.chain.block import Block
-from repro.core.node import VegvisirNode
-from repro.reconcile.engine import drive_to_completion
-from repro.reconcile.session import merge_blocks, push_steps
-from repro.reconcile.stats import (
-    INITIATOR_TO_RESPONDER,
-    RESPONDER_TO_INITIATOR,
-    ReconcileStats,
+from repro.reconcile.engine import Protocol
+from repro.reconcile.session import (
+    ReconcileError,
+    Responder,
+    SessionSide,
+    as_hashes,
+    expect,
+    handles,
+    push_missing,
 )
 
 
-class FrontierProtocol:
+class FrontierProtocol(Protocol):
     """Level-N frontier-set reconciliation (Algorithm 1).
 
     With ``hash_first=True``, an extra preliminary round exchanges bare
@@ -54,74 +52,45 @@ class FrontierProtocol:
         self._push = push
         self._hash_first = hash_first
 
-    def run(self, initiator: VegvisirNode,
-            responder: VegvisirNode) -> ReconcileStats:
-        return drive_to_completion(self, initiator, responder)
-
-    def session(self, initiator: VegvisirNode, responder: VegvisirNode,
-                stats: ReconcileStats):
-        """Yield the session's wire messages one at a time."""
-        if initiator.chain_id != responder.chain_id:
-            # Different genesis blocks: not the same blockchain (§IV-G).
-            return
-
-        responder_frontier = sorted(responder.frontier())
+    def initiate(self, me: SessionSide):
+        node, stats = me.node, me.stats
+        responder_frontier = None
 
         if self._hash_first:
             stats.rounds += 1
-            yield INITIATOR_TO_RESPONDER, {"type": "get_frontier_hashes"}
-            yield (
-                RESPONDER_TO_INITIATOR,
-                {
-                    "type": "frontier_hashes",
-                    "hashes": [h.digest for h in responder_frontier],
-                },
+            reply = expect(
+                (yield {"type": "get_frontier_hashes"}), "frontier_hashes"
             )
-            if all(initiator.has_block(h) for h in responder_frontier):
+            responder_frontier = as_hashes(reply["hashes"])
+            if all(node.has_block(h) for h in responder_frontier):
                 stats.converged = True
                 if self._push:
-                    yield from push_steps(
-                        initiator, responder, responder_frontier, stats
-                    )
+                    yield from push_missing(me, responder_frontier)
                 return
+
         pending: list[Block] = []
-        sent_hashes: set = set()
         level = 1
         while level <= self._max_level:
             stats.rounds += 1
-            yield (
-                INITIATOR_TO_RESPONDER,
-                {"type": "get_frontier", "level": level},
+            reply = expect(
+                (yield {"type": "get_frontier", "level": level}),
+                "frontier_set",
             )
-            level_hashes = sorted(responder.dag.frontier_level(level))
-            new_blocks = [
-                responder.dag.get(h)
-                for h in level_hashes
-                if h not in sent_hashes
-            ]
-            sent_hashes.update(level_hashes)
-            yield (
-                RESPONDER_TO_INITIATOR,
-                {
-                    "type": "frontier_set",
-                    "level": level,
-                    "blocks": [b.to_wire() for b in new_blocks],
-                },
-            )
-
-            if level == 1 and all(
-                initiator.has_block(h) for h in level_hashes
-            ):
-                # Identical frontiers ⇒ identical chains; otherwise the
-                # initiator is strictly ahead and only needs to push.
-                stats.converged = True
-                break
-
+            new_blocks = reply["blocks"]
+            if level == 1:
+                # Level 1 carries the full frontier (nothing was sent
+                # before it), which doubles as the responder-frontier
+                # snapshot the push phase needs.
+                level_hashes = [block.hash for block in new_blocks]
+                if responder_frontier is None:
+                    responder_frontier = level_hashes
+                if all(node.has_block(h) for h in level_hashes):
+                    # Identical frontiers ⇒ identical chains; otherwise
+                    # the initiator is strictly ahead and only pushes.
+                    stats.converged = True
+                    break
             pending.extend(new_blocks)
-            merged = merge_blocks(initiator, pending)
-            stats.blocks_pulled += len(merged.added)
-            stats.duplicate_blocks += merged.duplicates
-            stats.invalid_blocks += merged.invalid
+            merged = me.pull(pending)
             if merged.complete:
                 stats.converged = True
                 break
@@ -131,6 +100,27 @@ class FrontierProtocol:
             level += 1
 
         if stats.converged and self._push:
-            yield from push_steps(
-                initiator, responder, responder_frontier, stats
-            )
+            yield from push_missing(me, responder_frontier)
+
+
+@handles("get_frontier_hashes")
+def _on_get_frontier_hashes(responder: Responder, message: dict) -> dict:
+    return {
+        "type": "frontier_hashes",
+        "hashes": [h.digest for h in sorted(responder.node.frontier())],
+    }
+
+
+@handles("get_frontier")
+def _on_get_frontier(responder: Responder, message: dict) -> dict:
+    level = int(message["level"])
+    if level < 1:
+        raise ReconcileError("frontier level must be >= 1")
+    sent_hashes = responder.memo.setdefault("frontier_sent", set())
+    if level == 1:
+        sent_hashes.clear()
+    dag = responder.node.dag
+    level_hashes = sorted(dag.frontier_level(level))
+    new_blocks = [dag.get(h) for h in level_hashes if h not in sent_hashes]
+    sent_hashes.update(level_hashes)
+    return {"type": "frontier_set", "level": level, "blocks": new_blocks}

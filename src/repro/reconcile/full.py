@@ -6,24 +6,21 @@ responder ships every block it has, then the initiator pushes back the
 difference.  Bandwidth is proportional to chain length regardless of how
 little the replicas diverge, which is exactly what experiments F3/E5
 demonstrate.
-
-Written as a message generator (see :mod:`repro.reconcile.engine`);
-``run`` drives the generator atomically.
 """
 
 from __future__ import annotations
 
-from repro.core.node import VegvisirNode
-from repro.reconcile.engine import drive_to_completion
-from repro.reconcile.session import merge_blocks, push_steps
-from repro.reconcile.stats import (
-    INITIATOR_TO_RESPONDER,
-    RESPONDER_TO_INITIATOR,
-    ReconcileStats,
+from repro.reconcile.engine import Protocol
+from repro.reconcile.session import (
+    Responder,
+    SessionSide,
+    expect,
+    handles,
+    push_blocks,
 )
 
 
-class FullExchangeProtocol:
+class FullExchangeProtocol(Protocol):
     """Ship the whole DAG both ways."""
 
     name = "full_exchange"
@@ -31,31 +28,21 @@ class FullExchangeProtocol:
     def __init__(self, push: bool = True):
         self._push = push
 
-    def run(self, initiator: VegvisirNode,
-            responder: VegvisirNode) -> ReconcileStats:
-        return drive_to_completion(self, initiator, responder)
+    def initiate(self, me: SessionSide):
+        me.stats.rounds = 1
+        reply = expect((yield {"type": "get_dag"}), "dag")
+        merged = me.pull(reply["blocks"])
+        me.stats.converged = merged.complete
 
-    def session(self, initiator: VegvisirNode, responder: VegvisirNode,
-                stats: ReconcileStats):
-        """Yield the session's wire messages one at a time."""
-        if initiator.chain_id != responder.chain_id:
-            return
-        responder_frontier = sorted(responder.frontier())
+        if me.stats.converged and self._push:
+            # The reply *is* the responder's holdings.
+            responder_has = {block.hash for block in reply["blocks"]}
+            yield from push_blocks(me, [
+                block for block in me.node.dag.blocks()
+                if block.hash not in responder_has
+            ])
 
-        stats.rounds = 1
-        yield INITIATOR_TO_RESPONDER, {"type": "get_dag"}
-        blocks = list(responder.dag.blocks())
-        yield (
-            RESPONDER_TO_INITIATOR,
-            {"type": "dag", "blocks": [b.to_wire() for b in blocks]},
-        )
-        merged = merge_blocks(initiator, blocks)
-        stats.blocks_pulled += len(merged.added)
-        stats.duplicate_blocks += merged.duplicates
-        stats.invalid_blocks += merged.invalid
-        stats.converged = merged.complete
 
-        if stats.converged and self._push:
-            yield from push_steps(
-                initiator, responder, responder_frontier, stats
-            )
+@handles("get_dag")
+def _on_get_dag(responder: Responder, message: dict) -> dict:
+    return {"type": "dag", "blocks": list(responder.node.dag.blocks())}

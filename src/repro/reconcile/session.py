@@ -1,33 +1,52 @@
-"""Shared reconciliation plumbing: merging pulled blocks and pushing the
-responder's missing blocks.
+"""What every reconciliation protocol shares.
 
-``merge_blocks`` inserts a batch of received blocks in dependency order,
-tolerating duplicates and quarantining blocks whose parents are absent
-(the caller fetches deeper and retries).  ``push_missing_blocks``
-implements the push half of a session: after a successful pull the
-initiator's DAG is a superset of the responder's, so the responder's
-holdings are exactly the ancestry of its frontier and the difference can
-be computed without further negotiation.
+A protocol is written once, as two halves that each touch only their
+own replica (see ``docs/reconciliation.md``, "Adding a protocol"):
+
+* an **initiator** — a generator over a :class:`SessionSide`:
+  ``reply = yield request``; a one-way message yields and gets ``None``
+  back;
+* **responder handlers** — functions registered with :func:`handles`
+  under the request ``type`` they answer, dispatched by the one
+  :class:`Responder`.
+
+Messages between the halves are dicts with a string ``"type"``; blocks
+travel as :class:`~repro.chain.block.Block` objects under ``"blocks"``.
+:func:`lower` turns a message into its canonical wire map and
+:func:`lift` raises a decoded map back into blocks — the in-process
+driver only ever lowers (for byte accounting), so the simulator never
+parses; the bytes and asyncio drivers do both.
+
+Also here: ``merge_blocks`` (the only way a block enters a DAG), the
+push half of a session, and the ``get_blocks`` / ``push_blocks``
+handlers any protocol may use.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
+from repro import wire
 from repro.chain.block import Block
 from repro.chain.errors import (
     ChainError,
     DuplicateBlockError,
+    MalformedBlockError,
     MissingParentsError,
     ValidationError,
 )
 from repro.core.node import VegvisirNode
-from repro.crypto.sha import Hash
-from repro.reconcile.stats import INITIATOR_TO_RESPONDER, ReconcileStats
+from repro.crypto.sha import DIGEST_SIZE, Hash
+from repro.obs.profiling import PHASE_CODEC, PHASE_VERIFY, maybe_phase
+from repro.reconcile.stats import ReconcileStats
+
+#: Called with each batch of blocks newly merged into the local replica
+#: (the persistence hook: LiveNode appends them to its BlockStore).
+BlockSink = Callable[[List[Block]], None]
 
 
 class ReconcileError(Exception):
-    """A reconciliation session could not complete."""
+    """The peer sent something unusable; the session must be torn down."""
 
 
 class MergeResult:
@@ -100,6 +119,187 @@ def merge_blocks(node: VegvisirNode, blocks: Iterable[Block]) -> MergeResult:
     return result
 
 
+# ----------------------------------------------------------------------
+# Messages: validation helpers and the object <-> wire boundary.
+
+def as_hash(value) -> Hash:
+    """A digest from the wire: exactly 32 ``bytes``, nothing coerced."""
+    if not isinstance(value, bytes) or len(value) != DIGEST_SIZE:
+        raise ReconcileError(f"digest must be {DIGEST_SIZE} bytes")
+    return Hash(value)
+
+
+def as_hashes(values) -> List[Hash]:
+    if not isinstance(values, list):
+        raise ReconcileError("digest list must be a list")
+    return [as_hash(value) for value in values]
+
+
+def expect(reply: dict, wanted: str) -> dict:
+    """The reply, if it has the type the initiator is waiting for."""
+    if reply["type"] != wanted:
+        raise ReconcileError(
+            f"expected {wanted!r} reply, got {reply['type']!r}"
+        )
+    return reply
+
+
+def error_message(reason: str) -> dict:
+    """What a responder driver answers a bad request with."""
+    return {"type": "error", "reason": reason}
+
+
+def lower(message: dict) -> dict:
+    """A message's canonical wire map (blocks as wire maps)."""
+    blocks = message.get("blocks")
+    if blocks is None:
+        return message
+    return {**message, "blocks": [block.to_wire() for block in blocks]}
+
+
+def lift(decoded) -> dict:
+    """A decoded wire map back as a message (wire maps as blocks)."""
+    if not isinstance(decoded, dict) or not isinstance(
+        decoded.get("type"), str
+    ):
+        raise ReconcileError("message is not a typed map")
+    if decoded["type"] == "error":
+        raise ReconcileError(
+            f"peer reported error: {decoded.get('reason', '?')}"
+        )
+    if "blocks" in decoded:
+        values = decoded["blocks"]
+        if not isinstance(values, list):
+            raise ReconcileError("blocks must be a list")
+        try:
+            decoded["blocks"] = [Block.from_wire(value) for value in values]
+        except MalformedBlockError as exc:
+            raise ReconcileError(
+                f"peer sent malformed block: {exc}"
+            ) from exc
+    return decoded
+
+
+def encode_message(message: dict, profiler=None) -> bytes:
+    wire_map = lower(message)
+    with maybe_phase(profiler, PHASE_CODEC) as ph:
+        payload = wire.encode(wire_map)
+        ph.units += len(payload)
+    return payload
+
+
+def decode_message(payload: bytes, profiler=None) -> dict:
+    try:
+        with maybe_phase(profiler, PHASE_CODEC) as ph:
+            decoded = wire.decode(payload)
+            ph.units += len(payload)
+    except wire.DecodeError as exc:
+        raise ReconcileError(f"undecodable message: {exc}") from exc
+    return lift(decoded)
+
+
+# ----------------------------------------------------------------------
+# The two halves of a session.
+
+class SessionSide:
+    """One replica's half of a session: its node, the stats it charges,
+    and the optional persistence / profiling hooks (``None`` in the
+    simulator)."""
+
+    def __init__(self, node: VegvisirNode, stats: ReconcileStats,
+                 on_blocks: Optional[BlockSink] = None, profiler=None):
+        self.node = node
+        self.stats = stats
+        self._on_blocks = on_blocks
+        self._profiler = profiler
+
+    def merge(self, blocks: Iterable[Block]) -> MergeResult:
+        """``merge_blocks`` into this side's replica, charged and hooked."""
+        with maybe_phase(self._profiler, PHASE_VERIFY) as ph:
+            merged = merge_blocks(self.node, blocks)
+            ph.units += len(merged.added)
+        self.stats.duplicate_blocks += merged.duplicates
+        self.stats.invalid_blocks += merged.invalid
+        if self._on_blocks is not None and merged.added:
+            self._on_blocks(merged.added)
+        return merged
+
+    def pull(self, blocks: Iterable[Block]) -> MergeResult:
+        """:meth:`merge` for blocks the initiator asked for."""
+        merged = self.merge(blocks)
+        self.stats.blocks_pulled += len(merged.added)
+        return merged
+
+
+#: request type -> (handler, does it answer).  Filled at import time by
+#: :func:`handles`; every protocol module is imported by the package.
+HANDLERS: dict = {}
+
+
+def handles(message_type: str, reply: bool = True):
+    """Register the responder handler for one request type.
+
+    ``handler(responder, message)`` returns the reply message, or
+    ``None`` when registered with ``reply=False`` (a one-way message).
+    """
+    def register(handler):
+        if message_type in HANDLERS:
+            raise ValueError(f"two handlers for {message_type!r}")
+        HANDLERS[message_type] = (handler, reply)
+        return handler
+    return register
+
+
+def expects_reply(request: dict) -> bool:
+    """Will the responder answer *request*?  (The initiator drivers must
+    know without asking it.)"""
+    return HANDLERS[request["type"]][1]
+
+
+class Responder(SessionSide):
+    """The responder half of every protocol, for one connection.
+
+    ``handle`` maps one request to a reply, ``None`` for one-way
+    messages.  Any malformed input raises :class:`ReconcileError`; the
+    driver answers with an ``error`` message and drops the connection.
+    """
+
+    def __init__(self, node: VegvisirNode,
+                 stats: Optional[ReconcileStats] = None,
+                 on_blocks: Optional[BlockSink] = None, profiler=None):
+        if stats is None:
+            stats = ReconcileStats("responder")
+        super().__init__(node, stats, on_blocks, profiler)
+        #: Per-connection scratch for handlers (the frontier protocol
+        #: remembers which block bodies it already sent).
+        self.memo: dict = {}
+
+    def handle(self, message: dict) -> Optional[dict]:
+        kind = message["type"]
+        entry = HANDLERS.get(kind)
+        if entry is None:
+            raise ReconcileError(f"unknown request type {kind!r}")
+        try:
+            return entry[0](self, message)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReconcileError(f"malformed {kind}: {exc}") from exc
+
+
+def resume(initiator, reply: Optional[dict]) -> Optional[dict]:
+    """Hand *reply* to the initiator; its next request, or ``None`` when
+    the session is over.  The mirror of :meth:`Responder.handle`: a
+    reply the initiator chokes on is a session error, not a crash."""
+    try:
+        return initiator.send(reply)
+    except StopIteration:
+        return None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReconcileError(f"malformed reply: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
+# Shared protocol pieces: the push half, and fetch-by-hash.
+
 def responder_holdings(node: VegvisirNode,
                        frontier_hashes: Iterable[Hash]) -> set[Hash]:
     """Blocks a peer with the given frontier must hold (provenance §IV-A:
@@ -112,44 +312,43 @@ def responder_holdings(node: VegvisirNode,
     return holdings
 
 
-def push_steps(
-    initiator: VegvisirNode,
-    responder: VegvisirNode,
-    responder_frontier: Sequence[Hash],
-    stats: ReconcileStats,
-):
-    """The push half of a session, as message-generator steps.
+def push_blocks(me: SessionSide, missing: List[Block]):
+    """Send *missing* as one one-way batch (initiator steps).
 
-    Sends the responder every block it lacks in topological order, as a
-    single initiator→responder block-batch message; the responder merges
-    it on delivery.  Assumes the initiator has already pulled, so its
-    DAG is a superset of the responder's holdings.
+    There is no acknowledgement, so ``blocks_pushed`` counts blocks
+    *sent*; the responder charges duplicates and invalid blocks to its
+    own stats when it merges.
     """
-    responder_has = responder_holdings(initiator, responder_frontier)
-    missing = [
-        block for block in initiator.dag.blocks()
-        if block.hash not in responder_has
-    ]
     if not missing:
         return
-    yield (
-        INITIATOR_TO_RESPONDER,
-        {"type": "push_blocks", "blocks": [b.to_wire() for b in missing]},
-    )
-    merged = merge_blocks(responder, missing)
-    stats.blocks_pushed += len(merged.added)
-    stats.duplicate_blocks += merged.duplicates
-    stats.invalid_blocks += merged.invalid
+    yield {"type": "push_blocks", "blocks": missing}
+    me.stats.blocks_pushed += len(missing)
 
 
-def push_missing_blocks(
-    initiator: VegvisirNode,
-    responder: VegvisirNode,
-    responder_frontier: Sequence[Hash],
-    stats: ReconcileStats,
-) -> None:
-    """Blocking form of :func:`push_steps` (records and delivers now)."""
-    for direction, message in push_steps(
-        initiator, responder, responder_frontier, stats
-    ):
-        stats.record(direction, message)
+def push_missing(me: SessionSide, responder_frontier: Sequence[Hash]):
+    """The push half of a session (initiator steps).
+
+    Assumes the initiator has already pulled, so its DAG is a superset
+    of the responder's: everything under the responder's frontier is
+    provably held by it, the rest goes in topological order.
+    """
+    responder_has = responder_holdings(me.node, responder_frontier)
+    yield from push_blocks(me, [
+        block for block in me.node.dag.blocks()
+        if block.hash not in responder_has
+    ])
+
+
+@handles("push_blocks", reply=False)
+def _on_push_blocks(responder: Responder, message: dict) -> None:
+    responder.merge(message["blocks"])
+
+
+@handles("get_blocks")
+def _on_get_blocks(responder: Responder, message: dict) -> dict:
+    blocks = []
+    for block_hash in as_hashes(message["hashes"]):
+        block = responder.node.dag.maybe_get(block_hash)
+        if block is not None:
+            blocks.append(block)
+    return {"type": "blocks", "blocks": blocks}

@@ -17,11 +17,6 @@ paper's frontier protocol — correctness never depends on the sketch, only
 the bandwidth win does.  A corrupted or hostile sketch can therefore cost
 bytes but never a DAG: recovered hashes only turn into blocks through
 :func:`~repro.reconcile.session.merge_blocks` and full §IV-E validation.
-
-Like every protocol in this package the session is a message generator
-(see :mod:`repro.reconcile.engine`) and the wire messages are canonical,
-so the live split (:class:`repro.live.protocol.LiveSketch`) is byte-exact
-against it.
 """
 
 from __future__ import annotations
@@ -29,14 +24,16 @@ from __future__ import annotations
 import hashlib
 
 from repro.core.node import VegvisirNode
-from repro.crypto.sha import Hash
-from repro.reconcile.engine import drive_to_completion
+from repro.reconcile.engine import Protocol
 from repro.reconcile.frontier import FrontierProtocol
-from repro.reconcile.session import merge_blocks
-from repro.reconcile.stats import (
-    INITIATOR_TO_RESPONDER,
-    RESPONDER_TO_INITIATOR,
-    ReconcileStats,
+from repro.reconcile.session import (
+    ReconcileError,
+    Responder,
+    SessionSide,
+    as_hashes,
+    expect,
+    handles,
+    push_blocks,
 )
 
 _KEY_BYTES = 32   # cells sum 32-byte block hashes
@@ -245,6 +242,8 @@ class IBLT:
             raise ValueError("IBLT shape fields must be integers")
         if cells < 2 or cells > MAX_WIRE_CELLS:
             raise ValueError(f"IBLT cell count {cells} out of range")
+        if not 0 <= seed < 1 << 64:
+            raise ValueError("IBLT seed does not fit 8 bytes")
         if hash_count < 2 or cells % hash_count:
             raise ValueError("IBLT cell count must partition evenly")
         if (
@@ -283,9 +282,7 @@ def decode_against(node: VegvisirNode,
                    remote: IBLT) -> tuple[list[bytes], list[bytes], bool]:
     """Subtract *remote* from the node's own same-shaped sketch and peel.
 
-    Returns ``(local_only, remote_only, ok)`` — exactly what the live
-    responder computes, so the sim generator and the socket split stay
-    byte-identical.
+    Returns ``(local_only, remote_only, ok)``.
     """
     local = IBLT(remote.cell_count, remote.hash_count, remote.seed)
     for block_hash in node.dag.hashes():
@@ -294,7 +291,7 @@ def decode_against(node: VegvisirNode,
     return difference.peel()
 
 
-class SketchProtocol:
+class SketchProtocol(Protocol):
     """IBLT set reconciliation with doubling size estimation.
 
     Attempt *n* sends a sketch sized for ``initial_diff * growth**n``
@@ -319,107 +316,77 @@ class SketchProtocol:
         self._growth = growth
         self._hash_count = hash_count
 
-    def run(self, initiator: VegvisirNode,
-            responder: VegvisirNode) -> ReconcileStats:
-        return drive_to_completion(self, initiator, responder)
-
-    def session(self, initiator: VegvisirNode, responder: VegvisirNode,
-                stats: ReconcileStats):
-        """Yield the session's wire messages one at a time."""
-        if initiator.chain_id != responder.chain_id:
-            return
-
+    def initiate(self, me: SessionSide):
+        node, stats = me.node, me.stats
         expected_diff = self._initial_diff
         for attempt in range(self._max_attempts):
             stats.rounds += 1
             sketch = sketch_of(
-                initiator, expected_diff, self._hash_count, seed=attempt
+                node, expected_diff, self._hash_count, seed=attempt
             )
-            yield (
-                INITIATOR_TO_RESPONDER,
-                {"type": "sketch", "sketch": sketch.to_wire()},
-            )
-            local_only, remote_only, ok = decode_against(responder, sketch)
-            if not ok:
-                yield (
-                    RESPONDER_TO_INITIATOR,
-                    {"type": "sketch_fail", "size": len(responder.dag)},
-                )
+            reply = yield {"type": "sketch", "sketch": sketch.to_wire()}
+            if reply["type"] == "sketch_fail":
+                size = reply["size"]
+                if (not isinstance(size, int) or isinstance(size, bool)
+                        or size < 0):
+                    raise ReconcileError("sketch_fail size is not a count")
                 # The true difference can never exceed the two set sizes
                 # combined; a sketch sized for that always has headroom.
-                bound = len(initiator.dag) + len(responder.dag)
+                bound = len(node.dag) + size
                 expected_diff = min(expected_diff * self._growth, bound)
                 continue
 
-            # local_only = blocks only the responder holds (the pull set);
-            # remote_only = blocks only the initiator holds (the want
-            # list the push phase answers).  Blocks travel in the
-            # responder's insertion order, which is parent-closed.
-            only_here = set(local_only)
-            pull_blocks = [
-                block for block in responder.dag.blocks()
-                if block.hash.digest in only_here
-            ]
-            yield (
-                RESPONDER_TO_INITIATOR,
-                {
-                    "type": "sketch_blocks",
-                    "blocks": [b.to_wire() for b in pull_blocks],
-                    "want": remote_only,
-                    "frontier": [
-                        h.digest for h in sorted(responder.frontier())
-                    ],
-                },
-            )
-            merged = merge_blocks(initiator, pull_blocks)
-            stats.blocks_pulled += len(merged.added)
-            stats.duplicate_blocks += merged.duplicates
-            stats.invalid_blocks += merged.invalid
-
-            responder_frontier = sorted(responder.frontier())
+            expect(reply, "sketch_blocks")
+            want = reply["want"]
+            if not isinstance(want, list) or not all(
+                isinstance(digest, bytes) for digest in want
+            ):
+                raise ReconcileError("sketch want-list is malformed")
+            responder_frontier = as_hashes(reply["frontier"])
+            merged = me.pull(reply["blocks"])
             if merged.complete and all(
-                initiator.has_block(h) for h in responder_frontier
+                node.has_block(h) for h in responder_frontier
             ):
                 stats.converged = True
                 if self._push:
-                    yield from _push_wanted(
-                        initiator, responder, remote_only, stats
-                    )
+                    # Push exactly the blocks the peeled difference
+                    # proved missing: no frontier-ancestry walk, so the
+                    # push costs O(d) too.
+                    wanted = set(want)
+                    yield from push_blocks(me, [
+                        block for block in node.dag.blocks()
+                        if block.hash.digest in wanted
+                    ])
                 return
             # Decoded hashes did not close the DAG (garbage keys from a
             # corrupted-but-decodable sketch, or invalid blocks): treat
             # as a failed attempt rather than trusting the decode.  No
-            # size bound here — this reply carries no set size, and the
-            # live initiator must compute the same next guess from the
-            # message alone.
+            # size bound here — this reply carries no set size.
             expected_diff *= self._growth
 
         stats.fallbacks += 1
-        yield from FrontierProtocol(push=self._push).session(
-            initiator, responder, stats
-        )
+        yield from FrontierProtocol(push=self._push).initiate(me)
 
 
-def _push_wanted(initiator: VegvisirNode, responder: VegvisirNode,
-                 want: list[bytes], stats: ReconcileStats):
-    """Push exactly the blocks the peeled difference proved missing.
-
-    Unlike :func:`~repro.reconcile.session.push_steps` this needs no
-    frontier-ancestry walk — the sketch already named the difference —
-    so the push costs O(d) too.
-    """
-    wanted = set(want)
-    missing = [
-        block for block in initiator.dag.blocks()
-        if block.hash.digest in wanted
-    ]
-    if not missing:
-        return
-    yield (
-        INITIATOR_TO_RESPONDER,
-        {"type": "push_blocks", "blocks": [b.to_wire() for b in missing]},
+@handles("sketch")
+def _on_sketch(responder: Responder, message: dict) -> dict:
+    node = responder.node
+    local_only, remote_only, ok = decode_against(
+        node, IBLT.from_wire(message["sketch"])
     )
-    merged = merge_blocks(responder, missing)
-    stats.blocks_pushed += len(merged.added)
-    stats.duplicate_blocks += merged.duplicates
-    stats.invalid_blocks += merged.invalid
+    if not ok:
+        return {"type": "sketch_fail", "size": len(node.dag)}
+    # local_only = blocks only the responder holds (the pull set);
+    # remote_only = blocks only the initiator holds (the want list the
+    # push phase answers).  Blocks travel in the responder's insertion
+    # order, which is parent-closed.
+    only_here = set(local_only)
+    return {
+        "type": "sketch_blocks",
+        "blocks": [
+            block for block in node.dag.blocks()
+            if block.hash.digest in only_here
+        ],
+        "want": remote_only,
+        "frontier": [h.digest for h in sorted(node.frontier())],
+    }

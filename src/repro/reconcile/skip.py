@@ -16,14 +16,16 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.chain.dag import BlockDAG
-from repro.core.node import VegvisirNode
 from repro.crypto.sha import Hash
-from repro.reconcile.engine import drive_to_completion
-from repro.reconcile.session import merge_blocks, push_steps
-from repro.reconcile.stats import (
-    INITIATOR_TO_RESPONDER,
-    RESPONDER_TO_INITIATOR,
-    ReconcileStats,
+from repro.reconcile.engine import Protocol
+from repro.reconcile.session import (
+    ReconcileError,
+    Responder,
+    SessionSide,
+    as_hashes,
+    expect,
+    handles,
+    push_missing,
 )
 
 
@@ -38,7 +40,7 @@ def height_digests(dag: BlockDAG) -> list[bytes]:
     ]
 
 
-class HeightSkipProtocol:
+class HeightSkipProtocol(Protocol):
     """Single-round-trip height-digest reconciliation, then push."""
 
     name = "height_skip"
@@ -46,63 +48,48 @@ class HeightSkipProtocol:
     def __init__(self, push: bool = True):
         self._push = push
 
-    def run(self, initiator: VegvisirNode,
-            responder: VegvisirNode) -> ReconcileStats:
-        return drive_to_completion(self, initiator, responder)
-
-    def session(self, initiator: VegvisirNode, responder: VegvisirNode,
-                stats: ReconcileStats):
-        """Yield the session's wire messages one at a time."""
-        if initiator.chain_id != responder.chain_id:
-            return
-        responder_frontier = sorted(responder.frontier())
-
+    def initiate(self, me: SessionSide):
+        node, stats = me.node, me.stats
         stats.rounds += 1
-        my_digests = height_digests(initiator.dag)
-        yield (
-            INITIATOR_TO_RESPONDER,
-            {"type": "height_digests", "digests": my_digests},
-        )
-
-        their_digests = height_digests(responder.dag)
-        split = _first_difference(my_digests, their_digests)
-        if split is None:
-            yield (
-                RESPONDER_TO_INITIATOR,
-                {"type": "height_match", "frontier": [
-                    h.digest for h in responder_frontier
-                ]},
-            )
+        reply = yield {
+            "type": "height_digests", "digests": height_digests(node.dag),
+        }
+        responder_frontier = as_hashes(reply["frontier"])
+        if reply["type"] == "height_match":
             stats.converged = True
         else:
-            blocks = [
-                block for block in responder.dag.blocks()
-                if responder.dag.height(block.hash) >= split
-            ]
-            yield (
-                RESPONDER_TO_INITIATOR,
-                {
-                    "type": "height_blocks",
-                    "from_height": split,
-                    "blocks": [b.to_wire() for b in blocks],
-                    "frontier": [h.digest for h in responder_frontier],
-                },
-            )
-            merged = merge_blocks(initiator, blocks)
-            stats.blocks_pulled += len(merged.added)
-            stats.duplicate_blocks += merged.duplicates
-            stats.invalid_blocks += merged.invalid
+            expect(reply, "height_blocks")
+            me.pull(reply["blocks"])
             stats.converged = all(
-                initiator.has_block(h) for h in responder_frontier
+                node.has_block(h) for h in responder_frontier
             )
 
         if stats.converged and self._push:
-            yield from push_steps(
-                initiator, responder, responder_frontier, stats
-            )
+            yield from push_missing(me, responder_frontier)
 
 
-def _first_difference(a: list[bytes], b: list[bytes]):
+@handles("height_digests")
+def _on_height_digests(responder: Responder, message: dict) -> dict:
+    theirs = message["digests"]
+    if not isinstance(theirs, list):
+        raise ReconcileError("height digests must be a list")
+    dag = responder.node.dag
+    frontier = [h.digest for h in sorted(responder.node.frontier())]
+    split = _first_difference(theirs, height_digests(dag))
+    if split is None:
+        return {"type": "height_match", "frontier": frontier}
+    return {
+        "type": "height_blocks",
+        "from_height": split,
+        "blocks": [
+            block for block in dag.blocks()
+            if dag.height(block.hash) >= split
+        ],
+        "frontier": frontier,
+    }
+
+
+def _first_difference(a: list, b: list):
     """Lowest index where the digest vectors differ, or None if one is a
     prefix of the other and they match everywhere both are defined —
     unless lengths differ, in which case the shorter length is the split."""

@@ -407,7 +407,7 @@ class GossipScheduler:
             )
         if (
             self._session_model == SESSION_MESSAGE
-            and hasattr(protocol, "session")
+            and hasattr(protocol, "initiate")
         ):
             return self._contact_message(initiator_id, responder_id, protocol)
         return self._contact_atomic(initiator_id, responder_id, protocol)

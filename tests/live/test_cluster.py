@@ -153,6 +153,52 @@ class TestCluster:
 
         asyncio.run(scenario())
 
+    def test_stop_survives_a_swallowed_cancel(self, tmp_path, monkeypatch):
+        """On Python 3.11 a cancel that lands as a session's
+        ``asyncio.wait_for`` returns is swallowed; ``stop()`` must not
+        depend on that one cancel being delivered."""
+        deployment = Deployment()
+        real_wait_for = asyncio.wait_for
+        armed = []
+
+        async def swallowing_wait_for(awaitable, timeout):
+            try:
+                return await real_wait_for(awaitable, timeout)
+            except asyncio.CancelledError:
+                if not armed:
+                    raise
+                armed.clear()  # swallow exactly one
+
+        async def scenario():
+            in_session = asyncio.Event()
+
+            async def stuck_session(*args, **kwargs):
+                in_session.set()
+                await asyncio.Event().wait()
+
+            nodes = [_make_node(deployment, tmp_path, i) for i in range(2)]
+            await _start_mesh(nodes)
+            monkeypatch.setattr(
+                "repro.live.antientropy.run_session", stuck_session
+            )
+            monkeypatch.setattr(asyncio, "wait_for", swallowing_wait_for)
+            try:
+                await real_wait_for(in_session.wait(), 5.0)
+                armed.append(True)
+                clock = asyncio.get_running_loop().time
+                started = clock()
+                # The guard's own timeout would re-cancel the gossip
+                # task and so hide the hang: judge by the clock.
+                await real_wait_for(nodes[0].stop(), 5.0)
+                assert clock() - started < 1.0
+                assert not armed, "the cancel never reached wait_for"
+            finally:
+                monkeypatch.undo()
+                for node in nodes:
+                    await real_wait_for(node.stop(), 5.0)
+
+        asyncio.run(scenario())
+
     def test_trace_events_cover_connect_and_sessions(self, tmp_path):
         deployment = Deployment()
         ring = RingBufferSink()

@@ -1,12 +1,15 @@
 """Live/sim byte parity: the frames a live session puts on the wire must
-equal the message-level sim driver's wire messages, byte for byte.
+equal the in-process driver's wire messages, byte for byte.
 
-Each test builds *two* identical deployments (deterministic keys, fixed
-genesis, lock-step clocks, same append sequence), runs the in-process
-generator on one pair while recording every ``(direction, encoded
-message)``, runs the live split over a loopback transport on the other
-pair while tapping every frame payload, and compares the full ordered
-sequences — plus the resulting stats and replica digests.
+Both drivers run the same protocol definition, so this holds by
+construction; the suite is the tripwire on the drivers themselves
+(framing, lowering, accounting, one-way messages).  Each test builds
+*two* identical deployments (deterministic keys, fixed genesis,
+lock-step clocks, same append sequence), steps the in-process driver on
+one pair while recording every ``(direction, encoded message)``, runs
+the asyncio driver over a loopback transport on the other pair while
+tapping every frame payload, and compares the full ordered sequences —
+plus the resulting stats and replica digests.
 """
 
 import asyncio
@@ -14,25 +17,20 @@ import asyncio
 import pytest
 
 from repro import wire
-from repro.live.antientropy import serve_connection
-from repro.live.protocol import (
-    LiveBloom,
-    LiveDelta,
-    LiveFrontier,
-    LiveSketch,
-)
+from repro.live.protocol import run_session, serve_connection
 from repro.live.transport import LoopbackTransport
 from repro.reconcile import (
     BloomProtocol,
     DeltaProtocol,
     FrontierProtocol,
+    FullExchangeProtocol,
+    HeightSkipProtocol,
     SketchProtocol,
 )
 from repro.reconcile.engine import ReconcileSession
 from repro.reconcile.stats import (
     INITIATOR_TO_RESPONDER,
     RESPONDER_TO_INITIATOR,
-    ReconcileStats,
 )
 
 from tests.conftest import Deployment
@@ -81,8 +79,7 @@ def _live_trace(protocol, initiator, responder):
         server = asyncio.ensure_future(
             serve_connection(responder, resp_end)
         )
-        stats = ReconcileStats(protocol.name)
-        await protocol.run(initiator, init_end, stats)
+        stats = await run_session(protocol, initiator, init_end)
         await init_end.close()
         await server
         return stats
@@ -99,47 +96,35 @@ SCENARIOS = [
     pytest.param(12, 9, 4, id="deep"),
 ]
 
-PROTOCOL_PAIRS = [
-    pytest.param(FrontierProtocol, LiveFrontier, {}, id="frontier"),
+PROTOCOLS = [
+    pytest.param(FrontierProtocol, {}, id="frontier"),
     pytest.param(
-        FrontierProtocol, LiveFrontier, {"hash_first": True},
-        id="frontier-hash-first",
+        FrontierProtocol, {"hash_first": True}, id="frontier-hash-first"
     ),
-    pytest.param(
-        FrontierProtocol, LiveFrontier, {"push": False},
-        id="frontier-pull-only",
-    ),
-    pytest.param(BloomProtocol, LiveBloom, {}, id="bloom"),
-    pytest.param(
-        BloomProtocol, LiveBloom, {"push": False}, id="bloom-pull-only"
-    ),
-    pytest.param(SketchProtocol, LiveSketch, {}, id="sketch"),
-    pytest.param(
-        SketchProtocol, LiveSketch, {"push": False},
-        id="sketch-pull-only",
-    ),
+    pytest.param(FrontierProtocol, {"push": False}, id="frontier-pull-only"),
+    pytest.param(FullExchangeProtocol, {}, id="full"),
+    pytest.param(BloomProtocol, {}, id="bloom"),
+    pytest.param(BloomProtocol, {"push": False}, id="bloom-pull-only"),
+    pytest.param(HeightSkipProtocol, {}, id="height-skip"),
+    pytest.param(SketchProtocol, {}, id="sketch"),
+    pytest.param(SketchProtocol, {"push": False}, id="sketch-pull-only"),
     pytest.param(
         # A starved first sketch forces the doubling retry (and, on the
         # deep scenario, the frontier fallback) through the parity check.
-        SketchProtocol, LiveSketch, {"initial_diff": 1, "max_attempts": 2},
+        SketchProtocol, {"initial_diff": 1, "max_attempts": 2},
         id="sketch-undersized",
     ),
-    pytest.param(DeltaProtocol, LiveDelta, {}, id="delta"),
-    pytest.param(
-        DeltaProtocol, LiveDelta, {"push": False}, id="delta-pull-only"
-    ),
-    pytest.param(
-        DeltaProtocol, LiveDelta, {"durable": False},
-        id="delta-state-only",
-    ),
+    pytest.param(DeltaProtocol, {}, id="delta"),
+    pytest.param(DeltaProtocol, {"push": False}, id="delta-pull-only"),
+    pytest.param(DeltaProtocol, {"durable": False}, id="delta-state-only"),
 ]
 
 
-@pytest.mark.parametrize("sim_cls,live_cls,kwargs", PROTOCOL_PAIRS)
+@pytest.mark.parametrize("protocol_cls,kwargs", PROTOCOLS)
 @pytest.mark.parametrize("left_n,right_n,prefix", SCENARIOS)
 class TestByteParity:
     def test_wire_traffic_is_byte_identical(
-        self, sim_cls, live_cls, kwargs, left_n, right_n, prefix
+        self, protocol_cls, kwargs, left_n, right_n, prefix
     ):
         sim_left, sim_right = _apply(Deployment(), left_n, right_n, prefix)
         live_left, live_right = _apply(
@@ -150,10 +135,10 @@ class TestByteParity:
         assert sim_right.state_digest() == live_right.state_digest()
 
         sim_trace, sim_stats = _sim_trace(
-            sim_cls(**kwargs), sim_left, sim_right
+            protocol_cls(**kwargs), sim_left, sim_right
         )
         live_trace, live_stats = _live_trace(
-            live_cls(**kwargs), live_left, live_right
+            protocol_cls(**kwargs), live_left, live_right
         )
 
         # ...exchange identical byte sequences...
@@ -178,14 +163,14 @@ class TestLiveSemantics:
 
     def test_session_converges_both_directions(self):
         left, right = _apply(Deployment(), 4, 4)
-        _, stats = _live_trace(LiveFrontier(), left, right)
+        _, stats = _live_trace(FrontierProtocol(), left, right)
         assert stats.converged
         assert left.dag.hashes() == right.dag.hashes()
 
     def test_repeat_session_is_cheap(self):
         left, right = _apply(Deployment(), 4, 2)
-        _live_trace(LiveFrontier(), left, right)
-        _, again = _live_trace(LiveFrontier(), left, right)
+        _live_trace(FrontierProtocol(), left, right)
+        _, again = _live_trace(FrontierProtocol(), left, right)
         assert again.converged
         assert again.blocks_pulled == 0
         assert again.blocks_pushed == 0
@@ -200,10 +185,10 @@ class TestLiveSemantics:
             server = asyncio.ensure_future(
                 serve_connection(right, resp_end)
             )
-            first = await LiveFrontier().run(left, init_end)
+            first = await run_session(FrontierProtocol(), left, init_end)
             left.append_transactions([])
             right.append_transactions([])
-            second = await LiveFrontier().run(left, init_end)
+            second = await run_session(FrontierProtocol(), left, init_end)
             await init_end.close()
             await server
             return first, second
@@ -214,6 +199,6 @@ class TestLiveSemantics:
 
     def test_bloom_converges_over_loopback(self):
         left, right = _apply(Deployment(), 6, 5, shared_prefix=2)
-        _, stats = _live_trace(LiveBloom(), left, right)
+        _, stats = _live_trace(BloomProtocol(), left, right)
         assert stats.converged
         assert left.dag.hashes() == right.dag.hashes()

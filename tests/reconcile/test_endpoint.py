@@ -4,7 +4,11 @@ over a pure bytes channel and robust to garbage and hostile replies."""
 import pytest
 
 from repro import wire
-from repro.reconcile.endpoint import ReconcileEndpoint, RemoteSession
+from repro.reconcile.endpoint import (
+    ReconcileEndpoint,
+    RemoteSession,
+    hello_message,
+)
 from repro.reconcile.frontier import FrontierProtocol
 
 
@@ -52,6 +56,7 @@ class TestRemoteSession:
         stats = RemoteSession(left, endpoint.handle).sync()
         assert stats.converged
         assert stats.rounds == 1
+        assert stats.total_messages == 2  # the hello is not session traffic
         assert stats.blocks_pulled == 0
         assert stats.blocks_pushed == 0
 
@@ -67,7 +72,13 @@ class TestRemoteSession:
         )
         stats = RemoteSession(left, ReconcileEndpoint(foreign).handle).sync()
         assert not stats.converged
+        assert stats.total_messages == 0
         assert stats.blocks_pulled == 0
+        # ...and the endpoint refuses a foreign initiator's hello too.
+        refusal = ReconcileEndpoint(foreign).handle(
+            wire.encode(hello_message(left))
+        )
+        assert wire.decode(refusal)["type"] == "error"
 
     def test_garbage_transport_terminates_cleanly(self, deployment):
         left, _ = _diverged(deployment)
@@ -94,7 +105,10 @@ class TestRemoteSession:
         endpoint = ReconcileEndpoint(right)
 
         def hostile(request: bytes) -> bytes:
-            response = wire.decode(endpoint.handle(request))
+            reply = endpoint.handle(request)
+            if not reply:
+                return reply  # a one-way message has no reply
+            response = wire.decode(reply)
             if response.get("type") == "frontier_set":
                 response["blocks"] = (
                     [forged.to_wire()] + response["blocks"]
@@ -147,12 +161,13 @@ class TestEndpointRobustness:
         forged = Block.create(
             stranger, [deployment.genesis.hash], deployment.clock() + 1
         )
-        response = wire.decode(endpoint.handle(wire.encode(
+        # A push has no acknowledgement: the verdict lands in the stats
+        # the endpoint's responder charges.
+        assert endpoint.handle(wire.encode(
             {"type": "push_blocks", "blocks": [forged.to_wire()]}
-        )))
-        assert response["type"] == "push_ack"
-        assert response["added"] == 0
-        assert response["invalid"] == 1
+        )) == b""
+        assert not node.has_block(forged.hash)
+        assert endpoint.stats.invalid_blocks == 1
 
 
 class TestFramedEndpoint:
@@ -171,8 +186,8 @@ class TestFramedEndpoint:
 
         def transport(request: bytes) -> bytes:
             replies = decode_frames(framed.feed(encode_frame(request)))
-            assert len(replies) == 1
-            return replies[0]
+            assert len(replies) <= 1
+            return replies[0] if replies else b""
 
         stats = RemoteSession(left, transport).sync()
         assert stats.converged
@@ -182,26 +197,32 @@ class TestFramedEndpoint:
         from repro.wire.framing import decode_frames, encode_frame
 
         _, right, framed = self._framed(deployment)
-        request = encode_frame(
-            wire.encode({"type": "hello", "chain": right.chain_id.digest})
-        )
+        request = encode_frame(wire.encode({"type": "get_frontier_hashes"}))
         assert framed.feed(request[:3]) == b""
         assert framed.buffered == 3
         [reply] = decode_frames(framed.feed(request[3:]))
-        assert wire.decode(reply)["type"] == "hello_ack"
+        assert wire.decode(reply)["type"] == "frontier_hashes"
         assert framed.buffered == 0
 
     def test_pipelined_requests_get_pipelined_replies(self, deployment):
         from repro.wire.framing import decode_frames, encode_frame
 
         _, right, framed = self._framed(deployment)
-        hello = encode_frame(
-            wire.encode({"type": "hello", "chain": right.chain_id.digest})
+        hello = encode_frame(wire.encode(hello_message(right)))
+        fetch = encode_frame(
+            wire.encode({"type": "get_blocks", "hashes": []})
         )
-        replies = decode_frames(framed.feed(hello + hello))
+        replies = decode_frames(framed.feed(hello + fetch))
         assert [wire.decode(r)["type"] for r in replies] == [
-            "hello_ack", "hello_ack",
+            "live_hello", "blocks",
         ]
+
+    def test_one_way_message_gets_no_reply_frame(self, deployment):
+        from repro.wire.framing import encode_frame
+
+        _, _, framed = self._framed(deployment)
+        push = encode_frame(wire.encode({"type": "push_blocks", "blocks": []}))
+        assert framed.feed(push) == b""
 
     def test_oversize_frame_poisons_the_stream(self, deployment):
         _, _, framed = self._framed(deployment)

@@ -1,0 +1,268 @@
+"""Hostile replies: whatever a responder answers, the initiator's session
+is torn — nothing else is raised, nothing enters the replica.
+
+Driven through the bytes driver against an honest endpoint whose reply
+of one type is swapped for a hostile variant on the way back.  Every
+reply type any registry protocol's initiator consumes is covered:
+missing keys, wrong container types, malformed blocks, non-bytes and
+wrong-length digests, bool / negative sizes, plus an ``error`` reply and
+an unexpected reply type on each protocol's first exchange.  One live
+case checks that the anti-entropy loop survives such a peer.
+"""
+
+import asyncio
+
+import pytest
+
+from repro import wire
+from repro.live.antientropy import AntiEntropyLoop
+from repro.live.transport import LoopbackTransport
+from repro.reconcile import (
+    PROTOCOLS_BY_NAME,
+    BloomProtocol,
+    DeltaProtocol,
+    FrontierProtocol,
+    FullExchangeProtocol,
+    HeightSkipProtocol,
+    ReconcileEndpoint,
+    RemoteSession,
+    SketchProtocol,
+)
+
+from tests.conftest import Deployment
+
+
+def _pair(left_appends, right_appends):
+    deployment = Deployment()
+    left, right = deployment.node(0), deployment.node(1)
+    shared = left.append_transactions([])
+    right.receive_block(shared)
+    for _ in range(left_appends):
+        left.append_transactions([])
+    for _ in range(right_appends):
+        right.append_transactions([])
+    return left, right
+
+
+def without(key):
+    def mutate(reply):
+        del reply[key]
+        return reply
+    return mutate
+
+
+def with_(key, value):
+    def mutate(reply):
+        reply[key] = value
+        return reply
+    return mutate
+
+
+def _block_cases():
+    return [
+        ("no-blocks", without("blocks")),
+        ("blocks-int", with_("blocks", 7)),
+        ("blocks-map", with_("blocks", {})),
+        ("block-not-a-map", with_("blocks", ["bad"])),
+        ("block-gutted", with_("blocks", [
+            {"header": {}, "signature": b"", "transactions": []}
+        ])),
+    ]
+
+
+def _digest_cases(key):
+    return [
+        (f"no-{key}", without(key)),
+        (f"{key}-int", with_(key, 7)),
+        (f"{key}-of-str", with_(key, ["x"])),
+        (f"{key}-short", with_(key, [b"short"])),
+        (f"{key}-long", with_(key, [b"\x00" * 33])),
+        # bytes(300_000_000) would be a 300 MB allocation.
+        (f"{key}-of-int", with_(key, [300_000_000])),
+    ]
+
+
+#: reply type -> (protocol, left appends, right appends, hostile variants)
+#: where the honest responder answers the pair's first request that way.
+REPLIES = {
+    "frontier_set": (FrontierProtocol(), 2, 3, _block_cases()),
+    "frontier_hashes": (
+        FrontierProtocol(hash_first=True), 2, 3, _digest_cases("hashes"),
+    ),
+    "dag": (FullExchangeProtocol(), 2, 3, _block_cases()),
+    "bloom_blocks": (
+        BloomProtocol(), 2, 3, _block_cases() + _digest_cases("frontier"),
+    ),
+    "height_match": (HeightSkipProtocol(), 0, 0, _digest_cases("frontier")),
+    "height_blocks": (
+        HeightSkipProtocol(), 2, 3,
+        _block_cases() + _digest_cases("frontier"),
+    ),
+    "sketch_fail": (SketchProtocol(initial_diff=1), 12, 9, [
+        ("no-size", without("size")),
+        ("size-bool", with_("size", True)),
+        ("size-negative", with_("size", -1)),
+        ("size-str", with_("size", "9")),
+    ]),
+    "sketch_blocks": (
+        SketchProtocol(), 2, 3,
+        _block_cases() + _digest_cases("frontier") + [
+            ("no-want", without("want")),
+            ("want-int", with_("want", 7)),
+            ("want-of-str", with_("want", ["x"])),
+        ],
+    ),
+    "delta_state": (DeltaProtocol(), 2, 3, [
+        ("no-crdts", without("crdts")),
+        ("crdts-int", with_("crdts", 7)),
+        ("crdts-of-int", with_("crdts", [7])),
+        ("crdts-short-entry", with_("crdts", [["name", "g_counter"]])),
+    ]),
+}
+
+CASES = [
+    pytest.param(reply_type, mutate, id=f"{reply_type}-{label}")
+    for reply_type, (_, _, _, variants) in REPLIES.items()
+    for label, mutate in variants
+]
+
+
+class Swap:
+    """A transport whose first reply of one type is mutated."""
+
+    def __init__(self, transport, reply_type, mutate):
+        self._transport = transport
+        self._reply_type = reply_type
+        self._mutate = mutate
+        self.fired = False
+
+    def __call__(self, request: bytes) -> bytes:
+        reply = self._transport(request)
+        if self.fired or not reply:
+            return reply
+        decoded = wire.decode(reply)
+        if decoded["type"] != self._reply_type:
+            return reply
+        self.fired = True
+        return wire.encode(self._mutate(decoded))
+
+
+def _assert_torn(stats, left, before):
+    assert stats.interrupted and not stats.converged
+    assert stats.blocks_pulled == 0
+    assert left.state_digest() == before
+
+
+@pytest.mark.parametrize("reply_type,mutate", CASES)
+def test_hostile_reply_tears_the_session(reply_type, mutate):
+    protocol, left_n, right_n, _ = REPLIES[reply_type]
+    left, right = _pair(left_n, right_n)
+    before = left.state_digest()
+    hostile = Swap(ReconcileEndpoint(right).handle, reply_type, mutate)
+    # Anything but the session error escapes sync() and fails the test.
+    stats = RemoteSession(left, hostile, protocol).sync()
+    assert hostile.fired
+    _assert_torn(stats, left, before)
+    # The replica is unharmed: an honest session still converges.
+    assert RemoteSession(
+        left, ReconcileEndpoint(right).handle, protocol
+    ).sync().converged
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(without("blocks"), id="no-blocks"),
+    pytest.param(with_("blocks", 7), id="blocks-int"),
+    pytest.param(with_("blocks", ["bad"]), id="block-not-a-map"),
+])
+def test_hostile_repair_fetch_reply(mutate):
+    """``blocks`` answers Bloom's second request: hide every block from
+    the first reply so the initiator must fetch the frontier by hash."""
+    left, right = _pair(2, 3)
+    before = left.state_digest()
+    fetch = Swap(ReconcileEndpoint(right).handle, "blocks", mutate)
+    hide = Swap(fetch, "bloom_blocks", with_("blocks", []))
+    stats = RemoteSession(left, hide, BloomProtocol()).sync()
+    assert hide.fired and fetch.fired
+    _assert_torn(stats, left, before)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS_BY_NAME))
+@pytest.mark.parametrize("reply", [
+    pytest.param({"type": "error", "reason": "no"}, id="error"),
+    pytest.param({"type": "surprise", "blocks": []}, id="unexpected-type"),
+    pytest.param({"no_type": 1}, id="untyped"),
+    pytest.param("not a map", id="not-a-map"),
+])
+def test_first_reply_of_every_protocol(name, reply):
+    left, right = _pair(2, 3)
+    before = left.state_digest()
+    endpoint = ReconcileEndpoint(right)
+    requests = []
+
+    def hostile(request: bytes) -> bytes:
+        requests.append(request)
+        if len(requests) == 1:
+            return endpoint.handle(request)  # the hello
+        return wire.encode(reply)
+
+    stats = RemoteSession(
+        left, hostile, PROTOCOLS_BY_NAME[name]()
+    ).sync()
+    assert len(requests) == 2
+    _assert_torn(stats, left, before)
+
+
+class OnePeer:
+    """A peer manager with one peer, reconnected on demand, whose
+    responder answers every request with ``frontier_set`` sans blocks."""
+
+    def __init__(self):
+        self._end = None
+        self.servers = []
+
+    def connected_peers(self):
+        return ["evil"]
+
+    def connection(self, name):
+        if self._end is None or self._end.closed:
+            self._end, far_end = LoopbackTransport.pair()
+            self.servers.append(asyncio.ensure_future(self._serve(far_end)))
+        return self._end
+
+    @staticmethod
+    async def _serve(transport):
+        try:
+            while True:
+                await transport.recv()
+                await transport.send(
+                    wire.encode({"type": "frontier_set", "level": 1})
+                )
+        except Exception:
+            return
+
+
+def test_antientropy_loop_outlives_a_hostile_peer():
+    left, _ = _pair(2, 3)
+    before = left.state_digest()
+    peers = OnePeer()
+    loop = AntiEntropyLoop(
+        left, peers, interval_s=0.01, jitter_s=0.0, seed=1
+    )
+
+    async def scenario():
+        task = asyncio.ensure_future(loop.run())
+        deadline = asyncio.get_running_loop().time() + 5.0
+        while (loop.sessions_interrupted < 2 and not task.done()
+               and asyncio.get_running_loop().time() < deadline):
+            await asyncio.sleep(0.01)
+        died = task.done()
+        for pending in (task, *peers.servers):
+            pending.cancel()
+        await asyncio.gather(task, *peers.servers, return_exceptions=True)
+        return died
+
+    assert not asyncio.run(scenario()), "the gossip task died"
+    # A second tick ran after the first hostile session.
+    assert loop.sessions_interrupted >= 2
+    assert loop.sessions_completed == 0
+    assert left.state_digest() == before

@@ -193,6 +193,29 @@ class TestServe:
         assert "sketch" in err and "delta" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_every_command_names_the_same_protocols(self, tmp_path, capsys):
+        """``serve``, ``simulate`` and ``python -m repro.faults`` validate
+        ``--protocol`` against the one registry."""
+        import re
+
+        from repro.faults.__main__ import main as faults_main
+        from repro.reconcile import PROTOCOLS_BY_NAME
+
+        key = self._keyfile(tmp_path)
+        commands = [
+            (main, ["simulate"]),
+            (main, ["serve", str(tmp_path / "x.blocks"), "--key", str(key)]),
+            (faults_main, ["--seeds", "1"]),
+        ]
+        listed = []
+        for entry_point, argv in commands:
+            assert entry_point(argv + ["--protocol", "osmosis"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: unknown protocol 'osmosis'")
+            assert len(err.strip().splitlines()) == 1
+            listed.append(re.search(r"\[.*\]", err).group(0))
+        assert listed == [str(sorted(PROTOCOLS_BY_NAME))] * 3
+
     def test_serve_rejects_malformed_peer(self, tmp_path, capsys):
         key = self._keyfile(tmp_path)
         main(["keygen", str(tmp_path / "owner.key")])
