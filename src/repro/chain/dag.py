@@ -41,10 +41,6 @@ class BlockDAG:
         # and persistence can stream blocks in an order that respects
         # parent-before-child.
         self._order: list[Hash] = [genesis.hash]
-        # Level-N frontier sets, memoized per level; reconciliation asks
-        # for levels 1, 2, 3, ... of an unchanged DAG in a tight loop.
-        # Any insertion can change every level, so add_block clears it.
-        self._frontier_levels: dict[int, frozenset[Hash]] = {}
 
     @property
     def genesis_hash(self) -> Hash:
@@ -79,7 +75,6 @@ class BlockDAG:
             height = max(height, self._heights[parent] + 1)
         self._heights[block.hash] = height
         self._frontier.add(block.hash)
-        self._frontier_levels.clear()
 
     def get(self, block_hash: Hash) -> Block:
         try:
@@ -122,22 +117,26 @@ class BlockDAG:
         """
         if level < 1:
             raise ValueError("frontier level must be >= 1")
-        cached = self._frontier_levels.get(level)
-        if cached is not None:
-            return set(cached)
-        result = set(self._frontier)
-        boundary = set(self._frontier)
+        reached = set(self._frontier)
+        boundary = set(reached)
         for _ in range(level - 1):
-            parents: set[Hash] = set()
-            for block_hash in boundary:
-                parents.update(self._blocks[block_hash].parents)
-            new = parents - result
-            if not new:
+            boundary = self.deepen(reached, boundary)
+            if not boundary:
                 break
-            result |= new
-            boundary = new
-        self._frontier_levels[level] = frozenset(result)
-        return result
+        return reached
+
+    def deepen(self, reached: set[Hash],
+               boundary: Iterable[Hash]) -> set[Hash]:
+        """One step from level N-1 to level N (Fig. 3).
+
+        *reached* is a level-(N-1) frontier set and *boundary* the blocks
+        its last step added; their parents not yet in *reached* are added
+        to it and returned (empty once the level holds the whole DAG).
+        A caller that keeps both walks N levels in N steps.
+        """
+        new = self.parents_of(boundary) - reached
+        reached |= new
+        return new
 
     def parents_of(self, block_hashes: Iterable[Hash]) -> set[Hash]:
         """Union of the parent sets of the given blocks."""
@@ -194,6 +193,44 @@ class BlockDAG:
     def insertion_order(self) -> list[Hash]:
         """The order blocks were added — a valid topological order."""
         return list(self._order)
+
+    def inserted_since(self, count: int) -> list[Hash]:
+        """The insertion order past its first *count* blocks: what a
+        reader that has consumed *count* blocks has not seen yet."""
+        return self._order[count:]
+
+    def not_under(self, tips: Iterable[Hash]) -> list[Block]:
+        """Blocks that are neither one of *tips* nor an ancestor of one,
+        in insertion order (``git rev-list frontier ^tips``).
+
+        Unknown tips are ignored.  Walks the insertion order backwards
+        from its end, marking what lies under the tips as it passes, and
+        stops once nothing above the walk can reach an unmarked block —
+        so the cost is the answer plus the blocks inserted after its
+        oldest member, not the size of the DAG.
+        """
+        under = {tip for tip in tips if tip in self._blocks}
+        # Blocks known to be in the answer that the walk has yet to pass.
+        # Every block descends to the frontier, so every block of the
+        # answer enters here before the walk reaches it.
+        awaited = self._frontier - under
+        result: list[Block] = []
+        position = len(self._order)
+        while awaited:
+            position -= 1
+            block = self._blocks[self._order[position]]
+            if block.hash in under:
+                under.update(block.parents)
+                awaited.difference_update(block.parents)
+            else:
+                awaited.discard(block.hash)
+                result.append(block)
+                awaited.update(
+                    parent for parent in block.parents
+                    if parent not in under
+                )
+        result.reverse()
+        return result
 
     def topological_order(
         self, rng: Optional[random.Random] = None

@@ -21,6 +21,12 @@ class Hash:
     __slots__ = ("_digest",)
 
     def __init__(self, digest: bytes):
+        # bytes(n) of an int n allocates n zero bytes: refuse anything
+        # that is not already a byte string before converting.
+        if not isinstance(digest, (bytes, bytearray, memoryview)):
+            raise TypeError(
+                f"digest must be bytes, got {type(digest).__name__}"
+            )
         digest = bytes(digest)
         if len(digest) != DIGEST_SIZE:
             raise ValueError(

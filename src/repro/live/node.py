@@ -95,11 +95,12 @@ class LiveNode:
         self._store_path = pathlib.Path(store_path)
         self._key_pair = key_pair
         clock = clock or _wall_ms
-        if self._store_path.exists() and BlockStore(
+        restart = self._store_path.exists() and not BlockStore(
             self._store_path, fsync=fsync
-        ).count() > 0:
-            # Restart: rebuild the replica from disk through full
-            # validation, then keep appending to the same store.
+        ).is_empty()
+        if restart:
+            # Rebuild the replica from disk through full validation,
+            # then keep appending to the same store.
             self.node = load_node(key_pair, self._store_path, clock=clock)
         else:
             if genesis is None:
@@ -109,10 +110,10 @@ class LiveNode:
                 )
             self.node = VegvisirNode(key_pair, genesis, clock=clock)
         self.store = BlockStore(self._store_path, fsync=fsync)
-        self._persisted = 0
-        if self.store.count() == 0:
+        if not restart:
             self.store.append(self.node.dag.genesis)
-        self._persisted = len(self.node.dag.insertion_order())
+        # How many blocks of the DAG's insertion order are on disk.
+        self._persisted = len(self.node.dag)
 
         self.name = name or key_pair.user_id.short()
         self._host = host
@@ -172,25 +173,32 @@ class LiveNode:
 
         Driven by a cursor over the DAG's insertion order, which is
         parent-closed by construction — so the on-disk prefix is always
-        a valid replica, whatever instant a crash hits.  *origin* labels
-        the ``block.persisted`` trace event: ``"local"``,
-        ``"push:<peer>"``, or ``"pull:<peer>"`` — trace-only
-        attribution, no wire bytes involved.
+        a valid replica, whatever instant a crash hits.  Group commit:
+        the whole batch is written, then made durable by one fsync, and
+        only then is any block of it announced (``block.persisted``,
+        the listener) — nothing is acknowledged before it is durable.
+        *origin* labels the trace event: ``"local"``, ``"push:<peer>"``,
+        or ``"pull:<peer>"`` — trace-only attribution, no wire bytes
+        involved.
         """
-        order = self.node.dag.insertion_order()
-        for block_hash in order[self._persisted:]:
-            block = self.node.dag.get(block_hash)
-            self.store.append(block)
+        dag = self.node.dag
+        blocks = [dag.get(h) for h in dag.inserted_since(self._persisted)]
+        if not blocks:
+            return
+        for block in blocks:
+            self.store.append(block, sync=False)
+        self.store.sync()
+        self._persisted += len(blocks)
+        for block in blocks:
             if self._c_persisted is not None:
                 self._c_persisted.inc()
             if self._obs is not None:
                 self._obs.emit(
                     "block.persisted", node=self.name,
-                    block=block_hash, origin=origin,
+                    block=block.hash, origin=origin,
                 )
             if self.block_listener is not None:
                 self.block_listener(block, origin)
-        self._persisted = len(order)
 
     def _pull_sink(self, peer_name: str):
         """A per-session persistence sink attributing pulls to *peer*."""
@@ -359,13 +367,20 @@ class LiveNode:
         """Stop gossip, close every connection and socket, close the
         store.  Idempotent; afterwards nothing of this node remains
         running."""
+        cancelled = False
         if self._loop_task is not None:
             self.antientropy.stop()
             self._loop_task.cancel()
-            try:
-                await self._loop_task
-            except asyncio.CancelledError:
-                pass
+            # wait() never raises the gossip task's cancellation, so a
+            # CancelledError here is this task's own: finish cleaning
+            # up, then re-raise it.
+            while not self._loop_task.done():
+                try:
+                    await asyncio.wait([self._loop_task])
+                except asyncio.CancelledError:
+                    cancelled = True
+            if not self._loop_task.cancelled():
+                self._loop_task.result()
             self._loop_task = None
         if self.discovery is not None:
             await self.discovery.stop()
@@ -379,6 +394,8 @@ class LiveNode:
         self._started = False
         if self._obs is not None:
             self._obs.emit("node.stopped", node=self.name)
+        if cancelled:
+            raise asyncio.CancelledError()
 
     def request_stop(self) -> None:
         """Ask a running :meth:`serve` to shut down and return."""

@@ -13,9 +13,14 @@ lacks, making one contact sufficient for bidirectional convergence (the
 gossip layer relies on this).
 
 The responder sends full blocks for the *new* level only: it remembers,
-per connection, which bodies it already sent, so the deepening loop does
-not resend data.  A ``get_frontier`` at level 1 starts a fresh session
-and resets that memo.
+per connection, which bodies it already sent and where the last level
+ended, so the deepening loop does not resend data and level N is one
+step from level N-1, not a walk from the frontier.  A ``get_frontier``
+at level 1 starts a fresh session and resets that memo.
+
+The initiator merges only when something can land: levels arrive
+tip-first, so until one touches the local DAG every received block
+still lacks a parent — a deep pull is one ``merge_blocks`` call.
 """
 
 from __future__ import annotations
@@ -89,14 +94,25 @@ class FrontierProtocol(Protocol):
                     # the initiator is strictly ahead and only pushes.
                     stats.converged = True
                     break
-            pending.extend(new_blocks)
-            merged = me.pull(pending)
-            if merged.complete:
-                stats.converged = True
+            elif not new_blocks:
+                # Every honest level down to genesis holds a block; a
+                # responder with nothing deeper cannot bridge the gap.
                 break
-            # Only the blocks still awaiting parents carry to the retry;
-            # invalid blocks were dropped by merge_blocks.
-            pending = merged.unplaced
+            pending.extend(new_blocks)
+            # A merge places nothing (and charges nothing) unless some
+            # block of this level is held already or has every parent.
+            if any(
+                node.has_block(block.hash)
+                or all(node.has_block(p) for p in block.parents)
+                for block in new_blocks
+            ):
+                merged = me.pull(pending)
+                if merged.complete:
+                    stats.converged = True
+                    break
+                # Only the blocks still awaiting parents carry to the
+                # retry; invalid blocks were dropped by merge_blocks.
+                pending = merged.unplaced
             level += 1
 
         if stats.converged and self._push:
@@ -111,16 +127,52 @@ def _on_get_frontier_hashes(responder: Responder, message: dict) -> dict:
     }
 
 
+class _LevelCursor:
+    """Where one connection's deepening loop stands on the responder."""
+
+    __slots__ = ("level", "dag_size", "reached", "boundary", "sent")
+
+    def __init__(self):
+        self.level = 0
+        self.dag_size = 0
+        #: The level-``level`` frontier set and the blocks its last step
+        #: added, as of a DAG of ``dag_size`` blocks.
+        self.reached: set = set()
+        self.boundary: set = set()
+        #: Every hash answered since level 1, over any DAG size.
+        self.sent: set = set()
+
+
 @handles("get_frontier")
 def _on_get_frontier(responder: Responder, message: dict) -> dict:
     level = int(message["level"])
     if level < 1:
         raise ReconcileError("frontier level must be >= 1")
-    sent_hashes = responder.memo.setdefault("frontier_sent", set())
+    cursor = responder.memo.get("frontier_cursor")
+    if cursor is None:
+        cursor = responder.memo["frontier_cursor"] = _LevelCursor()
     if level == 1:
-        sent_hashes.clear()
+        cursor.sent.clear()
     dag = responder.node.dag
-    level_hashes = sorted(dag.frontier_level(level))
-    new_blocks = [dag.get(h) for h in level_hashes if h not in sent_hashes]
-    sent_hashes.update(level_hashes)
-    return {"type": "frontier_set", "level": level, "blocks": new_blocks}
+    if (level > 1 and level == cursor.level + 1
+            and len(dag) == cursor.dag_size):
+        cursor.boundary = dag.deepen(cursor.reached, cursor.boundary)
+        level_hashes = cursor.boundary
+    else:
+        # Level 1, a skipped level, or a DAG that grew mid-session: walk
+        # from the frontier, and offer the whole level again.
+        cursor.reached = dag.frontier()
+        cursor.boundary = set(cursor.reached)
+        for _ in range(level - 1):
+            if not cursor.boundary:
+                break
+            cursor.boundary = dag.deepen(cursor.reached, cursor.boundary)
+        cursor.dag_size = len(dag)
+        level_hashes = cursor.reached
+    cursor.level = level
+    new_hashes = sorted(h for h in level_hashes if h not in cursor.sent)
+    cursor.sent.update(new_hashes)
+    return {
+        "type": "frontier_set", "level": level,
+        "blocks": [dag.get(h) for h in new_hashes],
+    }

@@ -24,6 +24,7 @@ handlers any protocol may use.
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro import wire
@@ -32,7 +33,6 @@ from repro.chain.errors import (
     ChainError,
     DuplicateBlockError,
     MalformedBlockError,
-    MissingParentsError,
     ValidationError,
 )
 from repro.core.node import VegvisirNode
@@ -71,48 +71,65 @@ class MergeResult:
 def merge_blocks(node: VegvisirNode, blocks: Iterable[Block]) -> MergeResult:
     """Insert received blocks in dependency order.
 
-    Repeatedly sweeps the batch, inserting every block whose parents are
-    present, until a fixpoint; blocks still missing parents are reported
-    in the result so the protocol can fetch another level.  Invalid
-    blocks (bad signature, timestamp, non-member) are counted and
-    dropped — a malicious responder cannot poison the DAG.
+    Blocks enter in the order of repeated sweeps over the batch, each
+    sweep inserting — in batch order — every block whose parents are
+    present by the time it is reached, until a sweep places nothing.
+    The sweeps are not run: each block counts its absent parents and is
+    queued for the sweep in which the last of them arrives, so the cost
+    is the batch, not batch x sweeps, whatever order it came in.
+    Blocks still missing parents are reported in the result so the
+    protocol can fetch another level.  Invalid blocks (bad signature,
+    timestamp, non-member) are counted and dropped — a malicious
+    responder cannot poison the DAG.
     """
     result = MergeResult()
-    pending = list(blocks)
-    progress = True
-    while pending and progress:
-        progress = False
-        remaining: list[Block] = []
-        # Batch-verify every block insertable this sweep before the
-        # insertion loop: the backend sees one batch per dependency
-        # level instead of one call per block, and the verdicts land in
-        # the shared verified-block cache so validate() only hits.
-        node.validator.preverify(pending)
-        dag = node.dag
-        for block in pending:
+    batch = list(blocks)
+    dag = node.dag
+    # Per batch position: how many parent references are still absent;
+    # per absent parent: the positions that wait for it.
+    absent: dict[int, int] = {}
+    waiting: dict[Hash, list[int]] = {}
+    ready: list[int] = []
+    for position, block in enumerate(batch):
+        missing = [parent for parent in block.parents if parent not in dag]
+        if missing:
+            absent[position] = len(missing)
+            for parent in missing:
+                waiting.setdefault(parent, []).append(position)
+        else:
+            ready.append(position)
+    while ready:
+        # One sweep.  Batch-verify what is insertable as it starts: the
+        # backend sees one batch per dependency level instead of one
+        # call per block, and the verdicts land in the shared
+        # verified-block cache so validate() only hits.
+        node.validator.preverify([batch[position] for position in ready])
+        next_sweep: list[int] = []
+        while ready:
+            position = heapq.heappop(ready)
+            block = batch[position]
             if node.has_block(block.hash):
                 result.duplicates += 1
-                progress = True
-                continue
-            # Cheap readiness probe: a block whose parents are not in
-            # yet cannot land this sweep, and the full validate-and-
-            # raise path costs ~30x a pair of dict lookups.
-            if not all(parent in dag for parent in block.parents):
-                remaining.append(block)
                 continue
             try:
                 node.receive_block(block)
-            except MissingParentsError:
-                remaining.append(block)
             except (ValidationError, ChainError, DuplicateBlockError):
                 result.invalid += 1
-                progress = True
-            else:
-                result.added.append(block)
-                progress = True
-        pending = remaining
-    result.unplaced = pending
-    for block in pending:
+                continue
+            result.added.append(block)
+            for waiter in waiting.pop(block.hash, ()):
+                absent[waiter] -= 1
+                if not absent[waiter]:
+                    del absent[waiter]
+                    # A sweep only moves forward through the batch.
+                    if waiter > position:
+                        heapq.heappush(ready, waiter)
+                    else:
+                        next_sweep.append(waiter)
+        next_sweep.sort()
+        ready = next_sweep
+    result.unplaced = [batch[position] for position in absent]
+    for block in result.unplaced:
         for parent in block.parents:
             if not node.has_block(parent):
                 result.missing_parents.add(parent)
@@ -300,18 +317,6 @@ def resume(initiator, reply: Optional[dict]) -> Optional[dict]:
 # ----------------------------------------------------------------------
 # Shared protocol pieces: the push half, and fetch-by-hash.
 
-def responder_holdings(node: VegvisirNode,
-                       frontier_hashes: Iterable[Hash]) -> set[Hash]:
-    """Blocks a peer with the given frontier must hold (provenance §IV-A:
-    a replica always holds the full ancestry of its frontier)."""
-    holdings: set[Hash] = set()
-    for frontier_hash in frontier_hashes:
-        if node.has_block(frontier_hash):
-            holdings.add(frontier_hash)
-            holdings |= node.dag.ancestors(frontier_hash)
-    return holdings
-
-
 def push_blocks(me: SessionSide, missing: List[Block]):
     """Send *missing* as one one-way batch (initiator steps).
 
@@ -330,13 +335,10 @@ def push_missing(me: SessionSide, responder_frontier: Sequence[Hash]):
 
     Assumes the initiator has already pulled, so its DAG is a superset
     of the responder's: everything under the responder's frontier is
-    provably held by it, the rest goes in topological order.
+    provably held by it (provenance §IV-A: a replica always holds the
+    full ancestry of its frontier), the rest goes in topological order.
     """
-    responder_has = responder_holdings(me.node, responder_frontier)
-    yield from push_blocks(me, [
-        block for block in me.node.dag.blocks()
-        if block.hash not in responder_has
-    ])
+    yield from push_blocks(me, me.node.dag.not_under(responder_frontier))
 
 
 @handles("push_blocks", reply=False)

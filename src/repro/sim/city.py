@@ -78,7 +78,7 @@ class LiteLog:
     """Insertion-ordered block-id log — the lite stand-in for a DAG.
 
     Implements the slice of the ``BlockDAG`` interface the gossip
-    scheduler's delivery tracking touches: ``insertion_order``, ``get``,
+    scheduler's delivery tracking touches: ``inserted_since``, ``get``,
     and ``len``.  Block descriptors live in one shared registry, so a
     block costs O(1) per holding node, not one object graph each.
     """
@@ -92,6 +92,9 @@ class LiteLog:
 
     def insertion_order(self) -> list[int]:
         return self._order
+
+    def inserted_since(self, count: int) -> list[int]:
+        return self._order[count:]
 
     def get(self, block_id: int) -> LiteBlock:
         return self._registry[block_id]

@@ -297,9 +297,7 @@ class GossipScheduler:
         """Re-anchor the delivery cursor after a restart replaced the
         node object: recovered blocks were observed (and charged) before
         the crash and must not be re-counted."""
-        self._seen_counts[node_id] = len(
-            self._nodes[node_id].dag.insertion_order()
-        )
+        self._seen_counts[node_id] = len(self._nodes[node_id].dag)
 
     def _tick(self, node_id: int) -> None:
         self._schedule_next(node_id)
@@ -665,10 +663,9 @@ class GossipScheduler:
         received (not locally created) block.
         """
         node = self._nodes[node_id]
-        order = node.dag.insertion_order()
-        cursor = self._seen_counts[node_id]
+        new_hashes = node.dag.inserted_since(self._seen_counts[node_id])
         sink = self._block_sink
-        for block_hash in order[cursor:]:
+        for block_hash in new_hashes:
             block = node.dag.get(block_hash)
             if sink is not None:
                 sink(node_id, block)
@@ -688,4 +685,4 @@ class GossipScheduler:
                     self._energy.charge_block_verification(
                         node_id, block.wire_size
                     )
-        self._seen_counts[node_id] = len(order)
+        self._seen_counts[node_id] += len(new_hashes)

@@ -9,9 +9,13 @@ Record format (all integers big-endian):
     block   <length> bytes            canonical wire encoding
 
 A torn final record (power loss mid-write) is detected by length or
-checksum mismatch and ignored; everything before it is intact.  Records
-are written with flush+fsync by default so an acknowledged append
-survives a crash.
+checksum mismatch and ignored; everything before it is intact.  Opening
+the store for append cuts the file back to the end of its last intact
+record, so nothing is ever written behind a tear where no reader would
+reach it.  Records are written with flush+fsync by default so an
+acknowledged append survives a crash; a caller with a batch defers the
+sync (``append(block, sync=False)`` per record, then one :meth:`sync`)
+and acknowledges nothing before it.
 """
 
 from __future__ import annotations
@@ -72,15 +76,28 @@ class BlockStore:
 
     def _write_handle(self):
         if self._writer is None or self._writer.closed:
+            # Append after the last intact record, not after a torn one:
+            # readers stop at a tear, so a record behind it is lost.
+            end = _HEADER
+            for end, _payload in self._records():
+                pass
+            if end < self._path.stat().st_size:
+                os.truncate(self._path, end)
             self._writer = self._path.open("ab")
         return self._writer
 
-    def close(self) -> None:
-        """Flush and close the persistent append handle (idempotent)."""
+    def sync(self) -> None:
+        """Make every record appended so far durable: one flush, one
+        fsync, however many records ``append(..., sync=False)`` wrote."""
         if self._writer is not None and not self._writer.closed:
             self._writer.flush()
             if self._fsync:
                 os.fsync(self._writer.fileno())
+
+    def close(self) -> None:
+        """Flush and close the persistent append handle (idempotent)."""
+        if self._writer is not None and not self._writer.closed:
+            self.sync()
             self._writer.close()
         self._writer = None
 
@@ -90,19 +107,19 @@ class BlockStore:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    def append(self, block: Block) -> None:
-        """Durably append one block."""
+    def append(self, block: Block, sync: bool = True) -> None:
+        """Append one block, durably unless *sync* is false — then the
+        record is durable (and may be acknowledged) only after
+        :meth:`sync`."""
         payload = block.to_bytes()
         record = (
             len(payload).to_bytes(_LEN_BYTES, "big")
             + hashlib.sha256(payload).digest()
             + payload
         )
-        handle = self._write_handle()
-        handle.write(record)
-        handle.flush()
-        if self._fsync:
-            os.fsync(handle.fileno())
+        self._write_handle().write(record)
+        if sync:
+            self.sync()
         observer = _observability()
         if observer is not None:
             observer.registry.counter(
@@ -117,11 +134,9 @@ class BlockStore:
         for block in blocks:
             self.append(block)
 
-    def blocks(self) -> Iterator[Block]:
-        """Yield stored blocks in append order, stopping cleanly at a
-        torn tail.  Raises MalformedBlockError only for a record whose
-        checksum passes but whose content will not parse (i.e. real
-        corruption, not a torn write)."""
+    def _records(self) -> Iterator[tuple[int, bytes]]:
+        """``(end offset, payload)`` of each intact record in append
+        order, stopping cleanly at a torn tail."""
         with self._path.open("rb") as handle:
             if handle.read(_HEADER) != MAGIC:
                 raise StorageError(f"{self._path} is not a block store")
@@ -136,16 +151,28 @@ class BlockStore:
                     return  # torn record
                 if hashlib.sha256(payload).digest() != digest:
                     return  # corrupt/torn record: stop before it
-                observer = _observability()
-                if observer is not None:
-                    observer.registry.counter(
-                        "blockstore_blocks_read_total",
-                        "blocks decoded from disk",
-                    ).inc()
-                yield Block.from_bytes(payload)
+                yield handle.tell(), payload
+
+    def blocks(self) -> Iterator[Block]:
+        """Yield stored blocks in append order, stopping cleanly at a
+        torn tail.  Raises MalformedBlockError only for a record whose
+        checksum passes but whose content will not parse (i.e. real
+        corruption, not a torn write)."""
+        for _end, payload in self._records():
+            observer = _observability()
+            if observer is not None:
+                observer.registry.counter(
+                    "blockstore_blocks_read_total",
+                    "blocks decoded from disk",
+                ).inc()
+            yield Block.from_bytes(payload)
 
     def count(self) -> int:
         return sum(1 for _ in self.blocks())
+
+    def is_empty(self) -> bool:
+        """Does the store hold no intact record?  (Decodes no block.)"""
+        return next(self._records(), None) is None
 
     def __iter__(self) -> Iterator[Block]:
         return self.blocks()

@@ -35,9 +35,9 @@ class Superpeer:
         construction.  Returns the number archived.
         """
         when = timestamp if timestamp is not None else self.node.now_ms()
-        order = self.node.dag.insertion_order()
+        new_hashes = self.node.dag.inserted_since(self._archive_cursor)
         archived = 0
-        for block_hash in order[self._archive_cursor:]:
+        for block_hash in new_hashes:
             if block_hash == self.node.chain_id:
                 continue  # genesis is implicitly archived
             if not self.chain.is_archived(block_hash):
@@ -45,7 +45,7 @@ class Superpeer:
                     self.node.dag.get(block_hash), self.node.key_pair, when
                 )
                 archived += 1
-        self._archive_cursor = len(order)
+        self._archive_cursor += len(new_hashes)
         return archived
 
     def archived_fraction(self) -> float:

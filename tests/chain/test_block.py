@@ -1,5 +1,7 @@
 """Block and transaction structure tests (Fig. 2)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.chain.block import (
@@ -133,6 +135,25 @@ class TestBlock:
         del wire_form["signature"]
         with pytest.raises(MalformedBlockError):
             Block.from_wire(wire_form)
+
+    @pytest.mark.parametrize("field,value", [
+        ("parents", [300_000_000]),
+        ("user_id", 300_000_000),
+    ])
+    def test_wire_int_digest_rejected_without_allocating(self, key, field,
+                                                         value):
+        """``bytes(300_000_000)`` is 300 MB of zeros: a digest that is
+        not a byte string must be refused before any conversion."""
+        wire_form = Block.create(key, [], 100).to_wire()
+        wire_form["header"][field] = value
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedBlockError):
+                Block.from_wire(wire_form)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_equality_is_by_hash(self, key):
         a = Block.create(key, [], 100)

@@ -46,6 +46,21 @@ class TestHash:
         with pytest.raises(ValueError):
             Hash(b"too short")
 
+    @pytest.mark.parametrize("value", [
+        300_000_000,  # bytes(n) would allocate n zero bytes first
+        [0] * 32,
+        "0" * 32,
+        None,
+    ])
+    def test_only_byte_strings_accepted(self, value):
+        with pytest.raises(TypeError):
+            Hash(value)
+
+    def test_bytearray_and_memoryview_accepted(self):
+        digest = Hash.of_bytes(b"v")
+        assert Hash(bytearray(digest.digest)) == digest
+        assert Hash(memoryview(digest.digest)) == digest
+
     def test_bytes_conversion(self):
         digest = Hash.of_bytes(b"z")
         assert bytes(digest) == digest.digest

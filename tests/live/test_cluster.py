@@ -153,6 +153,29 @@ class TestCluster:
 
         asyncio.run(scenario())
 
+    def test_stop_reraises_its_own_cancellation(self, tmp_path):
+        """A task cancelled while inside ``stop()`` must end cancelled —
+        after the clean-up, not instead of it."""
+        deployment = Deployment()
+
+        async def scenario():
+            node = _make_node(deployment, tmp_path, 0)
+            await node.start()
+            stopper = asyncio.ensure_future(node.stop())
+            await asyncio.sleep(0)  # stop() is now awaiting the gossip task
+            stopper.cancel()
+            try:
+                await stopper
+            except asyncio.CancelledError:
+                pass
+            assert stopper.cancelled()
+            assert node._loop_task is None
+            assert node.peer_manager.listen_port is None
+            assert node.store._writer is None
+            await node.stop()  # and a plain stop afterwards is harmless
+
+        asyncio.run(scenario())
+
     def test_stop_survives_a_swallowed_cancel(self, tmp_path, monkeypatch):
         """On Python 3.11 a cancel that lands as a session's
         ``asyncio.wait_for`` returns is swallowed; ``stop()`` must not

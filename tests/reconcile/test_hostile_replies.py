@@ -212,6 +212,36 @@ def test_first_reply_of_every_protocol(name, reply):
     _assert_torn(stats, left, before)
 
 
+def test_responder_with_nothing_deeper_ends_the_pull():
+    """Level 1 offers a block whose parent the initiator lacks; every
+    deeper level comes back empty.  Nothing can bridge the gap, so the
+    pull ends unconverged — not after ``max_level`` round trips."""
+    left, right = _pair(0, 3)
+    before = left.state_digest()
+    endpoint = ReconcileEndpoint(right)
+    levels = []
+
+    def hostile(request: bytes) -> bytes:
+        reply = endpoint.handle(request)
+        decoded = wire.decode(reply) if reply else {}
+        if decoded.get("type") != "frontier_set":
+            return reply
+        levels.append(decoded["level"])
+        if decoded["level"] > 1:
+            decoded["blocks"] = []
+        return wire.encode(decoded)
+
+    stats = RemoteSession(left, hostile, FrontierProtocol()).sync()
+    assert levels == [1, 2]
+    assert stats.rounds == 2
+    assert not stats.converged and not stats.interrupted
+    assert stats.blocks_pulled == 0 and stats.blocks_pushed == 0
+    assert left.state_digest() == before
+    assert RemoteSession(
+        left, ReconcileEndpoint(right).handle, FrontierProtocol()
+    ).sync().converged
+
+
 class OnePeer:
     """A peer manager with one peer, reconnected on demand, whose
     responder answers every request with ``frontier_set`` sans blocks."""

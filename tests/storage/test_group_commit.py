@@ -1,0 +1,253 @@
+"""Group commit on receive, and what a crash inside a batch leaves.
+
+``LiveNode`` writes every block of a merged batch, makes the batch
+durable with one fsync, and only then announces any of it.  The store
+stays a valid replica at every byte a crash can cut it at: a reader
+recovers a record-aligned prefix, and the next writer appends behind
+the last intact record — never behind the tear, where no reader would
+find it.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import os
+
+import pytest
+
+from repro.chain.block import Block
+from repro.live import LiveNode
+from repro.live.protocol import run_session, serve_connection
+from repro.live.transport import LoopbackTransport
+from repro.reconcile import FrontierProtocol
+from repro.storage import BlockStore, load_node
+
+from tests.conftest import Deployment
+
+
+@pytest.fixture
+def store_path(tmp_path):
+    return tmp_path / "chain.vgv"
+
+
+def _chain(deployment, count):
+    author = deployment.node(0)
+    return [author.append_transactions([]) for _ in range(count)]
+
+
+def _spy_on_fsync(monkeypatch, events: list) -> None:
+    """Append ``"fsync"`` to *events* on every ``os.fsync`` from now on."""
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        events.append("fsync")
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+
+
+class TestTornTail:
+    def test_append_after_a_tear_is_reachable(self, deployment, store_path):
+        first, second, third = _chain(deployment, 3)
+        with BlockStore(store_path) as store:
+            store.append_all([deployment.genesis, first, second])
+        store_path.write_bytes(store_path.read_bytes()[:-7])
+        with BlockStore(store_path) as store:
+            store.append(second)
+            store.append(third)
+        assert list(BlockStore(store_path).blocks()) == [
+            deployment.genesis, first, second, third,
+        ]
+
+    def test_clean_store_is_not_truncated(self, deployment, store_path):
+        blocks = [deployment.genesis] + _chain(deployment, 2)
+        with BlockStore(store_path) as store:
+            store.append_all(blocks[:2])
+        before = store_path.read_bytes()
+        with BlockStore(store_path) as store:
+            store.append(blocks[2])
+        assert store_path.read_bytes().startswith(before)
+        assert list(BlockStore(store_path).blocks()) == blocks
+
+    def test_batch_cut_at_every_byte(self, deployment, store_path):
+        """Genesis is durable; a three-record batch is cut at each byte
+        offset in turn.  ``load_node`` recovers exactly the records that
+        are whole, and a block appended afterwards survives a reread."""
+        *batch, later = _chain(deployment, 4)
+        store = BlockStore(store_path)
+        store.append(deployment.genesis)
+        ends = [store_path.stat().st_size]
+        for block in batch:
+            store.append(block, sync=False)
+            store.sync()
+            ends.append(store_path.stat().st_size)
+        store.close()
+        image = store_path.read_bytes()
+        assert len(image) == ends[-1]
+
+        for cut in range(ends[0], ends[-1] + 1):
+            store_path.write_bytes(image[:cut])
+            whole = sum(1 for end in ends[1:] if end <= cut)
+            survivors = [deployment.genesis] + batch[:whole]
+            recovered = load_node(deployment.keys[1], store_path)
+            assert list(recovered.dag.blocks()) == survivors, cut
+
+            # The replica carries on from its prefix: re-pull what the
+            # crash lost, then something new.
+            with BlockStore(store_path, fsync=False) as reopened:
+                reopened.append_all(batch[whole:] + [later])
+            assert list(BlockStore(store_path).blocks()) == (
+                [deployment.genesis] + batch + [later]
+            ), cut
+            reloaded = load_node(deployment.keys[1], store_path)
+            assert reloaded.has_block(later.hash), cut
+
+
+class TestDeferredSync:
+    def test_one_fsync_for_many_records(self, deployment, store_path,
+                                        monkeypatch):
+        blocks = _chain(deployment, 5)
+        store = BlockStore(store_path)
+        store.append(deployment.genesis)
+        syncs = []
+        _spy_on_fsync(monkeypatch, syncs)
+        for block in blocks:
+            store.append(block, sync=False)
+        assert syncs == []
+        store.sync()
+        assert len(syncs) == 1
+        store.append(_chain(deployment, 1)[0])  # the per-record default
+        assert len(syncs) == 2
+        store.close()
+        assert BlockStore(store_path).count() == 7
+
+
+class TestLiveNodeGroupCommit:
+    def _joiner(self, deployment, tmp_path):
+        return LiveNode(
+            deployment.keys[1], tmp_path / "joiner.blocks",
+            genesis=deployment.genesis, name="joiner",
+        )
+
+    def test_one_fsync_per_batch_then_the_listener(self, tmp_path,
+                                                   monkeypatch):
+        deployment = Deployment()
+        batch = _chain(deployment, 6)
+        joiner = self._joiner(deployment, tmp_path)
+        events = []
+        _spy_on_fsync(monkeypatch, events)
+
+        def listener(block, origin):
+            # Announced means durable: the block is already readable
+            # from the file by someone else.
+            on_disk = list(BlockStore(joiner.store.path).blocks())
+            assert block in on_disk
+            events.append(origin)
+
+        joiner.block_listener = listener
+        for block in batch[:4]:
+            joiner.node.receive_block(block)
+        joiner._persist_blocks(origin="pull:source")
+        assert events == ["fsync"] + ["pull:source"] * 4
+
+        # Nothing new: no write, no fsync, no announcement.
+        joiner._persist_blocks(origin="pull:source")
+        assert len(events) == 5
+
+        # A local write is still one block, one fsync.
+        del events[:]
+        joiner.append_transactions([])
+        assert events == ["fsync", "local"]
+        joiner.store.close()
+
+    def test_a_pulled_chain_shares_one_fsync(self, tmp_path, monkeypatch):
+        deployment = Deployment()
+        source = deployment.node(0)
+        for _ in range(20):
+            source.append_transactions([])
+        joiner = self._joiner(deployment, tmp_path)
+        batches, announced, syncs = [], [], []
+        joiner.block_listener = lambda block, origin: announced.append(origin)
+        persist = joiner._pull_sink("source")
+
+        def on_blocks(blocks):
+            batches.append(len(blocks))
+            persist(blocks)
+
+        _spy_on_fsync(monkeypatch, syncs)
+
+        async def scenario():
+            near, far = LoopbackTransport.pair()
+            server = asyncio.ensure_future(serve_connection(source, far))
+            try:
+                return await run_session(
+                    FrontierProtocol(), joiner.node, near,
+                    on_blocks=on_blocks,
+                )
+            finally:
+                await near.close()
+                await server
+
+        stats = asyncio.run(scenario())
+        assert stats.converged and stats.rounds == 20
+        assert batches == [20] and len(syncs) == 1
+        assert announced == ["pull:source"] * 20
+        joiner.store.close()
+        assert BlockStore(joiner.store.path).count() == 21
+
+    def test_listener_failure_does_not_rewrite_the_batch(self, tmp_path):
+        deployment = Deployment()
+        batch = _chain(deployment, 3)
+        joiner = self._joiner(deployment, tmp_path)
+
+        def listener(block, origin):
+            raise RuntimeError("subscriber went away")
+
+        joiner.block_listener = listener
+        for block in batch:
+            joiner.node.receive_block(block)
+        with pytest.raises(RuntimeError):
+            joiner._persist_blocks()
+        joiner.block_listener = None
+        joiner._persist_blocks()
+        joiner.store.close()
+        assert list(BlockStore(joiner.store.path).blocks()) == (
+            [deployment.genesis] + batch
+        )
+
+    def test_restart_parses_the_store_once(self, tmp_path, monkeypatch):
+        deployment = Deployment()
+        batch = _chain(deployment, 8)
+        first = self._joiner(deployment, tmp_path)
+        for block in batch:
+            first.node.receive_block(block)
+        first._persist_blocks()
+        first.store.close()
+
+        parsed = []
+        real_from_bytes = Block.from_bytes.__func__
+        monkeypatch.setattr(
+            Block, "from_bytes",
+            classmethod(lambda cls, data: (
+                parsed.append(1), real_from_bytes(cls, data)
+            )[1]),
+        )
+        again = LiveNode(deployment.keys[1], tmp_path / "joiner.blocks")
+        assert len(parsed) == 1 + len(batch)
+        assert again.status()["persisted"] == len(again.node.dag) == 9
+        # The cursor is right: a new block is appended once, after them.
+        again.append_transactions([])
+        again.store.close()
+        assert BlockStore(again.store.path).count() == 10
+
+    def test_torn_genesis_is_rewritten_in_place(self, tmp_path):
+        deployment = Deployment()
+        path = tmp_path / "joiner.blocks"
+        first = self._joiner(deployment, tmp_path)
+        first.store.close()
+        path.write_bytes(path.read_bytes()[:-5])
+        again = self._joiner(deployment, tmp_path)
+        again.append_transactions([])
+        again.store.close()
+        reloaded = load_node(deployment.keys[1], path)
+        assert len(reloaded.dag) == 2
