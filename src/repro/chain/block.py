@@ -47,12 +47,17 @@ class Transaction:
 
     @classmethod
     def from_wire(cls, value: Any) -> "Transaction":
-        if not isinstance(value, dict):
-            raise MalformedBlockError("transaction must be a map")
+        if not isinstance(value, dict) or len(value) != 3:
+            raise MalformedBlockError("transaction must be a map of three")
         try:
-            return cls(value["crdt"], value["op"], value["args"])
+            crdt_name, op, args = value["crdt"], value["op"], value["args"]
         except KeyError as exc:
             raise MalformedBlockError(f"transaction missing {exc}") from exc
+        # The constructor's list(args) would make a list of "xy" or of
+        # {"x": 1} too; on the wire only a list is a list.
+        if type(args) is not list:
+            raise MalformedBlockError("transaction args must be a list")
+        return cls(crdt_name, op, args)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -110,15 +115,33 @@ class BlockHeader:
 
     @classmethod
     def from_wire(cls, value: Any) -> "BlockHeader":
-        if not isinstance(value, dict):
-            raise MalformedBlockError("header must be a map")
+        """Parse a decoded header map, coercing nothing.
+
+        Whatever the constructor would convert or reorder — ``"12"`` or
+        ``True`` for a timestamp, a map where the parent list belongs,
+        parents out of order, an extra key — would be a second wire form
+        of a block with the same hash, and a block has exactly one.
+        """
+        if not isinstance(value, dict) or len(value) != 4:
+            raise MalformedBlockError("header must be a map of four")
         try:
+            timestamp = value["timestamp"]
             location = value["location"]
+            digests = value["parents"]
+            if type(timestamp) is not int:
+                raise MalformedBlockError("timestamp must be an int")
+            if location is not None and not (
+                type(location) is list
+                and [type(part) for part in location] == [int, int]
+            ):
+                raise MalformedBlockError("location must be null or two ints")
+            if type(digests) is not list or digests != sorted(digests):
+                raise MalformedBlockError("parents must be a sorted list")
             return cls(
                 user_id=Hash(value["user_id"]),
-                timestamp=value["timestamp"],
-                parents=[Hash(digest) for digest in value["parents"]],
-                location=tuple(location) if location is not None else None,
+                timestamp=timestamp,
+                parents=[Hash(digest) for digest in digests],
+                location=location,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedBlockError(f"malformed header: {exc}") from exc
@@ -130,15 +153,51 @@ class BlockHeader:
         )
 
 
+# Where things sit in a block's encoding, the map {header, signature,
+# transactions}: the codec orders a map by its encoded keys, and a
+# shorter key encodes lower.
+_HEADER_AT = 2 + len(wire.encode("header"))  # map tag, entry count, key
+_SIGNATURE_KEY_LEN = len(wire.encode("signature"))
+_TRANSACTIONS_KEY_LEN = len(wire.encode("transactions"))
+
+
+def _encode_parts(
+    header: BlockHeader, transactions: Sequence[Transaction]
+) -> tuple[list[Transaction], bytes, bytes]:
+    """The one walk over a block's content: its transactions as a
+    checked list, then the encodings of header and transaction list."""
+    transactions = list(transactions)
+    if len(transactions) > MAX_TRANSACTIONS:
+        raise MalformedBlockError(
+            f"{len(transactions)} transactions exceeds limit"
+        )
+    return (
+        transactions,
+        wire.encode(header.to_wire()),
+        wire.encode([tx.to_wire() for tx in transactions]),
+    )
+
+
+def _signed_bytes(header_bytes: bytes, body_bytes: bytes) -> bytes:
+    """What a creator signs: header and transactions, no signature."""
+    return wire.encode({
+        "header": wire.Encoded(header_bytes),
+        "transactions": wire.Encoded(body_bytes),
+    })
+
+
 class Block:
     """An immutable signed block.
 
-    Use :meth:`Block.create` to build and sign a block in one step.  The
-    block hash is computed over the full wire encoding (header +
-    transactions + signature) and cached.
+    Use :meth:`Block.create` to build and sign a block in one step.  A
+    block is encoded once, when it is constructed; the hash is taken
+    over those bytes (header + transactions + signature), and
+    :meth:`to_bytes`, :attr:`wire_size` and :meth:`signing_payload` are
+    all read off them from then on.
     """
 
-    __slots__ = ("header", "transactions", "signature", "_hash", "_wire_size")
+    __slots__ = ("header", "transactions", "signature", "_hash",
+                 "_encoded", "_header_end")
 
     def __init__(
         self,
@@ -146,17 +205,21 @@ class Block:
         transactions: Sequence[Transaction],
         signature: bytes,
     ):
-        transactions = list(transactions)
-        if len(transactions) > MAX_TRANSACTIONS:
-            raise MalformedBlockError(
-                f"{len(transactions)} transactions exceeds limit"
-            )
+        self._seal(header, signature, *_encode_parts(header, transactions))
+
+    def _seal(self, header: BlockHeader, signature: bytes,
+              transactions: list[Transaction], header_bytes: bytes,
+              body_bytes: bytes) -> None:
         self.header = header
         self.transactions = transactions
         self.signature = bytes(signature)
-        encoded = wire.encode(self.to_wire())
-        self._hash = Hash.of_bytes(encoded)
-        self._wire_size = len(encoded)
+        self._encoded = wire.encode({
+            "header": wire.Encoded(header_bytes),
+            "signature": self.signature,
+            "transactions": wire.Encoded(body_bytes),
+        })
+        self._hash = Hash.of_bytes(self._encoded)
+        self._header_end = _HEADER_AT + len(header_bytes)
 
     @classmethod
     def create(
@@ -174,24 +237,26 @@ class Block:
             parents=parents,
             location=location,
         )
-        payload = cls._signing_payload(header, list(transactions))
-        signature = key_pair.sign(payload)
-        return cls(header, transactions, signature)
-
-    @staticmethod
-    def _signing_payload(
-        header: BlockHeader, transactions: list[Transaction]
-    ) -> bytes:
-        return wire.encode(
-            {
-                "header": header.to_wire(),
-                "transactions": [tx.to_wire() for tx in transactions],
-            }
+        transactions, header_bytes, body_bytes = _encode_parts(
+            header, transactions
         )
+        signature = key_pair.sign(_signed_bytes(header_bytes, body_bytes))
+        block = cls.__new__(cls)
+        block._seal(header, signature, transactions, header_bytes, body_bytes)
+        return block
 
     def signing_payload(self) -> bytes:
         """The bytes the creator signed (header + transactions)."""
-        return self._signing_payload(self.header, self.transactions)
+        encoded = self._encoded
+        body_at = (
+            self._header_end
+            + _SIGNATURE_KEY_LEN
+            + wire.encoded_size(self.signature)
+            + _TRANSACTIONS_KEY_LEN
+        )
+        return _signed_bytes(
+            encoded[_HEADER_AT:self._header_end], encoded[body_at:]
+        )
 
     @property
     def hash(self) -> Hash:
@@ -200,7 +265,7 @@ class Block:
     @property
     def wire_size(self) -> int:
         """Size in bytes of the canonical encoding."""
-        return self._wire_size
+        return len(self._encoded)
 
     @property
     def parents(self) -> list[Hash]:
@@ -226,13 +291,14 @@ class Block:
 
     @classmethod
     def from_wire(cls, value: Any) -> "Block":
-        if not isinstance(value, dict):
-            raise MalformedBlockError("block must be a map")
+        if not isinstance(value, dict) or len(value) != 3:
+            raise MalformedBlockError("block must be a map of three")
         try:
             header = BlockHeader.from_wire(value["header"])
-            transactions = [
-                Transaction.from_wire(tx) for tx in value["transactions"]
-            ]
+            entries = value["transactions"]
+            if type(entries) is not list:
+                raise MalformedBlockError("transactions must be a list")
+            transactions = [Transaction.from_wire(tx) for tx in entries]
             signature = value["signature"]
         except (KeyError, TypeError) as exc:
             raise MalformedBlockError(f"malformed block: {exc}") from exc
@@ -256,12 +322,14 @@ class Block:
         except wire.DecodeError as exc:
             raise MalformedBlockError(f"undecodable block: {exc}") from exc
         block = cls.from_wire(value)
-        if block.to_bytes() != bytes(data):
+        if block._encoded != bytes(data):
             raise MalformedBlockError("non-canonical block encoding")
         return block
 
     def to_bytes(self) -> bytes:
-        return wire.encode(self.to_wire())
+        """The canonical encoding — the same ``bytes`` object each call,
+        always this process's own encoding, never a received span."""
+        return self._encoded
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Block) and self._hash == other._hash

@@ -23,7 +23,7 @@ every replica either way.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import AbstractSet, Any, Optional
 
 from repro.chain.block import (
     Block,
@@ -194,15 +194,19 @@ class CSMachine:
         return block_hash in self._visible
 
     def _inherited_view(self, parent_hashes: list[Hash]) -> frozenset[int]:
-        view: set[int] = set()
-        for parent in parent_hashes:
-            try:
-                view |= self._visible[parent]
-            except KeyError:
-                raise CSMError(
-                    f"parent {parent.short()} replayed out of order"
-                ) from None
-        return frozenset(view)
+        """The union of the parents' views — the widest parent's own
+        object when the others nest in it (a view grows only on a
+        membership or creation event, so they nearly always do)."""
+        try:
+            views = [self._visible[parent] for parent in parent_hashes]
+        except KeyError as exc:
+            raise CSMError(
+                f"parent {exc.args[0].short()} replayed out of order"
+            ) from None
+        widest = max(views, key=len, default=frozenset())
+        if all(view is widest or view <= widest for view in views):
+            return widest
+        return widest.union(*views)
 
     def _live_certificates(
         self, user_id: Hash, view: frozenset[int]
@@ -254,7 +258,7 @@ class CSMachine:
         return self._effective_certificate(live).role
 
     def _visible_creations(
-        self, name: str, view: frozenset[int]
+        self, name: str, view: AbstractSet[int]
     ) -> list[CreateRecord]:
         return [
             self._events[event_id].record
@@ -289,7 +293,7 @@ class CSMachine:
         if genesis_bootstrap:
             creator_role: Optional[str] = "owner"
         else:
-            creator_role = self._role_of(block.user_id, frozenset(view))
+            creator_role = self._role_of(block.user_id, inherited)
         for index, tx in enumerate(block.transactions):
             ctx = OpContext.for_block(
                 block.user_id, block.timestamp, block.hash, index
@@ -300,7 +304,11 @@ class CSMachine:
                 self._applied_count += 1
             else:
                 self._rejected_count += 1
-        self._visible[block.hash] = frozenset(view)
+        # Share the inherited object unless this block widened the view:
+        # one frozenset per event, not one per block.
+        self._visible[block.hash] = (
+            inherited if len(view) == len(inherited) else frozenset(view)
+        )
         self._outcomes[block.hash] = outcomes
         return outcomes
 
@@ -390,7 +398,7 @@ class CSMachine:
     def _replay_user_crdt(
         self, tx: Transaction, ctx: OpContext, view: set[int], role: str
     ) -> TxOutcome:
-        creations = self._visible_creations(tx.crdt_name, frozenset(view))
+        creations = self._visible_creations(tx.crdt_name, view)
         if not creations:
             return self._rejected(
                 tx, f"no CRDT named {tx.crdt_name!r} in causal past"

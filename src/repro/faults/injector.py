@@ -256,7 +256,8 @@ class FaultInjector:
 
     @staticmethod
     def _changed_blocks(decoded, original) -> list:
-        """Block wire maps in *decoded* whose bytes were touched."""
+        """Block wire maps in *decoded* whose bytes were touched
+        (*original* is the lowered step: its blocks are their bytes)."""
         if not isinstance(decoded, dict) or not isinstance(original, dict):
             return []
         decoded_blocks = decoded.get("blocks")
@@ -269,7 +270,10 @@ class FaultInjector:
         for index, entry in enumerate(decoded_blocks):
             if not isinstance(entry, dict):
                 continue
-            if index >= len(original_blocks) or entry != original_blocks[index]:
+            if (
+                index >= len(original_blocks)
+                or wire.encode(entry) != original_blocks[index].data
+            ):
                 changed.append(entry)
         return changed
 

@@ -254,6 +254,10 @@ async def run_loadgen(
                 await asyncio.sleep(delay)
             report.offered += 1
             queue.put_nowait(arrival)
+        # The run is its whole window, not the time to the last arrival:
+        # throughput divides by ``elapsed_s``.
+        while loop.time() < start + duration_s:
+            await asyncio.sleep(start + duration_s - loop.time())
         for _ in range(connections):
             queue.put_nowait(done)
 

@@ -12,10 +12,12 @@ own replica (see ``docs/reconciliation.md``, "Adding a protocol"):
 
 Messages between the halves are dicts with a string ``"type"``; blocks
 travel as :class:`~repro.chain.block.Block` objects under ``"blocks"``.
-:func:`lower` turns a message into its canonical wire map and
-:func:`lift` raises a decoded map back into blocks — the in-process
-driver only ever lowers (for byte accounting), so the simulator never
-parses; the bytes and asyncio drivers do both.
+:func:`lower` turns a message into its canonical wire map — every block
+as the bytes it was encoded to when it was constructed, so sending or
+measuring a message never walks a block — and :func:`lift` raises a
+decoded map back into blocks.  The in-process driver only ever lowers
+(for byte accounting), so the simulator never parses; the bytes and
+asyncio drivers do both.
 
 Also here: ``merge_blocks`` (the only way a block enters a DAG), the
 push half of a session, and the ``get_blocks`` / ``push_blocks``
@@ -167,11 +169,15 @@ def error_message(reason: str) -> dict:
 
 
 def lower(message: dict) -> dict:
-    """A message's canonical wire map (blocks as wire maps)."""
+    """A message's canonical wire map: each block as the encoding it
+    already carries, to be spliced in by ``wire.encode``."""
     blocks = message.get("blocks")
     if blocks is None:
         return message
-    return {**message, "blocks": [block.to_wire() for block in blocks]}
+    return {
+        **message,
+        "blocks": [wire.Encoded(block.to_bytes()) for block in blocks],
+    }
 
 
 def lift(decoded) -> dict:

@@ -7,7 +7,7 @@ provides a small, self-contained, deterministic tag-length-value codec with
 strict canonicity checking on decode.
 """
 
-from repro.wire.codec import decode, encode, encoded_size
+from repro.wire.codec import Encoded, decode, encode, encoded_size
 from repro.wire.errors import DecodeError, EncodeError, FrameError, WireError
 from repro.wire.framing import (
     FrameDecoder,
@@ -20,6 +20,7 @@ from repro.wire.framing import (
 __all__ = [
     "DecodeError",
     "EncodeError",
+    "Encoded",
     "FrameDecoder",
     "FrameError",
     "MAX_FRAME_BYTES",

@@ -14,6 +14,9 @@ Canonicity is enforced in both directions:
 
 Supported Python types: ``None``, ``bool``, ``int``, ``bytes``, ``str``,
 ``list``/``tuple`` (decoded as ``list``), and ``dict`` with ``str`` keys.
+``encode`` also accepts :class:`Encoded` — a value this process has
+already encoded — anywhere a value may stand, and splices its bytes in
+verbatim; ``decode`` never produces one.
 Floats are deliberately unsupported: they have no canonical total order
 across platforms and the protocol never needs them (fixed-point integers
 are used for locations and energy accounting instead).
@@ -21,6 +24,7 @@ are used for locations and energy accounting instead).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from repro.wire.errors import DecodeError, EncodeError
@@ -44,6 +48,29 @@ _TAG_NAMES = {
     TAG_LIST: "list",
     TAG_MAP: "map",
 }
+
+
+class Encoded:
+    """A value already in canonical wire form, spliced in by ``encode``.
+
+    ``encode([Encoded(encode(v))]) == encode([v])``: an immutable value
+    that travels in many messages (a block) is walked once and its
+    bytes reused.  Only for bytes this process produced with
+    :func:`encode` — nothing here re-checks them, so wrapping received
+    bytes would forward whatever a peer sent.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes):
+        if not isinstance(data, bytes):
+            raise EncodeError(
+                f"Encoded wraps bytes, got {type(data).__name__}"
+            )
+        self.data = data
+
+    def __repr__(self) -> str:
+        return f"Encoded({len(self.data)} B)"
 
 
 def _write_uvarint(out: bytearray, value: int) -> None:
@@ -91,6 +118,8 @@ def _encode_into(out: bytearray, value: Any) -> None:
             _encode_into(out, item)
     elif isinstance(value, dict):
         _encode_map_into(out, value)
+    elif isinstance(value, Encoded):
+        out += value.data
     else:
         raise EncodeError(f"type {type(value).__name__} is not wire-encodable")
 
@@ -109,26 +138,31 @@ def _unzigzag_signed(value: int) -> int:
 
 
 def _encode_map_into(out: bytearray, mapping: dict) -> None:
+    # Keys first — the entries go out in the order of their encoded
+    # keys — then each value straight into *out*.
     entries = []
     for key, item in mapping.items():
         if not isinstance(key, str):
             raise EncodeError(
                 f"map keys must be str, got {type(key).__name__}"
             )
-        key_bytes = bytearray()
-        _encode_into(key_bytes, key)
-        item_bytes = bytearray()
-        _encode_into(item_bytes, item)
-        entries.append((bytes(key_bytes), bytes(item_bytes)))
-    entries.sort(key=lambda pair: pair[0])
+        data = key.encode("utf-8")
+        if len(data) < 0x80:  # one length byte: every key in use
+            key_bytes = b"%c%c%b" % (TAG_STR, len(data), data)
+        else:
+            head = bytearray((TAG_STR,))
+            _write_uvarint(head, len(data))
+            key_bytes = bytes(head) + data
+        entries.append((key_bytes, item))
+    entries.sort(key=itemgetter(0))
     for i in range(1, len(entries)):
         if entries[i][0] == entries[i - 1][0]:
             raise EncodeError("duplicate map key after canonicalization")
     out.append(TAG_MAP)
     _write_uvarint(out, len(entries))
-    for key_bytes, item_bytes in entries:
-        out.extend(key_bytes)
-        out.extend(item_bytes)
+    for key_bytes, item in entries:
+        out += key_bytes
+        _encode_into(out, item)
 
 
 def encode(value: Any) -> bytes:

@@ -155,6 +155,42 @@ class TestBlock:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("path,value", [
+        (("header", "timestamp"), "12"),
+        (("header", "timestamp"), b"12"),
+        (("header", "timestamp"), True),
+        (("header", "location"), ["1", True]),
+        (("header", "location"), [1, 2, 3]),
+        (("header", "location"), {"0": 1, "1": 2}),
+        (("header", "parents"), {}),
+        (("header", "parents"), "reversed"),
+        (("header", "extra"), 1),
+        (("transactions",), {}),
+        (("transactions", 0, "args"), "xy"),
+        (("transactions", 0, "args"), {"x": 1}),
+        (("transactions", 0, "extra"), 1),
+        (("extra",), 1),
+    ])
+    def test_wire_value_the_constructors_would_coerce_is_rejected(
+            self, key, path, value):
+        """``int("12")``, ``int(True)``, ``list("xy")``, ``sorted(...)``:
+        each made a second wire form of a block with the honest hash,
+        accepted from a message while ``from_bytes`` refused it."""
+        honest = Block.create(
+            key, _parent_hashes(2), 12,
+            [Transaction("c", "op", [1])], location=(1, 2),
+        )
+        wire_form = honest.to_wire()
+        if value == "reversed":
+            value = list(reversed(wire_form["header"]["parents"]))
+        target = wire_form
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        with pytest.raises(MalformedBlockError):
+            Block.from_wire(wire_form)
+        assert Block.from_wire(honest.to_wire()) == honest
+
     def test_equality_is_by_hash(self, key):
         a = Block.create(key, [], 100)
         b = Block.from_bytes(a.to_bytes())

@@ -243,6 +243,47 @@ class TestReplayDiscipline:
             node.csm.outcomes(foreign.hash)
 
 
+class TestCausalViews:
+    """A block's causal view widens only on a membership or creation
+    event, so blocks between events hold one shared frozenset."""
+
+    @staticmethod
+    def _view(node, block):
+        return node.csm._visible[block.hash]
+
+    def test_view_object_is_shared_until_an_event_widens_it(self, deployment):
+        medic, sensor = deployment.node(0), deployment.node(1)
+        genesis_view = self._view(medic, deployment.genesis)
+        plain = medic.append_transactions([])
+        assert self._view(medic, plain) is genesis_view
+
+        created = medic.create_crdt("log", "append_log")
+        widened = self._view(medic, created)
+        assert widened == genesis_view | {max(widened)}
+        assert self._view(medic, medic.append_transactions([])) is widened
+
+        # A branch that saw no event nests in the one that did: their
+        # merge inherits the wider view as it is.
+        concurrent = sensor.append_transactions([])
+        medic.receive_block(concurrent)
+        assert self._view(medic, concurrent) is genesis_view
+        assert self._view(medic, medic.append_transactions([])) is widened
+
+    def test_concurrent_events_union_at_the_merge(self, deployment):
+        medic, sensor = deployment.node(0), deployment.node(1)
+        ours = medic.create_crdt("ours", "g_set", "int", {"add": "*"})
+        theirs = sensor.create_crdt("theirs", "g_set", "int", {"add": "*"})
+        medic.receive_block(theirs)
+        merge = medic.append_transactions(
+            [medic.crdt_op("ours", "add", 1),
+             medic.crdt_op("theirs", "add", 2)]
+        )
+        assert self._view(medic, merge) == (
+            self._view(medic, ours) | self._view(medic, theirs)
+        )
+        assert all(o.applied for o in medic.csm.outcomes(merge.hash))
+
+
 class TestRevocationSemantics:
     def test_fresh_certificate_readmits_revoked_member(self, deployment):
         """Revocation targets a *certificate*, not a key: the CA can

@@ -3,8 +3,13 @@ probability 1.0, so every session deterministically exercises it."""
 
 import json
 
+from repro import wire
+from repro.faults import FaultInjector
 from repro.faults.plan import FaultPlan, FlapWindow, LinkFaults
+from repro.reconcile.session import lower
 from repro.sim import Scenario, Simulation
+
+from tests.conftest import Deployment
 
 
 def _run(faults, *, duration_ms=15_000, quiescence_ms=10_000, **kwargs):
@@ -47,6 +52,26 @@ def test_corruption_always_rejected_and_exactly_classified():
     assert counters.corrupt_blocks_accepted == 0
     assert simulation.converged(sorted(simulation.fleet.nodes))
     simulation.close()
+
+
+def test_touched_blocks_are_found_by_their_bytes():
+    """A lowered step carries each block as its encoding; the injector
+    picks out the decoded entries whose bytes a flip reached."""
+    deployment = Deployment()
+    author = deployment.node(0)
+    blocks = [author.append_transactions([]) for _ in range(3)]
+    step = lower({"type": "blocks", "blocks": blocks})
+    frame = wire.encode(step)
+    assert FaultInjector._changed_blocks(wire.decode(frame), step) == []
+
+    # Inside the second block's signature: the frame still decodes, to
+    # a message differing in exactly that block.
+    damaged = bytearray(frame)
+    damaged[frame.index(blocks[1].signature) + 5] ^= 0x01
+    decoded = wire.decode(bytes(damaged))
+    assert FaultInjector._changed_blocks(decoded, step) == [
+        decoded["blocks"][1]
+    ]
 
 
 def test_duplicates_waste_bytes_but_sessions_complete():

@@ -11,15 +11,17 @@ find it.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import os
 
 import pytest
 
-from repro.chain.block import Block
+from repro.chain.block import Block, Transaction
+from repro.chain.errors import ChainError
 from repro.live import LiveNode
 from repro.live.protocol import run_session, serve_connection
 from repro.live.transport import LoopbackTransport
-from repro.reconcile import FrontierProtocol
+from repro.reconcile import FrontierProtocol, ReconcileEndpoint, RemoteSession
 from repro.storage import BlockStore, load_node
 
 from tests.conftest import Deployment
@@ -101,6 +103,61 @@ class TestTornTail:
             ), cut
             reloaded = load_node(deployment.keys[1], store_path)
             assert reloaded.has_block(later.hash), cut
+
+    def test_last_record_flipped_at_every_byte(self, deployment, store_path):
+        """Corruption rather than a cut: each byte of the batch's last
+        record (length, checksum, payload) is flipped in turn.  The
+        checksum catches every one, ``load_node`` recovers exactly the
+        records before it, and the replica carries on from there."""
+        *batch, later = _chain(deployment, 4)
+        image, last_record_at = self._batch_image(
+            deployment, store_path, batch
+        )
+        survivors = [deployment.genesis] + batch[:-1]
+        for position in range(last_record_at, len(image)):
+            for flip in (0x01, 0x80, 0xFF):
+                damaged = bytearray(image)
+                damaged[position] ^= flip
+                store_path.write_bytes(bytes(damaged))
+                recovered = load_node(deployment.keys[1], store_path)
+                assert list(recovered.dag.blocks()) == survivors, position
+            # Re-pull what the corruption cost, then something new.
+            with BlockStore(store_path, fsync=False) as reopened:
+                reopened.append_all([batch[-1], later])
+            assert list(BlockStore(store_path).blocks()) == (
+                [deployment.genesis] + batch + [later]
+            ), position
+
+    def test_flipped_payload_under_a_matching_checksum(self, deployment,
+                                                       store_path):
+        """What the checksum cannot catch — a payload byte flipped and
+        the record's checksum recomputed over it — is refused by
+        parsing (``MalformedBlockError``) or by validation (another
+        ``ChainError``): never loaded, never any other exception."""
+        batch = _chain(deployment, 3)
+        image, last_record_at = self._batch_image(
+            deployment, store_path, batch
+        )
+        payload_at = last_record_at + 4 + 32
+        for position in range(payload_at, len(image)):
+            damaged = bytearray(image)
+            damaged[position] ^= 0x01
+            damaged[last_record_at + 4:payload_at] = hashlib.sha256(
+                damaged[payload_at:]
+            ).digest()
+            store_path.write_bytes(bytes(damaged))
+            with pytest.raises(ChainError):
+                load_node(deployment.keys[1], store_path)
+
+    @staticmethod
+    def _batch_image(deployment, store_path, batch):
+        """Genesis + *batch* on disk: the file, and where the last
+        record starts."""
+        with BlockStore(store_path) as store:
+            store.append_all([deployment.genesis] + batch[:-1])
+            last_record_at = store_path.stat().st_size
+            store.append(batch[-1])
+        return store_path.read_bytes(), last_record_at
 
 
 class TestDeferredSync:
@@ -194,6 +251,31 @@ class TestLiveNodeGroupCommit:
         assert announced == ["pull:source"] * 20
         joiner.store.close()
         assert BlockStore(joiner.store.path).count() == 21
+
+    def test_a_pulled_block_is_stored_as_its_writer_stored_it(self, tmp_path):
+        deployment = Deployment()
+        writer = LiveNode(
+            deployment.keys[0], tmp_path / "writer.blocks",
+            genesis=deployment.genesis, name="writer",
+            clock=deployment.clock,
+        )
+        for reading in range(5):
+            writer.append_transactions(
+                [Transaction("events", "append", [{"reading": reading}])]
+            )
+        joiner = self._joiner(deployment, tmp_path)
+        stats = RemoteSession(
+            joiner.node, ReconcileEndpoint(writer.node).handle
+        ).sync()
+        assert stats.blocks_pulled == 5
+        joiner._persist_blocks(origin="pull:writer")
+        for node in (writer, joiner):
+            node.store.close()
+        # Same blocks in the same order, so the same file: the joiner
+        # re-encoded every block itself and arrived at the writer's bytes.
+        assert (
+            joiner.store.path.read_bytes() == writer.store.path.read_bytes()
+        )
 
     def test_listener_failure_does_not_rewrite_the_batch(self, tmp_path):
         deployment = Deployment()
