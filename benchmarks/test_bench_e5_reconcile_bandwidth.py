@@ -44,7 +44,6 @@ def _pair_with_divergence(divergence_each: int, seed: int = 0):
 def _protocols():
     return [
         ("frontier", lambda: FrontierProtocol()),
-        ("frontier_hash1st", lambda: FrontierProtocol(hash_first=True)),
         ("full_exchange", lambda: FullExchangeProtocol()),
         ("bloom", lambda: BloomProtocol()),
         ("height_skip", lambda: HeightSkipProtocol()),
@@ -71,11 +70,13 @@ def test_e5_reconcile_bandwidth(benchmark, results_dir):
     table.emit(results_dir, "e5_reconcile_bandwidth")
 
     # Identical replicas: everything must beat full exchange badly, and
-    # the hash-first ablation must beat even plain frontier.
+    # the frontier protocol — hashes both ways, no body — beats them all.
     for name in ("frontier", "bloom", "height_skip"):
         assert by_protocol[(0, name)] < by_protocol[(0, "full_exchange")] / 4
-    assert (by_protocol[(0, "frontier_hash1st")]
-            < by_protocol[(0, "frontier")])
+    assert by_protocol[(0, "frontier")] == min(
+        size for (divergence, _), size in by_protocol.items()
+        if divergence == 0
+    )
 
     # Small divergence: frontier beats full exchange.
     assert (by_protocol[(4, "frontier")]

@@ -120,23 +120,12 @@ class BlockDAG:
         reached = set(self._frontier)
         boundary = set(reached)
         for _ in range(level - 1):
-            boundary = self.deepen(reached, boundary)
+            # Only the blocks the last step added can have new parents.
+            boundary = self.parents_of(boundary) - reached
             if not boundary:
                 break
+            reached |= boundary
         return reached
-
-    def deepen(self, reached: set[Hash],
-               boundary: Iterable[Hash]) -> set[Hash]:
-        """One step from level N-1 to level N (Fig. 3).
-
-        *reached* is a level-(N-1) frontier set and *boundary* the blocks
-        its last step added; their parents not yet in *reached* are added
-        to it and returned (empty once the level holds the whole DAG).
-        A caller that keeps both walks N levels in N steps.
-        """
-        new = self.parents_of(boundary) - reached
-        reached |= new
-        return new
 
     def parents_of(self, block_hashes: Iterable[Hash]) -> set[Hash]:
         """Union of the parent sets of the given blocks."""

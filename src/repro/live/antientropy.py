@@ -4,8 +4,9 @@ One :class:`AntiEntropyLoop` per node plays the paper's §IV-G gossip
 role on real sockets: every interval (with jitter) it picks a random
 connected outbound peer and runs one initiator session of the configured
 protocol (:func:`~repro.live.protocol.run_session`) under a per-session
-deadline.  A session that times out, hits a transport error, or receives
-garbage is *interrupted*: its partial byte totals are kept, a
+deadline.  A session that times out, hits a transport error, receives
+garbage, or builds a message the connection cannot frame is
+*interrupted*: its partial byte totals are kept, a
 ``session.interrupted`` trace event is emitted, and the connection is
 closed so the peer manager's backoff can rebuild it.  Interruption
 never corrupts the replica — blocks only enter the DAG through
@@ -18,6 +19,7 @@ import asyncio
 import random
 from typing import Callable, Optional
 
+from repro import wire
 from repro.core.node import VegvisirNode
 from repro.live.protocol import BlockSink, run_session
 from repro.live.transport import TransportError
@@ -172,7 +174,7 @@ class AntiEntropyLoop:
                     self._session_timeout,
                 )
                 ph.units += 1
-        except (TransportError, ReconcileError,
+        except (TransportError, ReconcileError, wire.WireError,
                 asyncio.TimeoutError) as exc:
             stats.interrupted = True
             self.sessions_interrupted += 1

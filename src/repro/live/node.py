@@ -366,8 +366,10 @@ class LiveNode:
     async def stop(self) -> None:
         """Stop gossip, close every connection and socket, close the
         store.  Idempotent; afterwards nothing of this node remains
-        running."""
+        running — and only then is whatever killed the gossip loop
+        re-raised."""
         cancelled = False
+        loop_error = None
         if self._loop_task is not None:
             self.antientropy.stop()
             self._loop_task.cancel()
@@ -380,7 +382,7 @@ class LiveNode:
                 except asyncio.CancelledError:
                     cancelled = True
             if not self._loop_task.cancelled():
-                self._loop_task.result()
+                loop_error = self._loop_task.exception()
             self._loop_task = None
         if self.discovery is not None:
             await self.discovery.stop()
@@ -396,6 +398,8 @@ class LiveNode:
             self._obs.emit("node.stopped", node=self.name)
         if cancelled:
             raise asyncio.CancelledError()
+        if loop_error is not None:
+            raise loop_error
 
     def request_stop(self) -> None:
         """Ask a running :meth:`serve` to shut down and return."""

@@ -94,8 +94,10 @@ async def serve_connection(node: VegvisirNode, transport,
 
     Malformed traffic gets one ``error`` frame (best effort) and the
     connection is closed; the stream cannot be trusted past the first
-    bad frame.  *after_message* runs after each handled message — the
-    hook LiveNode uses to persist blocks a push batch merged.
+    bad frame.  A reply that cannot be framed closes the connection too
+    — it never ends the serving task with an exception.  *after_message*
+    runs after each handled message — the hook LiveNode uses to persist
+    blocks a push batch merged.
     """
     responder = LiveResponder(node, on_blocks=on_blocks, profiler=profiler)
     while True:
@@ -116,6 +118,12 @@ async def serve_connection(node: VegvisirNode, transport,
             try:
                 await transport.send(encode_message(reply, profiler))
             except TransportClosed:
+                return
+            except wire.WireError:
+                # A reply this connection cannot carry (its frame limit
+                # is below the batch budget): the session is over, and
+                # the peer learns it from the close.
+                await transport.close()
                 return
         if after_message is not None:
             after_message()

@@ -24,6 +24,7 @@ from repro.reconcile.session import (
     Responder,
     SessionSide,
     as_hashes,
+    digest_list,
     expect,
     handles,
     push_missing,
@@ -148,17 +149,13 @@ class BloomProtocol(Protocol):
             needed.update(
                 h for h in responder_frontier if not node.has_block(h)
             )
-            return sorted(needed)
+            return digest_list(needed)
 
         missing = _missing_now(merged)
         while missing:
             stats.rounds += 1
             reply = expect(
-                (yield {
-                    "type": "get_blocks",
-                    "hashes": [h.digest for h in missing],
-                }),
-                "blocks",
+                (yield {"type": "get_blocks", "hashes": missing}), "blocks"
             )
             fetched = reply["blocks"]
             if not fetched:
@@ -186,7 +183,5 @@ def _on_bloom(responder: Responder, message: dict) -> dict:
             block for block in responder.node.dag.blocks()
             if block.hash.digest not in digest
         ],
-        "frontier": [
-            h.digest for h in sorted(responder.node.frontier())
-        ],
+        "frontier": digest_list(responder.node.frontier()),
     }

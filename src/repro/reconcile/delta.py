@@ -28,7 +28,7 @@ one actor are a prefix of that actor's history in ``(timestamp, op_id)``
 order, and a count per actor pins the difference exactly.
 
 By default the session is **durable**: after the state plane it chains
-the frontier protocol (hash-first) on the same stats object, so the
+the frontier protocol on the same stats object, so the
 block DAGs converge too and the session satisfies the same end-state
 guarantees as every other protocol.  ``durable=False`` runs the state
 plane alone — the telemetry-radio mode benchmark A14 measures.
@@ -562,9 +562,9 @@ class DeltaProtocol(Protocol):
 
     ``durable=False`` runs the state plane alone: CSM deltas cross the
     radio, block DAGs stay divergent — the telemetry mode whose byte
-    cost benchmark A14 measures.  The default chains the hash-first
-    frontier protocol on the same stats object so the session also
-    converges the DAGs, which the gossip/chaos layers require.
+    cost benchmark A14 measures.  The default chains the frontier
+    protocol on the same stats object so the session also converges the
+    DAGs, which the gossip/chaos layers require.
     """
 
     name = "delta"
@@ -589,9 +589,7 @@ class DeltaProtocol(Protocol):
                 yield {"type": "delta_push", "crdts": payload}
                 stats.delta_entries_pushed += count_entries(payload)
         if self._durable:
-            yield from FrontierProtocol(
-                hash_first=True, push=self._push
-            ).initiate(me)
+            yield from FrontierProtocol(push=self._push).initiate(me)
         else:
             stats.converged = True
 

@@ -1,178 +1,160 @@
-"""The paper's reconciliation protocol (Algorithm 1, Fig. 3).
+"""The paper's reconciliation protocol (Algorithm 1, Fig. 3), pruned
+under what the initiator says it holds.
 
-The initiator asks the responder for its level-1 frontier set.  If every
-received frontier hash is already known and the frontiers match, the
-replicas are identical and the session stops after one round trip.
-Otherwise the initiator merges what it can; while any received block
-still lacks parents, it asks for the next deeper level — the level-N
-frontier set is level N-1 plus the parents of its blocks — which must
-eventually bridge the gap because both replicas share the genesis block.
+The initiator opens with its own frontier hashes (``have``).  The
+responder answers with its frontier as hashes plus only the bodies the
+initiator can lack:
 
-After a successful pull the initiator pushes the blocks the responder
-lacks, making one contact sufficient for bidirectional convergence (the
-gossip layer relies on this).
+* **behind** — every ``have`` hash is in the responder's DAG.  A
+  replica always holds the full ancestry of its frontier (provenance,
+  §IV-A), so the initiator's DAG is a subset of the responder's and the
+  reply is the exact difference, ``dag.not_under(have)``, oldest first:
+  one round trip however deep the gap.  A difference over the batch
+  budget is cut and marked ``more``; insertion order is parent-closed,
+  so the chunk lands on its own and the initiator asks again with the
+  frontier it has now.
+* **diverged** — some ``have`` hash is unknown to the responder.  The
+  reply carries the bodies of the responder's tips that are not in
+  ``have``; the initiator then asks by hash (``get_blocks``) for exactly
+  the parents its pending blocks still miss — one level of Fig. 3 per
+  round trip, along missing branches only, which must eventually bridge
+  the gap because both replicas share the genesis block.
 
-The responder sends full blocks for the *new* level only: it remembers,
-per connection, which bodies it already sent and where the last level
-ended, so the deepening loop does not resend data and level N is one
-step from level N-1, not a walk from the frontier.  A ``get_frontier``
-at level 1 starts a fresh session and resets that memo.
+If every hash of the responder's frontier is already held the replicas
+are identical, or the initiator is strictly ahead; either way the pull
+is over after one round trip.  After a successful pull the initiator
+pushes the blocks the responder lacks, making one contact sufficient
+for bidirectional convergence (the gossip layer relies on this).
 
-The initiator merges only when something can land: levels arrive
-tip-first, so until one touches the local DAG every received block
-still lacks a parent — a deep pull is one ``merge_blocks`` call.
+The initiator merges only when something can land: on the diverged path
+levels arrive tip-first, so until one touches the local DAG every
+received block still lacks a parent — a deep pull is one
+``merge_blocks`` call.
 """
 
 from __future__ import annotations
 
 from repro.chain.block import Block
+from repro.core.node import VegvisirNode
+from repro.crypto.sha import Hash
 from repro.reconcile.engine import Protocol
 from repro.reconcile.session import (
     ReconcileError,
     Responder,
     SessionSide,
     as_hashes,
+    digest_list,
     expect,
+    first_batch,
     handles,
     push_missing,
 )
 
 
-class FrontierProtocol(Protocol):
-    """Level-N frontier-set reconciliation (Algorithm 1).
+def _get_frontier(node: VegvisirNode) -> dict:
+    return {"type": "get_frontier", "have": digest_list(node.frontier())}
 
-    With ``hash_first=True``, an extra preliminary round exchanges bare
-    frontier *hashes* (32 bytes each) before any block bodies: when the
-    replicas are already equal — the common case in steady-state gossip
-    — the session costs ~100 bytes instead of a full frontier of block
-    bodies.  An ablation knob; the paper's text transfers blocks
-    directly.
+
+class FrontierProtocol(Protocol):
+    """Have-pruned frontier reconciliation (Algorithm 1).
+
+    ``max_level`` caps the round trips of one pull: a responder that
+    keeps naming parents it never delivers is dropped there.
     """
 
     name = "frontier"
 
-    def __init__(self, max_level: int = 10_000, push: bool = True,
-                 hash_first: bool = False):
+    def __init__(self, max_level: int = 10_000, push: bool = True):
         self._max_level = max_level
         self._push = push
-        self._hash_first = hash_first
 
     def initiate(self, me: SessionSide):
         node, stats = me.node, me.stats
-        responder_frontier = None
-
-        if self._hash_first:
-            stats.rounds += 1
-            reply = expect(
-                (yield {"type": "get_frontier_hashes"}), "frontier_hashes"
-            )
-            responder_frontier = as_hashes(reply["hashes"])
-            if all(node.has_block(h) for h in responder_frontier):
-                stats.converged = True
-                if self._push:
-                    yield from push_missing(me, responder_frontier)
-                return
-
+        responder_frontier: list[Hash] = []
+        # Bodies awaiting parents, every hash received so far (an
+        # invalid block is not asked for twice), and the hashes still
+        # to ask for.
         pending: list[Block] = []
-        level = 1
-        while level <= self._max_level:
+        received: set[Hash] = set()
+        wanted: set[Hash] = set()
+
+        request = _get_frontier(node)
+        for _ in range(self._max_level):
             stats.rounds += 1
-            reply = expect(
-                (yield {"type": "get_frontier", "level": level}),
-                "frontier_set",
-            )
-            new_blocks = reply["blocks"]
-            if level == 1:
-                # Level 1 carries the full frontier (nothing was sent
-                # before it), which doubles as the responder-frontier
-                # snapshot the push phase needs.
-                level_hashes = [block.hash for block in new_blocks]
-                if responder_frontier is None:
-                    responder_frontier = level_hashes
-                if all(node.has_block(h) for h in level_hashes):
+            reply = yield request
+            more = False
+            if request["type"] == "get_frontier":
+                expect(reply, "frontier_set")
+                responder_frontier = as_hashes(reply["frontier"])
+                if all(node.has_block(h) for h in responder_frontier):
                     # Identical frontiers ⇒ identical chains; otherwise
                     # the initiator is strictly ahead and only pushes.
                     stats.converged = True
                     break
-            elif not new_blocks:
-                # Every honest level down to genesis holds a block; a
-                # responder with nothing deeper cannot bridge the gap.
+                more = reply.get("more", False)
+                if not isinstance(more, bool):
+                    raise ReconcileError("more marker is not a boolean")
+                wanted = set(responder_frontier)
+            else:
+                expect(reply, "blocks")
+            new_blocks = reply["blocks"]
+            if not new_blocks:
+                # A responder with no body to offer cannot bridge the
+                # gap.
                 break
+            received.update(block.hash for block in new_blocks)
+            wanted.update(
+                parent for block in new_blocks for parent in block.parents
+            )
+            wanted = {
+                h for h in wanted
+                if h not in received and not node.has_block(h)
+            }
             pending.extend(new_blocks)
             # A merge places nothing (and charges nothing) unless some
-            # block of this level is held already or has every parent.
+            # new block is held already or has every parent.
             if any(
                 node.has_block(block.hash)
                 or all(node.has_block(p) for p in block.parents)
                 for block in new_blocks
             ):
-                merged = me.pull(pending)
-                if merged.complete:
-                    stats.converged = True
-                    break
-                # Only the blocks still awaiting parents carry to the
-                # retry; invalid blocks were dropped by merge_blocks.
-                pending = merged.unplaced
-            level += 1
+                # Only the blocks still awaiting parents carry on;
+                # invalid blocks were dropped by merge_blocks.
+                pending = me.pull(pending).unplaced
+            if more:
+                again = _get_frontier(node)
+                if again == request:
+                    break  # the chunk moved nothing: same answer again
+                request = again
+            elif wanted:
+                request = {"type": "get_blocks",
+                           "hashes": digest_list(wanted)}
+            else:
+                stats.converged = all(
+                    node.has_block(h) for h in responder_frontier
+                )
+                break
 
         if stats.converged and self._push:
             yield from push_missing(me, responder_frontier)
 
 
-@handles("get_frontier_hashes")
-def _on_get_frontier_hashes(responder: Responder, message: dict) -> dict:
-    return {
-        "type": "frontier_hashes",
-        "hashes": [h.digest for h in sorted(responder.node.frontier())],
-    }
-
-
-class _LevelCursor:
-    """Where one connection's deepening loop stands on the responder."""
-
-    __slots__ = ("level", "dag_size", "reached", "boundary", "sent")
-
-    def __init__(self):
-        self.level = 0
-        self.dag_size = 0
-        #: The level-``level`` frontier set and the blocks its last step
-        #: added, as of a DAG of ``dag_size`` blocks.
-        self.reached: set = set()
-        self.boundary: set = set()
-        #: Every hash answered since level 1, over any DAG size.
-        self.sent: set = set()
-
-
 @handles("get_frontier")
 def _on_get_frontier(responder: Responder, message: dict) -> dict:
-    level = int(message["level"])
-    if level < 1:
-        raise ReconcileError("frontier level must be >= 1")
-    cursor = responder.memo.get("frontier_cursor")
-    if cursor is None:
-        cursor = responder.memo["frontier_cursor"] = _LevelCursor()
-    if level == 1:
-        cursor.sent.clear()
     dag = responder.node.dag
-    if (level > 1 and level == cursor.level + 1
-            and len(dag) == cursor.dag_size):
-        cursor.boundary = dag.deepen(cursor.reached, cursor.boundary)
-        level_hashes = cursor.boundary
+    have = as_hashes(message["have"])
+    tips = sorted(dag.frontier())
+    reply = {"type": "frontier_set", "frontier": digest_list(tips)}
+    if all(h in dag for h in have):
+        missing = dag.not_under(have)
+        reply["blocks"] = first_batch(missing)
+        if len(reply["blocks"]) < len(missing):
+            reply["more"] = True
     else:
-        # Level 1, a skipped level, or a DAG that grew mid-session: walk
-        # from the frontier, and offer the whole level again.
-        cursor.reached = dag.frontier()
-        cursor.boundary = set(cursor.reached)
-        for _ in range(level - 1):
-            if not cursor.boundary:
-                break
-            cursor.boundary = dag.deepen(cursor.reached, cursor.boundary)
-        cursor.dag_size = len(dag)
-        level_hashes = cursor.reached
-    cursor.level = level
-    new_hashes = sorted(h for h in level_hashes if h not in cursor.sent)
-    cursor.sent.update(new_hashes)
-    return {
-        "type": "frontier_set", "level": level,
-        "blocks": [dag.get(h) for h in new_hashes],
-    }
+        # The frontier is a set, so nothing it holds is under a known
+        # ``have`` hash: membership is all there is to prune by.
+        held = set(have)
+        reply["blocks"] = first_batch(
+            [dag.get(tip) for tip in tips if tip not in held]
+        )
+    return reply

@@ -20,8 +20,9 @@ decoded map back into blocks.  The in-process driver only ever lowers
 asyncio drivers do both.
 
 Also here: ``merge_blocks`` (the only way a block enters a DAG), the
-push half of a session, and the ``get_blocks`` / ``push_blocks``
-handlers any protocol may use.
+push half of a session, the ``get_blocks`` / ``push_blocks`` handlers
+any protocol may use, and the one byte budget every batch of block
+bodies is cut at.
 """
 
 from __future__ import annotations
@@ -45,6 +46,15 @@ from repro.reconcile.stats import ReconcileStats
 #: Called with each batch of blocks newly merged into the local replica
 #: (the persistence hook: LiveNode appends them to its BlockStore).
 BlockSink = Callable[[List[Block]], None]
+
+
+#: Most block-body bytes in one message, spent by the block that crosses
+#: it (so a batch is never empty and never more than one block over).
+#: Far below ``wire.framing.MAX_FRAME_BYTES``: an honest sender never
+#: builds a frame the receiver must refuse, a contact that breaks loses
+#: at most this much, and a digest list is bounded by what the same
+#: budget holds in digests.
+BATCH_BUDGET_BYTES = 256 * 1024
 
 
 class ReconcileError(Exception):
@@ -149,9 +159,32 @@ def as_hash(value) -> Hash:
 
 
 def as_hashes(values) -> List[Hash]:
+    """A digest list from the wire, no longer than :func:`digest_list`
+    makes one."""
     if not isinstance(values, list):
         raise ReconcileError("digest list must be a list")
+    if len(values) > BATCH_BUDGET_BYTES // DIGEST_SIZE:
+        raise ReconcileError("digest list is over the batch budget")
     return [as_hash(value) for value in values]
+
+
+def digest_list(hashes: Iterable[Hash]) -> List[bytes]:
+    """*hashes* as a sorted wire list, cut to what :func:`as_hashes`
+    accepts.  A cut list is still an honest one: a hash left out of a
+    frontier or a want list costs a duplicate body or a later session,
+    never a wrong block."""
+    digests = [block_hash.digest for block_hash in sorted(hashes)]
+    return digests[:BATCH_BUDGET_BYTES // DIGEST_SIZE]
+
+
+def first_batch(blocks: Sequence[Block]) -> Sequence[Block]:
+    """The prefix of *blocks* that fits one message's byte budget."""
+    size = 0
+    for count, block in enumerate(blocks, 1):
+        size += block.wire_size
+        if size >= BATCH_BUDGET_BYTES:
+            return blocks[:count]
+    return blocks
 
 
 def expect(reply: dict, wanted: str) -> dict:
@@ -293,9 +326,6 @@ class Responder(SessionSide):
         if stats is None:
             stats = ReconcileStats("responder")
         super().__init__(node, stats, on_blocks, profiler)
-        #: Per-connection scratch for handlers (the frontier protocol
-        #: remembers which block bodies it already sent).
-        self.memo: dict = {}
 
     def handle(self, message: dict) -> Optional[dict]:
         kind = message["type"]
@@ -323,17 +353,20 @@ def resume(initiator, reply: Optional[dict]) -> Optional[dict]:
 # ----------------------------------------------------------------------
 # Shared protocol pieces: the push half, and fetch-by-hash.
 
-def push_blocks(me: SessionSide, missing: List[Block]):
-    """Send *missing* as one one-way batch (initiator steps).
+def push_blocks(me: SessionSide, missing: Sequence[Block]):
+    """Send *missing* as one-way batches cut at the byte budget
+    (initiator steps).  *missing* is parent-closed in order, so every
+    batch lands on its own and a torn session keeps what was merged.
 
     There is no acknowledgement, so ``blocks_pushed`` counts blocks
     *sent*; the responder charges duplicates and invalid blocks to its
     own stats when it merges.
     """
-    if not missing:
-        return
-    yield {"type": "push_blocks", "blocks": missing}
-    me.stats.blocks_pushed += len(missing)
+    while missing:
+        batch = first_batch(missing)
+        yield {"type": "push_blocks", "blocks": batch}
+        me.stats.blocks_pushed += len(batch)
+        missing = missing[len(batch):]
 
 
 def push_missing(me: SessionSide, responder_frontier: Sequence[Hash]):
@@ -359,4 +392,5 @@ def _on_get_blocks(responder: Responder, message: dict) -> dict:
         block = responder.node.dag.maybe_get(block_hash)
         if block is not None:
             blocks.append(block)
-    return {"type": "blocks", "blocks": blocks}
+    # What the budget cuts off the asker still lacks, and asks for again.
+    return {"type": "blocks", "blocks": first_batch(blocks)}

@@ -31,6 +31,7 @@ from repro.reconcile.session import (
     Responder,
     SessionSide,
     as_hashes,
+    digest_list,
     expect,
     handles,
     push_blocks,
@@ -388,5 +389,5 @@ def _on_sketch(responder: Responder, message: dict) -> dict:
             if block.hash.digest in only_here
         ],
         "want": remote_only,
-        "frontier": [h.digest for h in sorted(node.frontier())],
+        "frontier": digest_list(node.frontier()),
     }

@@ -23,6 +23,7 @@ from repro.reconcile.session import (
     Responder,
     SessionSide,
     as_hashes,
+    digest_list,
     expect,
     handles,
     push_missing,
@@ -74,7 +75,7 @@ def _on_height_digests(responder: Responder, message: dict) -> dict:
     if not isinstance(theirs, list):
         raise ReconcileError("height digests must be a list")
     dag = responder.node.dag
-    frontier = [h.digest for h in sorted(responder.node.frontier())]
+    frontier = digest_list(responder.node.frontier())
     split = _first_difference(theirs, height_digests(dag))
     if split is None:
         return {"type": "height_match", "frontier": frontier}

@@ -3,7 +3,12 @@ shutdown with zero leaked tasks or sockets."""
 
 import asyncio
 
+import pytest
+
+from repro import wire
 from repro.live import LiveNode, PeerSpec
+from repro.live.protocol import serve_connection
+from repro.live.transport import LoopbackTransport, TransportClosed
 from repro.obs import Observability, RingBufferSink
 
 from tests.conftest import Deployment
@@ -341,5 +346,132 @@ class TestPipelinedSessions:
             finally:
                 for node in nodes:
                     await node.stop()
+
+        asyncio.run(scenario())
+
+
+class TestUnframeableBatch:
+    """A batch of bodies over the connection's frame limit: two nodes
+    with ``max_frame_bytes=4096``, one of them 40 blocks ahead (with the
+    default 16 MiB limit and no batch budget, a replica some 50k blocks
+    ahead).  The session is interrupted; nothing else is."""
+
+    AHEAD = 40
+
+    def _pair(self, tmp_path, ahead_obs=None, **kwargs):
+        deployment = Deployment()
+        nodes = [
+            _make_node(deployment, tmp_path, i, max_frame_bytes=4096,
+                       obs=obs, **kwargs)
+            for i, obs in enumerate([ahead_obs, None])
+        ]
+        for _ in range(self.AHEAD):
+            nodes[0].append_transactions([])
+        return nodes
+
+    @staticmethod
+    async def _connected(nodes):
+        await _start_mesh(nodes)
+        deadline = asyncio.get_running_loop().time() + 10.0
+        while asyncio.get_running_loop().time() < deadline:
+            if all(node.peer_manager.connected_peers() for node in nodes):
+                return
+            await asyncio.sleep(0.02)
+        raise AssertionError("the pair never connected")
+
+    def test_push_too_big_to_frame_interrupts_the_session(self, tmp_path):
+        ring = RingBufferSink()
+
+        async def scenario():
+            # An hour between ticks: the sessions here are run by hand.
+            ahead, behind = nodes = self._pair(
+                tmp_path, interval_s=3600.0,
+                ahead_obs=Observability(sinks=[ring]),
+            )
+            await self._connected(nodes)
+            try:
+                stats = await ahead.antientropy.run_once(behind.name)
+                assert stats.interrupted and stats.blocks_pushed == 0
+                assert ahead.antientropy.sessions_interrupted == 1
+                assert not ahead._loop_task.done()
+                # The stale stream was dropped for backoff to rebuild.
+                assert ahead.peer_manager.connection(behind.name) is None
+            finally:
+                for node in nodes:
+                    await node.stop()
+            assert ahead.store._writer is None
+
+        asyncio.run(scenario())
+        [event] = [
+            e for e in ring.events() if e.type == "session.interrupted"
+        ]
+        assert event.fields["reason"] == "protocol"
+
+    def test_reply_too_big_to_frame_closes_the_connection(self):
+        deployment = Deployment()
+        source = deployment.node(0)
+        for _ in range(self.AHEAD):
+            source.append_transactions([])
+
+        async def scenario():
+            near, far = LoopbackTransport.pair(max_frame_bytes=4096)
+            server = asyncio.ensure_future(serve_connection(source, far))
+            await near.send(wire.encode({
+                "type": "get_frontier",
+                "have": [deployment.genesis.hash.digest],
+            }))
+            await asyncio.wait_for(server, 5.0)  # ended, and not by raising
+            assert far.closed
+            with pytest.raises(TransportClosed):
+                await near.recv()
+
+        asyncio.run(scenario())
+
+    def test_the_periodic_loop_lives_on(self, tmp_path):
+        async def scenario():
+            ahead, behind = nodes = self._pair(tmp_path)
+            await self._connected(nodes)
+            try:
+                deadline = asyncio.get_running_loop().time() + 10.0
+                while (ahead.antientropy.sessions_interrupted < 2
+                       or behind.antientropy.sessions_interrupted < 2):
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.02)
+                for node in nodes:
+                    assert not node._loop_task.done()
+            finally:
+                for node in nodes:
+                    await node.stop()
+            for node in nodes:
+                assert node.store._writer is None
+                assert node.peer_manager.listen_port is None
+
+        asyncio.run(scenario())
+
+    def test_stop_cleans_up_before_reraising_what_killed_the_loop(
+        self, tmp_path, monkeypatch
+    ):
+        deployment = Deployment()
+
+        async def scenario():
+            node = _make_node(deployment, tmp_path, 0)
+
+            async def broken_tick():
+                raise RuntimeError("tick failed")
+
+            monkeypatch.setattr(node.antientropy, "run_tick", broken_tick)
+            await node.start()
+            await asyncio.wait([node._loop_task], timeout=5.0)
+            assert node._loop_task.done()
+            try:
+                await node.stop()
+            except RuntimeError as exc:
+                assert str(exc) == "tick failed"
+            else:
+                raise AssertionError("stop() hid the loop's failure")
+            assert node._loop_task is None
+            assert node.peer_manager.listen_port is None
+            assert node.store._writer is None
+            await node.stop()  # nothing left to re-raise
 
         asyncio.run(scenario())

@@ -98,9 +98,6 @@ SCENARIOS = [
 
 PROTOCOLS = [
     pytest.param(FrontierProtocol, {}, id="frontier"),
-    pytest.param(
-        FrontierProtocol, {"hash_first": True}, id="frontier-hash-first"
-    ),
     pytest.param(FrontierProtocol, {"push": False}, id="frontier-pull-only"),
     pytest.param(FullExchangeProtocol, {}, id="full"),
     pytest.param(BloomProtocol, {}, id="bloom"),
@@ -176,8 +173,8 @@ class TestLiveSemantics:
         assert again.blocks_pushed == 0
 
     def test_two_sessions_same_connection_reset_responder_memo(self):
-        """Level-1 ``get_frontier`` restarts the responder's dedup memo,
-        so back-to-back sessions on one connection stay correct."""
+        """The responder keeps nothing between requests, so back-to-back
+        sessions on one connection stay correct."""
         left, right = _apply(Deployment(), 2, 2)
 
         async def scenario():

@@ -155,7 +155,7 @@ class TestHandshake:
 
         async def scenario():
             a, b = LoopbackTransport.pair()
-            await b.send(wire.encode({"type": "get_frontier", "level": 1}))
+            await b.send(wire.encode({"type": "get_frontier", "have": []}))
             with pytest.raises(HandshakeError, match="not a live_hello"):
                 await handshake(a, left, "left", timeout_s=0.5)
 

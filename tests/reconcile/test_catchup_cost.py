@@ -1,25 +1,22 @@
 """Catch-up costs what is missing — counted in operations, not seconds.
 
-Three replacements made a session linear in the blocks that move
-without changing a byte on the wire; each is held here against the
-definition it replaced:
-
 * ``merge_blocks`` places blocks in the order of repeated sweeps over
   the batch without running the sweeps — compared, on shuffled batches
   with duplicates, gaps and a forged block, with the sweep loop itself;
-* the responder's level cursor answers level N one step from level
-  N-1 — compared with "sorted level-N frontier set minus what was
-  sent" over in-order, skipping and repeated levels and a DAG that
-  grows mid-session;
-* a deep pull merges once — a 300-deep single-author chain makes O(1)
-  ``merge_blocks`` calls, ``preverify`` looks at O(depth) blocks in
-  total and the responder steps over O(depth) hashes, on the
-  in-process and the asyncio driver.
+* a deep pull where both sides diverged — the path that still walks one
+  level of Fig. 3 per round trip — merges once: a 300-deep chain makes
+  O(1) ``merge_blocks`` calls, ``preverify`` looks at O(depth) blocks in
+  total and the responder looks each block up once, on the in-process
+  and the asyncio driver.
+
+(What the exchange costs when one side is simply behind — one merge,
+one ``not_under``, no level walk — is counted in
+``test_frontier_have.py``; ``not_under`` itself is held against
+``ancestors()`` in ``tests/chain/test_dag_difference.py``.)
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
 
 import pytest
@@ -33,13 +30,12 @@ from repro.chain.errors import (
     ValidationError,
 )
 from repro.chain.validation import BlockValidator
-from repro.live.protocol import run_session, serve_connection
-from repro.live.transport import LoopbackTransport
 from repro.reconcile import FrontierProtocol
 from repro.reconcile import session as session_module
-from repro.reconcile.session import MergeResult, Responder, merge_blocks
+from repro.reconcile.session import MergeResult, merge_blocks
 
 from tests.conftest import Deployment
+from tests.reconcile.test_registry import _in_process, _over_asyncio
 
 DEPTH = 300
 
@@ -162,70 +158,24 @@ def test_reverse_ordered_batch_looks_at_each_block_once(monkeypatch):
     assert sum(looked_at) <= DEPTH + 1
 
 
-# -- the responder's level cursor against the level-set definition ---------
+# -- a deep pull where both sides diverged, counted --------------------------
 
-def _definition(dag: BlockDAG, sent: set, level: int) -> list:
-    if level == 1:
-        sent.clear()
-    level_hashes = sorted(dag.frontier_level(level))
-    new = [h for h in level_hashes if h not in sent]
-    sent.update(level_hashes)
-    return new
-
-
-@pytest.mark.parametrize("levels", [
-    pytest.param(list(range(1, 40)), id="in-order"),
-    pytest.param([1, 2, 3, 1, 2, 3, 4, 5], id="restart"),
-    pytest.param([1, 4, 5, 6, 2, 3, 9, 10], id="skipping"),
-    pytest.param([3, 4, 4, 5, 1, 2, 2, 3], id="repeats-and-no-level-1"),
-    pytest.param([1, 2, 500, 501, 3], id="past-genesis"),
+@pytest.mark.parametrize("drive", [
+    pytest.param(_in_process, id="_in_process"),
+    pytest.param(_over_asyncio, id="_asyncio"),
 ])
-@pytest.mark.parametrize("grow_at", [None, 2, 5])
-def test_level_cursor_answers_what_the_level_sets_define(levels, grow_at):
-    rng = random.Random(len(levels))
-    responder_node = _wide_history(Deployment(), rng, 70)
-    responder = Responder(responder_node)
-    sent: set = set()
-    for step, level in enumerate(levels):
-        if step == grow_at:
-            responder_node.append_transactions([])
-        reply = responder.handle({"type": "get_frontier", "level": level})
-        assert [block.hash for block in reply["blocks"]] == _definition(
-            responder_node.dag, sent, level
-        )
-
-
-# -- a deep pull, counted ---------------------------------------------------
-
-def _in_process(protocol, joiner, source):
-    return protocol.run(joiner, source)
-
-
-def _asyncio(protocol, joiner, source):
-    async def scenario():
-        near, far = LoopbackTransport.pair()
-        server = asyncio.ensure_future(serve_connection(source, far))
-        try:
-            return await run_session(protocol, joiner, near)
-        finally:
-            await near.close()
-            await server
-
-    return asyncio.run(scenario())
-
-
-@pytest.mark.parametrize("drive", [_in_process, _asyncio])
 def test_deep_pull_merges_once_and_walks_each_level_once(drive, monkeypatch):
     deployment = Deployment()
     source = deployment.node(0)
     for _ in range(DEPTH):
         source.append_transactions([])
     joiner = deployment.node(1)
+    joiner.append_transactions([])  # unknown to the source: no shortcut
 
-    counts = {"merges": 0, "preverified": 0, "stepped": 0}
+    counts = {"merges": 0, "preverified": 0, "looked_up": 0, "walks": 0}
     real_merge = session_module.merge_blocks
     real_preverify = BlockValidator.preverify
-    real_deepen = BlockDAG.deepen
+    real_maybe_get = BlockDAG.maybe_get
 
     def merge(node, blocks):
         counts["merges"] += 1
@@ -235,19 +185,28 @@ def test_deep_pull_merges_once_and_walks_each_level_once(drive, monkeypatch):
         counts["preverified"] += len(blocks)
         return real_preverify(self, blocks)
 
-    def deepen(self, reached, boundary):
-        counts["stepped"] += len(boundary)
-        return real_deepen(self, reached, boundary)
+    def maybe_get(self, block_hash):
+        counts["looked_up"] += self is source.dag
+        return real_maybe_get(self, block_hash)
+
+    def frontier_level(self, level):
+        counts["walks"] += 1
+        raise AssertionError("no session walks level sets any more")
 
     monkeypatch.setattr(session_module, "merge_blocks", merge)
     monkeypatch.setattr(BlockValidator, "preverify", preverify)
-    monkeypatch.setattr(BlockDAG, "deepen", deepen)
+    monkeypatch.setattr(BlockDAG, "maybe_get", maybe_get)
+    monkeypatch.setattr(BlockDAG, "frontier_level", frontier_level)
 
-    stats = drive(FrontierProtocol(), joiner, source)
+    stats = drive(FrontierProtocol(push=False), joiner, source)
 
     assert stats.converged and stats.blocks_pulled == DEPTH
-    assert stats.rounds == DEPTH  # the wire is what it was
-    assert joiner.dag.insertion_order() == source.dag.insertion_order()
+    assert stats.rounds == DEPTH  # one level of Fig. 3 per round trip
+    assert stats.duplicate_blocks == 0
+    assert set(source.dag.hashes()) <= set(joiner.dag.hashes())
     assert counts["merges"] <= 2
     assert counts["preverified"] <= 3 * DEPTH
-    assert counts["stepped"] <= DEPTH
+    # The tip came with the first reply; every other block was asked
+    # for, and looked up, exactly once.
+    assert counts["looked_up"] == DEPTH - 1
+    assert counts["walks"] == 0

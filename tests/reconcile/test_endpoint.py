@@ -131,8 +131,9 @@ class TestEndpointRobustness:
             wire.encode("not a map"),
             wire.encode({"no_type": 1}),
             wire.encode({"type": "unknown_thing"}),
-            wire.encode({"type": "get_frontier"}),  # missing level
-            wire.encode({"type": "get_frontier", "level": 0}),
+            wire.encode({"type": "get_frontier"}),  # missing have
+            wire.encode({"type": "get_frontier", "have": 7}),
+            wire.encode({"type": "get_frontier", "have": [b"short"]}),
             wire.encode({"type": "get_blocks", "hashes": [b"short"]}),
             wire.encode({"type": "push_blocks", "blocks": ["bad"]}),
         ],
@@ -197,11 +198,13 @@ class TestFramedEndpoint:
         from repro.wire.framing import decode_frames, encode_frame
 
         _, right, framed = self._framed(deployment)
-        request = encode_frame(wire.encode({"type": "get_frontier_hashes"}))
+        request = encode_frame(
+            wire.encode({"type": "get_frontier", "have": []})
+        )
         assert framed.feed(request[:3]) == b""
         assert framed.buffered == 3
         [reply] = decode_frames(framed.feed(request[3:]))
-        assert wire.decode(reply)["type"] == "frontier_hashes"
+        assert wire.decode(reply)["type"] == "frontier_set"
         assert framed.buffered == 0
 
     def test_pipelined_requests_get_pipelined_replies(self, deployment):

@@ -15,6 +15,8 @@ import asyncio
 import pytest
 
 from repro import wire
+from repro.chain.block import Block
+from repro.crypto.sha import DIGEST_SIZE, Hash
 from repro.live.antientropy import AntiEntropyLoop
 from repro.live.transport import LoopbackTransport
 from repro.reconcile import (
@@ -28,6 +30,7 @@ from repro.reconcile import (
     RemoteSession,
     SketchProtocol,
 )
+from repro.reconcile.session import BATCH_BUDGET_BYTES
 
 from tests.conftest import Deployment
 
@@ -85,9 +88,15 @@ def _digest_cases(key):
 #: reply type -> (protocol, left appends, right appends, hostile variants)
 #: where the honest responder answers the pair's first request that way.
 REPLIES = {
-    "frontier_set": (FrontierProtocol(), 2, 3, _block_cases()),
-    "frontier_hashes": (
-        FrontierProtocol(hash_first=True), 2, 3, _digest_cases("hashes"),
+    "frontier_set": (
+        FrontierProtocol(), 2, 3,
+        _block_cases() + _digest_cases("frontier") + [
+            ("frontier-over-long", with_(
+                "frontier",
+                [bytes(DIGEST_SIZE)] * (BATCH_BUDGET_BYTES // DIGEST_SIZE + 1),
+            )),
+            ("more-int", with_("more", 1)),
+        ],
     ),
     "dag": (FullExchangeProtocol(), 2, 3, _block_cases()),
     "bloom_blocks": (
@@ -212,34 +221,85 @@ def test_first_reply_of_every_protocol(name, reply):
     _assert_torn(stats, left, before)
 
 
-def test_responder_with_nothing_deeper_ends_the_pull():
-    """Level 1 offers a block whose parent the initiator lacks; every
-    deeper level comes back empty.  Nothing can bridge the gap, so the
-    pull ends unconverged — not after ``max_level`` round trips."""
-    left, right = _pair(0, 3)
-    before = left.state_digest()
-    endpoint = ReconcileEndpoint(right)
-    levels = []
+class FetchReplies:
+    """A transport that answers each ``get_blocks`` with what
+    *answer(call number)* returns instead of what was asked for."""
 
-    def hostile(request: bytes) -> bytes:
-        reply = endpoint.handle(request)
-        decoded = wire.decode(reply) if reply else {}
-        if decoded.get("type") != "frontier_set":
+    def __init__(self, transport, answer):
+        self._transport = transport
+        self._answer = answer
+        self.fetches = 0
+
+    def __call__(self, request: bytes) -> bytes:
+        reply = self._transport(request)
+        if not reply or wire.decode(reply)["type"] != "blocks":
             return reply
-        levels.append(decoded["level"])
-        if decoded["level"] > 1:
-            decoded["blocks"] = []
-        return wire.encode(decoded)
+        self.fetches += 1
+        return wire.encode({
+            "type": "blocks",
+            "blocks": [block.to_wire() for block in self._answer(self.fetches)],
+        })
 
-    stats = RemoteSession(left, hostile, FrontierProtocol()).sync()
-    assert levels == [1, 2]
-    assert stats.rounds == 2
+
+def _assert_pull_gave_up(stats, left, right):
     assert not stats.converged and not stats.interrupted
-    assert stats.blocks_pulled == 0 and stats.blocks_pushed == 0
-    assert left.state_digest() == before
+    assert stats.blocks_pushed == 0
     assert RemoteSession(
         left, ReconcileEndpoint(right).handle, FrontierProtocol()
     ).sync().converged
+
+
+def test_responder_with_nothing_deeper_ends_the_pull():
+    """The first reply offers a tip whose parent the initiator lacks;
+    the fetch of that parent comes back empty.  Nothing can bridge the
+    gap, so the pull ends unconverged — not after ``max_level`` round
+    trips."""
+    left, right = _pair(1, 3)
+    before = left.state_digest()
+    hostile = FetchReplies(ReconcileEndpoint(right).handle, lambda n: [])
+    stats = RemoteSession(left, hostile, FrontierProtocol()).sync()
+    assert hostile.fetches == 1
+    assert stats.rounds == 2
+    assert stats.blocks_pulled == 0
+    assert left.state_digest() == before
+    _assert_pull_gave_up(stats, left, right)
+
+
+def test_parents_that_never_arrive_stop_at_the_round_cap():
+    """Every fetch is answered with a well-signed block that names yet
+    another unknown parent: only the ``max_level`` cap ends that."""
+    left, right = _pair(1, 3)
+    before = left.state_digest()
+    member = Deployment().keys[2]
+
+    def orphan(n):
+        return [Block.create(member, [Hash.of_value(n)], 5_000 + n)]
+
+    hostile = FetchReplies(ReconcileEndpoint(right).handle, orphan)
+    stats = RemoteSession(left, hostile, FrontierProtocol(max_level=7)).sync()
+    assert stats.rounds == 7 and hostile.fetches == 6
+    assert stats.blocks_pulled == 0
+    assert left.state_digest() == before
+    _assert_pull_gave_up(stats, left, right)
+
+
+def test_blocks_nobody_asked_for_are_merged_or_dropped():
+    """An unasked block goes through ``merge_blocks`` like any batch — a
+    valid one with its parents held lands, an orphan is dropped with the
+    session — and neither can mark the session converged."""
+    left, right = _pair(1, 3)
+    deployment = Deployment()
+    stray = deployment.node(2).append_transactions([])
+    orphan = Block.create(deployment.keys[3], [Hash.of_value(0)], 5_000)
+    hostile = FetchReplies(
+        ReconcileEndpoint(right).handle,
+        lambda n: [stray, orphan] if n == 1 else [],
+    )
+    stats = RemoteSession(left, hostile, FrontierProtocol()).sync()
+    assert hostile.fetches == 2
+    assert stats.blocks_pulled == 1 and left.has_block(stray.hash)
+    assert not left.has_block(orphan.hash)
+    _assert_pull_gave_up(stats, left, right)
 
 
 class OnePeer:
@@ -265,7 +325,8 @@ class OnePeer:
             while True:
                 await transport.recv()
                 await transport.send(
-                    wire.encode({"type": "frontier_set", "level": 1})
+                    wire.encode({"type": "frontier_set",
+                                 "frontier": [bytes(DIGEST_SIZE)]})
                 )
         except Exception:
             return

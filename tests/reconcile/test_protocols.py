@@ -102,17 +102,20 @@ class TestConvergence:
 
 class TestFrontierSpecifics:
     def test_rounds_grow_with_divergence_depth(self, deployment):
+        # Both sides diverged: one level of Fig. 3 per round trip.  (A
+        # side that is simply behind is one round at any depth.)
         shallow_left, shallow_right = _diverge(
-            deployment, left_appends=0, right_appends=2
+            deployment, left_appends=2, right_appends=2
         )
         shallow = FrontierProtocol().run(shallow_left, shallow_right)
 
         deployment2 = type(deployment)()
         deep_left, deep_right = _diverge(
-            deployment2, left_appends=0, right_appends=12
+            deployment2, left_appends=2, right_appends=12
         )
         deep = FrontierProtocol().run(deep_left, deep_right)
-        assert deep.rounds > shallow.rounds
+        assert shallow.converged and deep.converged
+        assert shallow.rounds == 2 and deep.rounds == 12
 
     def test_level_deepening_does_not_resend_blocks(self, deployment):
         left, right = _diverge(deployment, left_appends=1, right_appends=8)
@@ -123,9 +126,11 @@ class TestFrontierSpecifics:
         assert stats.blocks_pulled <= len(right.dag)
 
     def test_max_level_cap_stops_runaway(self, deployment):
-        left, right = _diverge(deployment, left_appends=0, right_appends=10)
+        left, right = _diverge(deployment, left_appends=1, right_appends=10)
         stats = FrontierProtocol(max_level=2).run(left, right)
         assert not stats.converged
+        assert stats.rounds == 2
+        assert stats.blocks_pulled == 0 and stats.blocks_pushed == 0
 
     def test_identical_one_round_trip(self, deployment):
         left, right = _diverge(deployment, 0, 0)

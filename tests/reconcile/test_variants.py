@@ -1,4 +1,5 @@
-"""Protocol variants: hash-first frontier and the byte-transport adapter."""
+"""Protocol variants: what hash-first bought, now the frontier protocol's
+default exchange, and the byte-transport adapter."""
 
 
 from repro.reconcile import ByteTransportProtocol, FrontierProtocol
@@ -17,36 +18,41 @@ def _diverged(deployment, left_appends, right_appends):
 
 
 class TestHashFirstFrontier:
+    """The first exchange is hashes both ways: equal replicas move no
+    body, and the hashes ride the first request instead of costing a
+    round of their own."""
+
     def test_identical_replicas_cost_collapses(self, deployment):
         left, right = _diverged(deployment, 0, 0)
         FrontierProtocol().run(left, right)
-        plain = FrontierProtocol().run(left, right)
-        hash_first = FrontierProtocol(hash_first=True).run(left, right)
-        assert hash_first.converged
-        assert hash_first.total_bytes < plain.total_bytes
-        assert hash_first.blocks_transferred == 0
+        assert left.dag.frontier_width() == 1
+        again = FrontierProtocol().run(left, right)
+        assert again.converged
+        assert again.blocks_transferred == 0
+        assert again.total_bytes < 200
 
     def test_divergence_still_converges(self, deployment):
         left, right = _diverged(deployment, 3, 5)
-        stats = FrontierProtocol(hash_first=True).run(left, right)
+        stats = FrontierProtocol().run(left, right)
         assert stats.converged
         assert left.state_digest() == right.state_digest()
 
     def test_initiator_ahead_pushes_after_hash_round(self, deployment):
         left, right = _diverged(deployment, 5, 0)
-        stats = FrontierProtocol(hash_first=True).run(left, right)
+        stats = FrontierProtocol().run(left, right)
         assert stats.converged
+        assert stats.rounds == 1
         assert stats.blocks_pulled == 0
         assert stats.blocks_pushed == 5
         assert left.dag.hashes() == right.dag.hashes()
 
-    def test_hash_round_costs_one_extra_round_when_behind(self, deployment):
-        left_a, right_a = _diverged(deployment, 0, 4)
-        plain = FrontierProtocol().run(left_a, right_a)
-        deployment_b = type(deployment)()
-        left_b, right_b = _diverged(deployment_b, 0, 4)
-        hashed = FrontierProtocol(hash_first=True).run(left_b, right_b)
-        assert hashed.rounds == plain.rounds + 1
+    def test_behind_replica_pays_no_extra_round(self, deployment):
+        left, right = _diverged(deployment, 0, 4)
+        stats = FrontierProtocol().run(left, right)
+        assert stats.converged
+        assert stats.rounds == 1
+        assert stats.blocks_pulled == 4
+        assert stats.duplicate_blocks == 0
 
 
 class TestByteTransportAdapter:

@@ -11,6 +11,18 @@ ordering, or RNG drift it introduced would show up here immediately.
 If a future change *legitimately* alters simulation behaviour (a new
 event type in traces, a protocol change), re-capture the constants in
 the same commit and say so — never loosen the comparison.
+
+Re-captured once, for PR 18 (have-pruned frontier reconciliation).
+What changed: the frontier protocol's wire — ``get_frontier`` carries
+the initiator's frontier hashes, ``frontier_set`` the responder's
+frontier as hashes plus only the bodies the initiator can lack — so
+every session of all three scenarios (all run ``frontier``) moves
+different bytes in a different number of messages, contacts that were
+refused as busy now run, and blocks appended after them cite different
+parents.  What did not: the scenarios, the comparison (still the raw
+trace bytes and the sorted state digests, byte for byte), and the
+properties the pins stand for — the spatial index against the O(n²)
+oracle is held by ``tests/net``, unchanged and green.
 """
 
 import hashlib
@@ -25,16 +37,16 @@ from repro.sim import Scenario, Simulation
 
 GOLDEN = {
     "geo_waypoint_atomic": (
-        "5c84d64fef061b3e94a8827789692eccedc95e72a5285934ecc81a52cc238a0d",
-        "7dc4b7dfda74ff39d96780e4e7b92a09e8a6a409561a87f530abf9d0b9d09408",
+        "203dcce5c8e673a11f92ef25343e61673c0671ae87467e12433f8ce9964e1989",
+        "271522b6c65c5d47956d076dc1953f4b8d87831e75710d5c19c73d15b8929248",
     ),
     "geo_waypoint_message": (
-        "ad47777e8f0d5ce8089e842954af705960e294be428190aeae4bd52340b82aff",
+        "af6d548c60ef43b35505f6bf093e801960bbb42513150cac007a1fb867955811",
         "ac693a0eb06e314decdc2f34442f3910a14adfd80c0123f0d8fba788b94aca13",
     ),
     "geo_static_message": (
-        "8c4e14ea39d53db8d8a63df31ab4e71109102cbb04aa5bc414968612268047ed",
-        "d0a537c656cd59b373936eebe2e6ff4a083866406e7d89f51168cee7fd984658",
+        "dea5133fcb6d16b05381e01ebba40746987ea067864429d560b2e5e943ed4e13",
+        "1f74886dd09c3aab51187a513328948df23dc9317a0a84ef6f8d8614e55fd1ab",
     ),
 }
 

@@ -246,7 +246,7 @@ class TestLiveNodeGroupCommit:
                 await server
 
         stats = asyncio.run(scenario())
-        assert stats.converged and stats.rounds == 20
+        assert stats.converged and stats.rounds == 1
         assert batches == [20] and len(syncs) == 1
         assert announced == ["pull:source"] * 20
         joiner.store.close()

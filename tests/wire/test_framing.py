@@ -76,7 +76,7 @@ class TestFrameDecoder:
 class TestIncrementalFuzz:
     PAYLOADS = [
         b"", b"x", b"yz", b"\x00" * 5, bytes(range(256)),
-        wire.encode({"type": "get_frontier", "level": 3}),
+        wire.encode({"type": "get_frontier", "have": [b"\x07" * 32]}),
         b"tail",
     ]
 
