@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Four subcommands cover the workflows a user reaches for first:
+Thirteen subcommands:
 
 * ``keygen PATH`` — generate an Ed25519 key seed file.
 * ``init STORE --owner-key KEY [--name NAME]`` — create a new chain and
   persist it to a block store.
 * ``inspect STORE`` — summarize a persisted chain: blocks, members,
   CRDTs, frontier, per-CRDT values.
+* ``verify STORE`` — replay a store through full validation.
+* ``export STORE [--crdt NAME]`` — print CRDT values as JSON.
 * ``simulate`` — run a gossiping fleet (optionally partitioned) and
   print the dissemination/energy summary; ``--trace out.jsonl`` writes
   a deterministic event trace, ``--metrics`` dumps the registry in
@@ -21,10 +23,12 @@ Four subcommands cover the workflows a user reaches for first:
   beacons and dials whoever it hears — zero static configuration.
   ``--ops-port`` exposes ``/metrics``, ``/healthz``, ``/status`` over
   HTTP; ``--profile`` times the hot path per phase.
-* ``gateway STORE --key KEY`` — run the client plane: an HTTP/WebSocket
-  edge (``POST /v1/tx``, ``GET /v1/state/<crdt>``, ``GET /v1/block/<hash>``,
-  ``WS /v1/subscribe``) over an embedded live replica, with per-client
-  admission control and transaction batching.  ``--chain STORE:KEY``
+* ``gateway STORE --key KEY`` — ``serve`` plus the client plane: every
+  ``serve`` flag (``--port``, ``--peer``, ``--discover``, …) places the
+  replica in its cluster, and an HTTP/WebSocket edge (``POST /v1/tx``,
+  ``GET /v1/state/<crdt>``, ``GET /v1/block/<hash>``,
+  ``WS /v1/subscribe``) with per-client admission control and
+  transaction batching sits in front of it.  ``--chain STORE:KEY``
   (repeatable) hosts extra tenant chains under ``/v1/c/<prefix>/…``.
 * ``loadgen --port PORT`` — open-loop Poisson load against a gateway;
   prints the A13-style latency/throughput report as JSON.
@@ -35,6 +39,8 @@ Four subcommands cover the workflows a user reaches for first:
 * ``demo`` — the quickstart scenario end to end.
 
 Run as ``python -m repro <command>`` or via the ``vegvisir`` script.
+Every failure the user can fix is a :class:`CliError`: ``main`` prints
+it as one ``error: …`` line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -50,11 +56,51 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.ed25519 import PrivateKey
 
 
+class CliError(Exception):
+    """A failure to report as one ``error: …`` line and exit code 1."""
+
+
 def _load_key(path: str) -> KeyPair:
-    seed = pathlib.Path(path).read_bytes()
+    try:
+        seed = pathlib.Path(path).read_bytes()
+    except OSError as exc:
+        raise CliError(
+            f"cannot read key file {path}: {exc.strerror or exc}"
+        ) from exc
     if len(seed) != 32:
-        raise SystemExit(f"key file {path} must hold a 32-byte seed")
+        raise CliError(f"key file {path} must hold a 32-byte seed")
     return KeyPair(PrivateKey(seed))
+
+
+def _existing(path: str, what: str, hint: str = "") -> pathlib.Path:
+    """*path* as a ``Path``, refused if nothing is there."""
+    found = pathlib.Path(path)
+    if not found.exists():
+        raise CliError(f"no such {what}: {found}{hint}")
+    return found
+
+
+def _open_store(path: str) -> pathlib.Path:
+    """The path of a store that exists.  Opening a ``BlockStore`` on a
+    missing path creates it, which a mistyped path must never do."""
+    return _existing(path, "store", " (create one with `init`)")
+
+
+def _replay_store(path: str):
+    """``(dag, machine)`` of a persisted chain, replayed unvalidated."""
+    from repro.storage import BlockStore
+    from repro.chain.dag import BlockDAG
+    from repro.csm.machine import CSMachine
+
+    blocks = list(BlockStore(_open_store(path)).blocks())
+    if not blocks:
+        raise CliError("store is empty")
+    dag = BlockDAG(blocks[0])
+    machine = CSMachine.from_genesis(blocks[0])
+    for block in blocks[1:]:
+        dag.add_block(block)
+        machine.replay_block(block)
+    return dag, machine
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
@@ -62,9 +108,7 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
 
     path = pathlib.Path(args.path)
     if path.exists() and not args.force:
-        print(f"refusing to overwrite {path} (use --force)",
-              file=sys.stderr)
-        return 1
+        raise CliError(f"refusing to overwrite {path} (use --force)")
     seed = os.urandom(32)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(seed)
@@ -89,21 +133,7 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    from repro.storage import BlockStore
-    from repro.chain.dag import BlockDAG
-    from repro.csm.machine import CSMachine
-
-    store = BlockStore(args.store)
-    blocks = list(store.blocks())
-    if not blocks:
-        print("store is empty", file=sys.stderr)
-        return 1
-    genesis = blocks[0]
-    dag = BlockDAG(genesis)
-    machine = CSMachine.from_genesis(genesis)
-    for block in blocks[1:]:
-        dag.add_block(block)
-        machine.replay_block(block)
+    dag, machine = _replay_store(args.store)
     print(f"chain:     {dag.genesis_hash.hex()}")
     print(f"blocks:    {len(dag)}  (max height {dag.max_height()}, "
           f"frontier width {dag.frontier_width()})")
@@ -131,19 +161,16 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Replay a store through full validation and report the verdict."""
     from repro.chain.errors import ChainError
-    from repro.storage import BlockStore, StorageError, load_node
-    from repro.crypto.keys import KeyPair
-    from repro.crypto.ed25519 import PrivateKey
+    from repro.storage import StorageError, load_node
     import os
 
     # Verification needs any key pair to instantiate a node; use a
     # throwaway one (it never signs anything during a load).
     throwaway = KeyPair(PrivateKey(os.urandom(32)))
     try:
-        node = load_node(throwaway, args.store)
+        node = load_node(throwaway, _open_store(args.store))
     except (StorageError, ChainError) as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(f"INVALID: {exc}") from exc
     print(f"OK: {len(node.dag)} blocks validate "
           f"(chain {node.chain_id.hex()[:16]}…, "
           f"{node.csm.applied_count} txs applied, "
@@ -151,45 +178,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _jsonable(value):
-    """Wire values -> JSON-compatible (bytes become hex strings)."""
-    if isinstance(value, bytes):
-        return value.hex()
-    if isinstance(value, list):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    return value
-
-
 def _cmd_export(args: argparse.Namespace) -> int:
     """Print one CRDT's value (or all) as JSON."""
     import json
 
-    from repro.storage import BlockStore
-    from repro.chain.dag import BlockDAG
-    from repro.csm.machine import CSMachine
+    from repro.httpd import jsonable
 
-    store = BlockStore(args.store)
-    blocks = list(store.blocks())
-    if not blocks:
-        print("store is empty", file=sys.stderr)
-        return 1
-    dag = BlockDAG(blocks[0])
-    machine = CSMachine.from_genesis(blocks[0])
-    for block in blocks[1:]:
-        dag.add_block(block)
-        machine.replay_block(block)
+    _, machine = _replay_store(args.store)
+    names = machine.crdt_names()
     if args.crdt:
+        if args.crdt not in names:
+            raise CliError(f"no CRDT named {args.crdt!r}")
         names = [args.crdt]
-        if args.crdt not in machine.crdt_names():
-            print(f"no CRDT named {args.crdt!r}", file=sys.stderr)
-            return 1
-    else:
-        names = machine.crdt_names()
-    payload = {
-        name: _jsonable(machine.crdt_value(name)) for name in names
-    }
+    payload = {name: jsonable(machine.crdt_value(name)) for name in names}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -198,7 +199,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.net.partitions import PartitionSchedule, PartitionedTopology
     from repro.net.topology import FullMeshTopology
     from repro.reconcile import protocol_factory as reconcile_factory
-    from repro.sim import Scenario, Simulation
+    from repro.sim import Scenario
     from repro.sim.gossip import SESSION_MODELS
 
     # Validated here rather than via argparse choices= so an unknown
@@ -206,17 +207,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # the protocol-family work; argparse's usage dump is multi-line).
     if (args.session_model is not None
             and args.session_model not in SESSION_MODELS):
-        print(
-            f"error: unknown session model {args.session_model!r}: "
-            f"expected one of {sorted(SESSION_MODELS)}",
-            file=sys.stderr,
+        raise CliError(
+            f"unknown session model {args.session_model!r}: "
+            f"expected one of {sorted(SESSION_MODELS)}"
         )
-        return 1
     try:
         protocol_factory = reconcile_factory(args.protocol)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(str(exc)) from exc
 
     if args.scenario == "city":
         return _simulate_city(args)
@@ -240,8 +238,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     contact_epoch = args.contact_epoch
     if contact_epoch is not None and contact_epoch < 1:
-        print("--contact-epoch must be positive", file=sys.stderr)
-        return 1
+        raise CliError("--contact-epoch must be positive")
 
     faults = None
     session_model = args.session_model
@@ -251,14 +248,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         try:
             faults = FaultPlan.load(args.faults)
         except (OSError, FaultPlanError) as error:
-            print(f"cannot load fault plan: {error}", file=sys.stderr)
-            return 1
+            raise CliError(f"cannot load fault plan: {error}") from error
         if session_model == "atomic":
-            print(
-                "--faults requires --session-model message",
-                file=sys.stderr,
-            )
-            return 1
+            raise CliError("--faults requires --session-model message")
         # Unspecified model defaults to "message" when faults are given
         # (they only exist at message granularity).
         session_model = "message"
@@ -279,43 +271,42 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         contact_epoch_ms=contact_epoch,
         crypto_backend=args.crypto_backend,
     )
-    try:
-        sim = Simulation(scenario).run()
-    except BackendUnavailable as error:
-        print(f"crypto backend unavailable: {error}", file=sys.stderr)
-        return 1
-    sim.run_quiescence(args.quiescence if args.quiescence is not None
-                       else duration // 2)
-    sim.close()
-    from repro.report import metrics_report, simulation_report
+    sim = _run_simulation(args, scenario, duration // 2)
+    return 0 if sim.converged() else 1
 
+
+def _run_simulation(args: argparse.Namespace, scenario, quiescence_ms: int):
+    """Run *scenario*, drain it for ``--quiescence`` (default
+    *quiescence_ms*), print the report; returns the simulation."""
+    from repro.report import metrics_report, simulation_report
+    from repro.sim import Simulation
+
+    sim = Simulation(scenario).run()
+    sim.run_quiescence(
+        args.quiescence if args.quiescence is not None else quiescence_ms
+    )
+    sim.close()
     print(simulation_report(sim))
     if args.trace:
         print(f"trace:            written to {args.trace}")
     if args.metrics:
         print()
         print(metrics_report(sim), end="")
-    return 0 if sim.converged() else 1
+    return sim
 
 
 def _simulate_city(args: argparse.Namespace) -> int:
     """Run the city-scale scenario (see repro.sim.city, docs/scale.md)."""
-    from repro.sim import Simulation
     from repro.sim.city import city_scenario
 
     if args.partition_until or args.faults is not None:
-        print("--scenario city does not combine with --partition-until "
-              "or --faults", file=sys.stderr)
-        return 1
+        raise CliError("--scenario city does not combine with "
+                       "--partition-until or --faults")
     if args.session_model == "message":
-        print("--scenario city runs the atomic session model",
-              file=sys.stderr)
-        return 1
+        raise CliError("--scenario city runs the atomic session model")
     if args.protocol != "frontier":
-        print("--scenario city runs its own lite-sync protocol; "
-              "--protocol applies to the default scenario",
-              file=sys.stderr)
-        return 1
+        raise CliError("--scenario city runs its own lite-sync protocol; "
+                       "--protocol applies to the default scenario")
     kwargs = {}
     if args.nodes is not None:
         kwargs["node_count"] = args.nodes
@@ -327,27 +318,9 @@ def _simulate_city(args: argparse.Namespace) -> int:
     scenario.trace_path = args.trace
     scenario.metrics = args.metrics
     scenario.crypto_backend = args.crypto_backend
-    try:
-        sim = Simulation(scenario).run()
-    except BackendUnavailable as error:
-        print(f"crypto backend unavailable: {error}", file=sys.stderr)
-        return 1
     # A half-duration quiescence would double a day-long run; two gossip
     # periods are enough for the last appends to make local progress.
-    quiescence = (
-        args.quiescence if args.quiescence is not None
-        else 2 * scenario.gossip_interval_ms
-    )
-    sim.run_quiescence(quiescence)
-    sim.close()
-    from repro.report import metrics_report, simulation_report
-
-    print(simulation_report(sim))
-    if args.trace:
-        print(f"trace:            written to {args.trace}")
-    if args.metrics:
-        print()
-        print(metrics_report(sim), end="")
+    _run_simulation(args, scenario, 2 * scenario.gossip_interval_ms)
     # City runs are dissemination studies, not convergence gates: with
     # sparse radios and a day of churn, full bit-identity across 10k
     # nodes is not the success criterion — completing the schedule and
@@ -361,13 +334,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     from repro.obs.analyze import analyze_trace
 
-    path = pathlib.Path(args.trace)
-    if not path.exists():
-        print(f"no such trace file: {path}", file=sys.stderr)
-        return 1
     # Lenient read: a truncated or garbled line (crash mid-write) is
     # skipped and counted, never a traceback.
-    analysis = analyze_trace(path)
+    analysis = analyze_trace(_existing(args.trace, "trace file"))
     if args.json:
         print(json.dumps(analysis.as_dict(), indent=2, sort_keys=True))
     else:
@@ -381,18 +350,14 @@ def _cmd_trace_merge(args: argparse.Namespace) -> int:
 
     from repro.obs.merge import NodeTrace, merge_traces
 
-    traces = []
-    for entry in args.traces:
-        path = pathlib.Path(entry)
-        if not path.exists():
-            print(f"no such trace file: {path}", file=sys.stderr)
-            return 1
-        traces.append(NodeTrace.load(path))
+    traces = [
+        NodeTrace.load(_existing(entry, "trace file"))
+        for entry in args.traces
+    ]
     try:
         result = merge_traces(traces)
     except ValueError as exc:
-        print(f"cannot merge: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(f"cannot merge: {exc}") from exc
     if args.out:
         result.write(args.out)
     if args.json:
@@ -460,42 +425,24 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run a live node until interrupted (Ctrl-C exits cleanly)."""
-    import asyncio
-    import signal
+def _node_setup(args: argparse.Namespace):
+    """Check the node flags `serve` and `gateway` share; returns
+    ``(obs, profiler, place)`` — *place* is what puts a replica in its
+    cluster (listen address, peers, discovery), as LiveNode keywords."""
     import time
 
-    from repro.live import ListenError, LiveNode, PeerSpec
-    from repro.live import loop_policy
-    from repro.obs.live import OpsError
+    from repro.live import PeerSpec
     from repro.reconcile import protocol_class
 
     try:
         protocol_class(args.protocol)
+        peers = [PeerSpec.parse(entry) for entry in args.peer]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(str(exc)) from exc
     if args.crypto_backend is not None:
         from repro.crypto import backend as crypto_backend
 
-        try:
-            crypto_backend.set_backend(args.crypto_backend)
-        except BackendUnavailable as exc:
-            print(f"crypto backend unavailable: {exc}", file=sys.stderr)
-            return 1
-    key = _load_key(args.key)
-    store = pathlib.Path(args.store)
-    if not store.exists():
-        print(f"no such store: {store} (create one with `init`)",
-              file=sys.stderr)
-        return 1
-    try:
-        peers = [PeerSpec.parse(entry) for entry in args.peer]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-
+        crypto_backend.set_backend(args.crypto_backend)
     obs = None
     if args.trace or args.metrics or args.ops_port is not None:
         from repro.obs import JsonlFileSink, Observability
@@ -519,16 +466,37 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             group=args.discovery_group, port=args.discovery_port,
             beacon_interval_s=args.beacon_interval,
         )
-    node = LiveNode(
-        key, store,
-        host=args.host, port=args.port, peers=peers, name=args.name,
+    return obs, profiler, dict(
+        host=args.host, port=args.port, peers=peers, discovery=discovery
+    )
+
+
+def _live_node(args: argparse.Namespace, store: str, key: str,
+               obs, profiler, **where):
+    """The one place the CLI builds a ``LiveNode``: *where* is its name,
+    its *place* and, for `serve`, its ops endpoint."""
+    from repro.live import LiveNode
+
+    return LiveNode(
+        _load_key(key), _open_store(store),
         protocol=args.protocol, interval_s=args.interval,
         session_timeout_s=args.session_timeout,
-        pipeline=args.pipeline, obs=obs,
-        discovery=discovery,
-        ops_host=args.ops_host, ops_port=args.ops_port,
-        profiler=profiler,
+        obs=obs, profiler=profiler, **where,
     )
+
+
+def _run_service(args: argparse.Namespace, node, service, obs, profiler,
+                 banner=None, summary=None) -> None:
+    """Start *service* — *node* itself, or the gateway around it — wait
+    for SIGINT/SIGTERM (or ``node.request_stop()``), stop it, report.
+    *banner* and *summary* add the service's own line to each report."""
+    import asyncio
+    import contextlib
+    import cProfile
+    import signal
+
+    from repro.live import ListenError
+    from repro.obs.live import OpsError
 
     async def _run() -> None:
         loop = asyncio.get_running_loop()
@@ -537,102 +505,82 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 loop.add_signal_handler(signum, node.request_stop)
             except (NotImplementedError, RuntimeError):
                 pass  # non-Unix event loops
-        await node.start()
+        await service.start()
         mode = (
             f"discovering on {args.discovery_group}:{args.discovery_port}, "
-            f"{len(peers)} seed peer(s)"
-            if discovery is not None else f"{len(peers)} static peer(s)"
+            f"{len(args.peer)} seed peer(s)"
+            if args.discover else f"{len(args.peer)} static peer(s)"
         )
         print(f"serving chain {node.chain_id.hex()[:16]}… "
               f"on {args.host}:{node.listen_port} "
               f"({mode}, protocol={args.protocol})")
-        if node.ops is not None:
-            print(f"ops endpoint on http://{args.ops_host}:{node.ops.port} "
-                  "(/metrics /healthz /status)")
+        if banner is not None:
+            print(banner())
+        if service.ops is not None:
+            print(f"ops endpoint on http://{args.ops_host}:"
+                  f"{service.ops.port} (/metrics /healthz /status)")
         try:
             await node._stop_requested.wait()
         finally:
-            await node.stop()
+            await service.stop()
 
-    cprofile = None
-    if args.profile_dump:
-        import cProfile
-
-        cprofile = cProfile.Profile()
+    cprofile = cProfile.Profile() if args.profile_dump else None
     try:
-        if cprofile is not None:
-            cprofile.enable()
         try:
-            loop_policy.run(_run(), choice=args.event_loop)
-        finally:
-            if cprofile is not None:
-                cprofile.disable()
-    except KeyboardInterrupt:
-        pass
-    except (ListenError, OpsError, loop_policy.LoopUnavailable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"stopped with {len(node.node.dag)} blocks "
-          f"(digest {node.dag_digest()[:16]}…)")
-    if profiler is not None:
-        print(profiler.render())
-    if cprofile is not None:
-        cprofile.dump_stats(args.profile_dump)
-        print(f"cProfile stats written to {args.profile_dump}")
-    if obs is not None:
-        if args.metrics:
+            with cprofile or contextlib.nullcontext():
+                asyncio.run(_run())
+        except KeyboardInterrupt:
+            pass
+        except (ListenError, OpsError) as exc:
+            raise CliError(str(exc)) from exc
+        print(f"stopped with {len(node.node.dag)} blocks "
+              f"(digest {node.dag_digest()[:16]}…)")
+        if summary is not None:
+            print(summary())
+        if profiler is not None:
+            print(profiler.render())
+        if cprofile is not None:
+            cprofile.dump_stats(args.profile_dump)
+            print(f"cProfile stats written to {args.profile_dump}")
+        if obs is not None and args.metrics:
             print(obs.registry.render_prometheus(), end="")
-        obs.close()
+    finally:
+        if obs is not None:
+            obs.close()
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Run a live node until interrupted (Ctrl-C exits cleanly)."""
+    obs, profiler, place = _node_setup(args)
+    node = _live_node(
+        args, args.store, args.key, obs, profiler, name=args.name,
+        ops_host=args.ops_host, ops_port=args.ops_port, **place,
+    )
+    _run_service(args, node, node, obs, profiler)
     return 0
 
 
 def _cmd_gateway(args: argparse.Namespace) -> int:
-    """Run the client-plane gateway until interrupted."""
-    import signal
-    import time
-
+    """`serve` plus the client plane, until interrupted."""
     from repro.gateway import GatewayNode
-    from repro.live import ListenError, LiveNode
-    from repro.live import loop_policy
-    from repro.obs.live import OpsError
 
-    if args.crypto_backend is not None:
-        from repro.crypto import backend as crypto_backend
-
-        try:
-            crypto_backend.set_backend(args.crypto_backend)
-        except BackendUnavailable as exc:
-            print(f"crypto backend unavailable: {exc}", file=sys.stderr)
-            return 1
-
-    obs = None
-    if args.trace or args.metrics or args.ops_port is not None:
-        from repro.obs import JsonlFileSink, Observability
-
-        sinks = [JsonlFileSink(args.trace)] if args.trace else []
-        obs = Observability(
-            sinks=sinks, clock=lambda: int(time.time() * 1000)
-        )
-
-    tenants = [(args.store, args.key)]
+    obs, profiler, place = _node_setup(args)
+    tenants = []
     for entry in args.chain:
-        store_path, _, key_path = entry.rpartition(":")
-        if not store_path or not key_path:
-            print(f"bad --chain {entry!r}; expected STORE:KEYPATH",
-                  file=sys.stderr)
-            return 1
-        tenants.append((store_path, key_path))
-    lives = []
-    for store_path, key_path in tenants:
-        store = pathlib.Path(store_path)
-        if not store.exists():
-            print(f"no such store: {store} (create one with `init`)",
-                  file=sys.stderr)
-            return 1
-        lives.append(LiveNode(
-            _load_key(key_path), store,
-            name=f"gw-{store.stem}", obs=obs,
-        ))
+        store, _, key = entry.rpartition(":")
+        if not store or not key:
+            raise CliError(f"bad --chain {entry!r}; expected STORE:KEYPATH")
+        tenants.append((store, key))
+
+    def name(store: str) -> str:
+        return f"gw-{pathlib.Path(store).stem}"
+
+    lives = [_live_node(args, args.store, args.key, obs, profiler,
+                        name=args.name or name(args.store), **place)]
+    # A peer follows one chain and a port has one listener: an extra
+    # tenant gossips from a free port, with whoever dials it.
+    lives += [_live_node(args, store, key, obs, profiler, name=name(store))
+              for store, key in tenants]
     gateway = GatewayNode(
         lives,
         http_host=args.http_host, http_port=args.http_port,
@@ -646,71 +594,39 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         obs=obs,
     )
 
-    async def _run() -> None:
-        import asyncio
+    def banner() -> str:
+        return (f"gateway on http://{args.http_host}:{gateway.http_port} "
+                f"hosting {len(gateway.hosts)} chain(s): "
+                f"{', '.join(sorted(gateway.hosts))}")
 
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await gateway.start()
-        chains = ", ".join(sorted(gateway.hosts))
-        print(f"gateway on http://{args.http_host}:{gateway.http_port} "
-              f"hosting {len(gateway.hosts)} chain(s): {chains}")
-        if gateway.ops is not None:
-            print(f"ops endpoint on http://{args.ops_host}:"
-                  f"{gateway.ops.port} (/metrics /healthz /status)")
-        try:
-            await stop.wait()
-        finally:
-            await gateway.stop()
+    def summary() -> str:
+        served = gateway.status()["gateway"]
+        return (f"stopped after {served['requests_served']} requests "
+                f"({served['admission']['admitted']} admitted, "
+                f"{served['admission']['refused']} refused)")
 
-    try:
-        loop_policy.run(_run(), choice=args.event_loop)
-    except KeyboardInterrupt:
-        pass
-    except (ListenError, OpsError, loop_policy.LoopUnavailable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    summary = gateway.status()["gateway"]
-    print(f"stopped after {summary['requests_served']} requests "
-          f"({summary['admission']['admitted']} admitted, "
-          f"{summary['admission']['refused']} refused)")
-    if obs is not None:
-        if args.metrics:
-            print(obs.registry.render_prometheus(), end="")
-        obs.close()
+    _run_service(args, lives[0], gateway, obs, profiler, banner, summary)
     return 0
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     """Open-loop load against a running gateway; JSON report on stdout."""
+    import asyncio
     import json
 
     from repro.gateway.loadgen import run_loadgen
-    from repro.live import loop_policy
 
-    async def _run():
-        return await run_loadgen(
+    try:
+        report = asyncio.run(run_loadgen(
             args.host, args.port,
             rate=args.rate, duration_s=args.duration,
             num_clients=args.clients, connections=args.connections,
             crdt=args.crdt, op=args.op, chain=args.chain,
             seed=args.seed,
-        )
-
-    try:
-        report = loop_policy.run(_run(), choice=args.event_loop)
-    except loop_policy.LoopUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        ))
     except (ConnectionError, OSError) as exc:
-        print(f"error: cannot reach gateway at "
-              f"{args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(f"cannot reach gateway at "
+                       f"{args.host}:{args.port}: {exc}") from exc
     print(json.dumps(report.summary(), indent=2, sort_keys=True))
     return 0
 
@@ -751,6 +667,73 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print("events:", node_a.crdt_value("events"))
     print("converged:", node_a.state_digest() == node_b.state_digest())
     return 0
+
+
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """What every command that runs replicas takes — `simulate` its
+    simulated fleet, `serve` and `gateway` a live one."""
+    parser.add_argument("--protocol", default="frontier", metavar="NAME",
+                        help="reconciliation protocol: frontier, full, "
+                             "bloom, height_skip, sketch, or delta "
+                             "(default frontier)")
+    parser.add_argument("--crypto-backend",
+                        choices=["pure", "cryptography", "auto"],
+                        default=None,
+                        help="Ed25519 backend (default: process setting / "
+                             "VGV_CRYPTO_BACKEND)")
+    parser.add_argument("--trace", metavar="PATH", default=None,
+                        help="write a JSONL event trace to PATH")
+    parser.add_argument("--metrics", action="store_true",
+                        help="print the Prometheus-format metric dump "
+                             "when the run ends")
+
+
+def _add_node_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags of a live replica, shared by `serve` and `gateway`."""
+    _add_run_arguments(parser)
+    parser.add_argument("store", help="block store path (from `init`)")
+    parser.add_argument("--key", required=True,
+                        help="the node's member key seed file (from "
+                             "`keygen`)")
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=0,
+                        help="listen port (0 picks a free one)")
+    parser.add_argument("--peer", action="append", default=[],
+                        metavar="HOST:PORT",
+                        help="static peer to dial (repeatable; with "
+                             "--discover these are optional seeds)")
+    parser.add_argument("--discover", action="store_true",
+                        help="announce and discover peers via signed "
+                             "UDP multicast beacons (no --peer needed)")
+    parser.add_argument("--beacon-interval", type=float, default=1.0,
+                        dest="beacon_interval", metavar="SECONDS",
+                        help="discovery beacon period (default 1.0)")
+    parser.add_argument("--discovery-group", default="239.86.71.86",
+                        dest="discovery_group", metavar="ADDR",
+                        help="multicast group for beacons")
+    parser.add_argument("--discovery-port", type=int, default=47474,
+                        dest="discovery_port", metavar="PORT",
+                        help="UDP port for beacons")
+    parser.add_argument("--name", default=None,
+                        help="node name for logs and traces")
+    parser.add_argument("--interval", type=float, default=1.0,
+                        help="anti-entropy interval in seconds")
+    parser.add_argument("--session-timeout", type=float, default=30.0,
+                        dest="session_timeout",
+                        help="per-session deadline in seconds")
+    parser.add_argument("--ops-port", type=int, default=None,
+                        dest="ops_port", metavar="PORT",
+                        help="expose /metrics /healthz /status over HTTP "
+                             "on this port (0 picks a free one)")
+    parser.add_argument("--ops-host", default="127.0.0.1",
+                        dest="ops_host", metavar="ADDR",
+                        help="bind address for the ops endpoint")
+    parser.add_argument("--profile", action="store_true",
+                        help="time hot-path phases; print the profile "
+                             "on exit")
+    parser.add_argument("--profile-dump", metavar="PATH", default=None,
+                        dest="profile_dump",
+                        help="also write cProfile stats to PATH")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -810,10 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--partition-until", type=int, default=0,
                           help="2-way partition until this time (ms)")
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--protocol", default="frontier", metavar="NAME",
-                          help="reconciliation protocol: frontier, full, "
-                               "bloom, height_skip, sketch, or delta "
-                               "(default frontier)")
     simulate.add_argument("--session-model", metavar="MODEL",
                           default=None, dest="session_model",
                           help="run sessions atomically at the contact "
@@ -823,23 +802,15 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--faults", metavar="PATH", default=None,
                           help="inject faults from a FaultPlan JSON file "
                                "(implies --session-model message)")
-    simulate.add_argument("--trace", metavar="PATH", default=None,
-                          help="write a JSONL event trace to PATH")
-    simulate.add_argument("--metrics", action="store_true",
-                          help="print the Prometheus-format metric dump")
     simulate.add_argument("--contact-epoch", type=int, default=None,
                           dest="contact_epoch", metavar="MS",
                           help="batch gossip ticks into epochs of MS "
                                "(default: off; city: 30000)")
-    simulate.add_argument("--crypto-backend",
-                          choices=["pure", "cryptography", "auto"],
-                          default=None,
-                          help="Ed25519 backend for the run (default: "
-                               "process setting / VGV_CRYPTO_BACKEND)")
     simulate.add_argument("--quiescence", type=int, default=None,
                           metavar="MS",
                           help="post-workload drain time (default: half "
                                "the duration; city: two gossip periods)")
+    _add_run_arguments(simulate)
     simulate.set_defaults(func=_cmd_simulate)
 
     analyze = commands.add_parser(
@@ -876,77 +847,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="run a live node over TCP until interrupted"
     )
-    serve.add_argument("store", help="block store path (from `init`)")
-    serve.add_argument("--key", required=True,
-                       help="key seed file (from `keygen`)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="listen port (0 picks a free one)")
-    serve.add_argument("--peer", action="append", default=[],
-                       metavar="HOST:PORT",
-                       help="static peer to dial (repeatable; with "
-                            "--discover these are optional seeds)")
-    serve.add_argument("--discover", action="store_true",
-                       help="announce and discover peers via signed "
-                            "UDP multicast beacons (no --peer needed)")
-    serve.add_argument("--beacon-interval", type=float, default=1.0,
-                       dest="beacon_interval", metavar="SECONDS",
-                       help="discovery beacon period (default 1.0)")
-    serve.add_argument("--discovery-group", default="239.86.71.86",
-                       dest="discovery_group", metavar="ADDR",
-                       help="multicast group for beacons")
-    serve.add_argument("--discovery-port", type=int, default=47474,
-                       dest="discovery_port", metavar="PORT",
-                       help="UDP port for beacons")
-    serve.add_argument("--name", default=None,
-                       help="node name for logs and traces")
-    serve.add_argument("--protocol", default="frontier", metavar="NAME",
-                       help="anti-entropy protocol: frontier, full, "
-                            "bloom, height_skip, sketch, or delta "
-                            "(default frontier)")
-    serve.add_argument("--interval", type=float, default=1.0,
-                       help="anti-entropy interval in seconds")
-    serve.add_argument("--pipeline", type=int, default=1,
-                       help="max concurrent anti-entropy sessions per "
-                            "tick, each to a distinct peer (default 1)")
-    serve.add_argument("--crypto-backend",
-                       choices=["pure", "cryptography", "auto"],
-                       default=None,
-                       help="Ed25519 backend (default: process setting / "
-                            "VGV_CRYPTO_BACKEND)")
-    serve.add_argument("--session-timeout", type=float, default=30.0,
-                       dest="session_timeout",
-                       help="per-session deadline in seconds")
-    serve.add_argument("--trace", metavar="PATH", default=None,
-                       help="write a JSONL event trace to PATH")
-    serve.add_argument("--metrics", action="store_true",
-                       help="print the metric dump on exit")
-    serve.add_argument("--ops-port", type=int, default=None,
-                       dest="ops_port", metavar="PORT",
-                       help="expose /metrics /healthz /status over HTTP "
-                            "on this port (0 picks a free one)")
-    serve.add_argument("--ops-host", default="127.0.0.1",
-                       dest="ops_host", metavar="ADDR",
-                       help="bind address for the ops endpoint")
-    serve.add_argument("--profile", action="store_true",
-                       help="time hot-path phases; print the profile "
-                            "on exit")
-    serve.add_argument("--profile-dump", metavar="PATH", default=None,
-                       dest="profile_dump",
-                       help="also write cProfile stats to PATH")
-    serve.add_argument("--event-loop", choices=["asyncio", "uvloop", "auto"],
-                       dest="event_loop", default=None,
-                       help="event loop implementation (default: "
-                            "VGV_EVENT_LOOP or asyncio)")
+    _add_node_arguments(serve)
     serve.set_defaults(func=_cmd_serve)
 
     gateway = commands.add_parser(
-        "gateway", help="run the HTTP/WebSocket client plane over an "
-                        "embedded live replica"
+        "gateway", help="serve, plus the HTTP/WebSocket client plane "
+                        "in front of the replica"
     )
-    gateway.add_argument("store", help="block store path (from `init`)")
-    gateway.add_argument("--key", required=True,
-                         help="the gateway's member key seed file")
+    _add_node_arguments(gateway)
     gateway.add_argument("--chain", action="append", default=[],
                          metavar="STORE:KEYPATH",
                          help="host an extra tenant chain (repeatable); "
@@ -975,24 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=1024,
                          help="pending-transaction bound per chain; "
                               "beyond it the oldest is shed with a 429")
-    gateway.add_argument("--crypto-backend",
-                         choices=["pure", "cryptography", "auto"],
-                         default=None,
-                         help="Ed25519 backend (default: process setting)")
-    gateway.add_argument("--event-loop",
-                         choices=["asyncio", "uvloop", "auto"],
-                         dest="event_loop", default=None,
-                         help="event loop implementation")
-    gateway.add_argument("--trace", metavar="PATH", default=None,
-                         help="write a JSONL event trace to PATH")
-    gateway.add_argument("--metrics", action="store_true",
-                         help="print the metric dump on exit")
-    gateway.add_argument("--ops-port", type=int, default=None,
-                         dest="ops_port", metavar="PORT",
-                         help="expose /metrics /healthz /status (gateway "
-                              "summary included) on this port")
-    gateway.add_argument("--ops-host", default="127.0.0.1",
-                         dest="ops_host", metavar="ADDR")
     gateway.set_defaults(func=_cmd_gateway)
 
     loadgen = commands.add_parser(
@@ -1019,10 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "omitted)")
     loadgen.add_argument("--seed", type=int, default=0,
                          help="arrival-schedule RNG seed")
-    loadgen.add_argument("--event-loop",
-                         choices=["asyncio", "uvloop", "auto"],
-                         dest="event_loop", default=None,
-                         help="event loop implementation")
     loadgen.set_defaults(func=_cmd_loadgen)
 
     demo = commands.add_parser("demo", help="run the quickstart scenario")
@@ -1032,9 +918,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except BackendUnavailable as exc:
+        message = f"crypto backend unavailable: {exc}"
+    except CliError as exc:
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

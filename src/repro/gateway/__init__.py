@@ -9,12 +9,13 @@ bytes to the gossip wire protocol.
 
 Layout:
 
-* :mod:`repro.gateway.http` — bounded HTTP/1.1 parsing and framing;
+* :mod:`repro.httpd` (shared with the ops endpoint) — bounded HTTP/1.1
+  parsing and framing, and the server loop;
 * :mod:`repro.gateway.websocket` — RFC 6455 frames for the push feed;
 * :mod:`repro.gateway.admission` — per-client token buckets, LRU-bounded;
 * :mod:`repro.gateway.batching` — size-or-deadline transaction batching
   with shed-oldest backpressure;
-* :mod:`repro.gateway.server` — the asyncio HTTP/WS server and routes;
+* :mod:`repro.gateway.server` — the client routes and the push feed;
 * :mod:`repro.gateway.node` — :class:`GatewayNode` tying it together;
 * :mod:`repro.gateway.loadgen` — the open-loop Poisson load generator
   behind benchmark A13.
@@ -27,10 +28,10 @@ from repro.gateway.batching import (
     SubmitResult,
     TxBatcher,
 )
-from repro.gateway.http import HttpError
 from repro.gateway.loadgen import GatewayClient, LoadReport, run_loadgen
 from repro.gateway.node import ChainHost, GatewayNode
 from repro.gateway.server import GatewayServer
+from repro.httpd import HttpError
 
 __all__ = [
     "AdmissionController",

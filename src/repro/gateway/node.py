@@ -118,16 +118,6 @@ class ChainHost:
             except asyncio.QueueFull:
                 pass
 
-    def status(self) -> dict:
-        return {
-            "chain": self.chain_id_hex,
-            "prefix": self.prefix,
-            "node": self.live.status(),
-            "batcher": self.batcher.summary(),
-            "subscribers": len(self.subscribers),
-            "subscribers_dropped": self.subscribers_dropped,
-        }
-
 
 class GatewayNode:
     """The client plane: hosted chains, admission, batching, ops.
@@ -294,7 +284,7 @@ class GatewayNode:
         try:
             for host in self.hosts.values():
                 await host.live.start()
-                host.live.block_listener = self._make_block_listener(host)
+                host.live.block_listener = host.publish_block
                 await host.batcher.start()
                 started_hosts.append(host)
             await self.server.start()
@@ -319,11 +309,6 @@ class GatewayNode:
                 chains=sorted(self.hosts),
             )
 
-    def _make_block_listener(self, host: ChainHost):
-        def listener(block, origin: str) -> None:
-            host.publish_block(block, origin)
-        return listener
-
     async def _teardown(self, hosts: Sequence[ChainHost]) -> None:
         if self.ops is not None:
             await self.ops.stop()
@@ -343,14 +328,6 @@ class GatewayNode:
         if self._obs is not None:
             self._obs.emit("gateway.stopped")
 
-    async def serve(self) -> None:
-        """Run until cancelled (the CLI entry point)."""
-        await self.start()
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await self.stop()
-
     # -- status --------------------------------------------------------
 
     def status(self) -> dict:
@@ -361,7 +338,7 @@ class GatewayNode:
             "http_port": self.http_port,
             "admission": self.admission.summary(),
             "chains": {
-                prefix: host.status()["batcher"] | {
+                prefix: host.batcher.summary() | {
                     "subscribers": len(host.subscribers),
                     "blocks": len(host.live.node.dag),
                 }

@@ -1,12 +1,12 @@
 """The gateway's client-facing HTTP/WebSocket server.
 
-One asyncio server handles every client connection with keep-alive,
-routes requests to the hosted chains, and upgrades ``/v1/subscribe``
-to a WebSocket push feed.  All limits are hard: bounded request heads
-and bodies (:mod:`repro.gateway.http`), bounded subscriber queues,
+A route table on the shared server loop (:mod:`repro.httpd`: bounded
+request heads and bodies, keep-alive, a deadline on every request) that
+routes requests to the hosted chains and upgrades ``/v1/subscribe`` to
+a WebSocket push feed.  All limits are hard: bounded subscriber queues,
 admission control before any work is done, and a bounded batch queue
 behind the submit path — a misbehaving client can be refused, shed,
-or disconnected, but can never grow the gateway's memory.
+timed out or disconnected, but can never grow the gateway's memory.
 
 Routes (``<chain>`` is a chain-id prefix; bare routes hit the default
 chain):
@@ -34,199 +34,82 @@ from repro.crypto.sha import Hash
 from repro.csm.errors import CSMError
 from repro.gateway import websocket as ws
 from repro.gateway.batching import BatcherClosed, ShedError
-from repro.gateway.http import (
+from repro.httpd import (
+    GET,
+    POST,
     HttpError,
+    HttpServer,
     Request,
+    Response,
+    Route,
     json_response,
     jsonable,
-    read_request,
-    response,
 )
-from repro.obs.live import OpsError
 
 if TYPE_CHECKING:
     from repro.gateway.node import ChainHost, GatewayNode
 
+_SUBSCRIBE = "/v1/subscribe"
 
-class GatewayServer:
-    """The asyncio server in front of a :class:`GatewayNode`."""
+
+class GatewayServer(HttpServer):
+    """The HTTP/WebSocket server in front of a :class:`GatewayNode`."""
 
     def __init__(self, node: "GatewayNode", *, host: str = "127.0.0.1",
                  port: int = 0, obs=None):
+        super().__init__(host, port, "gateway")
         self._node = node
-        self._host = host
-        self._port = port
         self._obs = obs
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: set[asyncio.Task] = set()
-        self.requests_served = 0
-
-    @property
-    def port(self) -> Optional[int]:
-        if self._server is None or not self._server.sockets:
-            return None
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self) -> None:
-        if self._server is not None:
-            raise RuntimeError("gateway server already started")
-        try:
-            self._server = await asyncio.start_server(
-                self._handle, self._host, self._port
-            )
-        except OSError as exc:
-            raise OpsError(
-                f"cannot bind gateway on {self._host}:{self._port}: "
-                f"{exc.strerror or exc}"
-            ) from exc
-
-    async def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self._connections.clear()
-
-    # -- connection handling -------------------------------------------
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            pass
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            self._connections.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        while True:
-            try:
-                request = await read_request(reader)
-            except HttpError as exc:
-                writer.write(json_response(
-                    exc.status, {"error": exc.message}, keep_alive=False
-                ))
-                await writer.drain()
-                return
-            if request is None:
-                return
-            self.requests_served += 1
-            if request.wants_upgrade:
-                await self._route_websocket(request, reader, writer)
-                return
-            try:
-                body = await self._route(request)
-            except HttpError as exc:
-                body = json_response(
-                    exc.status, {"error": exc.message},
-                    keep_alive=request.keep_alive,
-                )
-                self._count(request, exc.status)
-            except Exception:  # a handler bug must not kill the server
-                body = json_response(
-                    500, {"error": "internal error"},
-                    keep_alive=request.keep_alive,
-                )
-                self._count(request, 500)
-            writer.write(body)
-            await writer.drain()
-            if not request.keep_alive:
-                return
 
     # -- routing -------------------------------------------------------
 
-    def _split_route(self, request: Request):
-        """``(host, route-path)`` after peeling a chain prefix."""
-        path = request.path
-        prefix = None
-        if path.startswith("/v1/c/"):
-            rest = path[len("/v1/c/"):]
-            prefix, _, tail = rest.partition("/")
-            path = "/v1/" + tail
+    @staticmethod
+    def _split(path: str) -> tuple[Optional[str], str]:
+        """``(chain prefix, route path)``; the prefix is ``None`` on a
+        bare route."""
+        if not path.startswith("/v1/c/"):
+            return None, path
+        prefix, _, tail = path[len("/v1/c/"):].partition("/")
+        return prefix, "/v1/" + tail
+
+    def _host_for(self, request: Request) -> tuple["ChainHost", str]:
+        prefix, path = self._split(request.path)
         host = self._node.resolve_host(prefix)
         if host is None:
             raise HttpError(404, f"no hosted chain with prefix {prefix!r}")
         return host, path
 
-    @staticmethod
-    def _route_label(path: str) -> str:
-        if path == "/healthz":
-            return "healthz"
-        if path == "/v1/chains":
-            return "chains"
-        if path == "/v1/tx":
-            return "tx"
-        if path.startswith("/v1/state/"):
-            return "state"
-        if path.startswith("/v1/block/"):
-            return "block"
-        if path == "/v1/subscribe":
-            return "subscribe"
-        return "other"
+    async def respond(self, request: Request) -> Response:
+        host, path = self._host_for(request)
+        route, rest = self.resolve(path, request.method)
+        return await route.handler(self, host, request, rest)
 
-    def _count(self, request: Request, status: int) -> None:
-        try:
-            _, path = self._split_route(request)
-        except HttpError:
-            path = request.path
-        self._node.observe_request(self._route_label(path), status)
+    def observe(self, request: Request, status: int) -> None:
+        prefix, path = self._split(request.path)
+        route = None
+        if self._node.resolve_host(prefix) is not None:
+            route, _ = self.route_for(path)
+        label = "other" if route is None else route.label
+        self._node.observe_request(label, status)
         if self._obs is not None:
             self._obs.emit(
                 "gateway.request", method=request.method,
-                route=self._route_label(path), status=status,
+                route=label, status=status,
             )
 
-    async def _route(self, request: Request) -> bytes:
-        host, path = self._split_route(request)
-        keep = request.keep_alive
-        if path == "/healthz":
-            if request.method not in ("GET", "HEAD"):
-                raise HttpError(405, "only GET is supported")
-            self._count(request, 200)
-            return response(200, b"ok\n", keep_alive=keep)
-        if path == "/v1/chains":
-            if request.method not in ("GET", "HEAD"):
-                raise HttpError(405, "only GET is supported")
-            self._count(request, 200)
-            return json_response(200, {
-                "chains": {
-                    prefix: h.chain_id_hex
-                    for prefix, h in sorted(self._node.hosts.items())
-                },
-                "default": self._node.default_host.prefix,
-            }, keep_alive=keep)
-        if path == "/v1/tx":
-            if request.method != "POST":
-                raise HttpError(405, "submit with POST")
-            return await self._handle_submit(host, request)
-        if path.startswith("/v1/state/"):
-            if request.method not in ("GET", "HEAD"):
-                raise HttpError(405, "only GET is supported")
-            return self._handle_state(host, request,
-                                      path[len("/v1/state/"):])
-        if path.startswith("/v1/block/"):
-            if request.method not in ("GET", "HEAD"):
-                raise HttpError(405, "only GET is supported")
-            return self._handle_block(host, request,
-                                      path[len("/v1/block/"):])
-        raise HttpError(404, f"no route for {path}")
-
     # -- handlers ------------------------------------------------------
+
+    async def _healthz(self, host, request, rest) -> Response:
+        return Response(200, b"ok\n")
+
+    async def _chains(self, host, request, rest) -> Response:
+        return json_response(200, {
+            "chains": {
+                prefix: h.chain_id_hex
+                for prefix, h in sorted(self._node.hosts.items())
+            },
+            "default": self._node.default_host.prefix,
+        })
 
     @staticmethod
     def _client_id(request: Request) -> str:
@@ -236,21 +119,21 @@ class GatewayServer:
             or "-"
         )
 
-    async def _handle_submit(self, host: "ChainHost",
-                             request: Request) -> bytes:
-        keep = request.keep_alive
+    @staticmethod
+    def _retry_later(error: str, retry_after_s: float) -> Response:
+        return json_response(
+            429,
+            {"error": error, "retry_after_s": round(retry_after_s, 3)},
+            headers={"Retry-After": str(math.ceil(retry_after_s))},
+        )
+
+    async def _submit(self, host: "ChainHost", request: Request,
+                      rest: str) -> Response:
         admitted, retry_after = self._node.admission.admit(
             self._client_id(request)
         )
         if not admitted:
-            self._count(request, 429)
-            return json_response(
-                429,
-                {"error": "rate_limited",
-                 "retry_after_s": round(retry_after, 3)},
-                headers={"Retry-After": str(math.ceil(retry_after))},
-                keep_alive=keep,
-            )
+            return self._retry_later("rate_limited", retry_after)
         payload = request.json_body()
         if not isinstance(payload, dict):
             raise HttpError(400, "transaction must be a JSON object")
@@ -269,27 +152,13 @@ class GatewayServer:
                 future, self._node.submit_timeout_s
             )
         except ShedError as exc:
-            self._count(request, 429)
-            return json_response(
-                429,
-                {"error": "shed",
-                 "retry_after_s": round(exc.retry_after_s, 3)},
-                headers={"Retry-After": str(math.ceil(exc.retry_after_s))},
-                keep_alive=keep,
-            )
+            return self._retry_later("shed", exc.retry_after_s)
         except BatcherClosed:
-            self._count(request, 503)
-            return json_response(
-                503, {"error": "gateway stopping"}, keep_alive=False
-            )
+            return json_response(503, {"error": "gateway stopping"})
         except (asyncio.TimeoutError, TimeoutError):
-            self._count(request, 503)
-            return json_response(
-                503, {"error": "submit timed out"}, keep_alive=keep
-            )
+            return json_response(503, {"error": "submit timed out"})
         latency_ms = (loop.time() - start) * 1000.0
         self._node.observe_submit_latency(latency_ms)
-        self._count(request, 200)
         return json_response(200, {
             "chain": host.prefix,
             "block": result.block_hash.hex(),
@@ -298,26 +167,25 @@ class GatewayServer:
             "reason": result.reason,
             "batch_size": result.batch_size,
             "latency_ms": round(latency_ms, 3),
-        }, keep_alive=keep)
+        })
 
-    def _handle_state(self, host: "ChainHost", request: Request,
-                      name: str) -> bytes:
+    async def _state(self, host: "ChainHost", request: Request,
+                     name: str) -> Response:
         if not name:
             raise HttpError(404, "state route needs a CRDT name")
         try:
             value = host.live.node.csm.crdt_value(name)
         except CSMError as exc:
             raise HttpError(404, str(exc)) from exc
-        self._count(request, 200)
         return json_response(200, {
             "chain": host.prefix,
             "crdt": name,
             "value": jsonable(value),
             "blocks": len(host.live.node.dag),
-        }, keep_alive=request.keep_alive)
+        })
 
-    def _handle_block(self, host: "ChainHost", request: Request,
-                      hex_hash: str) -> bytes:
+    async def _block(self, host: "ChainHost", request: Request,
+                     hex_hash: str) -> Response:
         try:
             block_hash = Hash.from_hex(hex_hash)
         except (ValueError, TypeError) as exc:
@@ -326,39 +194,40 @@ class GatewayServer:
         if block_hash not in dag:
             raise HttpError(404, "no such block on this chain")
         block = dag.get(block_hash)
-        self._count(request, 200)
         return json_response(200, {
             "chain": host.prefix,
             "hash": block.hash.hex(),
             "block": jsonable(block.to_wire()),
-        }, keep_alive=request.keep_alive)
+        })
+
+    async def _subscribe(self, host, request, rest) -> Response:
+        raise HttpError(404, f"{_SUBSCRIBE} is a websocket feed")
+
+    #: Handlers are awaited as ``handler(server, host, request, rest)``.
+    routes = (
+        Route("/healthz", GET, _healthz),
+        Route("/v1/chains", GET, _chains),
+        Route("/v1/tx", POST, _submit),
+        Route("/v1/state/", GET, _state),
+        Route("/v1/block/", GET, _block),
+        Route(_SUBSCRIBE, GET, _subscribe),
+    )
 
     # -- the push feed -------------------------------------------------
 
-    async def _route_websocket(self, request: Request,
-                               reader: asyncio.StreamReader,
-                               writer: asyncio.StreamWriter) -> None:
-        try:
-            host, path = self._split_route(request)
-        except HttpError as exc:
-            writer.write(json_response(
-                exc.status, {"error": exc.message}, keep_alive=False
-            ))
-            await writer.drain()
-            return
+    async def upgrade(self, request: Request,
+                      reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> None:
+        host, path = self._host_for(request)
         key = request.header("sec-websocket-key")
-        if path != "/v1/subscribe" or not key:
-            status = 404 if path != "/v1/subscribe" else 400
-            self._count(request, status)
-            writer.write(json_response(
-                status, {"error": "websocket upgrade only on /v1/subscribe"},
-                keep_alive=False,
-            ))
-            await writer.drain()
-            return
+        if path != _SUBSCRIBE or not key:
+            raise HttpError(
+                404 if path != _SUBSCRIBE else 400,
+                f"websocket upgrade only on {_SUBSCRIBE}",
+            )
         writer.write(ws.handshake_response(key))
         await writer.drain()
-        self._count(request, 101)
+        self.observe(request, 101)
         queue = host.subscribe()
         self._node.sync_subscriber_gauge(host)
         sender = asyncio.ensure_future(self._ws_sender(queue, writer))
@@ -410,6 +279,3 @@ class GatewayServer:
                     await writer.drain()
                 # Text/binary/pong from subscribers are ignored: the
                 # feed is one-way.
-
-    def __repr__(self) -> str:
-        return f"GatewayServer(port={self.port})"

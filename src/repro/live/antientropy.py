@@ -45,11 +45,9 @@ class AntiEntropyLoop:
         peer_manager,
         *,
         protocol: str = "frontier",
-        protocol_kwargs: Optional[dict] = None,
         interval_s: float = DEFAULT_INTERVAL,
         jitter_s: float = DEFAULT_JITTER,
         session_timeout_s: float = DEFAULT_SESSION_TIMEOUT,
-        pipeline: int = 1,
         on_blocks: Optional[BlockSink] = None,
         block_sink_factory: Optional[Callable[[str], BlockSink]] = None,
         seed: Optional[int] = None,
@@ -59,16 +57,9 @@ class AntiEntropyLoop:
         self._node = node
         self._peers = peer_manager
         self._protocol_cls = protocol_class(protocol)
-        self._protocol_kwargs = dict(protocol_kwargs or {})
-        self._protocol_cls(**self._protocol_kwargs)  # validate early
         self._interval = interval_s
         self._jitter = jitter_s
         self._session_timeout = session_timeout_s
-        if pipeline < 1:
-            raise ValueError("pipeline must be at least 1")
-        #: Max concurrent initiator sessions per tick, each against a
-        #: *distinct* peer (one stream cannot interleave two sessions).
-        self._pipeline = pipeline
         self._on_blocks = on_blocks
         #: When set, each initiator session gets its own block sink
         #: built from the peer name — LiveNode uses this to attribute
@@ -122,37 +113,20 @@ class AntiEntropyLoop:
         """
         self._stopping = True
 
-    async def run_tick(self) -> list[ReconcileStats]:
-        """One tick's worth of sessions: up to ``pipeline`` concurrent
-        initiator sessions against distinct connected peers.
-
-        With ``pipeline=1`` (the default) this is the classic single
-        random-peer gossip round, byte-for-byte and RNG-draw-for-draw
-        identical to before the knob existed.  With more, a slow peer
-        no longer head-of-line-blocks the tick: sessions to different
-        peers run on different streams, and block merges still happen
-        atomically because merging is synchronous between awaits.
-        """
+    async def run_tick(self) -> Optional[ReconcileStats]:
+        """One tick: a session against one random connected peer
+        (§IV-G); ``None`` when no peer is connected."""
         names = self._peers.connected_peers()
         if not names:
-            return []
-        if self._pipeline == 1:
-            stats = await self.run_once(
-                names[self._rng.randrange(len(names))]
-            )
-            return [stats] if stats is not None else []
-        chosen = self._rng.sample(names, min(self._pipeline, len(names)))
-        results = await asyncio.gather(
-            *(self.run_once(name) for name in chosen)
-        )
-        return [stats for stats in results if stats is not None]
+            return None
+        return await self.run_once(names[self._rng.randrange(len(names))])
 
     async def run_once(self, peer_name: str) -> Optional[ReconcileStats]:
         """One session against *peer_name* now; None if not connected."""
         transport = self._peers.connection(peer_name)
         if transport is None:
             return None
-        protocol = self._protocol_cls(**self._protocol_kwargs)
+        protocol = self._protocol_cls()
         stats = ReconcileStats(protocol.name)
         seq = self._session_seq
         self._session_seq += 1

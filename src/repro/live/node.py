@@ -75,11 +75,9 @@ class LiveNode:
         peers: Optional[List[PeerSpec]] = None,
         name: Optional[str] = None,
         protocol: str = "frontier",
-        protocol_kwargs: Optional[dict] = None,
         interval_s: float = DEFAULT_INTERVAL,
         jitter_s: float = DEFAULT_JITTER,
         session_timeout_s: float = DEFAULT_SESSION_TIMEOUT,
-        pipeline: int = 1,
         dial_timeout_s: float = DEFAULT_DIAL_TIMEOUT,
         handshake_timeout_s: float = DEFAULT_HANDSHAKE_TIMEOUT,
         max_frame_bytes: Optional[int] = None,
@@ -132,10 +130,9 @@ class LiveNode:
         )
         self.antientropy = AntiEntropyLoop(
             self.node, self.peer_manager,
-            protocol=protocol, protocol_kwargs=protocol_kwargs,
+            protocol=protocol,
             interval_s=interval_s, jitter_s=jitter_s,
             session_timeout_s=session_timeout_s,
-            pipeline=pipeline,
             on_blocks=self._persist_blocks,
             block_sink_factory=self._pull_sink,
             seed=None if seed is None else seed ^ 0x90551,

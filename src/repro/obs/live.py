@@ -1,4 +1,4 @@
-"""The live ops endpoint: a tiny asyncio HTTP server per node.
+"""The live ops endpoint: a tiny HTTP server per node.
 
 Every :class:`~repro.live.node.LiveNode` can expose an operational
 surface on a separate TCP port (``vegvisir serve --ops-port``), fully
@@ -6,51 +6,42 @@ out of band of the gossip plane — the ops server shares nothing with
 the reconciliation transport and adds **zero bytes** to any gossip or
 handshake frame (the byte-parity suite pins that down).
 
-Routes:
+Routes (``GET`` or ``HEAD``):
 
-* ``GET /healthz`` — ``200 ok`` while the server runs (the liveness
-  probe a supervisor or load balancer polls);
-* ``GET /metrics`` — the node's registry in Prometheus text exposition
+* ``/healthz`` — ``200 ok`` while the server runs (the liveness probe
+  a supervisor or load balancer polls);
+* ``/metrics`` — the node's registry in Prometheus text exposition
   format (``text/plain; version=0.0.4``);
-* ``GET /status``  — a JSON snapshot from the ``status`` callable:
-  node id, chain, frontier digest, connected peers, discovery summary,
-  session counters (what ``vegvisir top`` renders);
-* ``GET /profile`` — the :class:`~repro.obs.profiling.PhaseProfiler`
+* ``/status``  — a JSON snapshot from the ``status`` callable: node id,
+  chain, frontier digest, connected peers, discovery summary, session
+  counters (what ``vegvisir top`` renders);
+* ``/profile`` — the :class:`~repro.obs.profiling.PhaseProfiler`
   report as JSON, when profiling is enabled (404 otherwise).
 
-The HTTP implementation is deliberately minimal — dependency-free
-HTTP/1.0-style request/response with ``Connection: close`` — because
-its clients are curl, Prometheus scrapers, and ``vegvisir top``, not
-browsers.  Malformed requests get a 400 and the connection is closed;
-a request line over 8 KiB is cut off unread.
+The HTTP itself — bounded parsing, keep-alive, the request deadline,
+every 4xx — is :mod:`repro.httpd`, shared with the client gateway; this
+module is the route table.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
 from typing import Callable, Optional
 
-_MAX_REQUEST_BYTES = 8192
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed"}
+from repro.httpd import (
+    GET,
+    BindError,
+    HttpServer,
+    Request,
+    Response,
+    Route,
+    json_response,
+)
+
+#: The ops endpoint could not be bound (port in use, bad host).
+OpsError = BindError
 
 
-class OpsError(RuntimeError):
-    """The ops endpoint could not be bound (port in use, bad host)."""
-
-
-def _response(status: int, content_type: str, body: bytes) -> bytes:
-    head = (
-        f"HTTP/1.0 {status} {_REASONS.get(status, 'Error')}\r\n"
-        f"Content-Type: {content_type}\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n\r\n"
-    )
-    return head.encode("ascii") + body
-
-
-class OpsServer:
+class OpsServer(HttpServer):
     """One node's HTTP ops endpoint.
 
     *registry* is a :class:`~repro.obs.metrics.MetricsRegistry` (or
@@ -68,98 +59,25 @@ class OpsServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
-        self._registry = registry
-        self._status = status
-        self._profiler = profiler
-        self._host = host
-        self._port = port
-        self._server: Optional[asyncio.base_events.Server] = None
-        self.requests_served = 0
-
-    @property
-    def port(self) -> Optional[int]:
-        """The bound port (after :meth:`start`; useful with port 0)."""
-        if self._server is None or not self._server.sockets:
-            return None
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self) -> None:
-        if self._server is not None:
-            raise RuntimeError("ops server already started")
-        try:
-            self._server = await asyncio.start_server(
-                self._handle, self._host, self._port
+        super().__init__(host, port, "ops endpoint")
+        routes = {"/healthz": lambda: Response(200, b"ok\n")}
+        if registry is not None:
+            routes["/metrics"] = lambda: Response(
+                200, registry.render_prometheus().encode("utf-8"),
+                content_type="text/plain; version=0.0.4; charset=utf-8",
             )
-        except OSError as exc:
-            raise OpsError(
-                f"cannot bind ops endpoint on {self._host}:{self._port}: "
-                f"{exc.strerror or exc}"
-            ) from exc
-
-    async def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
-
-    # -- request handling ----------------------------------------------
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                raw = await reader.readuntil(b"\r\n\r\n")
-            except asyncio.LimitOverrunError:
-                raw = b""
-            except asyncio.IncompleteReadError as exc:
-                raw = exc.partial
-            if len(raw) > _MAX_REQUEST_BYTES:
-                raw = b""
-            writer.write(self._respond(raw))
-            await writer.drain()
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    def _respond(self, raw: bytes) -> bytes:
-        self.requests_served += 1
-        request_line = raw.split(b"\r\n", 1)[0]
-        parts = request_line.split()
-        if len(parts) < 2:
-            return _response(400, "text/plain; charset=utf-8",
-                             b"malformed request\n")
-        method, path = parts[0], parts[1].split(b"?", 1)[0]
-        if method not in (b"GET", b"HEAD"):
-            return _response(405, "text/plain; charset=utf-8",
-                             b"only GET is supported\n")
-        if path == b"/healthz":
-            return _response(200, "text/plain; charset=utf-8", b"ok\n")
-        if path == b"/metrics" and self._registry is not None:
-            body = self._registry.render_prometheus().encode("utf-8")
-            return _response(
-                200, "text/plain; version=0.0.4; charset=utf-8", body
+        if status is not None:
+            routes["/status"] = lambda: json_response(
+                200, status(), indent=2
             )
-        if path == b"/status" and self._status is not None:
-            body = (
-                json.dumps(self._status(), sort_keys=True, indent=2)
-                + "\n"
-            ).encode("utf-8")
-            return _response(200, "application/json", body)
-        if path == b"/profile" and self._profiler is not None:
-            body = (
-                json.dumps(self._profiler.report(), sort_keys=True,
-                           indent=2)
-                + "\n"
-            ).encode("utf-8")
-            return _response(200, "application/json", body)
-        return _response(404, "text/plain; charset=utf-8",
-                         b"not found\n")
+        if profiler is not None:
+            routes["/profile"] = lambda: json_response(
+                200, profiler.report(), indent=2
+            )
+        self.routes = tuple(
+            Route(path, GET, handler) for path, handler in routes.items()
+        )
 
-    def __repr__(self) -> str:
-        return f"OpsServer(port={self.port})"
+    async def respond(self, request: Request) -> Response:
+        route, _ = self.resolve(request.path, request.method)
+        return route.handler()

@@ -1,26 +1,31 @@
-"""Bounded HTTP plumbing: parsing, limits, framing, keep-alive."""
+"""Bounded HTTP plumbing: parsing, limits, framing, keep-alive.
+
+The server loop on top of it is exercised, against both planes, by
+``tests/test_httpd.py``.
+"""
 
 import asyncio
 import json
 
 import pytest
 
-from repro.gateway.http import (
+from repro.httpd import (
+    MAX_BODY_BYTES,
+    MAX_HEAD_BYTES,
     HttpError,
-    Request,
+    Response,
     json_response,
     jsonable,
     read_request,
-    response,
 )
 
 
-def parse(raw: bytes, **kwargs):
+def parse(raw: bytes):
     async def scenario():
         reader = asyncio.StreamReader()
         reader.feed_data(raw)
         reader.feed_eof()
-        return await read_request(reader, **kwargs)
+        return await read_request(reader)
 
     return asyncio.run(scenario())
 
@@ -58,6 +63,10 @@ class TestParsing:
         request = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
         assert not request.keep_alive
 
+    def test_http_1_0_is_never_kept_alive(self):
+        # A 1.0 client reads to EOF: answering keep-alive hangs it.
+        assert not parse(b"GET / HTTP/1.0\r\n\r\n").keep_alive
+
     def test_upgrade_detection(self):
         request = parse(
             b"GET /v1/subscribe HTTP/1.1\r\n"
@@ -79,24 +88,28 @@ class TestRefusals:
             parse(b"GET /\r\n\r\n")
         assert excinfo.value.status == 400
 
+    def test_unknown_version_refused(self):
+        for line in (b"GET / BANANA", b"GET / HTTP/2.0", b"GET / http/1.1"):
+            with pytest.raises(HttpError) as excinfo:
+                parse(line + b"\r\n\r\n")
+            assert excinfo.value.status == 400
+
     def test_malformed_header_line(self):
         with pytest.raises(HttpError) as excinfo:
             parse(b"GET / HTTP/1.1\r\nbogus header\r\n\r\n")
         assert excinfo.value.status == 400
 
     def test_oversize_head_431(self):
-        padding = b"X-Pad: " + b"p" * 2048 + b"\r\n"
+        padding = b"X-Pad: " + b"p" * MAX_HEAD_BYTES + b"\r\n"
         with pytest.raises(HttpError) as excinfo:
-            parse(
-                b"GET / HTTP/1.1\r\n" + padding + b"\r\n", max_head=512
-            )
+            parse(b"GET / HTTP/1.1\r\n" + padding + b"\r\n")
         assert excinfo.value.status == 431
 
     def test_oversize_body_413(self):
         with pytest.raises(HttpError) as excinfo:
             parse(
-                b"POST / HTTP/1.1\r\nContent-Length: 999\r\n\r\n",
-                max_body=100,
+                b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % (MAX_BODY_BYTES + 1)
             )
         assert excinfo.value.status == 413
 
@@ -138,7 +151,7 @@ class TestRefusals:
 
 class TestResponses:
     def test_content_length_framing(self):
-        raw = response(200, b"hello", keep_alive=True)
+        raw = Response(200, b"hello").encode(keep_alive=True)
         head, _, body = raw.partition(b"\r\n\r\n")
         assert body == b"hello"
         assert b"Content-Length: 5" in head
@@ -146,17 +159,22 @@ class TestResponses:
         assert raw.startswith(b"HTTP/1.1 200 OK\r\n")
 
     def test_close_and_custom_headers(self):
-        raw = response(
-            429, b"", headers={"Retry-After": "2"}, keep_alive=False
+        raw = Response(429, headers={"Retry-After": "2"}).encode(
+            keep_alive=False
         )
         assert b"Connection: close" in raw
         assert b"Retry-After: 2" in raw
 
     def test_json_response_round_trips(self):
-        raw = json_response(200, {"b": 1, "a": [2, 3]})
+        raw = json_response(200, {"b": 1, "a": [2, 3]}).encode()
         body = raw.partition(b"\r\n\r\n")[2]
         assert json.loads(body) == {"a": [2, 3], "b": 1}
         assert b"Content-Type: application/json" in raw
+
+    def test_head_only_keeps_the_would_be_length(self):
+        raw = Response(200, b"hello").encode(head_only=True)
+        assert raw.endswith(b"\r\n\r\n")
+        assert b"Content-Length: 5" in raw
 
 
 class TestJsonable:

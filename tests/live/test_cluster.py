@@ -282,74 +282,6 @@ class TestCluster:
         assert "live_blocks_persisted_total" in rendered
 
 
-class TestPipelinedSessions:
-    """The anti-entropy `pipeline` knob: concurrent sessions per tick,
-    each to a distinct peer."""
-
-    def test_pipeline_rejects_nonpositive(self, tmp_path):
-        deployment = Deployment()
-        try:
-            _make_node(deployment, tmp_path, 0, pipeline=0)
-        except ValueError as exc:
-            assert "pipeline" in str(exc)
-        else:
-            raise AssertionError("pipeline=0 accepted")
-
-    def test_run_tick_hits_distinct_peers(self, tmp_path):
-        """One pipelined tick reconciles with several peers at once."""
-        deployment = Deployment()
-
-        async def scenario():
-            hub = _make_node(deployment, tmp_path, 0, pipeline=3,
-                             interval_s=30.0)  # tick only when driven
-            spokes = [
-                _make_node(deployment, tmp_path, i, interval_s=30.0)
-                for i in (1, 2, 3)
-            ]
-            nodes = [hub] + spokes
-            await _start_mesh(nodes)
-            for i, spoke in enumerate(spokes):
-                spoke.append_transactions([])
-            deadline = asyncio.get_running_loop().time() + 10.0
-            try:
-                while asyncio.get_running_loop().time() < deadline:
-                    if len(hub.peer_manager.connected_peers()) == 3:
-                        break
-                    await asyncio.sleep(0.02)
-                stats = await hub.antientropy.run_tick()
-                assert len(stats) == 3
-                pulled = sum(s.blocks_pulled for s in stats)
-                assert pulled == 3
-                assert hub.antientropy.sessions_completed == 3
-                # genesis + one block per spoke
-                assert len(hub.node.dag) == 4
-            finally:
-                for node in nodes:
-                    await node.stop()
-
-        asyncio.run(scenario())
-
-    def test_pipelined_cluster_converges(self, tmp_path):
-        deployment = Deployment()
-
-        async def scenario():
-            nodes = [
-                _make_node(deployment, tmp_path, i, pipeline=3)
-                for i in range(4)
-            ]
-            for i, node in enumerate(nodes):
-                for _ in range(i + 1):
-                    node.append_transactions([])
-            await _start_mesh(nodes)
-            try:
-                assert await _await_convergence(nodes, expect_blocks=11)
-            finally:
-                for node in nodes:
-                    await node.stop()
-
-        asyncio.run(scenario())
-
-
 class TestUnframeableBatch:
     """A batch of bodies over the connection's frame limit: two nodes
     with ``max_frame_bytes=4096``, one of them 40 blocks ahead (with the

@@ -44,7 +44,7 @@ class TestOpsServer:
             response = await _http_get(
                 server.port, b"GET /healthz HTTP/1.0\r\n\r\n"
             )
-            assert response.startswith(b"HTTP/1.0 200")
+            assert response.startswith(b"HTTP/1.1 200")
             assert response.endswith(b"ok\n")
 
         self._scenario(check)
@@ -68,7 +68,7 @@ class TestOpsServer:
             response = await _http_get(
                 server.port, b"GET /metrics HTTP/1.0\r\n\r\n"
             )
-            assert response.startswith(b"HTTP/1.0 404")
+            assert response.startswith(b"HTTP/1.1 404")
 
         self._scenario(check)
 
@@ -102,7 +102,7 @@ class TestOpsServer:
             response = await _http_get(
                 server.port, b"GET /nope HTTP/1.0\r\n\r\n"
             )
-            assert response.startswith(b"HTTP/1.0 404")
+            assert response.startswith(b"HTTP/1.1 404")
 
         self._scenario(check)
 
@@ -111,14 +111,14 @@ class TestOpsServer:
             response = await _http_get(
                 server.port, b"POST /healthz HTTP/1.0\r\n\r\n"
             )
-            assert response.startswith(b"HTTP/1.0 405")
+            assert response.startswith(b"HTTP/1.1 405")
 
         self._scenario(check)
 
     def test_malformed_request_400(self):
         async def check(server):
             response = await _http_get(server.port, b"garbage\r\n\r\n")
-            assert response.startswith(b"HTTP/1.0 400")
+            assert response.startswith(b"HTTP/1.1 400")
 
         self._scenario(check)
 
@@ -126,9 +126,9 @@ class TestOpsServer:
         async def check(server):
             response = await _http_get(
                 server.port,
-                b"GET /" + b"x" * 9000 + b" HTTP/1.0\r\n\r\n",
+                b"GET /" + b"x" * 17000 + b" HTTP/1.0\r\n\r\n",
             )
-            assert response.startswith(b"HTTP/1.0 400")
+            assert response.startswith(b"HTTP/1.1 431")
 
         self._scenario(check)
 

@@ -1,8 +1,53 @@
 """CLI tests (driving main() in-process)."""
 
+import types
+
 import pytest
 
 from repro.cli import main
+
+
+def one_line_error(capsys, argv, *needles):
+    """The CLI's one failure path: exit 1, nothing but one ``error: …``
+    line on stderr (so no traceback), naming each of *needles*."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.endswith("\n") and err.count("\n") == 1
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.fixture
+def self_stopping(monkeypatch):
+    """Every ``LiveNode`` the CLI builds asks itself to stop 0.1 s after
+    it started: an in-loop timer in the role of the SIGINT handler."""
+    import asyncio
+
+    import repro.live
+
+    class SelfStopping(repro.live.LiveNode):
+        async def start(self):
+            await super().start()
+            asyncio.get_running_loop().call_later(0.1, self.request_stop)
+
+    monkeypatch.setattr(repro.live, "LiveNode", SelfStopping)
+
+
+@pytest.fixture
+def chain(tmp_path, capsys):
+    """Paths, as strings: a key file, an initialised store, a fault
+    plan no loader accepts, and one where nothing is."""
+    key, store = str(tmp_path / "owner.key"), str(tmp_path / "chain.vgv")
+    main(["keygen", key])
+    main(["init", store, "--owner-key", key])
+    bad_plan = tmp_path / "plan.json"
+    bad_plan.write_text('{"chaos_level": 11}')
+    return types.SimpleNamespace(
+        key=key, store=store, bad_plan=str(bad_plan),
+        missing=str(tmp_path / "missing"),
+    )
 
 
 class TestKeygen:
@@ -49,12 +94,15 @@ class TestInitAndInspect:
         BlockStore(store)
         assert main(["inspect", str(store)]) == 1
 
-    def test_bad_key_file_exits(self, tmp_path):
+    def test_bad_key_file_exits(self, tmp_path, capsys):
         key = tmp_path / "short.key"
         key.write_bytes(b"too short")
         store = tmp_path / "chain.vgv"
-        with pytest.raises(SystemExit):
-            main(["init", str(store), "--owner-key", str(key)])
+        one_line_error(
+            capsys, ["init", str(store), "--owner-key", str(key)],
+            "32-byte seed",
+        )
+        assert not store.exists()
 
 
 class TestSimulateAndDemo:
@@ -117,18 +165,17 @@ class TestSimulateAndDemo:
                      "--seed", "3", "--protocol", "delta"]) == 0
 
     def test_simulate_unknown_protocol_one_line_error(self, capsys):
-        assert main(["simulate", "--protocol", "gossipx"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: unknown protocol 'gossipx'")
-        assert "sketch" in err and "delta" in err and "frontier" in err
-        assert len(err.strip().splitlines()) == 1
+        one_line_error(
+            capsys, ["simulate", "--protocol", "gossipx"],
+            "error: unknown protocol 'gossipx'",
+            "sketch", "delta", "frontier",
+        )
 
     def test_simulate_unknown_session_model_one_line_error(self, capsys):
-        assert main(["simulate", "--session-model", "quantum"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: unknown session model 'quantum'")
-        assert "atomic" in err and "message" in err
-        assert len(err.strip().splitlines()) == 1
+        one_line_error(
+            capsys, ["simulate", "--session-model", "quantum"],
+            "error: unknown session model 'quantum'", "atomic", "message",
+        )
 
     def test_simulate_city_rejects_protocol_override(self, capsys):
         assert main(["simulate", "--scenario", "city",
@@ -185,13 +232,12 @@ class TestServe:
 
     def test_serve_unknown_protocol_one_line_error(self, tmp_path, capsys):
         key = self._keyfile(tmp_path)
-        code = main(["serve", str(tmp_path / "whatever.blocks"),
-                     "--key", str(key), "--protocol", "osmosis"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: unknown protocol 'osmosis'")
-        assert "sketch" in err and "delta" in err
-        assert len(err.strip().splitlines()) == 1
+        one_line_error(
+            capsys,
+            ["serve", str(tmp_path / "whatever.blocks"),
+             "--key", str(key), "--protocol", "osmosis"],
+            "error: unknown protocol 'osmosis'", "sketch", "delta",
+        )
 
     def test_every_command_names_the_same_protocols(self, tmp_path, capsys):
         """``serve``, ``simulate`` and ``python -m repro.faults`` validate
@@ -229,28 +275,15 @@ class TestServe:
         assert "host:port" in capsys.readouterr().err
 
     def test_serve_runs_and_stops_on_request(self, tmp_path, capsys,
-                                             monkeypatch):
+                                             self_stopping):
         """Boot a real serve command; an in-loop timer plays the role of
         the SIGINT handler and requests the stop."""
-        import asyncio
-
-        import repro.live
-        from repro.live import LiveNode
-
         key = tmp_path / "owner.key"
         main(["keygen", str(key)])
         store = tmp_path / "chain.vgv"
         main(["init", str(store), "--owner-key", str(key)])
         capsys.readouterr()
 
-        class SelfStopping(LiveNode):
-            async def start(self):
-                await super().start()
-                asyncio.get_running_loop().call_later(
-                    0.1, self.request_stop
-                )
-
-        monkeypatch.setattr(repro.live, "LiveNode", SelfStopping)
         code = main(["serve", str(store), "--key", str(key),
                      "--metrics", "--name", "cli-node"])
         assert code == 0
@@ -274,23 +307,18 @@ class TestServe:
         blocker.listen(1)
         port = blocker.getsockname()[1]
         try:
-            code = main(["serve", str(store), "--key", str(key),
-                         "--port", str(port)])
+            one_line_error(
+                capsys,
+                ["serve", str(store), "--key", str(key),
+                 "--port", str(port)],
+                f"127.0.0.1:{port}",
+            )
         finally:
             blocker.close()
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert f"127.0.0.1:{port}" in err
-        assert err.count("\n") == 1  # one line, no traceback
 
     def test_serve_discover_needs_no_static_peers(self, tmp_path,
-                                                  capsys, monkeypatch):
-        import asyncio
+                                                  capsys, self_stopping):
         import os
-
-        import repro.live
-        from repro.live import LiveNode
 
         key = tmp_path / "owner.key"
         main(["keygen", str(key)])
@@ -298,14 +326,6 @@ class TestServe:
         main(["init", str(store), "--owner-key", str(key)])
         capsys.readouterr()
 
-        class SelfStopping(LiveNode):
-            async def start(self):
-                await super().start()
-                asyncio.get_running_loop().call_later(
-                    0.1, self.request_stop
-                )
-
-        monkeypatch.setattr(repro.live, "LiveNode", SelfStopping)
         group = f"239.86.200.{1 + os.getpid() % 200}"
         port = str(29_000 + os.getpid() % 10_000)
         code = main(["serve", str(store), "--key", str(key),
@@ -380,12 +400,8 @@ class TestVerifyAndExport:
 
 class TestServeOps:
     def test_serve_with_ops_profile_and_trace(self, tmp_path, capsys,
-                                              monkeypatch):
-        import asyncio
+                                              self_stopping):
         import json
-
-        import repro.live
-        from repro.live import LiveNode
 
         key = tmp_path / "owner.key"
         main(["keygen", str(key)])
@@ -393,14 +409,6 @@ class TestServeOps:
         main(["init", str(store), "--owner-key", str(key)])
         capsys.readouterr()
 
-        class SelfStopping(LiveNode):
-            async def start(self):
-                await super().start()
-                asyncio.get_running_loop().call_later(
-                    0.1, self.request_stop
-                )
-
-        monkeypatch.setattr(repro.live, "LiveNode", SelfStopping)
         trace = tmp_path / "live.jsonl"
         dump = tmp_path / "serve.prof"
         code = main(["serve", str(store), "--key", str(key),
@@ -440,15 +448,14 @@ class TestServeOps:
         blocker.listen(1)
         port = blocker.getsockname()[1]
         try:
-            code = main(["serve", str(store), "--key", str(key),
-                         "--ops-port", str(port)])
+            one_line_error(
+                capsys,
+                ["serve", str(store), "--key", str(key),
+                 "--ops-port", str(port)],
+                "ops endpoint",
+            )
         finally:
             blocker.close()
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "ops endpoint" in err
-        assert err.count("\n") == 1
 
 
 class TestTraceMerge:
@@ -593,3 +600,262 @@ class TestTop:
         assert code == 0
         out = capsys.readouterr().out
         assert "!!" in out
+
+
+# Every way the CLI refuses its input: argv (built from the `chain`
+# fixture) and what the one error line must name.
+ERROR_ROWS = {
+    "keygen over a key": (
+        lambda c: ["keygen", c.key], "refusing to overwrite"),
+    "init, missing key": (
+        lambda c: ["init", c.missing + ".vgv", "--owner-key", c.missing],
+        "cannot read key file"),
+    "inspect, missing store": (
+        lambda c: ["inspect", c.missing], "no such store"),
+    "verify, missing store": (
+        lambda c: ["verify", c.missing], "no such store"),
+    "export, missing store": (
+        lambda c: ["export", c.missing], "no such store"),
+    "export, unknown crdt": (
+        lambda c: ["export", c.store, "--crdt", "ghost"], "no CRDT named"),
+    "simulate, bad fault plan": (
+        lambda c: ["simulate", "--faults", c.bad_plan],
+        "cannot load fault plan"),
+    "simulate, missing fault plan": (
+        lambda c: ["simulate", "--faults", c.missing],
+        "cannot load fault plan"),
+    "simulate, --contact-epoch 0": (
+        lambda c: ["simulate", "--contact-epoch", "0"], "must be positive"),
+    "simulate, city with a protocol": (
+        lambda c: ["simulate", "--scenario", "city", "--protocol", "bloom"],
+        "lite-sync"),
+    "simulate, unavailable backend": (
+        lambda c: ["simulate", "--nodes", "2", "--duration", "100",
+                   "--crypto-backend", "cryptography"],
+        "crypto backend unavailable"),
+    "analyze, missing trace": (
+        lambda c: ["analyze", c.missing], "no such trace file"),
+    "trace-merge, missing trace": (
+        lambda c: ["trace-merge", c.missing], "no such trace file"),
+    "serve, missing key": (
+        lambda c: ["serve", c.store, "--key", c.missing],
+        "cannot read key file"),
+    "serve, missing store": (
+        lambda c: ["serve", c.missing, "--key", c.key], "no such store"),
+    "serve, bad --peer": (
+        lambda c: ["serve", c.store, "--key", c.key, "--peer", "nowhere"],
+        "host:port"),
+    "serve, unavailable backend": (
+        lambda c: ["serve", c.store, "--key", c.key,
+                   "--crypto-backend", "cryptography"],
+        "crypto backend unavailable"),
+    "gateway, missing key": (
+        lambda c: ["gateway", c.store, "--key", c.missing],
+        "cannot read key file"),
+    "gateway, missing store": (
+        lambda c: ["gateway", c.missing, "--key", c.key], "no such store"),
+    "gateway, bad --peer": (
+        lambda c: ["gateway", c.store, "--key", c.key, "--peer", "nowhere"],
+        "host:port"),
+    "gateway, unknown protocol": (
+        lambda c: ["gateway", c.store, "--key", c.key,
+                   "--protocol", "osmosis"], "unknown protocol"),
+    "gateway, bad --chain": (
+        lambda c: ["gateway", c.store, "--key", c.key, "--chain", "nocolon"],
+        "expected STORE:KEYPATH"),
+    "gateway, missing tenant store": (
+        lambda c: ["gateway", c.store, "--key", c.key,
+                   "--chain", f"{c.missing}:{c.key}"], "no such store"),
+}
+
+
+@pytest.mark.parametrize("row", ERROR_ROWS)
+def test_error_table(row, chain, capsys, monkeypatch, tmp_path):
+    import os
+
+    from repro.crypto import backend
+
+    def unavailable():
+        raise backend.BackendUnavailable("not installed here")
+
+    monkeypatch.setitem(backend._BACKENDS, "cryptography", unavailable)
+    argv, needle = ERROR_ROWS[row]
+    before = os.listdir(tmp_path)
+    one_line_error(capsys, argv(chain), needle)
+    # A refused command leaves nothing behind: a mistyped store path
+    # must not become an empty store.
+    assert sorted(os.listdir(tmp_path)) == sorted(before)
+
+
+class TestGateway:
+    """`gateway` is `serve` plus a client plane; `loadgen` drives it."""
+
+    @staticmethod
+    def _free_port():
+        import socket
+
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        return port
+
+    def test_gateway_runs_and_stops_on_request(self, chain, capsys,
+                                               self_stopping):
+        code = main(["gateway", chain.store, "--key", chain.key,
+                     "--name", "edge", "--ops-port", "0", "--metrics"])
+        assert code == 0
+        out = capsys.readouterr().out
+        # The gossip listener is announced like `serve` announces it.
+        assert "serving chain" in out and "0 static peer(s)" in out
+        assert "gateway on http://127.0.0.1:" in out
+        assert "ops endpoint on http://127.0.0.1:" in out
+        assert "stopped with 1 blocks" in out
+        assert "stopped after 0 requests (0 admitted, 0 refused)" in out
+        assert "live_" in out  # the metric dump made it out
+
+    def test_loadgen_against_a_cli_gateway(self, chain, capsys,
+                                           monkeypatch):
+        """`gateway` on a background thread (where it cannot install
+        signal handlers), `loadgen` against it from this one."""
+        import asyncio
+        import json
+        import socket
+        import threading
+        import time
+
+        import repro.live
+        from repro.live import LiveNode
+
+        started = threading.Event()
+        running = {}
+
+        class Announced(LiveNode):
+            async def start(self):
+                await super().start()
+                running["node"] = self
+                running["loop"] = asyncio.get_running_loop()
+                started.set()
+
+        monkeypatch.setattr(repro.live, "LiveNode", Announced)
+        port = self._free_port()
+        codes = []
+        thread = threading.Thread(
+            target=lambda: codes.append(main([
+                "gateway", chain.store, "--key", chain.key,
+                "--http-port", str(port), "--batch-delay-ms", "5",
+            ])),
+            daemon=True,
+        )
+        thread.start()
+        try:
+            assert started.wait(10.0)
+            # The client plane binds right after the replica; a bare
+            # connection is not a request, so the count below is exact.
+            deadline = time.monotonic() + 10.0
+            while True:
+                try:
+                    socket.create_connection(("127.0.0.1", port), 1).close()
+                    break
+                except OSError:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+            capsys.readouterr()
+            code = main(["loadgen", "--port", str(port), "--rate", "40",
+                         "--duration", "0.5", "--connections", "2",
+                         "--clients", "10"])
+            report = json.loads(capsys.readouterr().out)
+        finally:
+            running["loop"].call_soon_threadsafe(
+                running["node"].request_stop
+            )
+            thread.join(10.0)
+        assert not thread.is_alive()
+        assert code == 0 and codes == [0]
+        assert report["errors"] == 0
+        assert report["accepted"] == report["offered"] > 0
+        out = capsys.readouterr().out
+        assert f"stopped after {report['offered']} requests" in out
+
+    def test_gateway_peer_reaches_a_serve_replica(self, chain, tmp_path):
+        """Two CLI processes: a transaction posted to a `gateway --peer`
+        shows up on the `serve` replica it was told to gossip with."""
+        import json
+        import os
+        import pathlib
+        import shutil
+        import subprocess
+        import sys
+        import time
+        import urllib.request
+
+        import repro
+
+        def fetch(url, data=None):
+            with urllib.request.urlopen(url, data=data, timeout=2) as reply:
+                return json.loads(reply.read())
+
+        def poll(what, probe, timeout_s=30.0):
+            deadline = time.monotonic() + timeout_s
+            while time.monotonic() < deadline:
+                try:
+                    if probe():
+                        return
+                except OSError:
+                    pass
+                time.sleep(0.1)
+            raise AssertionError(f"timed out waiting for {what}")
+
+        replica_store = str(tmp_path / "replica.vgv")
+        shutil.copy(chain.store, replica_store)
+        gossip, replica_ops, http, gateway_ops = (
+            self._free_port() for _ in range(4)
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(repro.__file__).parents[1])]
+            + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        ))
+
+        def spawn(*argv):
+            return subprocess.Popen(
+                [sys.executable, "-m", "repro", *argv, "--key", chain.key,
+                 "--interval", "0.1"],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True,
+            )
+
+        processes = [
+            spawn("serve", replica_store, "--port", str(gossip),
+                  "--ops-port", str(replica_ops)),
+            spawn("gateway", chain.store, "--peer", f"127.0.0.1:{gossip}",
+                  "--http-port", str(http), "--ops-port", str(gateway_ops),
+                  "--batch-delay-ms", "5"),
+        ]
+        try:
+            poll("the gateway", lambda: fetch(
+                f"http://127.0.0.1:{gateway_ops}/status"
+            )["peers"]["connected"])
+            verdict = fetch(
+                f"http://127.0.0.1:{http}/v1/tx",
+                json.dumps({
+                    "crdt": "__crdts__", "op": "create",
+                    "args": ["ledger", "append_log", {
+                        "element": "str", "permissions": {"append": "*"},
+                    }],
+                }).encode(),
+            )
+            assert verdict["applied"] is True
+            poll("the block on the replica", lambda: fetch(
+                f"http://127.0.0.1:{replica_ops}/status"
+            )["blocks"] == 2)
+        finally:
+            for process in processes:
+                process.terminate()
+            outputs = [
+                process.communicate(timeout=20) for process in processes
+            ]
+        assert [process.returncode for process in processes] == [0, 0]
+        assert "stopped with 2 blocks" in outputs[0][0]
+        assert "stopped after 1 requests (1 admitted, 0 refused)" in (
+            outputs[1][0]
+        )
