@@ -19,6 +19,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.chain.block import (
     Block,
     CRDTS_CRDT_NAME,
+    MAX_PARENTS,
     Transaction,
     USERS_CRDT_NAME,
 )
@@ -108,12 +109,15 @@ class VegvisirNode:
         """Create, sign, store, and replay a new block.
 
         Parents are *all* current frontier blocks — the branch-reining
-        rule of §IV-A.  The timestamp is the local clock, bumped just
-        above the parents' maximum if the local clock lags them (ad hoc
-        networks have skewed clocks; validity requires strict increase
-        along every edge).
+        rule of §IV-A — or, on a replica that holds more tips than a
+        header may cite, the first ``MAX_PARENTS`` of them in hash order
+        (the next append reins in the rest; refusing to write would
+        leave the replica mute until someone else did).  The timestamp
+        is the local clock, bumped just above the parents' maximum if
+        the local clock lags them (ad hoc networks have skewed clocks;
+        validity requires strict increase along every edge).
         """
-        parents = sorted(self.dag.frontier())
+        parents = sorted(self.dag.frontier())[:MAX_PARENTS]
         max_parent_ts = max(self.dag.get(p).timestamp for p in parents)
         timestamp = max(self.now_ms(), max_parent_ts + 1)
         block = Block.create(

@@ -125,8 +125,12 @@ def restore_checkpoint(data: dict,
                 _Event(entry["kind"], certificate=certificate,
                        record=record)
             )
+        # One object per distinct view, as replay leaves it: blocks
+        # between two events share it, and with it one resolution.
+        interned: dict[frozenset[int], frozenset[int]] = {}
         for digest, view in data["visible"]:
-            machine._visible[Hash(digest)] = frozenset(view)
+            view = frozenset(view)
+            machine._visible[Hash(digest)] = interned.setdefault(view, view)
         # Membership 2P-set, with full tombstones.
         machine._users = restore_crdt(data["users"])
         # Collection: re-register records, then swap in the snapshots.

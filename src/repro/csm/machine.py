@@ -4,9 +4,13 @@ The CSM replays blocks in topological order (the node feeds it a block
 only after all the block's parents).  Internally it tracks a small set of
 *protocol events* — certificate additions/revocations and CRDT creations —
 and, for every block, the frozen set of event ids visible in that block's
-causal past.  Membership, role, and CRDT-binding decisions for a block's
-transactions are evaluated against exactly that set, which makes every
-verdict a pure function of the block and its ancestors.
+causal past: its *view*.  Membership, role, and CRDT-binding decisions for
+a block's transactions are evaluated against exactly that set, which makes
+every verdict a pure function of the block and its ancestors.  A view is
+*resolved* once, in one pass over its events, to the two dictionaries
+those decisions read; blocks between two events share one view object
+and so one resolution, which makes a block's checks independent of the
+size of the membership.
 
 Transaction checks (paper §IV-E):
 
@@ -22,8 +26,9 @@ every replica either way.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
-from typing import AbstractSet, Any, Optional
+from typing import Any, Optional
 
 from repro.chain.block import (
     Block,
@@ -46,17 +51,22 @@ _EVENT_CERT_REMOVE = "cert_remove"
 _EVENT_CREATE = "create"
 
 # Genesis replay cache.  Building a fleet of n replicas from one genesis
-# used to cost n × (genesis checks + n founding-certificate verifies) —
-# O(n²) Ed25519 operations for identical, immutable input.  The genesis
-# block's hash covers every byte of it (certificates and signatures
-# included), so the validation verdict is a pure function of that hash:
-# the first replica pays full price, later replicas skip straight to
-# replay with the verified certificate fingerprints pre-seeded.  A
-# fingerprint covers the certificate's payload *and* CA signature, and
-# the CA key is itself pinned by the genesis hash, so a fingerprint hit
-# is exactly equivalent to re-running ``Certificate.verify``.
+# used to cost n × (genesis checks + n founding certificates parsed,
+# fingerprinted, verified and frozen into U) — O(n²) for identical,
+# immutable input.  The genesis block's hash covers every byte of it
+# (certificates and signatures included) and the default policy is pure
+# code, so the whole post-genesis machine is a function of that hash:
+# the first replica pays every check and its replay is kept here; each
+# later replica is a fork of it (:meth:`CSMachine._fork`).  A genesis
+# that fails a check raises before anything is kept.
 _GENESIS_CACHE_LIMIT = 8
-_genesis_cache: "OrderedDict[bytes, frozenset[bytes]]" = OrderedDict()
+_genesis_cache: "OrderedDict[bytes, CSMachine]" = OrderedDict()
+
+# Resolved views a machine keeps (least recently used goes first).  A
+# replica's new blocks sit on one of the last few views — the frontier
+# spans at most the events still in flight — so a handful covers them;
+# an older view that turns up again is resolved again.
+_RESOLVED_VIEW_LIMIT = 8
 
 
 def clear_genesis_cache() -> None:
@@ -93,6 +103,55 @@ class _Event:
         self.record = record
 
 
+def _precedence(certificate: Certificate) -> tuple[int, bytes]:
+    """Among a user's live certificates the greatest of these is the
+    *effective* one."""
+    return (certificate.issued_at, certificate.fingerprint().digest)
+
+
+class _ResolvedView:
+    """What one causal view decides, built in one pass and then only read
+    (forks of one genesis share these objects).
+
+    ``members`` maps a user id's digest to the user's effective
+    certificate: live (added and not revoked inside the view) and of the
+    greatest ``(issued_at, fingerprint)``.  ``bindings`` maps a CRDT name
+    to its winning creation inside the view (least ``order_key``).
+    """
+
+    __slots__ = ("members", "bindings")
+
+    def __init__(self, events: list[_Event], view: frozenset[int]):
+        added: dict[bytes, Certificate] = {}
+        revoked: set[bytes] = set()
+        bindings: dict[str, CreateRecord] = {}
+        for event_id in view:
+            event = events[event_id]
+            if event.kind == _EVENT_CREATE:
+                record = event.record
+                bound = bindings.get(record.name)
+                if bound is None or record.order_key < bound.order_key:
+                    bindings[record.name] = record
+            elif event.kind == _EVENT_CERT_ADD:
+                added[event.certificate.fingerprint().digest] = (
+                    event.certificate
+                )
+            else:
+                revoked.add(event.certificate.fingerprint().digest)
+        members: dict[bytes, Certificate] = {}
+        for fingerprint, certificate in added.items():
+            if fingerprint in revoked:
+                continue
+            user = certificate.user_id.digest
+            effective = members.get(user)
+            if effective is None or (
+                _precedence(certificate) > _precedence(effective)
+            ):
+                members[user] = certificate
+        self.members = members
+        self.bindings = bindings
+
+
 class CSMachine:
     """One replica's CRDT state machine.
 
@@ -109,14 +168,19 @@ class CSMachine:
         # block hash -> frozenset of event ids visible in its causal past
         # *including* the block's own events.
         self._visible: dict[Hash, frozenset[int]] = {}
+        self._resolved: "OrderedDict[frozenset[int], _ResolvedView]" = (
+            OrderedDict()
+        )
+        # The last parent list whose views were joined, and the join:
+        # validation and replay of one block ask for it back to back.
+        self._inherited: tuple[tuple[Hash, ...], frozenset[int]] = (
+            (), frozenset()
+        )
         self._users = TwoPhaseSet(element_spec="any")
         self._collection = CRDTCollection()
         self._outcomes: dict[Hash, list[TxOutcome]] = {}
         self._applied_count = 0
         self._rejected_count = 0
-        # Certificate fingerprints already verified against this chain's
-        # CA key by an earlier replica of the same genesis.
-        self._preverified: frozenset[bytes] = frozenset()
 
     # ------------------------------------------------------------------
     # Construction
@@ -133,35 +197,39 @@ class CSMachine:
         """
         if not genesis.is_genesis():
             raise CSMError("genesis block must have no parents")
-        owner_cert = cls._extract_owner_certificate(genesis)
-        cached = _genesis_cache.get(genesis.hash.digest)
-        if cached is None:
-            if not owner_cert.verify(owner_cert.public_key):
-                raise CSMError(
-                    "genesis certificate is not properly self-signed"
-                )
-            if owner_cert.user_id != genesis.user_id:
-                raise CSMError(
-                    "genesis creator does not match its certificate"
-                )
-            if not owner_cert.public_key.verify(
-                genesis.signing_payload(), genesis.signature
-            ):
-                raise CSMError("genesis block signature does not verify")
-        else:
-            _genesis_cache.move_to_end(genesis.hash.digest)
-        machine = cls(owner_cert.public_key, policy)
-        if cached is not None:
-            machine._preverified = cached
-        machine._replay_genesis(genesis)
-        if cached is None:
-            _genesis_cache[genesis.hash.digest] = frozenset(
-                event.certificate.fingerprint().digest
-                for event in machine._events
-                if event.kind == _EVENT_CERT_ADD
-            )
+        if not (policy is None or type(policy) is DefaultPolicy):
+            # The policy is consulted while genesis replays, so another
+            # policy's replay is its own.
+            return cls._replay_genesis(genesis, policy)
+        kept = _genesis_cache.get(genesis.hash.digest)
+        if kept is None:
+            kept = cls._replay_genesis(genesis, policy)
+            _genesis_cache[genesis.hash.digest] = kept
             while len(_genesis_cache) > _GENESIS_CACHE_LIMIT:
                 _genesis_cache.popitem(last=False)
+        else:
+            _genesis_cache.move_to_end(genesis.hash.digest)
+        return kept._fork()
+
+    @classmethod
+    def _replay_genesis(cls, genesis: Block,
+                        policy: Optional[ChainPolicy]) -> "CSMachine":
+        """Every genesis check, then the replay, with its view resolved."""
+        owner_cert = cls._extract_owner_certificate(genesis)
+        if not owner_cert.verify(owner_cert.public_key):
+            raise CSMError("genesis certificate is not properly self-signed")
+        if owner_cert.user_id != genesis.user_id:
+            raise CSMError("genesis creator does not match its certificate")
+        if not owner_cert.public_key.verify(
+            genesis.signing_payload(), genesis.signature
+        ):
+            raise CSMError("genesis block signature does not verify")
+        machine = cls(owner_cert.public_key, policy)
+        # The owner is not yet a member while genesis replays; membership
+        # checks are skipped for the genesis block only.
+        machine._replay_transactions(genesis, inherited=frozenset(),
+                                     genesis_bootstrap=True)
+        machine._resolve(machine._visible[genesis.hash])
         return machine
 
     @staticmethod
@@ -180,11 +248,33 @@ class CSMachine:
         except CertificateError as exc:
             raise CSMError(f"bad genesis certificate: {exc}") from exc
 
-    def _replay_genesis(self, genesis: Block) -> None:
-        # The owner is not yet a member while genesis replays; membership
-        # checks are skipped for the genesis block only.
-        self._replay_transactions(genesis, inherited=frozenset(),
-                                  genesis_bootstrap=True)
+    def _fork(self) -> "CSMachine":
+        """A machine in the same state that shares nothing mutable with
+        this one.
+
+        Containers are copied; what they hold is shared where nothing
+        ever writes to it after replay: events (certificates, creation
+        records), views and their resolutions, outcome lists, and the
+        elements of U, which are transaction arguments and belong to
+        their block.  CRDT instances are written by later blocks, so
+        each is copied whole.
+        """
+        fork = type(self)(self._ca_key, self._policy)
+        fork._events = list(self._events)
+        fork._visible = dict(self._visible)
+        fork._resolved = self._resolved.copy()
+        fork._inherited = self._inherited
+        fork._users._added.update(self._users._added)
+        fork._users._removed.update(self._users._removed)
+        for op_id, record in self._collection._records.items():
+            fork._collection.register_create(record)
+            fork._collection._instances[op_id] = copy.deepcopy(
+                self._collection._instances[op_id]
+            )
+        fork._outcomes = dict(self._outcomes)
+        fork._applied_count = self._applied_count
+        fork._rejected_count = self._rejected_count
+        return fork
 
     # ------------------------------------------------------------------
     # Causal views
@@ -197,38 +287,34 @@ class CSMachine:
         """The union of the parents' views — the widest parent's own
         object when the others nest in it (a view grows only on a
         membership or creation event, so they nearly always do)."""
+        parents = tuple(parent_hashes)
+        last_parents, last_view = self._inherited
+        if parents == last_parents:
+            return last_view
         try:
-            views = [self._visible[parent] for parent in parent_hashes]
+            views = [self._visible[parent] for parent in parents]
         except KeyError as exc:
             raise CSMError(
                 f"parent {exc.args[0].short()} replayed out of order"
             ) from None
         widest = max(views, key=len, default=frozenset())
-        if all(view is widest or view <= widest for view in views):
-            return widest
-        return widest.union(*views)
+        if not all(view is widest or view <= widest for view in views):
+            widest = widest.union(*views)
+        self._inherited = (parents, widest)
+        return widest
 
-    def _live_certificates(
-        self, user_id: Hash, view: frozenset[int]
-    ) -> list[Certificate]:
-        """Certificates for *user_id* added and not revoked within *view*."""
-        added: dict[bytes, Certificate] = {}
-        removed: set[bytes] = set()
-        for event_id in view:
-            event = self._events[event_id]
-            if event.certificate is None:
-                continue
-            if event.certificate.user_id != user_id:
-                continue
-            fingerprint = event.certificate.fingerprint().digest
-            if event.kind == _EVENT_CERT_ADD:
-                added[fingerprint] = event.certificate
-            elif event.kind == _EVENT_CERT_REMOVE:
-                removed.add(fingerprint)
-        return [
-            cert for fingerprint, cert in added.items()
-            if fingerprint not in removed
-        ]
+    def _resolve(self, view: frozenset[int]) -> _ResolvedView:
+        """The view's members and bindings, resolved on first use."""
+        resolved = self._resolved.get(view)
+        if resolved is None:
+            resolved = self._resolved[view] = _ResolvedView(
+                self._events, view
+            )
+            if len(self._resolved) > _RESOLVED_VIEW_LIMIT:
+                self._resolved.popitem(last=False)
+        else:
+            self._resolved.move_to_end(view)
+        return resolved
 
     def resolve_member(
         self, user_id: Hash, parent_hashes: list[Hash]
@@ -240,32 +326,8 @@ class CSMachine:
         fingerprint)``) as-of the causal past spanned by *parent_hashes*.
         """
         view = self._inherited_view(parent_hashes)
-        live = self._live_certificates(user_id, view)
-        if not live:
-            return None
-        return self._effective_certificate(live).public_key
-
-    @staticmethod
-    def _effective_certificate(live: list[Certificate]) -> Certificate:
-        return max(
-            live, key=lambda c: (c.issued_at, c.fingerprint().digest)
-        )
-
-    def _role_of(self, user_id: Hash, view: frozenset[int]) -> Optional[str]:
-        live = self._live_certificates(user_id, view)
-        if not live:
-            return None
-        return self._effective_certificate(live).role
-
-    def _visible_creations(
-        self, name: str, view: AbstractSet[int]
-    ) -> list[CreateRecord]:
-        return [
-            self._events[event_id].record
-            for event_id in view
-            if self._events[event_id].kind == _EVENT_CREATE
-            and self._events[event_id].record.name == name
-        ]
+        certificate = self._resolve(view).members.get(user_id.digest)
+        return None if certificate is None else certificate.public_key
 
     # ------------------------------------------------------------------
     # Replay
@@ -288,27 +350,33 @@ class CSMachine:
     def _replay_transactions(
         self, block: Block, inherited: frozenset[int], genesis_bootstrap: bool
     ) -> list[TxOutcome]:
-        view = set(inherited)
-        outcomes: list[TxOutcome] = []
         if genesis_bootstrap:
             creator_role: Optional[str] = "owner"
         else:
-            creator_role = self._role_of(block.user_id, inherited)
+            creator = self._resolve(inherited).members.get(
+                block.user_id.digest
+            )
+            creator_role = None if creator is None else creator.role
+        # The inherited object itself until a transaction adds an event
+        # (one frozenset per event, not one per block); then a wider
+        # copy, which the block's later transactions see.
+        view = inherited
+        events = self._events
+        outcomes: list[TxOutcome] = []
         for index, tx in enumerate(block.transactions):
             ctx = OpContext.for_block(
                 block.user_id, block.timestamp, block.hash, index
             )
+            known = len(events)
             outcome = self._replay_one(tx, ctx, view, creator_role)
+            if len(events) != known:
+                view = view.union(range(known, len(events)))
             outcomes.append(outcome)
             if outcome.applied:
                 self._applied_count += 1
             else:
                 self._rejected_count += 1
-        # Share the inherited object unless this block widened the view:
-        # one frozenset per event, not one per block.
-        self._visible[block.hash] = (
-            inherited if len(view) == len(inherited) else frozenset(view)
-        )
+        self._visible[block.hash] = view
         self._outcomes[block.hash] = outcomes
         return outcomes
 
@@ -316,7 +384,7 @@ class CSMachine:
         self,
         tx: Transaction,
         ctx: OpContext,
-        view: set[int],
+        view: frozenset[int],
         creator_role: Optional[str],
     ) -> TxOutcome:
         if creator_role is None:
@@ -324,13 +392,13 @@ class CSMachine:
             # transaction anyway so replay never depends on the caller.
             return self._rejected(tx, "creator is not a member")
         if tx.crdt_name == USERS_CRDT_NAME:
-            return self._replay_membership(tx, ctx, view, creator_role)
+            return self._replay_membership(tx, ctx, creator_role)
         if tx.crdt_name == CRDTS_CRDT_NAME:
-            return self._replay_create(tx, ctx, view, creator_role)
+            return self._replay_create(tx, ctx, creator_role)
         return self._replay_user_crdt(tx, ctx, view, creator_role)
 
     def _replay_membership(
-        self, tx: Transaction, ctx: OpContext, view: set[int], role: str
+        self, tx: Transaction, ctx: OpContext, role: str
     ) -> TxOutcome:
         if tx.op not in ("add", "remove"):
             return self._rejected(tx, f"U has no operation {tx.op!r}")
@@ -344,8 +412,7 @@ class CSMachine:
             if not self._policy.can_add_member(role):
                 return self._rejected(tx, f"role {role!r} may not add members")
             if not (
-                certificate.fingerprint().digest in self._preverified
-                or certificate.verify(self._ca_key)
+                certificate.verify(self._ca_key)
                 or (
                     certificate.user_id == Hash.of_bytes(self._ca_key.data)
                     and certificate.verify(certificate.public_key)
@@ -360,12 +427,11 @@ class CSMachine:
                 )
             event = _Event(_EVENT_CERT_REMOVE, certificate=certificate)
         self._events.append(event)
-        view.add(len(self._events) - 1)
         self._users.apply(tx.op, [tx.args[0]], ctx)
         return TxOutcome(tx.crdt_name, tx.op, True)
 
     def _replay_create(
-        self, tx: Transaction, ctx: OpContext, view: set[int], role: str
+        self, tx: Transaction, ctx: OpContext, role: str
     ) -> TxOutcome:
         if tx.op != "create":
             return self._rejected(tx, f"Ω has no operation {tx.op!r}")
@@ -392,19 +458,17 @@ class CSMachine:
         except CRDTError as exc:
             return self._rejected(tx, str(exc))
         self._events.append(_Event(_EVENT_CREATE, record=record))
-        view.add(len(self._events) - 1)
         return TxOutcome(tx.crdt_name, tx.op, True)
 
     def _replay_user_crdt(
-        self, tx: Transaction, ctx: OpContext, view: set[int], role: str
+        self, tx: Transaction, ctx: OpContext, view: frozenset[int], role: str
     ) -> TxOutcome:
-        creations = self._visible_creations(tx.crdt_name, view)
-        if not creations:
+        # Causal binding: the winning creation within this block's past.
+        record = self._resolve(view).bindings.get(tx.crdt_name)
+        if record is None:
             return self._rejected(
                 tx, f"no CRDT named {tx.crdt_name!r} in causal past"
             )
-        # Causal binding: the winning creation within this block's past.
-        record = min(creations, key=lambda r: r.order_key)
         if not record.schema.permissions.allows(role, tx.op):
             return self._rejected(
                 tx, f"role {role!r} may not {tx.op} on {tx.crdt_name!r}"
@@ -432,7 +496,7 @@ class CSMachine:
         live = [c for c in self.members() if c.user_id == user_id]
         if not live:
             return None
-        return self._effective_certificate(live).role
+        return max(live, key=_precedence).role
 
     def is_member(self, user_id: Hash) -> bool:
         """Does the user hold a live certificate (full replica view)?"""

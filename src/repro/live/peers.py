@@ -293,16 +293,25 @@ class PeerManager:
     async def stop(self) -> None:
         """Tear everything down; afterwards no task or socket remains."""
         self._stopped = True
-        for task in self._maintain_tasks.values():
-            task.cancel()
-        for task in list(self._inbound_tasks):
-            task.cancel()
-        pending = (
-            list(self._maintain_tasks.values())
-            + list(self._inbound_tasks)
-            + list(self._closing_tasks)
-        )
-        for task in pending:
+        tasks = list(self._maintain_tasks.values()) + list(self._inbound_tasks)
+        loops = tasks
+        # Cancel until it takes.  Before Python 3.12 asyncio.wait_for()
+        # returns a result that raced a cancel() and drops the cancel: a
+        # dial or handshake that completes as we stop leaves its loop
+        # parked on an open connection, and awaiting it never returned.
+        # The timeout is only how soon a survivor is cancelled again.
+        while loops:
+            for task in loops:
+                task.cancel()
+            try:
+                await asyncio.wait(loops, timeout=0.05)
+            except asyncio.CancelledError:
+                pass  # as ever: a teardown under way is finished
+            loops = [task for task in loops if not task.done()]
+        for task in tasks:
+            if not task.cancelled():
+                task.exception()  # retrieved, so not logged at collection
+        for task in list(self._closing_tasks):
             try:
                 await task
             except (asyncio.CancelledError, Exception):

@@ -127,15 +127,16 @@ class StreamTransport(FrameTransport):
         with maybe_phase(self.profiler, PHASE_FRAME_IO) as ph:
             if not isinstance(payload, bytes):
                 payload = bytes(payload)
-            # Header and payload go down as two writes (asyncio batches
-            # them into one segment on drain) so the payload — already a
-            # canonical encoding — is never copied into a frame buffer.
             header = frame_header(len(payload), self._max_frame_bytes)
             frame_len = LENGTH_BYTES + len(payload)
             ph.units += frame_len
         try:
-            self._writer.write(header)
-            self._writer.write(payload)
+            # One write per frame.  A selector transport with an empty
+            # buffer sends each write() at once, with TCP_NODELAY set:
+            # header and payload written apart are two syscalls and two
+            # segments.  writelines() is one sendmsg() of both pieces
+            # from Python 3.12, and one send() of their join before it.
+            self._writer.writelines((header, payload))
             await self._writer.drain()
         except (ConnectionError, OSError) as exc:
             self._mark_closed()

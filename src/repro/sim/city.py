@@ -8,18 +8,21 @@ forking the simulator: a :func:`city_scenario` plugs into the ordinary
 index, mobility, link and energy models, metrics — end to end.
 
 What changes at this scale is the *node*, not the *core*.  A full
-:class:`~repro.core.node.VegvisirNode` carries an Ed25519 keypair, a
-genesis replay over every founding certificate, and per-block signature
-verification; at 10k nodes that is O(n²) certificates at build time and
-minutes of pure-Python crypto per gossiped block (making that fast is
-the hot-path roadmap item, not this one).  City runs therefore build a
-*lite fleet*: each node is a :class:`LiteNode` whose chain state is an
-insertion-ordered set of block ids over shared :class:`LiteBlock`
-descriptors, reconciled by :class:`LiteSyncProtocol` through the
-unchanged ``GossipScheduler`` contact path — same tick/busy/link/energy
-accounting, same metrics, same convergence definition (identical state
-digests).  Byte costs are modelled from the descriptors' wire sizes,
-so session and energy totals stay comparable with small-fleet runs.
+:class:`~repro.core.node.VegvisirNode` carries an Ed25519 keypair, its
+own copy of the membership tables (replicas of one genesis share its
+replay and every certificate, but each still holds an n-entry
+dictionary: about 50 KB at 1k members, 0.5 MB at 10k — 5 GB for the
+fleet), and per-block signature verification, minutes of pure-Python
+crypto per gossiped block without the accelerated backend
+(``docs/scale.md``, Layer 4, has the measurements).  City runs
+therefore build a *lite fleet*: each node is a :class:`LiteNode` whose
+chain state is an insertion-ordered set of block ids over shared
+:class:`LiteBlock` descriptors, reconciled by :class:`LiteSyncProtocol`
+through the unchanged ``GossipScheduler`` contact path — same
+tick/busy/link/energy accounting, same metrics, same convergence
+definition (identical state digests).  Byte costs are modelled from the
+descriptors' wire sizes, so session and energy totals stay comparable
+with small-fleet runs.
 
 Radio heterogeneity mirrors a real city: most devices are
 Bluetooth-class, some are WiFi-Direct-class, a few are long-range

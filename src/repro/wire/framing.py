@@ -29,8 +29,8 @@ is extracted through a single ``memoryview`` copy, and the receive
 buffer is compacted once per :meth:`~FrameDecoder.feed` call rather than
 once per frame (a burst of *k* frames in one read costs one compaction,
 not *k* quadratic ones).  :func:`frame_header` lets a transport write
-the prefix and an already-encoded payload as two pieces instead of
-concatenating them into a throwaway buffer.
+the prefix and an already-encoded payload as two pieces of one vectored
+write instead of concatenating them into a throwaway buffer.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def frame_header(payload_length: int,
                  max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """The 4-byte prefix for a payload of *payload_length* bytes.
 
-    Lets a transport send ``header + payload`` as two writes (or one
-    vectored write) without copying the payload into a new buffer.
+    Lets a transport hand ``header`` and ``payload`` to one vectored
+    write without first copying the payload into a frame buffer.
     """
     if payload_length > max_frame_bytes:
         raise FrameError(

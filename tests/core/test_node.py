@@ -22,6 +22,35 @@ class TestAppending:
         assert set(merge.parents) == {a_block.hash, b_block.hash}
         assert node.dag.frontier_width() == 1
 
+    def test_more_tips_than_a_header_may_cite(self, deployment):
+        """A replica with a frontier wider than MAX_PARENTS still writes
+        (it used to raise MalformedBlockError on every append, for good):
+        it reins in what one header holds, the next block the rest."""
+        from repro.chain.block import Block, MAX_PARENTS
+
+        node = deployment.node(0)
+        peer_key = deployment.keys[1]
+        tips = [
+            Block.create(peer_key, [deployment.genesis.hash], 2_000 + i)
+            for i in range(MAX_PARENTS + 6)
+        ]
+        for tip in tips:
+            node.receive_block(tip)
+        assert node.dag.frontier_width() == MAX_PARENTS + 6
+        first = node.append_transactions([])
+        assert len(first.parents) == MAX_PARENTS
+        assert set(first.parents) == set(
+            sorted(tip.hash for tip in tips)[:MAX_PARENTS]
+        )
+        assert node.dag.frontier_width() == 7
+        second = node.append_transactions([])
+        assert first.hash in second.parents and len(second.parents) == 7
+        assert node.dag.frontier() == {second.hash}
+        other = deployment.node(2)
+        for block in [*tips, first, second]:
+            other.receive_block(block)
+        assert other.state_digest() == node.state_digest()
+
     def test_all_known_transactions_become_ancestors(self, deployment):
         node = deployment.node(0)
         peer = deployment.node(1)

@@ -12,6 +12,8 @@ from repro.csm.checkpoint import (
 from repro.csm.errors import CSMError
 from repro.reconcile.frontier import FrontierProtocol
 
+from tests.csm.conftest import verdicts
+
 
 def _busy_machine(deployment):
     """A node with membership changes, several CRDT types, rejections."""
@@ -99,6 +101,44 @@ class TestCheckpointRoundTrip:
         assert restored.resolve_member(
             deployment.keys[2].user_id, frontier  # revoked
         ) is None
+
+
+class TestRestoredViewsAreShared:
+    """Replay keeps one view object per event, shared by the blocks
+    between two events; a restore must not hand every block a private
+    copy (O(blocks x events) memory, and no shared resolution)."""
+
+    def test_one_object_per_distinct_view(self, deployment):
+        node = _busy_machine(deployment)
+        for step in range(60):
+            node.append_transactions(
+                [Transaction("log", "append", [f"entry {step}"])]
+            )
+        csm = node.csm
+        restored = restore_checkpoint_bytes(checkpoint_bytes(csm))
+
+        assert len(restored._visible) == len(csm._visible) >= 50
+        assert restored._visible == csm._visible
+        distinct = set(restored._visible.values())
+        objects = {id(view) for view in restored._visible.values()}
+        assert len(objects) == len(distinct)
+        assert len(objects) == len(
+            {id(view) for view in csm._visible.values()}
+        )
+
+        assert restored.state_digest() == csm.state_digest()
+        for block in node.dag.blocks():
+            assert verdicts(restored, block.hash) == verdicts(
+                csm, block.hash
+            )
+
+        tip = next(iter(node.frontier()))
+        block = node.append_transactions(
+            [Transaction("log", "append", ["after restore"])]
+        )
+        restored.replay_block(block)
+        assert restored._visible[block.hash] is restored._visible[tip]
+        assert restored.state_digest() == csm.state_digest()
 
 
 class TestErrors:

@@ -308,6 +308,48 @@ class TestPeerManager:
         run(scenario())
 
 
+    def test_stop_returns_when_a_cancel_was_swallowed(self):
+        """asyncio.wait_for() before 3.12 hands back a result that raced
+        a cancel() and loses the cancel.  A dial that completes just as
+        the manager stops then carries on into an open connection, and
+        stop() used to await that loop for ever."""
+        deployment = Deployment()
+        left, right = deployment.node(0), deployment.node(1)
+
+        class LosesOneCancel(PeerManager):
+            dialing = None
+
+            async def _dial_once(self, spec):
+                self.dialing.set()
+                try:
+                    await asyncio.sleep(3600)
+                except asyncio.CancelledError:
+                    pass
+                return await super()._dial_once(spec)
+
+        async def scenario():
+            baseline = len(asyncio.all_tasks())
+            server = self._manager(right, "right")
+            client = LosesOneCancel(
+                left, "left", handshake_timeout_s=2.0, seed=1
+            )
+            client.dialing = asyncio.Event()
+            await server.start("127.0.0.1", 0)
+            await client.start("127.0.0.1", 0)
+            client.add_peer(
+                PeerSpec("right", "127.0.0.1", server.listen_port)
+            )
+            await client.dialing.wait()
+            stopping = asyncio.ensure_future(client.stop())
+            done, _ = await asyncio.wait({stopping}, timeout=5.0)
+            assert done, "stop() is still waiting for the dial loop"
+            await server.stop()
+            await asyncio.sleep(0.05)
+            assert len(asyncio.all_tasks()) == baseline
+
+        run(scenario())
+
+
 class TestListenError:
     def test_bound_port_raises_one_line_listen_error(self):
         deployment = Deployment()

@@ -142,7 +142,45 @@ async def _tcp_pair():
     return client, await accepted, server
 
 
+class _RecordingTransport(asyncio.WriteTransport):
+    """Stands where the socket transport does and keeps every write()
+    (the base class's writelines() is one write() of the join)."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    def is_closing(self):
+        return False
+
+    def close(self):
+        pass
+
+
 class TestStreamTransport:
+    def test_a_frame_is_one_transport_write(self):
+        """Each write() on an idle socket transport is a send() and,
+        with TCP_NODELAY, a segment: a frame must be one of them."""
+        async def scenario():
+            reader = asyncio.StreamReader()
+            protocol = asyncio.StreamReaderProtocol(reader)
+            recorder = _RecordingTransport()
+            writer = asyncio.StreamWriter(
+                recorder, protocol, reader, asyncio.get_running_loop()
+            )
+            stream = StreamTransport(reader, writer)
+            await stream.send(b"one frame")
+            await stream.send(b"")
+            assert recorder.writes == [
+                encode_frame(b"one frame"), encode_frame(b""),
+            ]
+            assert stream.frames_sent == 2
+
+        run(scenario())
+
     def test_round_trip_over_tcp(self):
         async def scenario():
             client, peer, server = await _tcp_pair()
