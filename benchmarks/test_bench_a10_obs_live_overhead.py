@@ -148,7 +148,11 @@ def test_a10_obs_live_overhead(benchmark, results_dir):
     report = profiler.report()
     for phase in ("verify", "codec", "frame_io", "session"):
         assert report["phases"][phase]["calls"] > 0
-    assert "live_sessions_total" in obs.registry.render_prometheus()
+    rendered = obs.registry.render_prometheus()
+    for family in ("reconcile_sessions_total", "reconcile_bytes_total",
+                   "reconcile_messages_total", "reconcile_rounds_total",
+                   "reconcile_blocks_total"):
+        assert f'{family}{{protocol="frontier"' in rendered, family
 
     # Acceptance: the fully observed node costs at most 5% over the
     # shipped default (small absolute floor absorbs timer jitter).

@@ -25,7 +25,7 @@ def _run(interval_ms: int, seed: int = 0):
                  append_interval_ms=5_000, seed=seed)
     ).run()
     # Drain: workload off, gossip on; find when the fleet converges.
-    sim.scenario.append_interval_ms = None
+    sim.workload.stop()
     converged_at = None
     for t in range(sim.loop.now, sim.loop.now + 120_000, 1_000):
         sim.loop.run_until(t)

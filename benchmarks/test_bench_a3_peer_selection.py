@@ -34,7 +34,7 @@ def _run(selector: str, seed: int):
                  topology_factory=_ring_of_rings,
                  peer_selector=selector, seed=seed)
     ).run()
-    sim.scenario.append_interval_ms = None
+    sim.workload.stop()
     converged_at = None
     for t in range(sim.loop.now, sim.loop.now + 180_000, 1_000):
         sim.loop.run_until(t)

@@ -124,7 +124,7 @@ async def main() -> int:
             metrics = (await asyncio.to_thread(
                 _curl, node.ops.port, "/metrics"
             )).decode("utf-8")
-            assert "live_sessions_total" in metrics
+            assert "reconcile_sessions_total" in metrics
             statuses.append(json.loads(
                 await asyncio.to_thread(_curl, node.ops.port, "/status")
             ))

@@ -25,11 +25,7 @@ from repro.live.protocol import BlockSink, run_session
 from repro.live.transport import TransportError
 from repro.obs.profiling import PHASE_SESSION, maybe_phase
 from repro.reconcile import ReconcileError, protocol_class
-from repro.reconcile.stats import (
-    INITIATOR_TO_RESPONDER,
-    RESPONDER_TO_INITIATOR,
-    ReconcileStats,
-)
+from repro.reconcile.stats import ReconcileStats, SessionCounters
 
 DEFAULT_INTERVAL = 1.0
 DEFAULT_JITTER = 0.2
@@ -77,22 +73,7 @@ class AntiEntropyLoop:
         self._session_seq = 0
         self._stopping = False
         if self._obs is not None:
-            registry = self._obs.registry
-            self._c_sessions = registry.counter(
-                "live_sessions_total",
-                "initiator sessions by protocol and outcome",
-                labels=("protocol", "outcome"),
-            )
-            self._c_bytes = registry.counter(
-                "live_session_bytes_total",
-                "session bytes by protocol and direction",
-                labels=("protocol", "direction"),
-            )
-            self._c_blocks = registry.counter(
-                "live_session_blocks_total",
-                "blocks moved by live sessions, by kind",
-                labels=("protocol", "kind"),
-            )
+            self._session_counters = SessionCounters(self._obs.registry)
 
     async def run(self) -> None:
         """The periodic loop; runs until cancelled or :meth:`stop`."""
@@ -157,48 +138,21 @@ class AntiEntropyLoop:
                 else "disconnect" if isinstance(exc, TransportError)
                 else "protocol"
             )
-            self._observe(peer_name, stats, seq, outcome="interrupted",
-                          reason=reason)
+            if self._obs is not None:
+                self._session_counters.interrupted(stats)
+                self._obs.emit(
+                    "session.interrupted", peer=peer_name, seq=seq,
+                    reason=reason, **stats.session_fields(),
+                )
             # The stream may hold a stale half-exchanged session; the
             # only safe recovery is a fresh connection via backoff.
             await transport.close()
             return stats
         self.sessions_completed += 1
-        self._observe(peer_name, stats, seq, outcome="completed")
-        return stats
-
-    def _observe(self, peer_name: str, stats: ReconcileStats, seq: int,
-                 outcome: str, reason: Optional[str] = None) -> None:
-        if self._obs is None:
-            return
-        self._c_sessions.labels(
-            protocol=stats.protocol, outcome=outcome
-        ).inc()
-        for direction in (INITIATOR_TO_RESPONDER, RESPONDER_TO_INITIATOR):
-            self._c_bytes.labels(
-                protocol=stats.protocol, direction=direction
-            ).inc(stats.bytes[direction])
-        for kind, count in (
-            ("pulled", stats.blocks_pulled),
-            ("pushed", stats.blocks_pushed),
-            ("duplicate", stats.duplicate_blocks),
-            ("invalid", stats.invalid_blocks),
-        ):
-            if count:
-                self._c_blocks.labels(
-                    protocol=stats.protocol, kind=kind
-                ).inc(count)
-        fields = dict(
-            peer=peer_name, protocol=stats.protocol, seq=seq,
-            rounds=stats.rounds,
-            bytes_i2r=stats.bytes[INITIATOR_TO_RESPONDER],
-            bytes_r2i=stats.bytes[RESPONDER_TO_INITIATOR],
-            blocks_pulled=stats.blocks_pulled,
-            blocks_pushed=stats.blocks_pushed,
-        )
-        if outcome == "completed":
+        if self._obs is not None:
+            self._session_counters.completed(stats)
             self._obs.emit(
-                "session.completed", converged=stats.converged, **fields
+                "session.completed", peer=peer_name, seq=seq,
+                converged=stats.converged, **stats.session_fields(),
             )
-        else:
-            self._obs.emit("session.interrupted", reason=reason, **fields)
+        return stats

@@ -107,7 +107,7 @@ class LiveNode:
                     "block was provided"
                 )
             self.node = VegvisirNode(key_pair, genesis, clock=clock)
-        self.store = BlockStore(self._store_path, fsync=fsync)
+        self.store = BlockStore(self._store_path, fsync=fsync, obs=obs)
         if not restart:
             self.store.append(self.node.dag.genesis)
         # How many blocks of the DAG's insertion order are on disk.
@@ -278,7 +278,6 @@ class LiveNode:
         await serve_connection(
             self.node, transport,
             on_blocks=persist_push,
-            after_message=persist_push,
             profiler=self.profiler,
         )
 

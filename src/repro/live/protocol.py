@@ -19,7 +19,7 @@ loop turns into a torn session — never a corrupted DAG.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro import wire
 from repro.core.node import VegvisirNode
@@ -88,16 +88,15 @@ async def run_session(protocol: Protocol, node: VegvisirNode, transport,
 
 async def serve_connection(node: VegvisirNode, transport,
                            on_blocks: Optional[BlockSink] = None,
-                           after_message: Optional[Callable[[], None]] = None,
                            profiler=None) -> None:
     """Serve reconciliation requests on one connection until it drops.
 
     Malformed traffic gets one ``error`` frame (best effort) and the
     connection is closed; the stream cannot be trusted past the first
     bad frame.  A reply that cannot be framed closes the connection too
-    — it never ends the serving task with an exception.  *after_message*
-    runs after each handled message — the hook LiveNode uses to persist
-    blocks a push batch merged.
+    — it never ends the serving task with an exception.  *on_blocks*
+    fires inside every merge that adds a block — the hook LiveNode uses
+    to persist what a push batch merged.
     """
     responder = LiveResponder(node, on_blocks=on_blocks, profiler=profiler)
     while True:
@@ -125,5 +124,3 @@ async def serve_connection(node: VegvisirNode, transport,
                 # the peer learns it from the close.
                 await transport.close()
                 return
-        if after_message is not None:
-            after_message()

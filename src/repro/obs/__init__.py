@@ -24,16 +24,13 @@ Three more pieces serve the **live** fleet:
   hot path (verify, codec, frame I/O, session drive) reporting
   verify/s and codec MB/s.
 
-The two wiring styles:
-
-* **Per-simulation** — ``Scenario(trace_path=..., metrics=True)`` makes
-  the :class:`~repro.sim.runner.Simulation` build its own
-  :class:`Observability` clocked by its event loop and thread it through
-  the gossip scheduler, metrics, topology, and event loop.
-* **Module-level** — ``obs.configure(enabled=True, ...)`` installs a
-  process-wide default that unwired components (block stores, offload
-  managers) pick up at call time.  ``obs.configure(enabled=False)``
-  removes it again.
+There is one way in: whoever builds a component hands it an
+:class:`Observability` as ``obs=`` (default ``None``).
+``Scenario(trace_path=..., metrics=True)`` makes the
+:class:`~repro.sim.runner.Simulation` build one clocked by its event
+loop and thread it through the gossip scheduler, metrics, topology, and
+event loop; a :class:`~repro.live.node.LiveNode` passes its own to its
+peer manager, anti-entropy loop, discovery service and block store.
 
 Instrumented hot paths hold either an :class:`Observability` or
 ``None``; the disabled path is a single ``is not None`` attribute check
@@ -54,7 +51,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import (
     JsonlFileSink,
-    NullSink,
     RingBufferSink,
     TraceBus,
     TraceEvent,
@@ -95,43 +91,6 @@ class Observability:
         self.bus.close()
 
 
-# The process-wide default used by components that are not wired to a
-# specific simulation (block stores, offload managers).  ``None`` means
-# observability is off and call sites skip all work.
-_default: Optional[Observability] = None
-
-
-def get() -> Optional[Observability]:
-    """The module-level Observability, or None when disabled."""
-    return _default
-
-
-def configure(enabled: bool = True,
-              clock: Optional[Callable[[], int]] = None,
-              trace_path=None,
-              ring_capacity: Optional[int] = None,
-              sinks: Iterable = ()) -> Optional[Observability]:
-    """Install (or remove) the module-level observability default.
-
-    ``configure(enabled=False)`` tears the default down (closing any
-    file sinks); otherwise a fresh :class:`Observability` is built with
-    a ring buffer and/or JSONL file sink as requested and returned.
-    """
-    global _default
-    if _default is not None:
-        _default.close()
-    if not enabled:
-        _default = None
-        return None
-    all_sinks = list(sinks)
-    if ring_capacity:
-        all_sinks.append(RingBufferSink(ring_capacity))
-    if trace_path is not None:
-        all_sinks.append(JsonlFileSink(trace_path))
-    _default = Observability(enabled=True, clock=clock, sinks=all_sinks)
-    return _default
-
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -141,7 +100,6 @@ __all__ = [
     "MetricsError",
     "MetricsRegistry",
     "NodeTrace",
-    "NullSink",
     "Observability",
     "OpsError",
     "OpsServer",
@@ -149,8 +107,6 @@ __all__ = [
     "RingBufferSink",
     "TraceBus",
     "TraceEvent",
-    "configure",
-    "get",
     "maybe_phase",
     "merge_traces",
     "read_jsonl",

@@ -8,8 +8,7 @@ bit-for-bit identical traces) and fans it out to sinks:
 * :class:`RingBufferSink` — the last N events in memory, for tests and
   post-run analysis without touching disk;
 * :class:`JsonlFileSink` — one canonical JSON object per line, the
-  interchange format ``repro analyze`` reads back;
-* :class:`NullSink` — swallows everything (placeholder wiring).
+  interchange format ``repro analyze`` reads back.
 
 Event payload values are restricted to JSON-friendly scalars; ``bytes``
 and digest-bearing objects (:class:`repro.crypto.sha.Hash`) are
@@ -64,16 +63,6 @@ class TraceEvent:
 
     def __repr__(self) -> str:
         return f"TraceEvent({self.time_ms}, {self.type!r}, {self.fields!r})"
-
-
-class NullSink:
-    """Discards every event."""
-
-    def write(self, event: TraceEvent) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 class RingBufferSink:

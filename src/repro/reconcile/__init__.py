@@ -5,8 +5,12 @@ meet, the initiator pulls the blocks it lacks and then pushes the blocks
 the responder lacks.  Six protocols share that contract but differ in
 how they discover the difference:
 
-* :class:`FrontierProtocol` — the paper's Algorithm 1: ask for the
-  level-N frontier set with increasing N until the gap is bridged.
+* :class:`FrontierProtocol` — the paper's Algorithm 1, told what the
+  asker holds: the initiator names its frontier, and the responder
+  answers with its own frontier plus only the bodies the initiator can
+  lack — the exact difference in one round trip when the initiator is
+  simply behind, else its tips and a fetch-by-hash walk down the
+  missing branches, one level of Fig. 3 per round trip.
 * :class:`FullExchangeProtocol` — the strawman the paper compares
   against: ship the entire DAG.
 * :class:`BloomProtocol` — the §VI "more efficient reconciliation"

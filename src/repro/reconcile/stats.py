@@ -3,6 +3,13 @@
 Messages are wire-encodable dicts; :meth:`ReconcileStats.record` charges
 the exact canonical encoding size to the sending direction, so protocol
 comparisons measure what would really cross the radio.
+
+What a *finished* session reports is defined here too, once, for the
+simulator's gossip scheduler and the live anti-entropy loop alike:
+:meth:`ReconcileStats.session_fields` is the field set of their
+``session.end`` / ``session.completed`` / ``session.interrupted`` trace
+events and :class:`SessionCounters` the ``reconcile_*`` metric families
+(``docs/observability.md`` has the table).
 """
 
 from __future__ import annotations
@@ -18,16 +25,9 @@ DIRECTIONS = (INITIATOR_TO_RESPONDER, RESPONDER_TO_INITIATOR)
 
 
 class ReconcileStats:
-    """Outcome of one pairwise reconciliation session.
+    """Outcome of one pairwise reconciliation session."""
 
-    With a :class:`~repro.obs.metrics.MetricsRegistry` passed (or bound
-    later via :meth:`bind_registry`), every recorded message is mirrored
-    live into the shared ``reconcile_bytes_total`` /
-    ``reconcile_messages_total`` instruments, making the stats object a
-    thin per-session view over the registry's running totals.
-    """
-
-    def __init__(self, protocol: str, registry=None):
+    def __init__(self, protocol: str):
         self.protocol = protocol
         self.rounds = 0
         self.messages = {INITIATOR_TO_RESPONDER: 0, RESPONDER_TO_INITIATOR: 0}
@@ -54,36 +54,6 @@ class ReconcileStats:
         # aborted mid-transfer; the counters above then hold the partial
         # totals charged before the tear-down.
         self.interrupted = False
-        self._mirror_bytes = None
-        self._mirror_messages = None
-        if registry is not None:
-            self.bind_registry(registry)
-
-    def bind_registry(self, registry) -> "ReconcileStats":
-        """Mirror future :meth:`record` calls into registry counters."""
-        byte_counter = registry.counter(
-            "reconcile_bytes_total",
-            "session bytes by protocol and direction",
-            labels=("protocol", "direction"),
-        )
-        message_counter = registry.counter(
-            "reconcile_messages_total",
-            "session messages by protocol and direction",
-            labels=("protocol", "direction"),
-        )
-        self._mirror_bytes = {
-            direction: byte_counter.labels(
-                protocol=self.protocol, direction=direction
-            )
-            for direction in DIRECTIONS
-        }
-        self._mirror_messages = {
-            direction: message_counter.labels(
-                protocol=self.protocol, direction=direction
-            )
-            for direction in DIRECTIONS
-        }
-        return self
 
     def record(self, direction: str, message: Any) -> int:
         """Charge one message; returns its encoded size in bytes."""
@@ -104,9 +74,6 @@ class ReconcileStats:
             )
         self.messages[direction] += 1
         self.bytes[direction] += size
-        if self._mirror_bytes is not None:
-            self._mirror_bytes[direction].inc(size)
-            self._mirror_messages[direction].inc()
         return size
 
     @property
@@ -140,8 +107,121 @@ class ReconcileStats:
             "interrupted": self.interrupted,
         }
 
+    def session_fields(self) -> dict:
+        """The trace fields of a finished session, completed or torn.
+
+        The newer protocols' counters appear only when non-zero: a field
+        that is always zero for the classic protocols must not be in
+        their records at all, because the pinned-trace suite hashes the
+        raw JSONL bytes of frontier runs.
+        """
+        fields = {
+            "protocol": self.protocol,
+            "rounds": self.rounds,
+            "bytes_i2r": self.bytes[INITIATOR_TO_RESPONDER],
+            "bytes_r2i": self.bytes[RESPONDER_TO_INITIATOR],
+            "messages_i2r": self.messages[INITIATOR_TO_RESPONDER],
+            "messages_r2i": self.messages[RESPONDER_TO_INITIATOR],
+            "blocks_pulled": self.blocks_pulled,
+            "blocks_pushed": self.blocks_pushed,
+            "duplicates": self.duplicate_blocks,
+            "invalid": self.invalid_blocks,
+        }
+        for name in ("fp_resend", "fallbacks", "delta_entries_pulled",
+                     "delta_entries_pushed", "delta_entries_invalid"):
+            count = getattr(self, name)
+            if count:
+                fields[name] = count
+        return fields
+
     def __repr__(self) -> str:
         return (
             f"ReconcileStats({self.protocol}, rounds={self.rounds}, "
             f"bytes={self.total_bytes}, blocks={self.blocks_transferred})"
         )
+
+
+class SessionCounters:
+    """The ``reconcile_*`` metric families of one registry, folded per
+    finished session by whichever runtime ran it."""
+
+    def __init__(self, registry):
+        self._bytes = registry.counter(
+            "reconcile_bytes_total",
+            "session bytes by protocol and direction",
+            labels=("protocol", "direction"),
+        )
+        self._messages = registry.counter(
+            "reconcile_messages_total",
+            "session messages by protocol and direction",
+            labels=("protocol", "direction"),
+        )
+        self._rounds = registry.counter(
+            "reconcile_rounds_total",
+            "reconciliation round trips by protocol",
+            labels=("protocol",),
+        )
+        self._sessions = registry.counter(
+            "reconcile_sessions_total",
+            "completed sessions by protocol", labels=("protocol",),
+        )
+        self._blocks = registry.counter(
+            "reconcile_blocks_total",
+            "blocks moved by protocol and kind",
+            labels=("protocol", "kind"),
+        )
+        self._fallbacks = registry.counter(
+            "reconcile_fallbacks_total",
+            "sessions that degraded to the frontier protocol",
+            labels=("protocol",),
+        )
+        self._interrupted = registry.counter(
+            "reconcile_sessions_interrupted_total",
+            "sessions aborted mid-transfer by link loss",
+            labels=("protocol",),
+        )
+        self._partial_bytes = registry.counter(
+            "reconcile_partial_bytes_total",
+            "bytes charged to sessions later interrupted",
+            labels=("protocol", "direction"),
+        )
+
+    def completed(self, stats: ReconcileStats) -> None:
+        """Fold one session that ran to its end."""
+        protocol = stats.protocol
+        for direction in DIRECTIONS:
+            self._bytes.labels(
+                protocol=protocol, direction=direction
+            ).inc(stats.bytes[direction])
+            self._messages.labels(
+                protocol=protocol, direction=direction
+            ).inc(stats.messages[direction])
+        self._rounds.labels(protocol=protocol).inc(stats.rounds)
+        self._sessions.labels(protocol=protocol).inc()
+        # Zero-valued kinds are skipped, so protocols that never
+        # produce Bloom re-sends or delta-plane lattice entries leave
+        # no such series behind.
+        for kind, count in (
+            ("pulled", stats.blocks_pulled),
+            ("pushed", stats.blocks_pushed),
+            ("duplicate", stats.duplicate_blocks),
+            ("invalid", stats.invalid_blocks),
+            ("fp_resend", stats.fp_resend),
+            ("delta_pulled", stats.delta_entries_pulled),
+            ("delta_pushed", stats.delta_entries_pushed),
+            ("delta_invalid", stats.delta_entries_invalid),
+        ):
+            if count:
+                self._blocks.labels(protocol=protocol, kind=kind).inc(count)
+        if stats.fallbacks:
+            self._fallbacks.labels(protocol=protocol).inc(stats.fallbacks)
+
+    def interrupted(self, stats: ReconcileStats) -> None:
+        """Fold one session torn mid-transfer: its bytes were spent on
+        the air but the session never settled."""
+        protocol = stats.protocol
+        self._interrupted.labels(protocol=protocol).inc()
+        for direction in DIRECTIONS:
+            self._partial_bytes.labels(
+                protocol=protocol, direction=direction
+            ).inc(stats.bytes[direction])

@@ -45,7 +45,7 @@ from repro.reconcile.stats import (
     ReconcileStats,
 )
 from repro.sim.scenario import Scenario
-from repro.sim.workload import Workload
+from repro.sim.workload import PeriodicWorkload
 
 #: Radio classes: (range in meters, fleet share).  Drawn per node.
 RADIO_CLASSES = ((30.0, 0.6), (80.0, 0.3), (150.0, 0.1))
@@ -212,44 +212,29 @@ class LiteSyncProtocol:
         return stats
 
 
-class CityWorkload(Workload):
-    """Sparse telemetry: a subset of writer nodes appends on a jittered
-    period.  Appends create :class:`LiteBlock` descriptors directly
+class CityWorkload(PeriodicWorkload):
+    """Sparse telemetry: the periodic appender over a subset of writer
+    nodes.  Appends create :class:`LiteBlock` descriptors directly
     (lite fleets have no CSM), registered with the gossip tracker like
     any other block."""
 
     def __init__(self, writer_ids: list[int], interval_ms: int,
                  seed: int = 0, wire_size: int = LITE_BLOCK_WIRE_SIZE):
-        super().__init__(seed=seed, payload_bytes=0)
-        if interval_ms < 1:
-            raise ValueError("interval must be positive")
+        super().__init__(interval_ms, seed=seed, payload_bytes=0)
         self.writer_ids = sorted(writer_ids)
-        self.interval_ms = interval_ms
         self.wire_size = wire_size
-        self._next_block_id = 0
 
-    def start(self, sim) -> None:
-        for writer_id in self.writer_ids:
-            offset = self._rng.randrange(self.interval_ms)
-            sim.loop.schedule_in(offset, self._make_tick(sim, writer_id))
+    def _appender_ids(self, sim) -> list[int]:
+        return self.writer_ids
 
-    def _make_tick(self, sim, writer_id: int):
-        def tick() -> None:
-            if self._stopped:
-                return
-            jitter = self._rng.randrange(max(1, self.interval_ms // 4))
-            sim.loop.schedule_in(
-                self.interval_ms + jitter, self._make_tick(sim, writer_id)
-            )
-            block = LiteBlock(
-                self._next_block_id, writer_id, self.wire_size
-            )
-            self._next_block_id += 1
-            sim.fleet.nodes[writer_id].append_block(block)
-            self.appends += 1
-            sim.metrics.blocks_created += 1
-            sim.gossip.observe_local_blocks(writer_id)
-        return tick
+    def _append_once(self, sim, writer_id: int) -> bool:
+        # Block ids count up from 0 in creation order.
+        block = LiteBlock(self.appends, writer_id, self.wire_size)
+        sim.fleet.nodes[writer_id].append_block(block)
+        self.appends += 1
+        sim.metrics.blocks_created += 1
+        sim.gossip.observe_local_blocks(writer_id)
+        return True
 
 
 def draw_radio_ranges(node_count: int, seed: int = 0) -> list[float]:

@@ -46,6 +46,7 @@ from repro.reconcile.stats import (
     INITIATOR_TO_RESPONDER,
     RESPONDER_TO_INITIATOR,
     ReconcileStats,
+    SessionCounters,
 )
 from repro.sim.adversary import AdversaryPolicy, HonestPolicy
 from repro.sim.energy import EnergyModel
@@ -54,27 +55,6 @@ from repro.sim.metrics import SimMetrics
 
 def default_protocol_factory(push: bool):
     return FrontierProtocol(push=push)
-
-
-def _session_extras(stats: ReconcileStats) -> dict:
-    """Trace fields the newer protocols add, included only when nonzero.
-
-    The pinned-trace suite hashes raw JSONL bytes of frontier runs, so a
-    field that is always zero for the classic protocols must not appear
-    in their records at all.
-    """
-    extras = {}
-    if stats.fp_resend:
-        extras["fp_resend"] = stats.fp_resend
-    if stats.fallbacks:
-        extras["fallbacks"] = stats.fallbacks
-    if stats.delta_entries_pulled:
-        extras["delta_entries_pulled"] = stats.delta_entries_pulled
-    if stats.delta_entries_pushed:
-        extras["delta_entries_pushed"] = stats.delta_entries_pushed
-    if stats.delta_entries_invalid:
-        extras["delta_entries_invalid"] = stats.delta_entries_invalid
-    return extras
 
 
 SELECT_RANDOM = "random"
@@ -185,40 +165,7 @@ class GossipScheduler:
         self._obs = obs if obs is not None and obs.enabled else None
         if self._obs is not None:
             registry = self._obs.registry
-            self._c_reconcile_bytes = registry.counter(
-                "reconcile_bytes_total",
-                "session bytes by protocol and direction",
-                labels=("protocol", "direction"),
-            )
-            self._c_reconcile_messages = registry.counter(
-                "reconcile_messages_total",
-                "session messages by protocol and direction",
-                labels=("protocol", "direction"),
-            )
-            self._c_reconcile_rounds = registry.counter(
-                "reconcile_rounds_total",
-                "reconciliation round trips by protocol",
-                labels=("protocol",),
-            )
-            self._c_reconcile_sessions = registry.counter(
-                "reconcile_sessions_total",
-                "completed sessions by protocol", labels=("protocol",),
-            )
-            self._c_reconcile_blocks = registry.counter(
-                "reconcile_blocks_total",
-                "blocks moved by protocol and kind",
-                labels=("protocol", "kind"),
-            )
-            self._c_sessions_interrupted = registry.counter(
-                "reconcile_sessions_interrupted_total",
-                "sessions aborted mid-transfer by link loss",
-                labels=("protocol",),
-            )
-            self._c_partial_bytes = registry.counter(
-                "reconcile_partial_bytes_total",
-                "bytes charged to sessions later interrupted",
-                labels=("protocol", "direction"),
-            )
+            self._session_counters = SessionCounters(registry)
             self._c_peer_selected = registry.counter(
                 "sim_peer_selections_total",
                 "peers drawn by the configured strategy",
@@ -250,18 +197,15 @@ class GossipScheduler:
         self._started = True
         for node_id in sorted(self._nodes):
             self.observe_local_blocks(node_id)
-            offset = self._rng.randrange(max(1, self._interval_ms))
-            if self._timers is not None:
-                self._timers.schedule_in(offset, node_id)
-            else:
-                self._loop.schedule_in(
-                    offset, self._make_tick(node_id)
-                )
+            self._schedule_tick(
+                self._rng.randrange(max(1, self._interval_ms)), node_id
+            )
 
-    def _make_tick(self, node_id: int) -> Callable[[], None]:
-        def tick() -> None:
-            self._tick(node_id)
-        return tick
+    def _schedule_tick(self, delay: int, node_id: int) -> None:
+        if self._timers is not None:
+            self._timers.schedule_in(delay, node_id)
+        else:
+            self._loop.schedule_in(delay, lambda: self._tick(node_id))
 
     def _schedule_next(self, node_id: int) -> None:
         jitter = (
@@ -269,11 +213,7 @@ class GossipScheduler:
             if self._jitter_ms
             else 0
         )
-        delay = max(1, self._interval_ms + jitter)
-        if self._timers is not None:
-            self._timers.schedule_in(delay, node_id)
-        else:
-            self._loop.schedule_in(delay, self._make_tick(node_id))
+        self._schedule_tick(max(1, self._interval_ms + jitter), node_id)
 
     def is_busy(self, node_id: int) -> bool:
         return (
@@ -308,41 +248,31 @@ class GossipScheduler:
             return
         if not self.policy(node_id).initiates_gossip():
             return
-        obs = self._obs
-        self._metrics.contacts_attempted += 1
-        if obs is not None:
-            obs.bus.emit("contact.attempt", node=node_id)
+        metrics = self._metrics
+        metrics.contacts_attempted += 1
+        if self._obs is not None:
+            self._obs.bus.emit("contact.attempt", node=node_id)
         if self.is_busy(node_id):
-            self._metrics.contacts_busy += 1
-            if obs is not None:
-                obs.bus.emit("contact.outcome", node=node_id,
-                             outcome="busy")
+            metrics.contacts_busy += 1
+            self._outcome("busy", node_id)
             return
         neighbors = self._topology.neighbors(node_id, self._loop.now)
         if not neighbors:
-            self._metrics.contacts_no_neighbor += 1
-            if obs is not None:
-                obs.bus.emit("contact.outcome", node=node_id,
-                             outcome="no_neighbor")
+            metrics.contacts_no_neighbor += 1
+            self._outcome("no_neighbor", node_id)
             return
         peer_id = self._select_peer(node_id, neighbors)
         if faults is not None and faults.node_down(peer_id):
-            self._metrics.contacts_crashed += 1
-            if obs is not None:
-                obs.bus.emit("contact.outcome", node=node_id,
-                             peer=peer_id, outcome="crashed")
+            metrics.contacts_crashed += 1
+            self._outcome("crashed", node_id, peer_id)
             return
         if self.is_busy(peer_id):
-            self._metrics.contacts_busy += 1
-            if obs is not None:
-                obs.bus.emit("contact.outcome", node=node_id,
-                             peer=peer_id, outcome="busy")
+            metrics.contacts_busy += 1
+            self._outcome("busy", node_id, peer_id)
             return
         if not self.policy(peer_id).responds_to_gossip():
-            self._metrics.contacts_refused += 1
-            if obs is not None:
-                obs.bus.emit("contact.outcome", node=node_id,
-                             peer=peer_id, outcome="refused")
+            metrics.contacts_refused += 1
+            self._outcome("refused", node_id, peer_id)
             return
         if faults is not None and faults.link_down(
             node_id, peer_id, self._loop.now
@@ -350,24 +280,28 @@ class GossipScheduler:
             # Flapping link: the contact fails before the link model's
             # loss draw (a flapped radio never reaches the channel).
             faults.record_flap(node_id, peer_id, self._loop.now)
-            self._metrics.contacts_lost += 1
-            if obs is not None:
-                obs.bus.emit("contact.outcome", node=node_id,
-                             peer=peer_id, outcome="lost")
+            metrics.contacts_lost += 1
+            self._outcome("lost", node_id, peer_id)
             return
         if not self._link.contact_succeeds():
-            self._metrics.contacts_lost += 1
-            if obs is not None:
-                obs.bus.emit("contact.outcome", node=node_id,
-                             peer=peer_id, outcome="lost")
+            metrics.contacts_lost += 1
+            self._outcome("lost", node_id, peer_id)
             return
         # "ok" means the contact was established and a session started;
         # emitted before the session runs so atomic and message-level
         # executions produce the same event order.
-        if obs is not None:
-            obs.bus.emit("contact.outcome", node=node_id, peer=peer_id,
-                         outcome="ok")
+        self._outcome("ok", node_id, peer_id)
         self.contact(node_id, peer_id)
+
+    def _outcome(self, outcome: str, node_id: int,
+                 peer_id: Optional[int] = None) -> None:
+        """Trace how one contact attempt ended; *peer_id* is absent when
+        it died before a peer was drawn."""
+        if self._obs is not None:
+            fields = {} if peer_id is None else {"peer": peer_id}
+            self._obs.bus.emit(
+                "contact.outcome", node=node_id, outcome=outcome, **fields
+            )
 
     def _select_peer(self, node_id: int, neighbors: list[int]) -> int:
         if self._obs is not None:
@@ -528,27 +462,18 @@ class GossipScheduler:
         self._metrics.record_interrupted_session(
             stats.total_bytes, stats.total_messages
         )
-        self._metrics.record_transfer_duration(elapsed)
-        pair = (min(initiator_id, responder_id),
-                max(initiator_id, responder_id))
-        self._last_contact[pair] = state.start_ms
-        if self._energy is not None:
-            # Transmission energy was spent on every byte that crossed
-            # (or was on) the air, delivered or not.
-            self._energy.charge_transfer(
-                initiator_id, responder_id,
-                stats.bytes[INITIATOR_TO_RESPONDER],
-            )
-            self._energy.charge_transfer(
-                responder_id, initiator_id,
-                stats.bytes[RESPONDER_TO_INITIATOR],
-            )
-        # Blocks merged before the tear-down were genuinely delivered.
-        self.observe_local_blocks(initiator_id)
-        self.observe_local_blocks(responder_id)
+        # Transmission energy was spent on every byte that crossed (or
+        # was on) the air, delivered or not, and blocks merged before
+        # the tear-down were genuinely delivered.
+        self._account(
+            initiator_id, responder_id, stats, state.start_ms, elapsed
+        )
         if self._obs is not None:
-            self._observe_interrupted(
-                initiator_id, responder_id, stats, elapsed, reason
+            self._session_counters.interrupted(stats)
+            self._obs.bus.emit(
+                "session.interrupted", initiator=initiator_id,
+                responder=responder_id, duration_ms=elapsed, reason=reason,
+                **stats.session_fields(),
             )
 
     # -- shared settlement ---------------------------------------------
@@ -559,12 +484,24 @@ class GossipScheduler:
         """Fold one *completed* session into metrics, energy, busy time."""
         self._metrics.record_session(stats.total_bytes, stats.total_messages)
         if self._obs is not None:
-            self._observe_session(
-                initiator_id, responder_id, stats, duration
+            self._session_counters.completed(stats)
+            self._h_session_bytes.observe(stats.total_bytes)
+            self._obs.bus.emit(
+                "session.end", initiator=initiator_id,
+                responder=responder_id, converged=stats.converged,
+                duration_ms=duration, **stats.session_fields(),
             )
         busy_until = start_ms + duration
         self._busy_until[initiator_id] = busy_until
         self._busy_until[responder_id] = busy_until
+        self._account(initiator_id, responder_id, stats, start_ms, duration)
+
+    def _account(self, initiator_id: int, responder_id: int,
+                 stats: ReconcileStats, start_ms: int,
+                 duration: int) -> None:
+        """What a session costs whether it completed or was torn:
+        airtime, the pair's last contact, energy per byte each way, and
+        the deliveries it made."""
         self._metrics.record_transfer_duration(duration)
         pair = (min(initiator_id, responder_id),
                 max(initiator_id, responder_id))
@@ -580,81 +517,6 @@ class GossipScheduler:
             )
         self.observe_local_blocks(initiator_id)
         self.observe_local_blocks(responder_id)
-
-    def _observe_session(self, initiator_id: int, responder_id: int,
-                         stats: ReconcileStats, duration: int) -> None:
-        """Fold one finished session into the registry and trace."""
-        protocol = stats.protocol
-        for direction in (INITIATOR_TO_RESPONDER, RESPONDER_TO_INITIATOR):
-            self._c_reconcile_bytes.labels(
-                protocol=protocol, direction=direction
-            ).inc(stats.bytes[direction])
-            self._c_reconcile_messages.labels(
-                protocol=protocol, direction=direction
-            ).inc(stats.messages[direction])
-        self._c_reconcile_rounds.labels(protocol=protocol).inc(stats.rounds)
-        self._c_reconcile_sessions.labels(protocol=protocol).inc()
-        blocks = {
-            "pulled": stats.blocks_pulled,
-            "pushed": stats.blocks_pushed,
-            "duplicate": stats.duplicate_blocks,
-            "invalid": stats.invalid_blocks,
-            # Attributed Bloom waste and delta-plane lattice entries;
-            # zero-valued kinds are skipped below, so protocols that
-            # never produce them leave the registry untouched.
-            "fp_resend": stats.fp_resend,
-            "delta_pulled": stats.delta_entries_pulled,
-            "delta_pushed": stats.delta_entries_pushed,
-            "delta_invalid": stats.delta_entries_invalid,
-        }
-        for kind, count in blocks.items():
-            if count:
-                self._c_reconcile_blocks.labels(
-                    protocol=protocol, kind=kind
-                ).inc(count)
-        self._h_session_bytes.observe(stats.total_bytes)
-        self._obs.bus.emit(
-            "session.end", initiator=initiator_id, responder=responder_id,
-            protocol=protocol, rounds=stats.rounds,
-            bytes_i2r=stats.bytes[INITIATOR_TO_RESPONDER],
-            bytes_r2i=stats.bytes[RESPONDER_TO_INITIATOR],
-            messages_i2r=stats.messages[INITIATOR_TO_RESPONDER],
-            messages_r2i=stats.messages[RESPONDER_TO_INITIATOR],
-            blocks_pulled=stats.blocks_pulled,
-            blocks_pushed=stats.blocks_pushed,
-            duplicates=stats.duplicate_blocks,
-            invalid=stats.invalid_blocks,
-            converged=stats.converged, duration_ms=duration,
-            # New-protocol counters append *conditionally* so traces of
-            # pre-existing protocols stay byte-identical (the pinned
-            # trace suite hashes raw JSONL bytes).
-            **_session_extras(stats),
-        )
-
-    def _observe_interrupted(self, initiator_id: int, responder_id: int,
-                             stats: ReconcileStats, elapsed: int,
-                             reason: str) -> None:
-        """Fold one torn session into the registry and trace."""
-        protocol = stats.protocol
-        self._c_sessions_interrupted.labels(protocol=protocol).inc()
-        for direction in (INITIATOR_TO_RESPONDER, RESPONDER_TO_INITIATOR):
-            self._c_partial_bytes.labels(
-                protocol=protocol, direction=direction
-            ).inc(stats.bytes[direction])
-        self._obs.bus.emit(
-            "session.interrupted", initiator=initiator_id,
-            responder=responder_id, protocol=protocol, rounds=stats.rounds,
-            bytes_i2r=stats.bytes[INITIATOR_TO_RESPONDER],
-            bytes_r2i=stats.bytes[RESPONDER_TO_INITIATOR],
-            messages_i2r=stats.messages[INITIATOR_TO_RESPONDER],
-            messages_r2i=stats.messages[RESPONDER_TO_INITIATOR],
-            blocks_pulled=stats.blocks_pulled,
-            blocks_pushed=stats.blocks_pushed,
-            duplicates=stats.duplicate_blocks,
-            invalid=stats.invalid_blocks,
-            duration_ms=elapsed, reason=reason,
-            **_session_extras(stats),
-        )
 
     def observe_local_blocks(self, node_id: int) -> None:
         """Record first-delivery times for blocks new to this node.

@@ -227,6 +227,12 @@ class SimMetrics:
 
     def sample_frontier_width(self, time_ms: int, width: int) -> None:
         self.frontier_width_samples.append((time_ms, width))
+        if self._obs is not None:
+            self._obs.registry.histogram(
+                "sim_frontier_width",
+                "frontier width sampled at each append",
+                buckets=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32),
+            ).observe(width)
 
     def max_frontier_width(self) -> int:
         if not self.frontier_width_samples:

@@ -8,18 +8,15 @@ same scenario seed is bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
-from repro.chain.block import Transaction
 from repro.net.events import EventLoop
 from repro.net.links import LinkModel
 from repro.sim.energy import EnergyModel
 from repro.sim.gossip import GossipScheduler
 from repro.sim.metrics import SimMetrics
 from repro.sim.scenario import Scenario, build_fleet
-
-WORKLOAD_CRDT = "events"
+from repro.sim.workload import WORKLOAD_CRDT, default_workload
 
 
 class Simulation:
@@ -54,7 +51,6 @@ class Simulation:
             aggregate_propagation=scenario.aggregate_propagation,
         )
         self.energy = EnergyModel(scenario.energy_parameters)
-        self._rng = random.Random(scenario.seed ^ 0xC0FFEE)
         link = scenario.link or LinkModel(seed=scenario.seed ^ 0x11)
         # Fault injection (repro.faults): built even for an all-zero
         # plan — its hot path is draw-free, and the zero-plan run must
@@ -106,7 +102,12 @@ class Simulation:
                 faults=self.fault_injector,
                 beacon_filter=scenario.discovery_beacon_faults,
             )
-        self._appended = 0
+        # Who appends what, when: the scenario's workload, else the
+        # periodic appender on ``append_interval_ms``, else nobody (the
+        # caller drives the nodes by hand).
+        self.workload = scenario.workload
+        if self.workload is None and scenario.append_interval_ms is not None:
+            self.workload = default_workload(scenario)
         self._closed = False
         # Lite fleets (city scale) have no CSM; their workload appends
         # lightweight blocks directly instead of CRDT transactions.
@@ -169,56 +170,6 @@ class Simulation:
             WORKLOAD_CRDT, "append_log", "any", permissions={"append": "*"}
         )
 
-    def _schedule_appends(self) -> None:
-        interval = self.scenario.append_interval_ms
-        if interval is None:
-            return
-        for node_id in sorted(self.fleet.nodes):
-            offset = self._rng.randrange(max(1, interval))
-            self.loop.schedule_in(offset, self._make_append(node_id))
-
-    def _make_append(self, node_id: int):
-        def append() -> None:
-            interval = self.scenario.append_interval_ms
-            if interval is None:
-                return  # workload stopped (quiescence phase)
-            jitter = self._rng.randrange(max(1, interval // 4))
-            self.loop.schedule_in(interval + jitter, self._make_append(node_id))
-            if (
-                self.fault_injector is not None
-                and self.fault_injector.node_down(node_id)
-            ):
-                return  # crashed nodes append nothing until restart
-            node = self.fleet.nodes[node_id]
-            if node.csm.crdt_instance(WORKLOAD_CRDT) is None:
-                return  # creation block not seen here yet
-            width = node.dag.frontier_width()
-            self.metrics.sample_frontier_width(self.loop.now, width)
-            if self.obs is not None:
-                self.obs.registry.histogram(
-                    "sim_frontier_width",
-                    "frontier width sampled at each append",
-                    buckets=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32),
-                ).observe(width)
-            payload = {
-                "node": node_id,
-                "seq": self._appended,
-                "data": bytes(self._payload()),
-            }
-            node.append_transactions(
-                [Transaction(WORKLOAD_CRDT, "append", [payload])]
-            )
-            self._appended += 1
-            self.metrics.blocks_created += 1
-            self.gossip.observe_local_blocks(node_id)
-        return append
-
-    def _payload(self) -> bytearray:
-        return bytearray(
-            self._rng.randrange(256)
-            for _ in range(self.scenario.payload_bytes)
-        )
-
     # ------------------------------------------------------------------
     # Running
 
@@ -227,19 +178,15 @@ class Simulation:
         self.gossip.start()
         if self.discovery is not None:
             self.discovery.start()
-        if self.scenario.workload is not None:
-            self.scenario.workload.start(self)
-        else:
-            self._schedule_appends()
+        if self.workload is not None:
+            self.workload.start(self)
         self.loop.run_until(duration_ms or self.scenario.duration_ms)
         return self
 
     def run_quiescence(self, extra_ms: int, workload: bool = False) -> None:
         """Run further with the workload stopped, letting gossip drain."""
-        if not workload:
-            self.scenario.append_interval_ms = None
-            if self.scenario.workload is not None:
-                self.scenario.workload.stop()
+        if not workload and self.workload is not None:
+            self.workload.stop()
         self.loop.run_until(self.loop.now + extra_ms)
 
     # ------------------------------------------------------------------

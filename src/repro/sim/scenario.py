@@ -88,7 +88,7 @@ class Scenario:
         if session_model not in SESSION_MODELS:
             raise ValueError(f"unknown session model {session_model!r}")
         self.session_model = session_model
-        # A Workload instance overrides the built-in periodic appender
+        # A Workload instance replaces the default periodic appender
         # (append_interval_ms is then ignored).
         self.workload = workload
         # Each node's clock is offset by a fixed draw in

@@ -12,9 +12,11 @@ the regimes IoT deployments actually produce:
 * :class:`HotspotWorkload` — a skewed share of appends comes from one
   hot node (a gateway or coordinator), the rest spread evenly.
 
-Workloads append to the simulation's shared event log and register
-their blocks with the gossip tracker, exactly like the built-in
-default, so metrics stay comparable across shapes.
+Every shape appends through :meth:`Workload._append_once`: to the
+simulation's shared event log, never on a crashed node, sampling the
+frontier width first and registering the block with the gossip tracker,
+so metrics stay comparable across shapes.  A scenario that names no
+workload runs :func:`default_workload`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,11 @@ class Workload(abc.ABC):
     # -- helpers ---------------------------------------------------------
 
     def _append_once(self, sim, node_id: int) -> bool:
-        """One append at *node_id*, if the workload CRDT is visible."""
+        """One append at *node_id*, if it is up and the workload CRDT is
+        visible there (its creation block spreads by gossip)."""
+        faults = sim.fault_injector
+        if faults is not None and faults.node_down(node_id):
+            return False  # crashed nodes append nothing until restart
         node = sim.fleet.nodes[node_id]
         if node.csm.crdt_instance(WORKLOAD_CRDT) is None:
             return False
@@ -73,7 +79,8 @@ class Workload(abc.ABC):
 
 
 class PeriodicWorkload(Workload):
-    """Every node appends on a jittered period."""
+    """Every node (every one of :meth:`_appender_ids`) appends on a
+    jittered period."""
 
     def __init__(self, interval_ms: int, seed: int = 0,
                  payload_bytes: int = 64):
@@ -82,8 +89,11 @@ class PeriodicWorkload(Workload):
             raise ValueError("interval must be positive")
         self.interval_ms = interval_ms
 
+    def _appender_ids(self, sim) -> list[int]:
+        return sorted(sim.fleet.nodes)
+
     def start(self, sim) -> None:
-        for node_id in sorted(sim.fleet.nodes):
+        for node_id in self._appender_ids(sim):
             offset = self._rng.randrange(self.interval_ms)
             sim.loop.schedule_in(offset, self._make_tick(sim, node_id))
 
@@ -97,6 +107,19 @@ class PeriodicWorkload(Workload):
             )
             self._append_once(sim, node_id)
         return tick
+
+
+def default_workload(scenario) -> PeriodicWorkload:
+    """The appender of a scenario that names none: every node, on
+    ``append_interval_ms``."""
+    workload = PeriodicWorkload(
+        scenario.append_interval_ms, payload_bytes=scenario.payload_bytes
+    )
+    # Its own stream, apart from any explicit workload's for the same
+    # seed — and the one the pinned traces and the perf ledger's
+    # ``sim_study`` numbers were captured on.
+    workload._rng = random.Random(scenario.seed ^ 0xC0FFEE)
+    return workload
 
 
 class BurstyWorkload(Workload):

@@ -37,12 +37,6 @@ class StorageError(Exception):
     """The store file is unusable (bad magic, unreadable path)."""
 
 
-def _observability():
-    """The module-level observer, or None (the common, free path)."""
-    from repro import obs as obs_module
-    return obs_module.get()
-
-
 class BlockStore:
     """An append-only file of blocks.
 
@@ -51,13 +45,28 @@ class BlockStore:
     appending every few seconds should not pay an open/close per block.
     The store works as a context manager (``with BlockStore(path) as
     store: ...``) and closing is idempotent; a closed store reopens its
-    writer transparently on the next append.
+    writer transparently on the next append.  *obs* is an
+    :class:`repro.obs.Observability` that counts appends, bytes written
+    and blocks read.
     """
 
-    def __init__(self, path: Union[str, pathlib.Path], fsync: bool = True):
+    def __init__(self, path: Union[str, pathlib.Path], fsync: bool = True,
+                 obs=None):
         self._path = pathlib.Path(path)
         self._fsync = fsync
         self._writer = None
+        self._c_appends = self._c_bytes = self._c_reads = None
+        if obs is not None and obs.enabled:
+            self._c_appends = obs.registry.counter(
+                "blockstore_appends_total", "blocks appended to disk"
+            )
+            self._c_bytes = obs.registry.counter(
+                "blockstore_bytes_written_total",
+                "record bytes written (length + checksum + payload)",
+            )
+            self._c_reads = obs.registry.counter(
+                "blockstore_blocks_read_total", "blocks decoded from disk"
+            )
         if self._path.exists():
             with self._path.open("rb") as handle:
                 magic = handle.read(_HEADER)
@@ -120,15 +129,9 @@ class BlockStore:
         self._write_handle().write(record)
         if sync:
             self.sync()
-        observer = _observability()
-        if observer is not None:
-            observer.registry.counter(
-                "blockstore_appends_total", "blocks appended to disk"
-            ).inc()
-            observer.registry.counter(
-                "blockstore_bytes_written_total",
-                "record bytes written (length + checksum + payload)",
-            ).inc(len(record))
+        if self._c_appends is not None:
+            self._c_appends.inc()
+            self._c_bytes.inc(len(record))
 
     def append_all(self, blocks) -> None:
         for block in blocks:
@@ -159,12 +162,8 @@ class BlockStore:
         checksum passes but whose content will not parse (i.e. real
         corruption, not a torn write)."""
         for _end, payload in self._records():
-            observer = _observability()
-            if observer is not None:
-                observer.registry.counter(
-                    "blockstore_blocks_read_total",
-                    "blocks decoded from disk",
-                ).inc()
+            if self._c_reads is not None:
+                self._c_reads.inc()
             yield Block.from_bytes(payload)
 
     def count(self) -> int:

@@ -37,9 +37,8 @@ class OffloadManager:
         dropped — the conservative policy: only provably-replicated
         history leaves the device.
 
-        *obs* is an :class:`repro.obs.Observability`; when omitted, the
-        module-level default (``repro.obs.get()``) is consulted at
-        eviction time."""
+        *obs* is an :class:`repro.obs.Observability` that counts and
+        traces evictions."""
         if max_bytes < 0:
             raise ValueError("storage budget must be non-negative")
         self.node = node
@@ -49,13 +48,7 @@ class OffloadManager:
             WitnessTracker(node.dag) if witness_quorum > 0 else None
         )
         self._dropped: set[Hash] = set()
-        self._obs = obs
-
-    def _observability(self):
-        if self._obs is not None:
-            return self._obs if self._obs.enabled else None
-        from repro import obs as obs_module
-        return obs_module.get()
+        self._obs = obs if obs is not None and obs.enabled else None
 
     def stored_bytes(self) -> int:
         """Bytes currently held: full bodies plus stubs for dropped ones."""
@@ -116,7 +109,7 @@ class OffloadManager:
         dropped = 0
         if not self.over_budget():
             return dropped
-        observer = self._observability()
+        observer = self._obs
         for block_hash in self._droppable(superpeer):
             if not self.over_budget():
                 break

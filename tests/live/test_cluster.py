@@ -276,8 +276,9 @@ class TestCluster:
 
         asyncio.run(scenario())
         rendered = obs.registry.render_prometheus()
-        assert "live_sessions_total" in rendered
-        assert 'outcome="completed"' in rendered
+        assert obs.registry.value(
+            "reconcile_sessions_total", protocol="frontier"
+        ) >= 1
         assert "live_dials_total" in rendered
         assert "live_blocks_persisted_total" in rendered
 

@@ -183,7 +183,16 @@ class TestLiveOps:
         for payload in metrics:
             text = payload.decode("utf-8")
             assert_valid_exposition(text)
-            assert "live_sessions_total" in text
+            assert 'reconcile_sessions_total{protocol="frontier"}' in text
+            # The node's own store reports through the node's registry:
+            # at least the genesis record was appended.
+            series = dict(
+                line.rsplit(" ", 1) for line in text.splitlines()
+                if line.startswith("blockstore_")
+            )
+            assert int(series["blockstore_appends_total"]) >= 1
+            assert int(series["blockstore_bytes_written_total"]) > 0
+            assert "# TYPE blockstore_blocks_read_total counter" in text
 
         # Merge the three per-node traces into one timeline.
         traces = [NodeTrace.load(path) for path in trace_paths]
@@ -336,3 +345,100 @@ class TestLiveOps:
         assert summary["peers"] == 0
         assert "beacons_received" in summary
         assert "rejections" in summary
+
+
+class TestSessionReport:
+    """A live session reports what a simulated one does: the field set
+    and the ``reconcile_*`` families of ``repro.reconcile.stats``."""
+
+    def _run_pair(self, tmp_path, protocol, prepare, settled):
+        """Node a (traced, ops endpoint) dials b; *prepare* diverges
+        them, and once *settled*(a's completed sessions) holds, returns
+        those sessions and a's ``/metrics`` text."""
+        from repro.obs import RingBufferSink
+
+        deployment = Deployment()
+        ring = RingBufferSink()
+        obs = Observability(clock=_wall_ms, sinks=[ring])
+
+        def completed():
+            return [
+                event.as_dict() for event in ring.events()
+                if event.type == "session.completed"
+            ]
+
+        async def scenario():
+            a = _make_node(deployment, tmp_path, 0, obs=obs, ops_port=0,
+                           protocol=protocol)
+            b = _make_node(deployment, tmp_path, 1, protocol=protocol)
+            await a.start()
+            await b.start()
+            try:
+                await prepare(a, b)
+                a.add_peer(PeerSpec("n1", "127.0.0.1", b.listen_port))
+                deadline = asyncio.get_running_loop().time() + 20.0
+                while not settled(completed()):
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.05)
+                assert await _await_convergence([a, b])
+                return _body(await _http_get(a.ops.port, "/metrics"))
+            finally:
+                await a.stop()
+                await b.stop()
+
+        text = asyncio.run(scenario()).decode("utf-8")
+        assert_valid_exposition(text)
+        return completed(), text
+
+    def test_sketch_fallback_is_reported(self, tmp_path, monkeypatch):
+        from repro.reconcile import PROTOCOLS_BY_NAME, SketchProtocol
+
+        class ImpatientSketch(SketchProtocol):
+            """Gives up peeling after one undersized attempt."""
+
+            def __init__(self, push=True):
+                super().__init__(push=push, initial_diff=1,
+                                 max_attempts=1, growth=1)
+
+        monkeypatch.setitem(PROTOCOLS_BY_NAME, "sketch", ImpatientSketch)
+
+        async def diverge(a, b):
+            for _ in range(6):
+                a.append_transactions([])
+            for _ in range(5):
+                b.append_transactions([])
+
+        sessions, text = self._run_pair(
+            tmp_path, "sketch", diverge,
+            lambda done: any("fallbacks" in s for s in done),
+        )
+        fell_back = [s for s in sessions if "fallbacks" in s]
+        assert fell_back[0]["fallbacks"] == 1
+        assert fell_back[0]["protocol"] == "sketch"
+        # The whole shared field set rides along, not the old subset.
+        for field in ("messages_i2r", "messages_r2i", "duplicates",
+                      "invalid", "rounds", "bytes_i2r", "bytes_r2i",
+                      "blocks_pulled", "blocks_pushed", "converged",
+                      "peer", "seq"):
+            assert field in fell_back[0], field
+        assert 'reconcile_fallbacks_total{protocol="sketch"}' in text
+        assert 'reconcile_rounds_total{protocol="sketch"}' in text
+
+    def test_delta_session_reports_lattice_entries(self, tmp_path):
+        async def write_on_b(a, b):
+            # a founds the log; b learns of it off the wire, then
+            # writes an entry only b holds.
+            created = a.append_transactions([a.node.create_crdt_tx(
+                "log", "append_log", "any", permissions={"append": "*"},
+            )])
+            b.node.receive_block(created)
+            b.append_transactions([b.node.crdt_op("log", "append", "x")])
+
+        sessions, text = self._run_pair(
+            tmp_path, "delta", write_on_b,
+            lambda done: any("delta_entries_pulled" in s for s in done),
+        )
+        pulled = [s for s in sessions if "delta_entries_pulled" in s]
+        assert pulled[0]["delta_entries_pulled"] >= 1
+        assert ('reconcile_blocks_total{protocol="delta",'
+                'kind="delta_pulled"}') in text

@@ -2,10 +2,9 @@
 
 import json
 
-from repro.obs import Observability, configure, get
+from repro.obs import Observability
 from repro.obs.trace import (
     JsonlFileSink,
-    NullSink,
     RingBufferSink,
     TraceBus,
     TraceEvent,
@@ -43,11 +42,6 @@ class TestSinks:
             sink.write(TraceEvent(index, "tick", {}))
         assert [event.time_ms for event in sink.events()] == [3, 4]
         assert sink.total_written == 5
-
-    def test_null_sink_swallows(self):
-        sink = NullSink()
-        sink.write(TraceEvent(0, "tick", {}))
-        sink.close()
 
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -100,17 +94,6 @@ class TestObservability:
         observability = Observability(sinks=[ring])
         observability.emit("tick", n=3)
         assert observability.events()[0].fields == {"n": 3}
-
-    def test_module_default_configure_cycle(self):
-        assert get() is None
-        try:
-            installed = configure(enabled=True, ring_capacity=8)
-            assert get() is installed
-            installed.emit("tick")
-            assert len(installed.events()) == 1
-        finally:
-            configure(enabled=False)
-        assert get() is None
 
 
 class TestSimulationTraceDeterminism:

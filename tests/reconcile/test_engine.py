@@ -10,13 +10,8 @@ run's).
 import pytest
 
 from repro.reconcile import (
-    BloomProtocol,
-    DeltaProtocol,
-    FrontierProtocol,
-    FullExchangeProtocol,
-    HeightSkipProtocol,
+    PROTOCOLS_BY_NAME,
     ReconcileSession,
-    SketchProtocol,
     drive_to_completion,
 )
 from repro.reconcile.stats import (
@@ -24,14 +19,8 @@ from repro.reconcile.stats import (
     RESPONDER_TO_INITIATOR,
 )
 
-ALL_PROTOCOLS = [
-    FrontierProtocol,
-    FullExchangeProtocol,
-    BloomProtocol,
-    HeightSkipProtocol,
-    SketchProtocol,
-    DeltaProtocol,
-]
+# Registering a protocol is what puts it under these tests.
+ALL_PROTOCOLS = list(PROTOCOLS_BY_NAME.values())
 
 
 def _diverge(deployment, left_appends=5, right_appends=3):

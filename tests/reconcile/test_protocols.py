@@ -1,5 +1,6 @@
-"""Reconciliation protocol tests: all four protocols must converge any
-pair of replicas of the same chain, and must refuse foreign chains."""
+"""Reconciliation protocol tests: every registered protocol must
+converge any pair of replicas of the same chain, and must refuse foreign
+chains."""
 
 import pytest
 
@@ -8,18 +9,15 @@ from repro.core.genesis import create_genesis
 from repro.core.node import VegvisirNode
 from repro.crypto.keys import KeyPair
 from repro.reconcile import (
+    PROTOCOLS_BY_NAME,
     BloomProtocol,
     FrontierProtocol,
     FullExchangeProtocol,
     HeightSkipProtocol,
 )
 
-ALL_PROTOCOLS = [
-    FrontierProtocol,
-    FullExchangeProtocol,
-    BloomProtocol,
-    HeightSkipProtocol,
-]
+# Registering a protocol is what puts it under these tests.
+ALL_PROTOCOLS = list(PROTOCOLS_BY_NAME.values())
 
 
 def _diverge(deployment, left_appends=5, right_appends=3):

@@ -123,25 +123,6 @@ class TestReconcileStatsGuards:
         with pytest.raises(ValueError, match="unknown direction"):
             stats.record("sideways", {"type": "nope"})
 
-    def test_registry_mirroring(self):
-        from repro.obs.metrics import MetricsRegistry
-        from repro.reconcile.stats import (
-            INITIATOR_TO_RESPONDER,
-            ReconcileStats,
-        )
-
-        registry = MetricsRegistry()
-        stats = ReconcileStats("frontier", registry=registry)
-        size = stats.record(INITIATOR_TO_RESPONDER, {"type": "ping"})
-        assert size > 0
-        assert registry.value(
-            "reconcile_bytes_total", protocol="frontier", direction="i->r"
-        ) == size
-        assert registry.value(
-            "reconcile_messages_total",
-            protocol="frontier", direction="i->r",
-        ) == 1
-
 
 class TestEnergyModel:
     def test_transfer_charges_both_sides(self):

@@ -20,23 +20,13 @@ from repro.net.partitions import PartitionSchedule, PartitionedTopology
 from repro.net.topology import FullMeshTopology
 from repro.obs.analyze import analyze_trace
 from repro.reconcile import (
-    BloomProtocol,
-    DeltaProtocol,
+    PROTOCOLS_BY_NAME,
     FrontierProtocol,
-    FullExchangeProtocol,
-    HeightSkipProtocol,
-    SketchProtocol,
 )
 from repro.sim import Scenario, Simulation
 
-ALL_PROTOCOLS = [
-    FrontierProtocol,
-    FullExchangeProtocol,
-    BloomProtocol,
-    HeightSkipProtocol,
-    SketchProtocol,
-    DeltaProtocol,
-]
+# Registering a protocol is what puts it under these tests.
+ALL_PROTOCOLS = list(PROTOCOLS_BY_NAME.values())
 
 
 def _ideal_link() -> LinkModel:

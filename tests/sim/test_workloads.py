@@ -80,3 +80,45 @@ class TestHotspotWorkload:
     def test_share_bounds_validated(self):
         with pytest.raises(ValueError):
             HotspotWorkload(interval_ms=1_000, hotspot_share=1.5)
+
+
+class TestEveryShapeAppendsAlike:
+    """What the default appender does around an append, every workload
+    shape does: both live in ``Workload._append_once``."""
+
+    CRASH_MS, RESTART_MS = 6_000, 30_000
+
+    def _run_bursty_with_crash(self):
+        from repro.faults.plan import CrashEvent, FaultPlan
+
+        workload = BurstyWorkload(burst_interval_ms=1_500, burst_size=3,
+                                  seed=6)
+        plan = FaultPlan(crashes=[
+            CrashEvent(1, self.CRASH_MS, self.RESTART_MS)
+        ])
+        sim = Simulation(Scenario(
+            node_count=2, duration_ms=self.RESTART_MS, workload=workload,
+            session_model="message", faults=plan, metrics=True, seed=82,
+        )).run()
+        sim.run_quiescence(10_000)
+        sim.close()
+        return sim, workload
+
+    def test_downed_node_appends_nothing(self):
+        sim, workload = self._run_bursty_with_crash()
+        # Bursts did land on node 1 while it was down, and were skipped.
+        assert workload.appends < workload.bursts * workload.burst_size
+        crashed = sim.node(1)
+        written_while_down = [
+            block for block in crashed.dag.blocks()
+            if block.user_id == crashed.user_id
+            and self.CRASH_MS <= block.timestamp < self.RESTART_MS
+        ]
+        assert written_while_down == []
+        assert sim.converged()
+
+    def test_custom_shape_feeds_frontier_width_histogram(self):
+        sim, workload = self._run_bursty_with_crash()
+        histogram = sim.registry().value("sim_frontier_width")
+        assert workload.appends > 0
+        assert histogram["count"] == workload.appends
