@@ -878,7 +878,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="transactions per witness block (default 128)")
     gateway.add_argument("--batch-delay-ms", dest="batch_delay_ms",
                          type=float, default=25.0,
-                         help="max wait before a partial batch flushes")
+                         help="hold-off between partial-batch cuts, and "
+                              "the most a transaction waits for one: an "
+                              "idle gateway cuts at once (default 25)")
     gateway.add_argument("--max-queue", dest="max_queue", type=int,
                          default=1024,
                          help="pending-transaction bound per chain; "

@@ -1,14 +1,22 @@
 """Coalescing client transactions into Vegvisir blocks.
 
 Ordinary clients submit single transactions; the chain wants blocks.
-The :class:`TxBatcher` sits between them with the classic
-size-or-deadline trigger: a batch is cut the moment it reaches
-``max_batch`` transactions, or when the *oldest* queued transaction
-has waited ``max_delay_s`` — whichever comes first.  Each cut batch
-becomes one signed block through the host chain's append callable
-(the gateway's LiveNode), so a thousand cheap HTTP submits cost the
-DAG one block, one signature, and one witness of the current frontier
-(§IV-H: every block witnesses everything beneath it).
+The :class:`TxBatcher` sits between them with a size-or-hold-off
+trigger (:func:`next_cut` is the whole rule): a batch is cut the
+moment it reaches ``max_batch`` transactions, and otherwise as soon as
+``max_delay_s`` has passed since the *previous cut* or since its
+oldest transaction arrived — whichever comes first.  A transaction
+that finds the batcher idle is therefore cut into a block at once; one
+that arrives inside a hold-off waits for the hold-off's end; under
+sustained load a block is cut every ``max_delay_s``, as a timer would.
+Two bounds follow: no transaction waits longer than ``max_delay_s``
+before its append starts, and cuts not forced by a full batch are
+never closer than ``max_delay_s`` (at most ``1 / max_delay_s`` partial
+blocks a second).  Each cut batch becomes one signed block through the
+host chain's append callable (the gateway's LiveNode), so a thousand
+cheap HTTP submits cost the DAG one block, one signature, and one
+witness of the current frontier (§IV-H: every block witnesses
+everything beneath it).
 
 Backpressure is explicit and memory is bounded: the queue holds at
 most ``max_queue`` pending transactions.  When a submit arrives over
@@ -22,6 +30,7 @@ arbitrarily late.  Nothing in this file ever grows without bound.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
 from typing import Callable, Optional, Sequence
@@ -31,6 +40,27 @@ from repro.chain.block import MAX_TRANSACTIONS, Transaction
 DEFAULT_MAX_BATCH = 128
 DEFAULT_MAX_DELAY_S = 0.025
 DEFAULT_MAX_QUEUE = 1024
+
+
+def next_cut(queued: int, oldest: float, last_cut: float, now: float, *,
+             max_batch: int, max_delay_s: float
+             ) -> tuple[float, Optional[str]]:
+    """When the next batch is due, and the trigger that makes it so.
+
+    ``full``: *queued* reached ``max_batch`` — now, whatever the
+    hold-off.  ``idle``: the *oldest* queued transaction arrived with
+    no cut in the ``max_delay_s`` before it — now.  ``hold_off``: it
+    arrived inside the hold-off that *last_cut* started and waits for
+    its end (or, for what a full cut left behind, for its own
+    ``max_delay_s``, whichever is first).  Nothing queued is never due.
+    """
+    if queued == 0:
+        return math.inf, None
+    if queued >= max_batch:
+        return now, "full"
+    if last_cut + max_delay_s <= oldest:
+        return now, "idle"
+    return max(now, min(last_cut, oldest) + max_delay_s), "hold_off"
 
 
 class ShedError(Exception):
@@ -72,7 +102,7 @@ class _Pending:
 
 
 class TxBatcher:
-    """One chain's size-or-deadline transaction coalescer.
+    """One chain's size-or-hold-off transaction coalescer.
 
     *append* turns a list of transactions into a block and per-
     transaction outcomes: ``append(txs) -> (block, outcomes)`` where
@@ -91,7 +121,7 @@ class TxBatcher:
         max_delay_s: float = DEFAULT_MAX_DELAY_S,
         max_queue: int = DEFAULT_MAX_QUEUE,
         clock: Optional[Callable[[], float]] = None,
-        on_flush: Optional[Callable[[int, float], None]] = None,
+        on_flush: Optional[Callable[[int, float, str], None]] = None,
         on_shed: Optional[Callable[[int], None]] = None,
     ):
         if max_batch < 1 or max_batch > MAX_TRANSACTIONS:
@@ -113,7 +143,10 @@ class TxBatcher:
         self._wakeup: Optional[asyncio.Event] = None
         self._task: Optional[asyncio.Task] = None
         self._closed = False
-        self.batches_flushed = 0
+        self._last_cut = -math.inf
+        #: Blocks cut, by what triggered the cut (see :func:`next_cut`;
+        #: ``stop`` is the final flush).
+        self.cuts = dict.fromkeys(("idle", "hold_off", "full", "stop"), 0)
         self.txs_batched = 0
         self.txs_shed = 0
 
@@ -123,6 +156,7 @@ class TxBatcher:
         if self._task is not None:
             raise RuntimeError("batcher already started")
         self._closed = False
+        self._last_cut = -math.inf  # a (re)started batcher is idle
         self._wakeup = asyncio.Event()
         self._task = asyncio.ensure_future(self._run())
 
@@ -147,12 +181,16 @@ class TxBatcher:
     def queue_depth(self) -> int:
         return len(self._queue)
 
+    @property
+    def batches_flushed(self) -> int:
+        return sum(self.cuts.values())
+
     def submit(self, tx: Transaction) -> asyncio.Future:
         """Queue one transaction; the future resolves to a
         :class:`SubmitResult` (or :class:`ShedError` /
         :class:`BatcherClosed`)."""
         if self._closed or self._task is None:
-            future = asyncio.get_event_loop().create_future()
+            future = asyncio.get_running_loop().create_future()
             future.set_exception(BatcherClosed())
             return future
         while len(self._queue) >= self.max_queue:
@@ -162,9 +200,12 @@ class TxBatcher:
                 self._on_shed(1)
             if not shed.future.done():
                 shed.future.set_exception(ShedError(self._retry_after()))
-        future = asyncio.get_event_loop().create_future()
+        future = asyncio.get_running_loop().create_future()
         self._queue.append(_Pending(tx, future, self._clock()))
-        self._wakeup.set()
+        # Only the first entry (it sets the due time) and the one that
+        # fills the batch can change what the flusher is waiting for.
+        if len(self._queue) in (1, self.max_batch):
+            self._wakeup.set()
         return future
 
     def _retry_after(self) -> float:
@@ -178,40 +219,42 @@ class TxBatcher:
 
     async def _run(self) -> None:
         while True:
-            await self._wakeup.wait()
-            self._wakeup.clear()
-            if self._closed and not self._queue:
+            trigger = await self._wait_for_trigger()
+            if trigger is None:
                 return
-            while self._queue:
-                await self._wait_for_trigger()
-                self._flush_one_batch()
-            if self._closed:
-                return
+            self._flush_one_batch(trigger)
 
-    async def _wait_for_trigger(self) -> None:
-        """Sleep until the batch is full or the oldest entry expires."""
-        while (
-            not self._closed
-            and self._queue
-            and len(self._queue) < self.max_batch
-        ):
-            deadline = self._queue[0].enqueued + self.max_delay_s
-            remaining = deadline - self._clock()
-            if remaining <= 0:
-                return
+    async def _wait_for_trigger(self) -> Optional[str]:
+        """Sleep until :func:`next_cut` says cut; the trigger's name,
+        or ``None`` once stopped with nothing left to flush."""
+        while True:
+            if self._closed:
+                return "stop" if self._queue else None
+            now = self._clock()
+            due, trigger = next_cut(
+                len(self._queue),
+                self._queue[0].enqueued if self._queue else now,
+                self._last_cut, now,
+                max_batch=self.max_batch, max_delay_s=self.max_delay_s,
+            )
+            if due <= now:
+                return trigger
             self._wakeup.clear()
             try:
-                await asyncio.wait_for(self._wakeup.wait(), remaining)
+                await asyncio.wait_for(
+                    self._wakeup.wait(),
+                    None if trigger is None else due - now,
+                )
             except (asyncio.TimeoutError, TimeoutError):
-                return
+                return trigger
 
-    def _flush_one_batch(self) -> None:
+    def _flush_one_batch(self, trigger: str) -> None:
         batch: list[_Pending] = []
         while self._queue and len(batch) < self.max_batch:
             batch.append(self._queue.popleft())
-        if not batch:
-            return
-        now = self._clock()
+        # The hold-off runs from here whether or not the chain takes
+        # the batch: a refused block costs what an accepted one does.
+        now = self._last_cut = self._clock()
         oldest_wait_ms = (now - batch[0].enqueued) * 1000.0
         try:
             block, outcomes = self._append([entry.tx for entry in batch])
@@ -220,10 +263,10 @@ class TxBatcher:
                 if not entry.future.done():
                     entry.future.set_exception(exc)
             return
-        self.batches_flushed += 1
+        self.cuts[trigger] += 1
         self.txs_batched += len(batch)
         if self._on_flush is not None:
-            self._on_flush(len(batch), oldest_wait_ms)
+            self._on_flush(len(batch), oldest_wait_ms, trigger)
         for index, entry in enumerate(batch):
             if entry.future.done():
                 continue
@@ -244,6 +287,7 @@ class TxBatcher:
             "max_batch": self.max_batch,
             "max_delay_ms": self.max_delay_s * 1000.0,
             "batches": self.batches_flushed,
+            "cuts": dict(self.cuts),
             "txs_batched": self.txs_batched,
             "txs_shed": self.txs_shed,
         }

@@ -10,8 +10,10 @@ DLedger's IoT-gateway deployment, see PAPERS.md):
 
 * ``POST /v1/tx`` — submit one transaction; admission-controlled,
   coalesced into a witness block by the chain's
-  :class:`~repro.gateway.batching.TxBatcher`, answered with the block
-  hash and the CSM verdict once the batch flushes;
+  :class:`~repro.gateway.batching.TxBatcher` (cut at once when the
+  batcher has been idle for ``max_delay_s``, else at the end of the
+  hold-off the previous cut started, or when full), answered with the
+  block hash and the CSM verdict once the batch flushes;
 * ``GET /v1/state/<crdt>`` — read a CRDT's current value;
 * ``GET /v1/block/<hash>`` — fetch one block as JSON;
 * ``WS /v1/subscribe`` — push feed of every block the replica
@@ -235,7 +237,8 @@ class GatewayNode:
             )
 
     def _make_on_flush(self, prefix: str):
-        def on_flush(size: int, oldest_wait_ms: float) -> None:
+        def on_flush(size: int, oldest_wait_ms: float,
+                     trigger: str) -> None:
             if self._m_batch is not None:
                 self._m_batch.observe(size)
                 self._m_queue.labels(chain=prefix).set(
@@ -245,6 +248,7 @@ class GatewayNode:
                 self._obs.emit(
                     "gateway.batch", chain=prefix, size=size,
                     oldest_wait_ms=round(oldest_wait_ms, 3),
+                    trigger=trigger,
                 )
         return on_flush
 

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import time
 
 from repro.gateway import GatewayClient, GatewayNode
 from repro.gateway import websocket as ws
@@ -54,7 +55,7 @@ class TestSubmitPath:
     def test_submit_batches_into_one_block(self, deployment, tmp_path):
         async def scenario():
             gateway = make_gateway(
-                deployment, tmp_path, max_batch=8, max_delay_s=0.05
+                deployment, tmp_path, max_batch=8, max_delay_s=0.5
             )
             await gateway.start()
             create_ledger(gateway)
@@ -65,6 +66,13 @@ class TestSubmitPath:
                 for _ in range(5)
             ]
             try:
+                # An idle gateway cuts a lone submit at once; it is the
+                # hold-off that cut starts which gathers the next five.
+                opener = await clients[0].request(
+                    "POST", "/v1/tx",
+                    body={"crdt": "ledger", "op": "append",
+                          "args": ["opener"]},
+                )
                 results = await asyncio.gather(*[
                     client.request(
                         "POST", "/v1/tx",
@@ -81,9 +89,10 @@ class TestSubmitPath:
                 for client in clients:
                     await client.close()
                 await gateway.stop()
-            return results, state
+            return opener, results, state
 
-        results, (st, _, state) = asyncio.run(scenario())
+        opener, results, (st, _, state) = asyncio.run(scenario())
+        assert opener[0] == 200 and opener[2]["batch_size"] == 1
         assert all(status == 200 for status, _, _ in results)
         bodies = [body for _, _, body in results]
         assert all(body["applied"] for body in bodies)
@@ -91,7 +100,38 @@ class TestSubmitPath:
         assert len({body["block"] for body in bodies}) == 1
         assert bodies[0]["batch_size"] == 5
         assert st == 200
-        assert sorted(state["value"]) == [f"e{i}" for i in range(5)]
+        assert sorted(state["value"]) == (
+            [f"e{i}" for i in range(5)] + ["opener"]
+        )
+
+    def test_lone_post_is_answered_at_once(self, deployment, tmp_path):
+        # max_delay_s bounds the wait; it is not a wait: nothing cut a
+        # block in the 5 s before this transaction, so nothing holds it.
+        async def scenario():
+            gateway = make_gateway(deployment, tmp_path, max_delay_s=5.0)
+            await gateway.start()
+            create_ledger(gateway)
+            client = GatewayClient("127.0.0.1", gateway.http_port)
+            try:
+                began = time.monotonic()
+                status, _, body = await asyncio.wait_for(
+                    client.request(
+                        "POST", "/v1/tx",
+                        body={"crdt": "ledger", "op": "append",
+                              "args": ["lonely"]},
+                    ),
+                    timeout=4.0,
+                )
+                elapsed = time.monotonic() - began
+            finally:
+                await client.close()
+                await gateway.stop()
+            return status, body, elapsed
+
+        status, body, elapsed = asyncio.run(scenario())
+        assert status == 200 and body["applied"]
+        assert body["batch_size"] == 1
+        assert elapsed < 1.0 and body["latency_ms"] < 1000.0
 
     def test_rejected_transaction_reports_reason(self, deployment,
                                                  tmp_path):
@@ -453,4 +493,7 @@ class TestOpsIntegration:
         assert summary["requests_served"] >= 1
         (chain_summary,) = summary["chains"].values()
         assert chain_summary["txs_batched"] >= 1
+        assert chain_summary["cuts"] == {
+            "idle": 1, "hold_off": 0, "full": 0, "stop": 0,
+        }
         assert chain_summary["blocks"] >= 2

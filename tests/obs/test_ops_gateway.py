@@ -6,7 +6,7 @@ import time
 
 from repro.gateway import GatewayClient, GatewayNode
 from repro.live.node import LiveNode
-from repro.obs import Observability
+from repro.obs import Observability, RingBufferSink
 
 from tests.conftest import Deployment
 from tests.obs.test_metrics import assert_valid_exposition
@@ -59,7 +59,7 @@ async def _drive_traffic(gateway):
 class TestOpsWithGateway:
     def test_status_carries_gateway_summary(self, tmp_path):
         deployment = Deployment()
-        obs = Observability(clock=_wall_ms)
+        obs = Observability(clock=_wall_ms, sinks=[RingBufferSink()])
 
         async def scenario():
             gateway = _gateway(deployment, tmp_path, obs)
@@ -86,8 +86,13 @@ class TestOpsWithGateway:
         assert summary["requests_served"] >= 3
         (chain,) = summary["chains"].values()
         assert chain["txs_batched"] >= 1
+        assert chain["cuts"]["idle"] == chain["batches"] == 1
         assert chain["queue_depth"] == 0
         assert chain["subscribers"] == 0
+        # Why the block was cut is a field of the trace, too.
+        (batch,) = [e for e in obs.events() if e.type == "gateway.batch"]
+        assert batch.fields["trigger"] == "idle"
+        assert batch.fields["size"] == 1
 
     def test_metrics_exposition_includes_gateway_families(self, tmp_path):
         deployment = Deployment()
