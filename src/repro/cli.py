@@ -717,7 +717,10 @@ def _add_node_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--name", default=None,
                         help="node name for logs and traces")
     parser.add_argument("--interval", type=float, default=1.0,
-                        help="anti-entropy interval in seconds")
+                        help="seconds between anti-entropy sessions "
+                             "(default 1.0); a local write does not wait "
+                             "for one: it is pushed to every peer a "
+                             "session has converged with")
     parser.add_argument("--session-timeout", type=float, default=30.0,
                         dest="session_timeout",
                         help="per-session deadline in seconds")

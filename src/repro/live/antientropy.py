@@ -1,4 +1,5 @@
-"""The anti-entropy loop: periodic reconciliation over live connections.
+"""The anti-entropy loop: periodic reconciliation over live connections,
+and the push of this replica's own writes.
 
 One :class:`AntiEntropyLoop` per node plays the paper's §IV-G gossip
 role on real sockets: every interval (with jitter) it picks a random
@@ -11,11 +12,27 @@ garbage, or builds a message the connection cannot frame is
 closed so the peer manager's backoff can rebuild it.  Interruption
 never corrupts the replica — blocks only enter the DAG through
 parent-closed :func:`~repro.reconcile.session.merge_blocks` batches.
+
+**Writes are pushed.**  For each outbound connection the loop remembers
+the frontier its peer provably holds: the one the push half of the last
+converged session on that connection — or the last push — sent the
+difference against (``ReconcileStats.held``).  A local write
+(:meth:`AntiEntropyLoop.notify_write`) wakes one pusher per connected
+peer: a peer with such a frontier is sent what lies above it, as a
+one-way ``push_blocks`` session — the push half of a session without
+the pull in front.  Pushes to one peer are at least
+:data:`PUSH_HOLD_OFF_S` apart and writes in between ride the next one;
+a stalled peer holds up no other peer's.  Received blocks wake nothing
+(no relay: more than one hop is still the timer's), a peer with no
+converged session on its current connection gets nothing until the
+timer's next session, and :meth:`AntiEntropyLoop.stop` sends no pending
+push.  One session at a time runs on a connection, whoever started it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 from typing import Callable, Optional
 
@@ -25,15 +42,35 @@ from repro.live.protocol import BlockSink, run_session
 from repro.live.transport import TransportError
 from repro.obs.profiling import PHASE_SESSION, maybe_phase
 from repro.reconcile import ReconcileError, protocol_class
+from repro.reconcile.engine import Protocol
+from repro.reconcile.session import push_missing
 from repro.reconcile.stats import ReconcileStats, SessionCounters
 
 DEFAULT_INTERVAL = 1.0
 DEFAULT_JITTER = 0.2
 DEFAULT_SESSION_TIMEOUT = 30.0
+#: Least time between two pushes to one peer (``docs/live.md``, "Writes are
+#: pushed", has the curve it was picked from).
+PUSH_HOLD_OFF_S = 0.25
+
+
+class _PushAbove(Protocol):
+    """The push half of a session run alone: what lies above *held*.
+    Not a registry protocol — it never pulls, so only a frontier the
+    peer is known to hold makes it sound."""
+
+    name = "push"
+
+    def __init__(self, held):
+        self._held = held
+
+    def initiate(self, me):
+        yield from push_missing(me, self._held)
 
 
 class AntiEntropyLoop:
-    """Periodic initiator sessions against connected peers."""
+    """Periodic initiator sessions against connected peers, and pushes
+    of local writes to the peers known to be current."""
 
     def __init__(
         self,
@@ -67,32 +104,88 @@ class AntiEntropyLoop:
         self._profiler = profiler
         self.sessions_completed = 0
         self.sessions_interrupted = 0
+        #: Completed push sessions (also counted in sessions_completed).
+        self.pushes = 0
         #: Monotonic per-node session sequence number; stamped into the
         #: session.start/completed/interrupted trace events so the
         #: cross-node merger can line sessions up deterministically.
         self._session_seq = 0
         self._stopping = False
+        #: peer -> (transport, tips): everything under *tips* is held by
+        #: the peer, learned on *transport* — any other connection to it
+        #: knows nothing.
+        self._held: dict = {}
+        #: peer -> the lock one session at a time holds on it.
+        self._locks: dict[str, asyncio.Lock] = {}
+        #: peer -> (wake-up, pusher task) while :meth:`run` runs.
+        self._pushers: Optional[dict] = None
         if self._obs is not None:
             self._session_counters = SessionCounters(self._obs.registry)
 
     async def run(self) -> None:
-        """The periodic loop; runs until cancelled or :meth:`stop`."""
+        """The periodic loop, with the pushers of local writes beside
+        it; runs until cancelled or :meth:`stop`."""
         self._stopping = False
-        while not self._stopping:
-            delay = self._interval
-            if self._jitter:
-                delay += self._jitter * (2.0 * self._rng.random() - 1.0)
-            await asyncio.sleep(max(0.01, delay))
-            await self.run_tick()
+        self._pushers = {}
+        try:
+            while not self._stopping:
+                delay = self._interval
+                if self._jitter:
+                    delay += self._jitter * (2.0 * self._rng.random() - 1.0)
+                await asyncio.sleep(max(0.01, delay))
+                await self.run_tick()
+        finally:
+            tasks = [task for _, task in self._pushers.values()]
+            self._pushers = None
+            # Cancel until it takes, as PeerManager.stop() does: a
+            # push's own wait_for can swallow a cancel.
+            while not all(task.done() for task in tasks):
+                for task in tasks:
+                    task.cancel()
+                await asyncio.wait(tasks, timeout=0.05)
+            for task in tasks:
+                if not task.cancelled():
+                    task.result()  # what killed it, if anything did
 
     def stop(self) -> None:
-        """Make :meth:`run` return after the tick in progress.
+        """Make :meth:`run` return after the tick in progress, sending
+        no pending push.
 
         Cancelling the task is not enough on its own: on Python 3.11 a
         cancel that lands as a session's ``asyncio.wait_for`` returns is
         swallowed, and the loop would sleep into its next tick.
         """
         self._stopping = True
+
+    def notify_write(self) -> None:
+        """A block was created here: push it to the current peers."""
+        if self._pushers is None:
+            return
+        for name in self._peers.connected_peers():
+            if name not in self._pushers:
+                wake = asyncio.Event()
+                self._pushers[name] = (
+                    wake, asyncio.ensure_future(self._push_writes(name, wake))
+                )
+            self._pushers[name][0].set()
+
+    async def _push_writes(self, peer_name: str, wake: asyncio.Event) -> None:
+        """Pushes to *peer_name*, one per wake-up, at least
+        ``PUSH_HOLD_OFF_S`` apart; the writes of a hold-off coalesce
+        into the push at its end.  Each peer has its own, so a stalled
+        peer holds up no other."""
+        clock = asyncio.get_running_loop().time
+        last = -math.inf
+        while True:
+            await wake.wait()
+            hold = last + PUSH_HOLD_OFF_S - clock()
+            if hold > 0:
+                await asyncio.sleep(hold)
+            if self._stopping:
+                return
+            wake.clear()
+            last = clock()
+            await self.push_once(peer_name)
 
     async def run_tick(self) -> Optional[ReconcileStats]:
         """One tick: a session against one random connected peer
@@ -102,12 +195,54 @@ class AntiEntropyLoop:
             return None
         return await self.run_once(names[self._rng.randrange(len(names))])
 
+    def _lock(self, peer_name: str) -> asyncio.Lock:
+        return self._locks.setdefault(peer_name, asyncio.Lock())
+
     async def run_once(self, peer_name: str) -> Optional[ReconcileStats]:
-        """One session against *peer_name* now; None if not connected."""
-        transport = self._peers.connection(peer_name)
-        if transport is None:
-            return None
-        protocol = self._protocol_cls()
+        """One session against *peer_name* now, after whatever session
+        is running on that connection; None if not connected."""
+        async with self._lock(peer_name):
+            transport = self._peers.connection(peer_name)
+            if transport is None:
+                return None
+            on_blocks = self._on_blocks
+            if self._block_sink_factory is not None:
+                on_blocks = self._block_sink_factory(peer_name)
+            return await self._session(
+                peer_name, transport, self._protocol_cls(), on_blocks
+            )
+
+    async def push_once(self, peer_name: str) -> Optional[ReconcileStats]:
+        """Push *peer_name* what lies above the frontier it is known to
+        hold on its current connection; None when no such frontier is
+        known or nothing lies above it."""
+        async with self._lock(peer_name):
+            transport = self._peers.connection(peer_name)
+            known = self._held.get(peer_name)
+            if transport is None or known is None or known[0] is not transport:
+                return None
+            # A tip outside the held frontier cannot be under it.
+            if self._node.frontier() <= known[1]:
+                return None
+            stats = await self._session(
+                peer_name, transport, _PushAbove(known[1]), None
+            )
+            if not stats.interrupted:
+                self.pushes += 1
+            return stats
+
+    def unsent(self) -> dict[str, int]:
+        """Per outbound peer with a known frontier on its current
+        connection: how many blocks held here are not known to be held
+        there."""
+        return {
+            name: len(self._node.dag.not_under(tips))
+            for name, (transport, tips) in self._held.items()
+            if self._peers.connection(name) is transport
+        }
+
+    async def _session(self, peer_name: str, transport, protocol,
+                       on_blocks: Optional[BlockSink]) -> ReconcileStats:
         stats = ReconcileStats(protocol.name)
         seq = self._session_seq
         self._session_seq += 1
@@ -116,9 +251,6 @@ class AntiEntropyLoop:
                 "session.start", peer=peer_name, protocol=protocol.name,
                 seq=seq,
             )
-        on_blocks = self._on_blocks
-        if self._block_sink_factory is not None:
-            on_blocks = self._block_sink_factory(peer_name)
         try:
             with maybe_phase(self._profiler, PHASE_SESSION) as ph:
                 await asyncio.wait_for(
@@ -145,10 +277,14 @@ class AntiEntropyLoop:
                     reason=reason, **stats.session_fields(),
                 )
             # The stream may hold a stale half-exchanged session; the
-            # only safe recovery is a fresh connection via backoff.
+            # only safe recovery is a fresh connection via backoff —
+            # which knows nothing of what this one's peer held, so a
+            # push half lost here is not taken for delivered.
             await transport.close()
             return stats
         self.sessions_completed += 1
+        if stats.held is not None:
+            self._held[peer_name] = (transport, stats.held)
         if self._obs is not None:
             self._session_counters.completed(stats)
             self._obs.emit(

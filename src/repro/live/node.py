@@ -11,7 +11,7 @@
   recovers exactly its persisted parent-closed prefix;
 * **networking** — a :class:`~repro.live.peers.PeerManager` for
   connections and an :class:`~repro.live.antientropy.AntiEntropyLoop`
-  for sessions;
+  for sessions and for pushing local writes;
 * **observability** — optional metrics registry and trace events
   (``peer.connected``, ``session.completed``, ``session.interrupted``)
   through the standard :class:`~repro.obs.Observability` wiring.
@@ -206,13 +206,15 @@ class LiveNode:
     def append_transactions(
         self, transactions: List[Transaction] = ()
     ) -> Block:
-        """Create a block locally and persist it durably."""
+        """Create a block locally, persist it durably, and have it
+        pushed to the peers known to be current."""
         block = self.node.append_transactions(transactions)
         if self._obs is not None:
             self._obs.emit(
                 "block.created", node=self.name, block=block.hash,
             )
         self._persist_blocks()
+        self.antientropy.notify_write()
         return block
 
     # -- identity / state ----------------------------------------------
@@ -255,10 +257,12 @@ class LiveNode:
             "peers": {
                 "connected": self.peer_manager.connected_peers(),
                 "dynamic": self.peer_manager.dynamic_peers(),
+                "unsent": self.antientropy.unsent(),
             },
             "sessions": {
                 "completed": self.antientropy.sessions_completed,
                 "interrupted": self.antientropy.sessions_interrupted,
+                "pushes": self.antientropy.pushes,
             },
         }
         if self.discovery is not None:

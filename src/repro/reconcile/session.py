@@ -376,7 +376,12 @@ def push_missing(me: SessionSide, responder_frontier: Sequence[Hash]):
     of the responder's: everything under the responder's frontier is
     provably held by it (provenance §IV-A: a replica always holds the
     full ancestry of its frontier), the rest goes in topological order.
+    So once the batches are out the responder holds everything under
+    the frontier taken here, in the same step as the difference — not
+    a block appended while they are in flight — and ``stats.held``
+    records it.
     """
+    me.stats.held = me.node.frontier()
     yield from push_blocks(me, me.node.dag.not_under(responder_frontier))
 
 

@@ -54,6 +54,11 @@ class ReconcileStats:
         # aborted mid-transfer; the counters above then hold the partial
         # totals charged before the tear-down.
         self.interrupted = False
+        # The initiator's frontier as of the push half, set by
+        # ``push_missing``: once its batches are out, the responder
+        # holds everything under it.  The live loop's push baseline;
+        # not a reported field.
+        self.held = None
 
     def record(self, direction: str, message: Any) -> int:
         """Charge one message; returns its encoded size in bytes."""

@@ -21,11 +21,15 @@ FAST = dict(interval_s=0.02, jitter_s=0.005, session_timeout_s=5.0)
 async def _crash(node):
     """Kill a LiveNode without any graceful shutdown path."""
     if node._loop_task is not None:
+        # As LiveNode.stop() does: a tick may swallow the cancel, and
+        # only the flag then ends the loop.  It persists nothing.
+        node.antientropy.stop()
         node._loop_task.cancel()
-        try:
-            await node._loop_task
-        except asyncio.CancelledError:
-            pass
+        # A gossip task that outlives its cancel is a failure, not a hang.
+        await asyncio.wait([node._loop_task], timeout=5.0)
+        assert node._loop_task.done()
+        if not node._loop_task.cancelled():
+            node._loop_task.result()  # what killed it, if anything did
         node._loop_task = None
     await node.peer_manager.stop()
     # Note: no node._persist_blocks() — only what the merge hooks
@@ -60,7 +64,9 @@ class TestCrashRestart:
                     await asyncio.sleep(0.005)
 
             minter = asyncio.ensure_future(mint())
+            deadline = asyncio.get_running_loop().time() + 10.0
             while len(victim.node.dag) < 10:
+                assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.005)
             held_at_crash = set(victim.node.dag.hashes())
             await _crash(victim)

@@ -97,8 +97,12 @@ class TestLiveOps:
         assert status["chain"] == node.chain_id.hex()
         assert status["blocks"] == 1
         assert status["frontier_digest"]
-        assert status["peers"] == {"connected": [], "dynamic": []}
-        assert status["sessions"] == {"completed": 0, "interrupted": 0}
+        assert status["peers"] == {
+            "connected": [], "dynamic": [], "unsent": {},
+        }
+        assert status["sessions"] == {
+            "completed": 0, "interrupted": 0, "pushes": 0,
+        }
 
     def test_ops_port_conflict_fails_cleanly(self, tmp_path):
         from repro.obs.live import OpsError
