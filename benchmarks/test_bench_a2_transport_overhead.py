@@ -1,19 +1,23 @@
-"""Ablation A2 — byte-transport overhead of the reconciliation session.
+"""Ablation A2 — transport overhead of the reconciliation session.
 
 The in-memory protocol classes hand Block objects across; a deployment
-ships canonical bytes through a socket (``RemoteSession`` +
-``ReconcileEndpoint``).  This ablation runs the same divergence through
-both and reports bytes, messages, and wall time — quantifying what the
-simulator's shortcut hides (it should be: nothing but encoding time;
-the byte counts match because the in-memory stats already charge
-canonical encodings).
+ships canonical bytes through a socket (``run_session`` against
+``serve_connection``).  This ablation runs the same divergence through
+both, the network driver over an in-process ``LoopbackTransport`` pair
+(real frames, no socket), and reports bytes, messages, and wall time —
+quantifying what the simulator's shortcut hides (it should be: nothing
+but encoding and event-loop time; the byte counts match because the
+in-memory stats already charge canonical encodings).
 """
 
 from __future__ import annotations
 
+import asyncio
 import time
 
-from repro.reconcile import FrontierProtocol, ReconcileEndpoint, RemoteSession
+from repro.live.protocol import run_session, serve_connection
+from repro.live.transport import LoopbackTransport
+from repro.reconcile import FrontierProtocol
 
 from benchmarks.bench_util import Table, make_fleet
 
@@ -30,9 +34,26 @@ def _pair(divergence: int, seed: int):
     return left, right
 
 
+def _over_loopback(left, right):
+    """One frontier session on the network driver; returns the stats
+    and the session's wall time in ms (event-loop set-up excluded)."""
+    async def scenario():
+        near, far = LoopbackTransport.pair()
+        server = asyncio.ensure_future(serve_connection(right, far))
+        start = time.perf_counter()
+        stats = await run_session(FrontierProtocol(), left, near)
+        elapsed_ms = (time.perf_counter() - start) * 1000
+        await near.close()
+        await server
+        return stats, elapsed_ms
+
+    return asyncio.run(scenario())
+
+
 def test_a2_transport_overhead(benchmark, results_dir):
     table = Table(
-        "A2: in-memory protocol vs byte transport (30-block shared chain)",
+        "A2: in-memory protocol vs network driver over loopback "
+        "(30-block shared chain)",
         ["divergence", "mode", "bytes", "messages", "wall_ms"],
     )
     for divergence in (2, 8):
@@ -45,13 +66,10 @@ def test_a2_transport_overhead(benchmark, results_dir):
                   memory_stats.total_messages, round(memory_ms, 2))
 
         left, right = _pair(divergence, seed=divergence)
-        endpoint = ReconcileEndpoint(right)
-        start = time.perf_counter()
-        remote_stats = RemoteSession(left, endpoint.handle).sync()
-        remote_ms = (time.perf_counter() - start) * 1000
+        remote_stats, remote_ms = _over_loopback(left, right)
         assert remote_stats.converged
         assert left.state_digest() == right.state_digest()
-        table.add(divergence, "byte-transport", remote_stats.total_bytes,
+        table.add(divergence, "loopback", remote_stats.total_bytes,
                   remote_stats.total_messages, round(remote_ms, 2))
 
         # Both drivers run the same protocol definition: the bytes that
@@ -62,6 +80,6 @@ def test_a2_transport_overhead(benchmark, results_dir):
 
     def kernel():
         left, right = _pair(2, seed=77)
-        RemoteSession(left, ReconcileEndpoint(right).handle).sync()
+        _over_loopback(left, right)
 
     benchmark(kernel)

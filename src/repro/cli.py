@@ -520,7 +520,7 @@ def _run_service(args: argparse.Namespace, node, service, obs, profiler,
             print(f"ops endpoint on http://{args.ops_host}:"
                   f"{service.ops.port} (/metrics /healthz /status)")
         try:
-            await node._stop_requested.wait()
+            await node.wait_stop_requested()
         finally:
             await service.stop()
 

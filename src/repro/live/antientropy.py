@@ -52,6 +52,11 @@ DEFAULT_SESSION_TIMEOUT = 30.0
 #: Least time between two pushes to one peer (``docs/live.md``, "Writes are
 #: pushed", has the curve it was picked from).
 PUSH_HOLD_OFF_S = 0.25
+#: What a peer or its link can make a session raise: each ends the
+#: session as interrupted, never the loop.
+SESSION_ERRORS = (
+    TransportError, ReconcileError, wire.WireError, asyncio.TimeoutError,
+)
 
 
 class _PushAbove(Protocol):
@@ -81,7 +86,6 @@ class AntiEntropyLoop:
         interval_s: float = DEFAULT_INTERVAL,
         jitter_s: float = DEFAULT_JITTER,
         session_timeout_s: float = DEFAULT_SESSION_TIMEOUT,
-        on_blocks: Optional[BlockSink] = None,
         block_sink_factory: Optional[Callable[[str], BlockSink]] = None,
         seed: Optional[int] = None,
         obs=None,
@@ -93,11 +97,10 @@ class AntiEntropyLoop:
         self._interval = interval_s
         self._jitter = jitter_s
         self._session_timeout = session_timeout_s
-        self._on_blocks = on_blocks
         #: When set, each initiator session gets its own block sink
-        #: built from the peer name — LiveNode uses this to attribute
-        #: pulled blocks to ``pull:<peer>`` in the trace (trace-only;
-        #: no wire bytes change).
+        #: built from the peer name — LiveNode uses this to persist
+        #: pulled blocks, attributed to ``pull:<peer>`` in the trace
+        #: (trace-only; no wire bytes change).
         self._block_sink_factory = block_sink_factory
         self._rng = random.Random(seed)
         self._obs = obs if obs is not None and obs.enabled else None
@@ -205,11 +208,10 @@ class AntiEntropyLoop:
             transport = self._peers.connection(peer_name)
             if transport is None:
                 return None
-            on_blocks = self._on_blocks
-            if self._block_sink_factory is not None:
-                on_blocks = self._block_sink_factory(peer_name)
+            sink = self._block_sink_factory
             return await self._session(
-                peer_name, transport, self._protocol_cls(), on_blocks
+                peer_name, transport, self._protocol_cls(),
+                None if sink is None else sink(peer_name),
             )
 
     async def push_once(self, peer_name: str) -> Optional[ReconcileStats]:
@@ -261,8 +263,7 @@ class AntiEntropyLoop:
                     self._session_timeout,
                 )
                 ph.units += 1
-        except (TransportError, ReconcileError, wire.WireError,
-                asyncio.TimeoutError) as exc:
+        except SESSION_ERRORS as exc:
             stats.interrupted = True
             self.sessions_interrupted += 1
             reason = (

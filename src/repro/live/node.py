@@ -133,7 +133,6 @@ class LiveNode:
             protocol=protocol,
             interval_s=interval_s, jitter_s=jitter_s,
             session_timeout_s=session_timeout_s,
-            on_blocks=self._persist_blocks,
             block_sink_factory=self._pull_sink,
             seed=None if seed is None else seed ^ 0x90551,
             obs=obs,
@@ -406,11 +405,16 @@ class LiveNode:
         if self._stop_requested is not None:
             self._stop_requested.set()
 
+    async def wait_stop_requested(self) -> None:
+        """Return once :meth:`request_stop` has been called on the
+        started node."""
+        await self._stop_requested.wait()
+
     async def serve(self) -> None:
         """Run the node until :meth:`request_stop` or cancellation."""
         await self.start()
         try:
-            await self._stop_requested.wait()
+            await self.wait_stop_requested()
         finally:
             await self.stop()
 

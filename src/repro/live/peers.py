@@ -38,11 +38,11 @@ from repro.live.transport import (
     TransportClosed,
     TransportError,
 )
-from repro.reconcile.endpoint import check_hello, hello_message
-from repro.reconcile.session import ReconcileError
 
 DEFAULT_DIAL_TIMEOUT = 5.0
 DEFAULT_HANDSHAKE_TIMEOUT = 5.0
+
+HELLO_TYPE = "live_hello"
 
 
 class HandshakeError(Exception):
@@ -115,6 +115,26 @@ class Backoff:
         self._attempt = 0
 
 
+def hello_message(node: VegvisirNode, name: Optional[str] = None) -> dict:
+    return {
+        "type": HELLO_TYPE,
+        "chain": node.chain_id.digest,
+        "node": node.user_id.digest,
+        "name": name if name is not None else node.user_id.short(),
+    }
+
+
+def check_hello(node: VegvisirNode, hello) -> dict:
+    """The peer's hello, if it is one and follows *node*'s blockchain."""
+    if not isinstance(hello, dict) or hello.get("type") != HELLO_TYPE:
+        raise HandshakeError("first frame is not a live_hello")
+    if hello.get("chain") != node.chain_id.digest:
+        raise HandshakeError(
+            "peer follows a different blockchain (genesis mismatch)"
+        )
+    return hello
+
+
 async def handshake(transport, node: VegvisirNode, name: str,
                     timeout_s: float = DEFAULT_HANDSHAKE_TIMEOUT) -> dict:
     """Exchange hellos; return the peer's, or raise :class:`HandshakeError`.
@@ -132,11 +152,10 @@ async def handshake(transport, node: VegvisirNode, name: str,
     except TransportError as exc:
         raise HandshakeError(f"connection lost in handshake: {exc}") from exc
     try:
-        return check_hello(node, wire.decode(payload))
+        hello = wire.decode(payload)
     except wire.DecodeError as exc:
         raise HandshakeError(f"undecodable hello: {exc}") from exc
-    except ReconcileError as exc:
-        raise HandshakeError(str(exc)) from exc
+    return check_hello(node, hello)
 
 
 #: Serves one handshaken connection until it closes.
@@ -375,6 +394,15 @@ class PeerManager:
         while True:
             await self._running.wait()
             transport = await self._dial_once(spec)
+            if self._maintain_tasks.get(spec.name) is not (
+                asyncio.current_task()
+            ):
+                # remove_peer() cancelled this loop, and before Python
+                # 3.12 a dial's wait_for can swallow that cancel: the
+                # connection it made is not this loop's to publish.
+                if transport is not None:
+                    await transport.close()
+                return
             if transport is None:
                 await asyncio.sleep(backoff.next_delay())
                 continue

@@ -24,25 +24,18 @@ how they discover the difference:
 
 Each protocol is written **once**, as an initiator generator plus
 responder handlers that each touch only their own replica
-(:mod:`repro.reconcile.session`).  Three generic drivers run that pair
+(:mod:`repro.reconcile.session`).  Two generic drivers run that pair
 and know no message vocabulary: the in-process
 :class:`ReconcileSession` (the simulator, atomically or one wire
 message at a time — a session can be interrupted by mobility or
-partition onset between any two messages), the sync bytes driver
-(:class:`RemoteSession` against a :class:`ReconcileEndpoint`), and the
-asyncio driver in :mod:`repro.live.protocol`.  Every driver counts the
-exact canonical-wire bytes and messages each direction, so the
-bandwidth experiments (F3, E5) measure real encodings.
+partition onset between any two messages), and the asyncio driver in
+:mod:`repro.live.protocol` (every network link).  Both count the exact
+canonical-wire bytes and messages each direction, so the bandwidth
+experiments (F3, E5) measure real encodings.
 """
 
-from repro.reconcile.adapters import ByteTransportProtocol
 from repro.reconcile.bloom import BloomFilter, BloomProtocol
 from repro.reconcile.delta import DeltaProtocol, DeltaStore, delta_view_value
-from repro.reconcile.endpoint import (
-    FramedEndpoint,
-    ReconcileEndpoint,
-    RemoteSession,
-)
 from repro.reconcile.engine import (
     Protocol,
     ReconcileSession,
@@ -64,21 +57,17 @@ from repro.reconcile.stats import ReconcileStats
 __all__ = [
     "BloomFilter",
     "BloomProtocol",
-    "ByteTransportProtocol",
     "DeltaProtocol",
     "DeltaStore",
-    "FramedEndpoint",
     "FrontierProtocol",
     "FullExchangeProtocol",
     "HeightSkipProtocol",
     "IBLT",
     "PROTOCOLS_BY_NAME",
     "Protocol",
-    "ReconcileEndpoint",
     "ReconcileError",
     "ReconcileSession",
     "ReconcileStats",
-    "RemoteSession",
     "Responder",
     "SessionSide",
     "SessionStep",

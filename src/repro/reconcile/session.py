@@ -16,8 +16,8 @@ travel as :class:`~repro.chain.block.Block` objects under ``"blocks"``.
 as the bytes it was encoded to when it was constructed, so sending or
 measuring a message never walks a block — and :func:`lift` raises a
 decoded map back into blocks.  The in-process driver only ever lowers
-(for byte accounting), so the simulator never parses; the bytes and
-asyncio drivers do both.
+(for byte accounting), so the simulator never parses; the asyncio
+driver does both.
 
 Also here: ``merge_blocks`` (the only way a block enters a DAG), the
 push half of a session, the ``get_blocks`` / ``push_blocks`` handlers

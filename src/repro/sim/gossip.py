@@ -102,7 +102,6 @@ class GossipScheduler:
         session_model: str = SESSION_ATOMIC,
         obs=None,
         faults=None,
-        block_sink: Optional[Callable[[int, object], None]] = None,
         contact_epoch_ms: Optional[int] = None,
     ):
         if peer_selector not in PEER_SELECTORS:
@@ -159,7 +158,7 @@ class GossipScheduler:
                 "fault injection requires session_model='message'"
             )
         self._faults = faults
-        self._block_sink = block_sink
+        self._block_sink: Optional[Callable[[int, object], None]] = None
         # Observability is opt-in; with no observer attached every
         # instrumented site is a single ``is not None`` check.
         self._obs = obs if obs is not None and obs.enabled else None

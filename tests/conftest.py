@@ -3,17 +3,24 @@
 Everything is seeded so the suite is bit-for-bit reproducible.  The
 ``chain`` fixture gives a small ready-made deployment: an owner, four
 members with assorted roles, a genesis carrying all certificates, and a
-shared monotonic test clock.
+shared monotonic test clock.  :func:`over_loopback` runs one session on
+the network driver, and :class:`InFlight` tampers with its link.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import pytest
 
 from repro.core.genesis import create_genesis
 from repro.core.node import VegvisirNode
 from repro.crypto.keys import KeyPair
+from repro.live.antientropy import SESSION_ERRORS
+from repro.live.protocol import run_session, serve_connection
+from repro.live.transport import LoopbackTransport
 from repro.membership.authority import CertificateAuthority
+from repro.reconcile.stats import ReconcileStats
 
 
 class TestClock:
@@ -56,6 +63,54 @@ class Deployment:
     def owner_node(self, **kwargs) -> VegvisirNode:
         kwargs.setdefault("clock", self.clock)
         return VegvisirNode(self.owner, self.genesis, **kwargs)
+
+
+class InFlight:
+    """The initiator's end of a link, passing every reply through
+    :meth:`edit` on its way in.  Called with the end it wraps, it
+    returns itself: a ``wrap`` for :func:`over_loopback`."""
+
+    def __call__(self, end):
+        self._end = end
+        return self
+
+    async def send(self, payload: bytes) -> None:
+        await self._end.send(payload)
+
+    async def recv(self) -> bytes:
+        return self.edit(await self._end.recv())
+
+    def edit(self, reply: bytes) -> bytes:
+        return reply
+
+
+def over_loopback(protocol, left: VegvisirNode, right: VegvisirNode,
+                  wrap=None, **session_kwargs) -> ReconcileStats:
+    """One session on the network driver: *left* runs *protocol*'s
+    initiator (``run_session``) against ``serve_connection(right)`` over
+    a loopback pair.  *wrap*, if given, turns the initiator's end into
+    the transport the session uses — the place to tamper with a link.
+
+    A session the anti-entropy loop would count as interrupted comes
+    back with ``stats.interrupted`` set; any other exception escapes.
+    """
+    async def scenario():
+        near, far = LoopbackTransport.pair()
+        server = asyncio.ensure_future(serve_connection(right, far))
+        stats = ReconcileStats(protocol.name)
+        try:
+            await run_session(
+                protocol, left, near if wrap is None else wrap(near), stats,
+                **session_kwargs,
+            )
+        except SESSION_ERRORS:
+            stats.interrupted = True
+        finally:
+            await near.close()
+            await asyncio.wait_for(server, 5.0)
+        return stats
+
+    return asyncio.run(scenario())
 
 
 @pytest.fixture

@@ -8,10 +8,12 @@ import random
 
 import pytest
 
-from repro import wire
 from repro.net.links import LinkModel
-from repro.reconcile import ReconcileEndpoint, RemoteSession
+from repro.reconcile import FrontierProtocol
 from repro.sim import Scenario, Simulation
+
+from tests.conftest import InFlight, over_loopback
+from tests.reconcile.test_endpoint import _answers
 
 
 def _diverged(deployment, left_appends=3, right_appends=6):
@@ -26,32 +28,32 @@ def _diverged(deployment, left_appends=3, right_appends=6):
     return left, right
 
 
-class CrashingTransport:
-    """Delegates to an endpoint, then dies after N requests."""
+def _sync(left, right, wrap=None):
+    return over_loopback(FrontierProtocol(), left, right, wrap)
 
-    def __init__(self, endpoint: ReconcileEndpoint, survive_requests: int):
-        self._endpoint = endpoint
+
+class CrashingTransport(InFlight):
+    """A link that carries N requests, then dies."""
+
+    def __init__(self, survive_requests: int):
         self._remaining = survive_requests
 
-    def __call__(self, request: bytes) -> bytes:
+    async def send(self, payload: bytes) -> None:
         if self._remaining <= 0:
-            return b""  # the radio went away mid-session
+            await self._end.close()  # the radio went away mid-session
         self._remaining -= 1
-        return self._endpoint.handle(request)
+        await super().send(payload)
 
 
-class CorruptingTransport:
+class CorruptingTransport(InFlight):
     """Randomly corrupts a fraction of responses."""
 
-    def __init__(self, endpoint: ReconcileEndpoint, corrupt_rate: float,
-                 seed: int):
-        self._endpoint = endpoint
+    def __init__(self, corrupt_rate: float, seed: int):
         self._rng = random.Random(seed)
         self._rate = corrupt_rate
 
-    def __call__(self, request: bytes) -> bytes:
-        response = self._endpoint.handle(request)
-        if self._rng.random() < self._rate and response:
+    def edit(self, response: bytes) -> bytes:
+        if self._rng.random() < self._rate:
             corrupted = bytearray(response)
             position = self._rng.randrange(len(corrupted))
             corrupted[position] ^= 0xFF
@@ -64,8 +66,7 @@ class TestMidSessionCrash:
     def test_crash_leaves_consistent_state(self, deployment, survive):
         left, right = _diverged(deployment)
         digest_before_blocks = len(left.dag)
-        transport = CrashingTransport(ReconcileEndpoint(right), survive)
-        RemoteSession(left, transport).sync()
+        _sync(left, right, CrashingTransport(survive))
         # Partial progress is fine; corruption is not: whatever merged
         # must validate and the CSM must still be internally consistent.
         assert len(left.dag) >= digest_before_blocks
@@ -74,9 +75,8 @@ class TestMidSessionCrash:
 
     def test_retry_after_crash_completes(self, deployment):
         left, right = _diverged(deployment)
-        endpoint = ReconcileEndpoint(right)
-        RemoteSession(left, CrashingTransport(endpoint, 2)).sync()
-        stats = RemoteSession(left, endpoint.handle).sync()
+        _sync(left, right, CrashingTransport(1))
+        stats = _sync(left, right)
         assert stats.converged
         assert left.state_digest() == right.state_digest()
 
@@ -85,13 +85,11 @@ class TestMidSessionCrash:
         # missed the push; the *reverse* session heals it.
         left, right = _diverged(deployment, left_appends=4,
                                 right_appends=1)
-        endpoint = ReconcileEndpoint(right)
-        # hello + 1 frontier round = 2 requests; the 3rd (push) dies.
-        RemoteSession(left, CrashingTransport(endpoint, 2)).sync()
+        # 1 frontier round = 1 request; the 2nd (push) dies.
+        torn = _sync(left, right, CrashingTransport(1))
+        assert torn.interrupted and torn.blocks_pulled == 1
         assert right.dag.hashes() < left.dag.hashes()
-        reverse = RemoteSession(
-            right, ReconcileEndpoint(left).handle
-        ).sync()
+        reverse = _sync(right, left)
         assert reverse.converged
         assert left.state_digest() == right.state_digest()
 
@@ -101,13 +99,11 @@ class TestCorruption:
         left, right = _diverged(deployment)
         union_before = left.dag.hashes() | right.dag.hashes()
         for seed in range(6):
-            transport = CorruptingTransport(
-                ReconcileEndpoint(right), corrupt_rate=0.5, seed=seed
-            )
-            RemoteSession(left, transport).sync()
+            _sync(left, right,
+                  CorruptingTransport(corrupt_rate=0.5, seed=seed))
         # Whatever happened, every block on the replica is genuine.
         assert left.dag.hashes() <= union_before
-        clean = RemoteSession(left, ReconcileEndpoint(right).handle).sync()
+        clean = _sync(left, right)
         assert clean.converged
         assert left.state_digest() == right.state_digest()
 
@@ -129,12 +125,11 @@ class TestHostileRequestFlood:
     def test_endpoint_survives_garbage_flood(self, deployment):
         node = deployment.node(0)
         before = node.state_digest()
-        endpoint = ReconcileEndpoint(node)
         rng = random.Random(9)
         for _ in range(300):
             blob = bytes(rng.randrange(256)
                          for _ in range(rng.randrange(1, 80)))
-            response = endpoint.handle(blob)
-            decoded = wire.decode(response)
-            assert decoded["type"] == "error"
+            # One error frame, then the connection is closed.
+            answers = _answers(node, blob)
+            assert [answer["type"] for answer in answers] == ["error"]
         assert node.state_digest() == before

@@ -408,6 +408,47 @@ class TestDynamicPeers:
 
         run(scenario())
 
+    def test_a_removed_peer_gets_no_connection_from_a_swallowed_cancel(
+            self):
+        """remove_peer() cancels the dial loop without awaiting it.
+        Before Python 3.12 a dial's wait_for can swallow that cancel and
+        return its new connection: the loop must close it, not publish
+        it as the removed peer's."""
+        deployment = Deployment()
+        left = deployment.node(0)
+        near, _far = LoopbackTransport.pair()
+
+        class LosesOneCancel(PeerManager):
+            dialing = None
+
+            async def _dial_once(self, spec):
+                if self.dialing.is_set():  # a later dial loses nothing
+                    await asyncio.sleep(3600)
+                self.dialing.set()
+                try:
+                    await asyncio.sleep(3600)
+                except asyncio.CancelledError:
+                    pass
+                return near
+
+        async def scenario():
+            manager = LosesOneCancel(left, "left", seed=1)
+            manager.dialing = asyncio.Event()
+            await manager.start("127.0.0.1", 0)
+            manager.add_peer(PeerSpec("d:abc", "127.0.0.1", 1), dynamic=True)
+            await asyncio.wait_for(manager.dialing.wait(), 5.0)
+            loop = manager._maintain_tasks["d:abc"]
+            assert manager.remove_peer("d:abc") is True
+            await asyncio.wait({loop}, timeout=1.0)
+            published = manager.connection("d:abc")
+            ended = loop.done()
+            await manager.stop()
+            return published, ended
+
+        published, ended = run(scenario())
+        assert published is None
+        assert ended and near.closed
+
     def test_backoff_resets_after_successful_handshake(self):
         deployment = Deployment()
         left, right = deployment.node(0), deployment.node(1)

@@ -1,15 +1,19 @@
-"""Byte-transport reconciliation tests: the protocol must be complete
-over a pure bytes channel and robust to garbage and hostile replies."""
+"""Reconciliation over the network driver, and the responder's edge:
+a session is complete over a framed link and robust to garbage and
+hostile replies, and every bad request gets one ``error`` frame before
+``serve_connection`` closes the connection."""
+
+import asyncio
 
 import pytest
 
 from repro import wire
-from repro.reconcile.endpoint import (
-    ReconcileEndpoint,
-    RemoteSession,
-    hello_message,
-)
+from repro.live.protocol import serve_connection
+from repro.live.transport import LoopbackTransport, TransportClosed
 from repro.reconcile.frontier import FrontierProtocol
+from repro.reconcile.session import Responder, decode_message
+
+from tests.conftest import InFlight, over_loopback
 
 
 def _diverged(deployment, left_appends=3, right_appends=5):
@@ -24,19 +28,26 @@ def _diverged(deployment, left_appends=3, right_appends=5):
     return left, right
 
 
-class TestRemoteSession:
+class Replace(InFlight):
+    """A link on which every reply arrives as *payload*."""
+
+    def __init__(self, payload: bytes):
+        self._payload = payload
+
+    def edit(self, reply: bytes) -> bytes:
+        return self._payload
+
+
+class TestLoopbackSession:
     def test_full_sync_over_bytes(self, deployment):
         left, right = _diverged(deployment)
-        endpoint = ReconcileEndpoint(right)
-        stats = RemoteSession(left, endpoint.handle).sync()
+        stats = over_loopback(FrontierProtocol(), left, right)
         assert stats.converged
         assert left.state_digest() == right.state_digest()
 
     def test_matches_in_memory_protocol_result(self, deployment):
         left_remote, right_remote = _diverged(deployment)
-        RemoteSession(
-            left_remote, ReconcileEndpoint(right_remote).handle
-        ).sync()
+        over_loopback(FrontierProtocol(), left_remote, right_remote)
 
         deployment2 = type(deployment)()
         left_local, right_local = _diverged(deployment2)
@@ -49,47 +60,28 @@ class TestRemoteSession:
             left_local.dag.hashes() == right_local.dag.hashes()
         )
 
-    def test_identical_replicas_two_messages_after_hello(self, deployment):
+    def test_identical_replicas_two_messages(self, deployment):
         left, right = _diverged(deployment, 0, 0)
-        endpoint = ReconcileEndpoint(right)
-        RemoteSession(left, endpoint.handle).sync()
-        stats = RemoteSession(left, endpoint.handle).sync()
+        over_loopback(FrontierProtocol(), left, right)
+        stats = over_loopback(FrontierProtocol(), left, right)
         assert stats.converged
         assert stats.rounds == 1
-        assert stats.total_messages == 2  # the hello is not session traffic
+        assert stats.total_messages == 2
         assert stats.blocks_pulled == 0
         assert stats.blocks_pushed == 0
 
-    def test_foreign_chain_refused_at_hello(self, deployment):
-        from repro.core.genesis import create_genesis
-        from repro.core.node import VegvisirNode
-        from repro.crypto.keys import KeyPair
-
-        left = deployment.node(0)
-        stranger = KeyPair.deterministic(600)
-        foreign = VegvisirNode(
-            stranger, create_genesis(stranger), clock=deployment.clock
-        )
-        stats = RemoteSession(left, ReconcileEndpoint(foreign).handle).sync()
-        assert not stats.converged
-        assert stats.total_messages == 0
-        assert stats.blocks_pulled == 0
-        # ...and the endpoint refuses a foreign initiator's hello too.
-        refusal = ReconcileEndpoint(foreign).handle(
-            wire.encode(hello_message(left))
-        )
-        assert wire.decode(refusal)["type"] == "error"
-
     def test_garbage_transport_terminates_cleanly(self, deployment):
-        left, _ = _diverged(deployment)
-        stats = RemoteSession(left, lambda request: b"\xff\xff").sync()
-        assert not stats.converged
+        left, right = _diverged(deployment)
+        stats = over_loopback(
+            FrontierProtocol(), left, right, Replace(b"\xff\xff")
+        )
+        assert stats.interrupted and not stats.converged
 
     def test_error_reply_terminates_cleanly(self, deployment):
-        left, _ = _diverged(deployment)
+        left, right = _diverged(deployment)
         error = wire.encode({"type": "error", "reason": "nope"})
-        stats = RemoteSession(left, lambda request: error).sync()
-        assert not stats.converged
+        stats = over_loopback(FrontierProtocol(), left, right, Replace(error))
+        assert stats.interrupted and not stats.converged
 
     def test_lying_responder_cannot_poison(self, deployment):
         """A responder that injects a forged block into its replies
@@ -102,23 +94,45 @@ class TestRemoteSession:
         forged = Block.create(
             stranger, [deployment.genesis.hash], deployment.clock() + 1
         )
-        endpoint = ReconcileEndpoint(right)
 
-        def hostile(request: bytes) -> bytes:
-            reply = endpoint.handle(request)
-            if not reply:
-                return reply  # a one-way message has no reply
-            response = wire.decode(reply)
-            if response.get("type") == "frontier_set":
-                response["blocks"] = (
-                    [forged.to_wire()] + response["blocks"]
-                )
-            return wire.encode(response)
+        class Lying(InFlight):
+            def edit(self, reply: bytes) -> bytes:
+                response = wire.decode(reply)
+                if response.get("type") == "frontier_set":
+                    response["blocks"] = (
+                        [forged.to_wire()] + response["blocks"]
+                    )
+                return wire.encode(response)
 
-        stats = RemoteSession(left, hostile).sync()
+        stats = over_loopback(FrontierProtocol(), left, right, Lying())
         assert stats.converged  # honest blocks still make it
         assert not left.has_block(forged.hash)
         assert stats.invalid_blocks >= 1
+
+
+#: A request every responder answers, and one none accepts.
+FETCH_NOTHING = wire.encode({"type": "get_blocks", "hashes": []})
+GARBAGE = b"\xff"
+
+
+def _answers(node, *requests) -> list:
+    """The decoded frames ``serve_connection(node)`` sends back when
+    *requests* arrive on one connection, up to the close it must make
+    itself."""
+    async def scenario():
+        near, far = LoopbackTransport.pair()
+        server = asyncio.ensure_future(serve_connection(node, far))
+        for request in requests:
+            await near.send(request)
+        await asyncio.wait_for(server, 5.0)
+        answers = []
+        while True:
+            try:
+                answers.append(wire.decode(await near.recv()))
+            except TransportClosed:
+                return answers
+
+    return asyncio.run(scenario())
 
 
 class TestEndpointRobustness:
@@ -140,95 +154,38 @@ class TestEndpointRobustness:
     )
     def test_bad_requests_get_error_replies(self, deployment,
                                             request_bytes):
-        endpoint = ReconcileEndpoint(deployment.node(0))
-        response = wire.decode(endpoint.handle(request_bytes))
-        assert response["type"] == "error"
+        # One error frame, then the connection is closed: the request
+        # behind it is never answered.
+        answers = _answers(deployment.node(0), request_bytes, FETCH_NOTHING)
+        assert [answer["type"] for answer in answers] == ["error"]
 
     def test_get_blocks_skips_unknown_hashes(self, deployment):
-        endpoint = ReconcileEndpoint(deployment.node(0))
         request = wire.encode(
             {"type": "get_blocks", "hashes": [b"\x00" * 32]}
         )
-        response = wire.decode(endpoint.handle(request))
-        assert response == {"type": "blocks", "blocks": []}
+        answers = _answers(deployment.node(0), request, GARBAGE)
+        assert answers[0] == {"type": "blocks", "blocks": []}
+        assert [answer["type"] for answer in answers[1:]] == ["error"]
+
+    def test_one_way_message_gets_no_reply_frame(self, deployment):
+        push = wire.encode({"type": "push_blocks", "blocks": []})
+        answers = _answers(deployment.node(0), push, FETCH_NOTHING, GARBAGE)
+        assert [answer["type"] for answer in answers] == ["blocks", "error"]
 
     def test_push_blocks_reports_invalid(self, deployment):
         from repro.chain.block import Block
         from repro.crypto.keys import KeyPair
 
         node = deployment.node(0)
-        endpoint = ReconcileEndpoint(node)
+        responder = Responder(node)
         stranger = KeyPair.deterministic(602)
         forged = Block.create(
             stranger, [deployment.genesis.hash], deployment.clock() + 1
         )
         # A push has no acknowledgement: the verdict lands in the stats
-        # the endpoint's responder charges.
-        assert endpoint.handle(wire.encode(
+        # the connection's responder charges.
+        assert responder.handle(decode_message(wire.encode(
             {"type": "push_blocks", "blocks": [forged.to_wire()]}
-        )) == b""
+        ))) is None
         assert not node.has_block(forged.hash)
-        assert endpoint.stats.invalid_blocks == 1
-
-
-class TestFramedEndpoint:
-    """The endpoint behind the shared stream framing (what TCP carries)."""
-
-    def _framed(self, deployment):
-        from repro.reconcile.endpoint import FramedEndpoint
-
-        left, right = _diverged(deployment)
-        return left, right, FramedEndpoint(ReconcileEndpoint(right))
-
-    def test_full_sync_through_frames(self, deployment):
-        from repro.wire.framing import decode_frames, encode_frame
-
-        left, right, framed = self._framed(deployment)
-
-        def transport(request: bytes) -> bytes:
-            replies = decode_frames(framed.feed(encode_frame(request)))
-            assert len(replies) <= 1
-            return replies[0] if replies else b""
-
-        stats = RemoteSession(left, transport).sync()
-        assert stats.converged
-        assert left.state_digest() == right.state_digest()
-
-    def test_split_request_is_reassembled(self, deployment):
-        from repro.wire.framing import decode_frames, encode_frame
-
-        _, right, framed = self._framed(deployment)
-        request = encode_frame(
-            wire.encode({"type": "get_frontier", "have": []})
-        )
-        assert framed.feed(request[:3]) == b""
-        assert framed.buffered == 3
-        [reply] = decode_frames(framed.feed(request[3:]))
-        assert wire.decode(reply)["type"] == "frontier_set"
-        assert framed.buffered == 0
-
-    def test_pipelined_requests_get_pipelined_replies(self, deployment):
-        from repro.wire.framing import decode_frames, encode_frame
-
-        _, right, framed = self._framed(deployment)
-        hello = encode_frame(wire.encode(hello_message(right)))
-        fetch = encode_frame(
-            wire.encode({"type": "get_blocks", "hashes": []})
-        )
-        replies = decode_frames(framed.feed(hello + fetch))
-        assert [wire.decode(r)["type"] for r in replies] == [
-            "live_hello", "blocks",
-        ]
-
-    def test_one_way_message_gets_no_reply_frame(self, deployment):
-        from repro.wire.framing import encode_frame
-
-        _, _, framed = self._framed(deployment)
-        push = encode_frame(wire.encode({"type": "push_blocks", "blocks": []}))
-        assert framed.feed(push) == b""
-
-    def test_oversize_frame_poisons_the_stream(self, deployment):
-        _, _, framed = self._framed(deployment)
-        announcement = (2**31).to_bytes(4, "big")
-        with pytest.raises(wire.FrameError):
-            framed.feed(announcement)
+        assert responder.stats.invalid_blocks == 1

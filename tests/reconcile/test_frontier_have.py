@@ -2,7 +2,7 @@
 
 Seeded random DAG pairs in five relations — equal, initiator behind,
 initiator ahead, both diverged on a narrow frontier, both diverged on a
-wide one — run on all three drivers:
+wide one — run on both drivers:
 
 * every pair converges, pulling exactly ``R − I`` and pushing exactly
   ``I − R``;
@@ -91,7 +91,7 @@ PAIRS = [
 ]
 
 
-# -- all three drivers --------------------------------------------------------
+# -- both drivers -------------------------------------------------------------
 
 @pytest.mark.parametrize("drive", DRIVERS)
 @pytest.mark.parametrize("relation,seed", PAIRS)
@@ -118,7 +118,7 @@ def test_pair_converges_moving_exactly_the_difference(drive, relation, seed):
 
 
 # -- message by message (the in-process driver; the parity suite holds the
-# other two to the same bytes) -------------------------------------------------
+# other to the same bytes) -----------------------------------------------------
 
 def _steps(session):
     """Each wire message with its blocks parsed back, yielded while it

@@ -1,8 +1,9 @@
 """Hostile replies: whatever a responder answers, the initiator's session
 is torn — nothing else is raised, nothing enters the replica.
 
-Driven through the bytes driver against an honest endpoint whose reply
-of one type is swapped for a hostile variant on the way back.  Every
+Driven through the network driver (``run_session`` against an honest
+``serve_connection``) with the initiator's end of the link swapping a
+reply of one type for a hostile variant on its way in.  Every
 reply type any registry protocol's initiator consumes is covered:
 missing keys, wrong container types, malformed blocks, non-bytes and
 wrong-length digests, bool / negative sizes, plus an ``error`` reply and
@@ -26,13 +27,11 @@ from repro.reconcile import (
     FrontierProtocol,
     FullExchangeProtocol,
     HeightSkipProtocol,
-    ReconcileEndpoint,
-    RemoteSession,
     SketchProtocol,
 )
 from repro.reconcile.session import BATCH_BUDGET_BYTES
 
-from tests.conftest import Deployment
+from tests.conftest import Deployment, InFlight, over_loopback
 
 
 def _pair(left_appends, right_appends):
@@ -136,18 +135,16 @@ CASES = [
 ]
 
 
-class Swap:
-    """A transport whose first reply of one type is mutated."""
+class Swap(InFlight):
+    """A link whose first reply of one type is mutated."""
 
-    def __init__(self, transport, reply_type, mutate):
-        self._transport = transport
+    def __init__(self, reply_type, mutate):
         self._reply_type = reply_type
         self._mutate = mutate
         self.fired = False
 
-    def __call__(self, request: bytes) -> bytes:
-        reply = self._transport(request)
-        if self.fired or not reply:
+    def edit(self, reply: bytes) -> bytes:
+        if self.fired:
             return reply
         decoded = wire.decode(reply)
         if decoded["type"] != self._reply_type:
@@ -167,15 +164,14 @@ def test_hostile_reply_tears_the_session(reply_type, mutate):
     protocol, left_n, right_n, _ = REPLIES[reply_type]
     left, right = _pair(left_n, right_n)
     before = left.state_digest()
-    hostile = Swap(ReconcileEndpoint(right).handle, reply_type, mutate)
-    # Anything but the session error escapes sync() and fails the test.
-    stats = RemoteSession(left, hostile, protocol).sync()
+    hostile = Swap(reply_type, mutate)
+    # Anything but what the anti-entropy loop counts as an interrupted
+    # session escapes over_loopback() and fails the test.
+    stats = over_loopback(protocol, left, right, hostile)
     assert hostile.fired
     _assert_torn(stats, left, before)
     # The replica is unharmed: an honest session still converges.
-    assert RemoteSession(
-        left, ReconcileEndpoint(right).handle, protocol
-    ).sync().converged
+    assert over_loopback(protocol, left, right).converged
 
 
 @pytest.mark.parametrize("mutate", [
@@ -188,9 +184,11 @@ def test_hostile_repair_fetch_reply(mutate):
     the first reply so the initiator must fetch the frontier by hash."""
     left, right = _pair(2, 3)
     before = left.state_digest()
-    fetch = Swap(ReconcileEndpoint(right).handle, "blocks", mutate)
-    hide = Swap(fetch, "bloom_blocks", with_("blocks", []))
-    stats = RemoteSession(left, hide, BloomProtocol()).sync()
+    fetch = Swap("blocks", mutate)
+    hide = Swap("bloom_blocks", with_("blocks", []))
+    stats = over_loopback(
+        BloomProtocol(), left, right, lambda end: hide(fetch(end))
+    )
     assert hide.fired and fetch.fired
     _assert_torn(stats, left, before)
 
@@ -205,34 +203,31 @@ def test_hostile_repair_fetch_reply(mutate):
 def test_first_reply_of_every_protocol(name, reply):
     left, right = _pair(2, 3)
     before = left.state_digest()
-    endpoint = ReconcileEndpoint(right)
     requests = []
 
-    def hostile(request: bytes) -> bytes:
-        requests.append(request)
-        if len(requests) == 1:
-            return endpoint.handle(request)  # the hello
-        return wire.encode(reply)
+    class Hostile(InFlight):
+        async def send(self, payload: bytes) -> None:
+            requests.append(payload)
+            await super().send(payload)
 
-    stats = RemoteSession(
-        left, hostile, PROTOCOLS_BY_NAME[name]()
-    ).sync()
-    assert len(requests) == 2
+        def edit(self, _reply: bytes) -> bytes:
+            return wire.encode(reply)
+
+    stats = over_loopback(PROTOCOLS_BY_NAME[name](), left, right, Hostile())
+    assert len(requests) == 1
     _assert_torn(stats, left, before)
 
 
-class FetchReplies:
-    """A transport that answers each ``get_blocks`` with what
+class FetchReplies(InFlight):
+    """A link that answers each ``get_blocks`` with what
     *answer(call number)* returns instead of what was asked for."""
 
-    def __init__(self, transport, answer):
-        self._transport = transport
+    def __init__(self, answer):
         self._answer = answer
         self.fetches = 0
 
-    def __call__(self, request: bytes) -> bytes:
-        reply = self._transport(request)
-        if not reply or wire.decode(reply)["type"] != "blocks":
+    def edit(self, reply: bytes) -> bytes:
+        if wire.decode(reply)["type"] != "blocks":
             return reply
         self.fetches += 1
         return wire.encode({
@@ -244,9 +239,7 @@ class FetchReplies:
 def _assert_pull_gave_up(stats, left, right):
     assert not stats.converged and not stats.interrupted
     assert stats.blocks_pushed == 0
-    assert RemoteSession(
-        left, ReconcileEndpoint(right).handle, FrontierProtocol()
-    ).sync().converged
+    assert over_loopback(FrontierProtocol(), left, right).converged
 
 
 def test_responder_with_nothing_deeper_ends_the_pull():
@@ -256,8 +249,8 @@ def test_responder_with_nothing_deeper_ends_the_pull():
     trips."""
     left, right = _pair(1, 3)
     before = left.state_digest()
-    hostile = FetchReplies(ReconcileEndpoint(right).handle, lambda n: [])
-    stats = RemoteSession(left, hostile, FrontierProtocol()).sync()
+    hostile = FetchReplies(lambda n: [])
+    stats = over_loopback(FrontierProtocol(), left, right, hostile)
     assert hostile.fetches == 1
     assert stats.rounds == 2
     assert stats.blocks_pulled == 0
@@ -275,8 +268,8 @@ def test_parents_that_never_arrive_stop_at_the_round_cap():
     def orphan(n):
         return [Block.create(member, [Hash.of_value(n)], 5_000 + n)]
 
-    hostile = FetchReplies(ReconcileEndpoint(right).handle, orphan)
-    stats = RemoteSession(left, hostile, FrontierProtocol(max_level=7)).sync()
+    hostile = FetchReplies(orphan)
+    stats = over_loopback(FrontierProtocol(max_level=7), left, right, hostile)
     assert stats.rounds == 7 and hostile.fetches == 6
     assert stats.blocks_pulled == 0
     assert left.state_digest() == before
@@ -291,11 +284,8 @@ def test_blocks_nobody_asked_for_are_merged_or_dropped():
     deployment = Deployment()
     stray = deployment.node(2).append_transactions([])
     orphan = Block.create(deployment.keys[3], [Hash.of_value(0)], 5_000)
-    hostile = FetchReplies(
-        ReconcileEndpoint(right).handle,
-        lambda n: [stray, orphan] if n == 1 else [],
-    )
-    stats = RemoteSession(left, hostile, FrontierProtocol()).sync()
+    hostile = FetchReplies(lambda n: [stray, orphan] if n == 1 else [])
+    stats = over_loopback(FrontierProtocol(), left, right, hostile)
     assert hostile.fetches == 2
     assert stats.blocks_pulled == 1 and left.has_block(stray.hash)
     assert not left.has_block(orphan.hash)

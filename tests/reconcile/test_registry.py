@@ -1,21 +1,15 @@
-"""The one protocol registry: every name runs on all three drivers."""
-
-import asyncio
+"""The one protocol registry: every name runs on both drivers."""
 
 import pytest
 
-from repro.live.protocol import run_session, serve_connection
-from repro.live.transport import LoopbackTransport
 from repro.reconcile import (
     PROTOCOLS_BY_NAME,
-    ReconcileEndpoint,
-    RemoteSession,
     protocol_class,
     protocol_factory,
 )
 from repro.reconcile.session import HANDLERS
 
-from tests.conftest import Deployment
+from tests.conftest import Deployment, over_loopback
 
 
 def _diverged():
@@ -34,25 +28,11 @@ def _in_process(protocol, left, right):
     return protocol.run(left, right)
 
 
-def _over_bytes(protocol, left, right):
-    return RemoteSession(
-        left, ReconcileEndpoint(right).handle, protocol
-    ).sync()
-
-
 def _over_asyncio(protocol, left, right):
-    async def scenario():
-        near_end, far_end = LoopbackTransport.pair()
-        server = asyncio.ensure_future(serve_connection(right, far_end))
-        stats = await run_session(protocol, left, near_end)
-        await near_end.close()
-        await server
-        return stats
-
-    return asyncio.run(scenario())
+    return over_loopback(protocol, left, right)
 
 
-DRIVERS = [_in_process, _over_bytes, _over_asyncio]
+DRIVERS = [_in_process, _over_asyncio]
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS_BY_NAME))
@@ -64,9 +44,8 @@ def test_every_name_converges_on_every_driver(name):
         assert stats.converged and not stats.interrupted, drive.__name__
         assert left.state_digest() == right.state_digest(), drive.__name__
         outcomes.append((stats.as_dict(), left.state_digest()))
-    # Same definition, three drivers: same accounting, same end state.
+    # Same definition, both drivers: same accounting, same end state.
     assert outcomes[1] == outcomes[0]
-    assert outcomes[2] == outcomes[0]
 
 
 def test_unknown_name_lists_the_registry():

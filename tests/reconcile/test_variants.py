@@ -1,8 +1,8 @@
 """Protocol variants: what hash-first bought, now the frontier protocol's
-default exchange, and the byte-transport adapter."""
+default exchange."""
 
 
-from repro.reconcile import ByteTransportProtocol, FrontierProtocol
+from repro.reconcile import FrontierProtocol
 
 
 def _diverged(deployment, left_appends, right_appends):
@@ -53,30 +53,3 @@ class TestHashFirstFrontier:
         assert stats.rounds == 1
         assert stats.blocks_pulled == 4
         assert stats.duplicate_blocks == 0
-
-
-class TestByteTransportAdapter:
-    def test_interchangeable_with_in_memory(self, deployment):
-        left, right = _diverged(deployment, 3, 4)
-        stats = ByteTransportProtocol().run(left, right)
-        assert stats.converged
-        assert left.state_digest() == right.state_digest()
-
-    def test_pull_only(self, deployment):
-        left, right = _diverged(deployment, 3, 4)
-        stats = ByteTransportProtocol(push=False).run(left, right)
-        assert stats.converged
-        assert stats.blocks_pushed == 0
-        assert right.dag.hashes() < left.dag.hashes()
-
-    def test_drives_a_whole_simulation(self):
-        from repro.sim import Scenario, Simulation
-
-        sim = Simulation(
-            Scenario(node_count=5, duration_ms=15_000,
-                     append_interval_ms=4_000,
-                     protocol_factory=ByteTransportProtocol, seed=31)
-        ).run()
-        sim.run_quiescence(15_000)
-        assert sim.converged()
-        assert sim.metrics.session_bytes > 0

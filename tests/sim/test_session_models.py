@@ -212,7 +212,8 @@ class TestScenarioKnob:
 
     def test_protocol_without_session_falls_back_to_atomic(self):
         """A protocol lacking a session() generator (e.g. a custom
-        byte-transport adapter) still works under the message model."""
+        adapter with its own ``run``) still works under the message
+        model."""
         class LegacyProtocol:
             name = "legacy"
 

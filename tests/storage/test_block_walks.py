@@ -20,16 +20,12 @@ from repro.reconcile import FrontierProtocol
 from repro.storage import load_node
 
 from tests.conftest import Deployment
-from tests.reconcile.test_registry import (
-    _in_process,
-    _over_asyncio,
-    _over_bytes,
-)
+from tests.reconcile.test_registry import _in_process, _over_asyncio
 
 
 # (driver, walks at the receiver): in one process the receiver is handed
-# the writer's object; over bytes it constructs its own, once.
-DRIVERS = [(_in_process, 0), (_over_bytes, 1), (_over_asyncio, 1)]
+# the writer's object; over the network it constructs its own, once.
+DRIVERS = [(_in_process, 0), (_over_asyncio, 1)]
 
 
 @pytest.mark.parametrize("drive,receiver_walks", DRIVERS)

@@ -10,7 +10,6 @@ find it.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import os
 
@@ -19,12 +18,10 @@ import pytest
 from repro.chain.block import Block, Transaction
 from repro.chain.errors import ChainError
 from repro.live import LiveNode
-from repro.live.protocol import run_session, serve_connection
-from repro.live.transport import LoopbackTransport
-from repro.reconcile import FrontierProtocol, ReconcileEndpoint, RemoteSession
+from repro.reconcile import FrontierProtocol
 from repro.storage import BlockStore, load_node
 
-from tests.conftest import Deployment
+from tests.conftest import Deployment, over_loopback
 
 
 @pytest.fixture
@@ -233,19 +230,9 @@ class TestLiveNodeGroupCommit:
 
         _spy_on_fsync(monkeypatch, syncs)
 
-        async def scenario():
-            near, far = LoopbackTransport.pair()
-            server = asyncio.ensure_future(serve_connection(source, far))
-            try:
-                return await run_session(
-                    FrontierProtocol(), joiner.node, near,
-                    on_blocks=on_blocks,
-                )
-            finally:
-                await near.close()
-                await server
-
-        stats = asyncio.run(scenario())
+        stats = over_loopback(
+            FrontierProtocol(), joiner.node, source, on_blocks=on_blocks
+        )
         assert stats.converged and stats.rounds == 1
         assert batches == [20] and len(syncs) == 1
         assert announced == ["pull:source"] * 20
@@ -264,9 +251,7 @@ class TestLiveNodeGroupCommit:
                 [Transaction("events", "append", [{"reading": reading}])]
             )
         joiner = self._joiner(deployment, tmp_path)
-        stats = RemoteSession(
-            joiner.node, ReconcileEndpoint(writer.node).handle
-        ).sync()
+        stats = over_loopback(FrontierProtocol(), joiner.node, writer.node)
         assert stats.blocks_pulled == 5
         joiner._persist_blocks(origin="pull:writer")
         for node in (writer, joiner):
