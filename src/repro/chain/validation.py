@@ -69,18 +69,12 @@ class BlockValidator:
             verify_cache if verify_cache is not None else shared_cache()
         )
 
-    def validate(self, block: Block, now_ms: int,
-                 verify_signature: bool = True) -> None:
+    def validate(self, block: Block, now_ms: int) -> None:
         """Raise a :class:`ValidationError` subclass if *block* is invalid.
 
         Check order matters for reconciliation: missing parents must be
         reported before anything that needs parent data, so the caller can
         fetch deeper frontier levels and retry.
-
-        ``verify_signature=False`` skips only the Ed25519 verification
-        (membership, user-id binding, parents, and timestamps still
-        run) — for replaying storage this device already validated and
-        sealed; never for blocks from a peer.
         """
         if block.hash in self._dag:
             raise DuplicateBlockError(
@@ -117,9 +111,7 @@ class BlockValidator:
             raise SignatureInvalidError("header user id does not match key")
         # The binding check above pins the key to a hash-covered header
         # field, which is what makes the per-hash verdict cache sound.
-        if verify_signature and not self._verify_cache.verify_block(
-            public_key, block
-        ):
+        if not self._verify_cache.verify_block(public_key, block):
             raise SignatureInvalidError(
                 f"signature of block {block.hash.short()} does not verify"
             )

@@ -122,6 +122,8 @@ def _cmd_init(args: argparse.Namespace) -> int:
     from repro.core.node import VegvisirNode
     from repro.storage import save_node
 
+    if pathlib.Path(args.store).exists():
+        raise CliError(f"refusing to overwrite {args.store}: it already exists")
     owner = _load_key(args.owner_key)
     genesis = create_genesis(owner, chain_name=args.name)
     node = VegvisirNode(owner, genesis)

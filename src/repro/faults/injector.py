@@ -26,7 +26,7 @@ The :class:`CrashController` handles the crash/restart schedule: each
 crashing node persists its replica to an append-only
 :class:`~repro.storage.blockstore.BlockStore` as blocks arrive, loses
 its in-memory state at crash time, and is rebuilt from disk through the
-normal :func:`~repro.storage.node_store.load_node` validation path at
+normal :func:`~repro.storage.node_store.restore_node` validation path at
 restart.
 """
 
@@ -339,7 +339,7 @@ class CrashController:
     are persisted as the gossip layer observes them arriving (the
     device's fsync batching point).  A crash discards the in-memory
     replica and tears any in-flight session; the restart rebuilds the
-    node from its store through :func:`load_node`'s full validation
+    node from its store through :func:`restore_node`'s full validation
     path and rejoins it to gossip.
     """
 
@@ -416,14 +416,14 @@ class CrashController:
             sim.obs.bus.emit("node.crashed", node=node_id)
 
     def _restart(self, node_id: int) -> None:
-        from repro.storage.node_store import load_node
+        from repro.storage.node_store import restore_node
 
         sim = self._sim
         old = sim.fleet.nodes[node_id]
         store = self.stores[node_id]
         store.close()  # flush pending writes before the read pass
-        loaded = load_node(
-            sim.fleet.keys[node_id], store.path,
+        loaded = restore_node(
+            sim.fleet.keys[node_id], store.blocks(),
             clock=old.clock, location=old.location_provider,
         )
         sim.fleet.nodes[node_id] = loaded

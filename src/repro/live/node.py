@@ -6,9 +6,10 @@
 * **persistence** — every block the replica observes (created locally,
   pulled, or pushed by a peer) is durably appended to a
   :class:`~repro.storage.blockstore.BlockStore` the moment it enters
-  the DAG; on restart the replica is rebuilt from that store through
-  :func:`~repro.storage.load_node`'s full validation, so a crashed node
-  recovers exactly its persisted parent-closed prefix;
+  the DAG; on restart the replica is rebuilt from that same store
+  through :func:`~repro.storage.node_store.restore_node`'s full
+  validation, so a crashed node recovers exactly its persisted
+  parent-closed prefix;
 * **networking** — a :class:`~repro.live.peers.PeerManager` for
   connections and an :class:`~repro.live.antientropy.AntiEntropyLoop`
   for sessions and for pushing local writes;
@@ -54,7 +55,7 @@ if TYPE_CHECKING:  # imported lazily at runtime (circular with live)
     from repro.discovery.directory import DirectoryEvent
     from repro.discovery.service import DiscoveryConfig, DiscoveryService
 from repro.storage.blockstore import BlockStore
-from repro.storage.node_store import load_node
+from repro.storage.node_store import restore_node
 
 
 def _wall_ms() -> int:
@@ -90,26 +91,28 @@ class LiveNode:
         ops_port: Optional[int] = None,
         profiler=None,
     ):
-        self._store_path = pathlib.Path(store_path)
         self._key_pair = key_pair
         clock = clock or _wall_ms
-        restart = self._store_path.exists() and not BlockStore(
-            self._store_path, fsync=fsync
-        ).is_empty()
-        if restart:
-            # Rebuild the replica from disk through full validation,
-            # then keep appending to the same store.
-            self.node = load_node(key_pair, self._store_path, clock=clock)
-        else:
-            if genesis is None:
+        # One handle: probe it, rebuild the replica from it through full
+        # validation, then keep appending to it.
+        self.store = BlockStore(store_path, fsync=fsync, obs=obs)
+        if not self.store.is_empty():
+            self.node = restore_node(
+                key_pair, self.store.blocks(), clock=clock
+            )
+            if genesis is not None and genesis.hash != self.node.chain_id:
                 raise ValueError(
-                    f"{self._store_path} holds no chain and no genesis "
-                    "block was provided"
+                    f"{self.store.path} holds chain "
+                    f"{self.node.chain_id.hex()}, not {genesis.hash.hex()}"
                 )
+        elif genesis is not None:
             self.node = VegvisirNode(key_pair, genesis, clock=clock)
-        self.store = BlockStore(self._store_path, fsync=fsync, obs=obs)
-        if not restart:
-            self.store.append(self.node.dag.genesis)
+            self.store.append(genesis)
+        else:
+            raise ValueError(
+                f"{self.store.path} holds no chain and no genesis "
+                "block was provided"
+            )
         # How many blocks of the DAG's insertion order are on disk.
         self._persisted = len(self.node.dag)
 

@@ -1,113 +1,66 @@
 """Saving and restoring a replica.
 
 ``save_node`` writes the DAG in insertion order (genesis first);
-``load_node`` rebuilds a :class:`VegvisirNode` by replaying through the
-normal receive pipeline.  Replayed blocks re-run every §IV-E check
-except the local-clock bound: their timestamps are historical, so the
-validator's "now" is taken from the stored blocks themselves rather
-than the device clock, which may have reset across the reboot.
-
-**Sealing.**  Signature re-verification dominates restart cost
-(milliseconds per block of pure-Python Ed25519).  A device that already
-validated every block it stored can skip re-verifying *its own* store:
-``save_node(..., seal_key=key_pair)`` writes a sidecar HMAC-SHA256 over
-the store bytes, keyed by the device's private seed; a matching
-``load_node(..., seal_key=key_pair)`` verifies the seal and then skips
-per-block signature checks (structure, parents, timestamps, and
-membership are still enforced).  The seal proves "this device wrote
-these bytes after validating them" — the same trust as the blocks
-themselves, since an attacker who can rewrite the store *and* forge the
-seal needs the device seed, with which they could sign blocks anyway.
-A store from any other source loads the slow, fully-verified way.
+``restore_node`` rebuilds a :class:`VegvisirNode` from such a sequence
+by replaying it through the normal receive pipeline, and ``load_node``
+is that replay over a block store.  Replayed blocks re-run every §IV-E
+check, signature included, except the local-clock bound: their
+timestamps are historical, so the validator's "now" is taken from the
+stored blocks themselves rather than the device clock, which may have
+reset across the reboot.  Restart, crash recovery and support-chain
+bootstrap (§IV-I) all go through this one loop.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import pathlib
-from typing import Callable, Optional, Union
+from typing import Iterable, Union
 
+from repro.chain.block import Block
 from repro.core.node import VegvisirNode
 from repro.crypto.keys import KeyPair
-from repro.csm.permissions import ChainPolicy
 from repro.storage.blockstore import BlockStore, StorageError
 
 
-def _seal_path(path: pathlib.Path) -> pathlib.Path:
-    return path.with_suffix(path.suffix + ".seal")
-
-
-def _seal_digest(seal_key: KeyPair, store_bytes: bytes) -> bytes:
-    mac_key = hashlib.sha256(
-        b"vegvisir-store-seal" + seal_key.private_key.seed
-    ).digest()
-    return hmac.new(mac_key, store_bytes, hashlib.sha256).digest()
-
-
-def save_node(node: VegvisirNode, path: Union[str, pathlib.Path],
-              seal_key: Optional[KeyPair] = None) -> BlockStore:
-    """Write the replica's full DAG to a fresh block store at *path*.
-
-    With *seal_key*, also write the fast-load seal sidecar (see module
-    docstring)."""
+def save_node(node: VegvisirNode,
+              path: Union[str, pathlib.Path]) -> BlockStore:
+    """Write the replica's full DAG to a fresh block store at *path*."""
     path = pathlib.Path(path)
     if path.exists():
         path.unlink()
     store = BlockStore(path)
     store.append_all(node.dag.blocks())
     store.close()  # the handle reopens transparently on a later append
-    if seal_key is not None:
-        _seal_path(path).write_bytes(
-            _seal_digest(seal_key, path.read_bytes())
-        )
     return store
 
 
-def load_node(
-    key_pair: KeyPair,
-    path: Union[str, pathlib.Path],
-    policy: Optional[ChainPolicy] = None,
-    clock: Optional[Callable[[], int]] = None,
-    seal_key: Optional[KeyPair] = None,
-    **node_kwargs,
-) -> VegvisirNode:
-    """Rebuild a replica from a block store.
+def restore_node(key_pair: KeyPair, blocks: Iterable[Block],
+                 **node_kwargs) -> VegvisirNode:
+    """Rebuild a replica from *blocks*: a genesis block, then the rest
+    in a parent-closed order.
 
-    The first stored block must be the genesis block.  Every subsequent
-    block is validated and replayed exactly as if received from a peer;
-    a store whose contents do not validate raises, rather than loading
-    silently-wrong state.
-
-    With *seal_key* and a valid seal sidecar, per-block signature
-    verification is skipped (everything else still runs); a missing or
-    mismatching seal silently falls back to the fully-verified path.
+    Every block after the genesis is validated and replayed exactly as
+    if received from a peer; a sequence that does not validate raises,
+    rather than loading silently-wrong state.
     """
-    path = pathlib.Path(path)
-    store = BlockStore(path)
-    sealed = False
-    if seal_key is not None:
-        sidecar = _seal_path(path)
-        if sidecar.exists():
-            expected = _seal_digest(seal_key, path.read_bytes())
-            sealed = hmac.compare_digest(sidecar.read_bytes(), expected)
-    iterator = store.blocks()
-    try:
-        genesis = next(iterator)
-    except StopIteration:
-        raise StorageError(f"{path} contains no blocks") from None
+    iterator = iter(blocks)
+    genesis = next(iterator, None)
+    if genesis is None:
+        raise StorageError("no blocks to restore from")
     if not genesis.is_genesis():
         raise StorageError("first stored block is not a genesis block")
-    node = VegvisirNode(
-        key_pair, genesis, policy=policy, clock=clock, **node_kwargs
-    )
+    node = VegvisirNode(key_pair, genesis, **node_kwargs)
     # Validate timestamps against stored history, not the fresh clock.
     restored_now = genesis.timestamp
     for block in iterator:
         restored_now = max(restored_now, block.timestamp)
-        node.validator.validate(
-            block, now_ms=restored_now, verify_signature=not sealed
-        )
+        node.validator.validate(block, now_ms=restored_now)
         node.dag.add_block(block)
         node.csm.replay_block(block)
     return node
+
+
+def load_node(key_pair: KeyPair, path: Union[str, pathlib.Path],
+              **node_kwargs) -> VegvisirNode:
+    """Rebuild a replica from the block store at *path*."""
+    return restore_node(key_pair, BlockStore(path).blocks(), **node_kwargs)

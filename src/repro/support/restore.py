@@ -3,19 +3,18 @@
 Because support blocks preserve the Vegvisir DAG's topological order
 (§IV-I), the archive alone is enough to reconstruct a replica: replay
 the genesis block, then each archived body in support-chain order,
-through the ordinary validation pipeline.  A device that lost
+through the same validating loop a restart uses
+(:func:`~repro.storage.node_store.restore_node`).  A device that lost
 everything — or a brand-new member — can therefore bootstrap from a
 superpeer instead of a long chain of peer-to-peer frontier sessions.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.chain.block import Block
 from repro.core.node import VegvisirNode
 from repro.crypto.keys import KeyPair
-from repro.csm.permissions import ChainPolicy
+from repro.storage.node_store import restore_node
 from repro.support.support_chain import SupportChain, SupportChainError
 
 
@@ -23,8 +22,6 @@ def bootstrap_from_support(
     key_pair: KeyPair,
     genesis: Block,
     chain: SupportChain,
-    policy: Optional[ChainPolicy] = None,
-    clock: Optional[Callable[[], int]] = None,
     **node_kwargs,
 ) -> VegvisirNode:
     """Build a fresh replica from a genesis block plus the archive.
@@ -39,14 +36,5 @@ def bootstrap_from_support(
         raise SupportChainError(
             "support chain does not belong to this genesis block"
         )
-    node = VegvisirNode(
-        key_pair, genesis, policy=policy, clock=clock, **node_kwargs
-    )
-    restored_now = genesis.timestamp
-    for support_block in chain.blocks():
-        body = support_block.body
-        restored_now = max(restored_now, body.timestamp)
-        node.validator.validate(body, now_ms=restored_now)
-        node.dag.add_block(body)
-        node.csm.replay_block(body)
-    return node
+    bodies = (support_block.body for support_block in chain.blocks())
+    return restore_node(key_pair, [genesis, *bodies], **node_kwargs)

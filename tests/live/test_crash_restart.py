@@ -10,8 +10,11 @@ store holds a valid parent-closed prefix of the replica.
 
 import asyncio
 
+import pytest
+
+from repro.core.genesis import create_genesis
 from repro.live import LiveNode, PeerSpec
-from repro.storage import BlockStore, load_node
+from repro.storage import BlockStore, load_node, save_node
 
 from tests.conftest import Deployment
 
@@ -155,3 +158,17 @@ class TestCrashRestart:
                 assert earlier <= later
 
         asyncio.run(scenario())
+
+    def test_restart_refuses_a_store_of_another_chain(self, tmp_path):
+        """``genesis=`` names the chain to serve: a store that already
+        holds a different chain is refused, not silently served."""
+        deployment = Deployment()
+        path = tmp_path / "n.blocks"
+        save_node(deployment.node(0), path)
+        other = create_genesis(
+            deployment.owner, chain_name="other-chain", timestamp=0,
+        )
+        with pytest.raises(ValueError) as refused:
+            LiveNode(deployment.keys[0], path, genesis=other)
+        assert deployment.genesis.hash.hex() in str(refused.value)
+        assert other.hash.hex() in str(refused.value)

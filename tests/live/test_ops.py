@@ -104,6 +104,36 @@ class TestLiveOps:
             "completed": 0, "interrupted": 0, "pushes": 0,
         }
 
+    def test_restart_reports_every_block_it_reads(self, tmp_path):
+        """A restart rebuilds the replica through the handle the node
+        appends with, so ``/metrics`` counts each stored block read."""
+        deployment = Deployment()
+        stored = 5
+
+        async def scenario():
+            first = _make_node(deployment, tmp_path, 0)
+            await first.start()
+            for _ in range(stored - 1):
+                first.append_transactions([])
+            await first.stop()
+            reborn = _make_node(
+                deployment, tmp_path, 0, obs=Observability(clock=_wall_ms),
+                ops_port=0,
+            )
+            await reborn.start()
+            try:
+                return await _http_get(reborn.ops.port, "/metrics")
+            finally:
+                await reborn.stop()
+
+        text = _body(asyncio.run(scenario())).decode("utf-8")
+        series = dict(
+            line.rsplit(" ", 1) for line in text.splitlines()
+            if line.startswith("blockstore_")
+        )
+        # An untouched counter has no sample line: that is a zero.
+        assert int(series.get("blockstore_blocks_read_total", 0)) == stored
+
     def test_ops_port_conflict_fails_cleanly(self, tmp_path):
         from repro.obs.live import OpsError
 

@@ -204,6 +204,23 @@ class TestNodeSaveLoad:
             load_node(deployment.keys[0], store_path,
                       clock=deployment.clock)
 
+    def test_forged_signature_rejected_on_load(self, deployment,
+                                               store_path):
+        """Every restored block has its signature checked: a member's
+        block with one signature bit flipped fails the load."""
+        from repro.chain.block import Block
+        from repro.chain.errors import SignatureInvalidError
+
+        node = deployment.node(0)
+        good = node.append_transactions([])
+        signature = bytearray(good.signature)
+        signature[0] ^= 0x01
+        forged = Block(good.header, good.transactions, bytes(signature))
+        BlockStore(store_path).append_all([deployment.genesis, forged])
+        with pytest.raises(SignatureInvalidError):
+            load_node(deployment.keys[0], store_path,
+                      clock=deployment.clock)
+
     def test_save_overwrites_previous(self, deployment, store_path):
         node = deployment.node(0)
         save_node(node, store_path)

@@ -94,6 +94,24 @@ class TestInitAndInspect:
         BlockStore(store)
         assert main(["inspect", str(store)]) == 1
 
+    def test_init_leaves_an_existing_chain_untouched(self, tmp_path,
+                                                     deployment, capsys):
+        from repro.storage import save_node
+
+        node = deployment.node(0)
+        for _ in range(5):
+            node.append_transactions([])
+        store = tmp_path / "chain.vgv"
+        save_node(node, store)
+        before = store.read_bytes()
+        key = tmp_path / "owner.key"
+        main(["keygen", str(key)])
+        one_line_error(
+            capsys, ["init", str(store), "--owner-key", str(key)],
+            "refusing to overwrite",
+        )
+        assert store.read_bytes() == before
+
     def test_bad_key_file_exits(self, tmp_path, capsys):
         key = tmp_path / "short.key"
         key.write_bytes(b"too short")
@@ -610,6 +628,9 @@ ERROR_ROWS = {
     "init, missing key": (
         lambda c: ["init", c.missing + ".vgv", "--owner-key", c.missing],
         "cannot read key file"),
+    "init over a store": (
+        lambda c: ["init", c.store, "--owner-key", c.key],
+        "refusing to overwrite"),
     "inspect, missing store": (
         lambda c: ["inspect", c.missing], "no such store"),
     "verify, missing store": (
