@@ -196,8 +196,11 @@ class Block:
     all read off them from then on.
     """
 
-    __slots__ = ("header", "transactions", "signature", "_hash",
-                 "_encoded", "_header_end")
+    # The header's fields that every lookup reads are copied up into
+    # plain slots: a slot is read in C, a property is a Python call.
+    __slots__ = ("header", "transactions", "signature", "hash",
+                 "parents", "user_id", "timestamp", "_encoded",
+                 "_header_end")
 
     def __init__(
         self,
@@ -211,6 +214,9 @@ class Block:
               transactions: list[Transaction], header_bytes: bytes,
               body_bytes: bytes) -> None:
         self.header = header
+        self.parents = header.parents
+        self.user_id = header.user_id
+        self.timestamp = header.timestamp
         self.transactions = transactions
         self.signature = bytes(signature)
         self._encoded = wire.encode({
@@ -218,7 +224,7 @@ class Block:
             "signature": self.signature,
             "transactions": wire.Encoded(body_bytes),
         })
-        self._hash = Hash.of_bytes(self._encoded)
+        self.hash = Hash.of_bytes(self._encoded)
         self._header_end = _HEADER_AT + len(header_bytes)
 
     @classmethod
@@ -259,28 +265,12 @@ class Block:
         )
 
     @property
-    def hash(self) -> Hash:
-        return self._hash
-
-    @property
     def wire_size(self) -> int:
         """Size in bytes of the canonical encoding."""
         return len(self._encoded)
 
-    @property
-    def parents(self) -> list[Hash]:
-        return self.header.parents
-
-    @property
-    def user_id(self) -> Hash:
-        return self.header.user_id
-
-    @property
-    def timestamp(self) -> int:
-        return self.header.timestamp
-
     def is_genesis(self) -> bool:
-        return not self.header.parents
+        return not self.parents
 
     def to_wire(self) -> dict:
         return {
@@ -332,13 +322,13 @@ class Block:
         return self._encoded
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Block) and self._hash == other._hash
+        return isinstance(other, Block) and self.hash == other.hash
 
     def __hash__(self) -> int:
-        return hash(self._hash)
+        return hash(self.hash)
 
     def __repr__(self) -> str:
         return (
-            f"Block({self._hash.short()}, user={self.user_id.short()}, "
+            f"Block({self.hash.short()}, user={self.user_id.short()}, "
             f"txs={len(self.transactions)}, parents={len(self.parents)})"
         )

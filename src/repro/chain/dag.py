@@ -58,23 +58,33 @@ class BlockDAG:
         a second genesis) and :class:`MissingParentsError` listing absent
         parents otherwise.
         """
-        if block.hash in self._blocks:
-            raise DuplicateBlockError(f"block {block.hash.short()} present")
-        if block.is_genesis():
+        blocks = self._blocks
+        block_hash = block.hash
+        parents = block.parents
+        if block_hash in blocks:
+            raise DuplicateBlockError(f"block {block_hash.short()} present")
+        if not parents:
             raise DuplicateBlockError("a second genesis block is not allowed")
-        missing = [p for p in block.parents if p not in self._blocks]
+        missing = [p for p in parents if p not in blocks]
         if missing:
             raise MissingParentsError(missing)
-        self._blocks[block.hash] = block
-        self._children[block.hash] = set()
-        self._order.append(block.hash)
-        height = 0
-        for parent in block.parents:
-            self._children[parent].add(block.hash)
-            self._frontier.discard(parent)
-            height = max(height, self._heights[parent] + 1)
-        self._heights[block.hash] = height
-        self._frontier.add(block.hash)
+        blocks[block_hash] = block
+        self._children[block_hash] = set()
+        self._order.append(block_hash)
+        for parent in parents:
+            self._children[parent].add(block_hash)
+        self._heights[block_hash] = 1 + max(
+            map(self._heights.__getitem__, parents)
+        )
+        self._frontier.difference_update(parents)
+        self._frontier.add(block_hash)
+
+    @property
+    def table(self) -> dict[Hash, Block]:
+        """The hash → block table itself, for loops that test many
+        hashes: ``h in dag.table`` is a C lookup where ``h in dag`` is
+        a Python call.  Read it; never write to it."""
+        return self._blocks
 
     def get(self, block_hash: Hash) -> Block:
         try:

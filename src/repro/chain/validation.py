@@ -76,20 +76,20 @@ class BlockValidator:
         reported before anything that needs parent data, so the caller can
         fetch deeper frontier levels and retry.
         """
-        if block.hash in self._dag:
+        table = self._dag.table
+        parents = block.parents
+        if block.hash in table:
             raise DuplicateBlockError(
                 f"block {block.hash.short()} already in DAG"
             )
-        if block.is_genesis():
+        if not parents:
             raise DuplicateBlockError("a second genesis block is not allowed")
 
-        missing = [p for p in block.parents if p not in self._dag]
+        missing = [p for p in parents if p not in table]
         if missing:
             raise MissingParentsError(missing)
 
-        max_parent_ts = max(
-            self._dag.get(parent).timestamp for parent in block.parents
-        )
+        max_parent_ts = max([table[parent].timestamp for parent in parents])
         if block.timestamp <= max_parent_ts:
             raise TimestampError(
                 f"timestamp {block.timestamp} not above parent maximum "
@@ -127,12 +127,13 @@ class BlockValidator:
         cache hits.
         """
         items = []
+        table = self._dag.table
         for block in blocks:
-            if block.hash.digest in self._verify_cache:
+            if block.hash in self._verify_cache:
                 continue
-            if block.hash in self._dag or block.is_genesis():
+            if block.hash in table or not block.parents:
                 continue
-            if any(parent not in self._dag for parent in block.parents):
+            if not all(map(table.__contains__, block.parents)):
                 continue
             try:
                 public_key = self._resolve_member(

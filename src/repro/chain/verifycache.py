@@ -17,7 +17,8 @@ process, which is where the win comes from: a block gossiped through
 *n* peers in a simulation — or re-offered over *n* live sessions —
 pays for Ed25519 exactly once.  Unlike the signature-triple memo in
 :mod:`repro.crypto.backend` (sha256 over key+signature+message), a hit
-here costs one dict lookup on an already-computed 32-byte digest.
+here costs one dict lookup keyed by the block's own :class:`Hash`,
+whose hash CPython has already computed and cached.
 
 Both True and False verdicts are cached: a bad signature re-gossiped by
 a faulty peer should not cost a full verification per offer either.
@@ -33,19 +34,20 @@ from repro.crypto import backend as _backend
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chain.block import Block
     from repro.crypto.ed25519 import PublicKey
+    from repro.crypto.sha import Hash
 
 DEFAULT_CAPACITY = 100_000
 
 
 class VerifiedBlockCache:
-    """Bounded LRU mapping block-hash digest → signature verdict."""
+    """Bounded LRU mapping block hash → signature verdict."""
 
     __slots__ = ("_entries", "_capacity", "hits", "misses", "evictions")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self._entries: OrderedDict[bytes, bool] = OrderedDict()
+        self._entries: OrderedDict[Hash, bool] = OrderedDict()
         self._capacity = capacity
         self.hits = 0
         self.misses = 0
@@ -58,28 +60,28 @@ class VerifiedBlockCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, digest: bytes) -> bool:
+    def __contains__(self, block_hash: Hash) -> bool:
         """Membership probe that touches neither LRU order nor stats."""
-        return digest in self._entries
+        return block_hash in self._entries
 
-    def get(self, digest: bytes) -> Optional[bool]:
-        """The cached verdict for a block-hash digest, or ``None``."""
-        verdict = self._entries.get(digest)
+    def get(self, block_hash: Hash) -> Optional[bool]:
+        """The cached verdict for a block hash, or ``None``."""
+        verdict = self._entries.get(block_hash)
         if verdict is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(digest)
+        self._entries.move_to_end(block_hash)
         self.hits += 1
         return verdict
 
-    def put(self, digest: bytes, verdict: bool) -> None:
+    def put(self, block_hash: Hash, verdict: bool) -> None:
         entries = self._entries
-        if digest in entries:
-            entries.move_to_end(digest)
+        if block_hash in entries:
+            entries.move_to_end(block_hash)
         elif len(entries) >= self._capacity:
             entries.popitem(last=False)
             self.evictions += 1
-        entries[digest] = verdict
+        entries[block_hash] = verdict
 
     def clear(self) -> None:
         """Drop every verdict and reset the counters."""
@@ -105,13 +107,12 @@ class VerifiedBlockCache:
         validator checks this first, which is what makes the verdict a
         pure function of the block hash.
         """
-        digest = block.hash.digest
-        verdict = self.get(digest)
+        verdict = self.get(block.hash)
         if verdict is None:
             verdict = _backend.verify_uncached(
                 public_key, block.signing_payload(), block.signature
             )
-            self.put(digest, verdict)
+            self.put(block.hash, verdict)
         return verdict
 
     def preverify(
@@ -126,7 +127,7 @@ class VerifiedBlockCache:
         missing = [
             (key, block)
             for key, block in items
-            if self._entries.get(block.hash.digest) is None
+            if self._entries.get(block.hash) is None
         ]
         if not missing:
             return
@@ -135,7 +136,7 @@ class VerifiedBlockCache:
             for key, block in missing
         )
         for (_, block), verdict in zip(missing, verdicts):
-            self.put(block.hash.digest, verdict)
+            self.put(block.hash, verdict)
 
 
 # The shared instance every validator uses unless handed its own.

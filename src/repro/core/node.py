@@ -118,7 +118,8 @@ class VegvisirNode:
         validity requires strict increase along every edge).
         """
         parents = sorted(self.dag.frontier())[:MAX_PARENTS]
-        max_parent_ts = max(self.dag.get(p).timestamp for p in parents)
+        table = self.dag.table
+        max_parent_ts = max([table[parent].timestamp for parent in parents])
         timestamp = max(self.now_ms(), max_parent_ts + 1)
         block = Block.create(
             key_pair=self.key_pair,

@@ -10,12 +10,10 @@ from it; the proof covers all its ancestors too.
 
 :class:`WitnessTracker` answers these queries over a :class:`BlockDAG`,
 incrementally: each added block contributes its creator as a witness to
-every ancestor.
+every ancestor that does not already have it.
 """
 
 from __future__ import annotations
-
-
 
 from repro.chain.dag import BlockDAG
 from repro.crypto.sha import Hash
@@ -28,27 +26,43 @@ class WitnessTracker:
         self._dag = dag
         self._witnesses: dict[Hash, set[Hash]] = {}
         self._processed: set[Hash] = set()
-        for block in dag.blocks():
-            self.observe_block(block.hash)
+        # How much of the DAG's insertion order sync() has consumed.
+        self._synced = 0
+        self.sync()
 
     def observe_block(self, block_hash: Hash) -> None:
         """Account for one block already present in the DAG.
 
         Idempotent; call after every :meth:`BlockDAG.add_block` (or use
         :meth:`sync` to catch up in bulk).
+
+        The walk stops at an ancestor that its creator already
+        witnesses: whichever block put the creator there put it on every
+        ancestor below as well.  So each block takes each distinct
+        creator once, and the total work is O(blocks x creators), not
+        one full ancestor walk per block.
         """
         if block_hash in self._processed:
             return
         block = self._dag.get(block_hash)
         self._processed.add(block_hash)
         self._witnesses.setdefault(block_hash, set())
-        for ancestor in self._dag.ancestors(block_hash):
-            self._witnesses.setdefault(ancestor, set()).add(block.user_id)
+        creator = block.user_id
+        table = self._dag.table
+        stack = list(block.parents)
+        while stack:
+            ancestor = stack.pop()
+            witnesses = self._witnesses.setdefault(ancestor, set())
+            if creator in witnesses:
+                continue
+            witnesses.add(creator)
+            stack.extend(table[ancestor].parents)
 
     def sync(self) -> None:
         """Process any DAG blocks added since the last call."""
-        for block in self._dag.blocks():
-            self.observe_block(block.hash)
+        for block_hash in self._dag.inserted_since(self._synced):
+            self.observe_block(block_hash)
+        self._synced = len(self._dag)
 
     def witnesses(self, block_hash: Hash) -> set[Hash]:
         """User ids that signed a descendant of *block_hash* (creator

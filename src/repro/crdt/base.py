@@ -15,9 +15,22 @@ order, so they may depend on one another.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Any, ClassVar
 
 from repro.crypto.sha import Hash
+
+
+@functools.lru_cache(maxsize=4096)
+def _actor_digest(actor: Hash) -> bytes:
+    """The actor's digest as one shared ``bytes`` object.
+
+    ``Hash.digest`` is a fresh copy on every read, and an order key is
+    kept for as long as the entry it ranks: without this memo every
+    entry of a log or register would hold a private copy of its
+    writer's id.
+    """
+    return actor.digest
 
 
 class CRDTError(Exception):
@@ -54,7 +67,8 @@ class OpContext:
     def for_block(cls, actor: Hash, timestamp: int, block_hash: Hash,
                   tx_index: int) -> "OpContext":
         """Derive the op id for transaction *tx_index* of a block."""
-        op_id = block_hash.digest + tx_index.to_bytes(4, "big")
+        # Concatenating onto a Hash yields plain bytes: no digest copy.
+        op_id = block_hash + tx_index.to_bytes(4, "big")
         return cls(actor, timestamp, op_id)
 
     def order_key(self) -> tuple:
@@ -63,7 +77,7 @@ class OpContext:
         Higher keys win.  Timestamps dominate; the actor id and op id break
         ties so that all replicas agree regardless of replay order.
         """
-        return (self.timestamp, self.actor.digest, self.op_id)
+        return (self.timestamp, _actor_digest(self.actor), self.op_id)
 
     def __repr__(self) -> str:
         return (

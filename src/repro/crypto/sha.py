@@ -1,8 +1,15 @@
 """SHA-256 hashing helpers.
 
 Block and certificate identities are SHA-256 digests of canonical wire
-encodings.  :class:`Hash` is a thin value type around the 32-byte digest
-that provides hex rendering and a short display form for logs.
+encodings.  :class:`Hash` is the 32-byte digest itself, as a ``bytes``
+subclass: hashing it, and therefore every dict and set lookup keyed by
+it, runs in C (CPython caches a ``bytes`` object's hash in the object).
+
+Its equality contract is narrower than ``bytes``'s: a ``Hash`` equals
+only another ``Hash`` with the same digest, never the raw digest, and
+ordering a ``Hash`` against anything else raises ``TypeError`` — so a
+raw digest that strays into a table of block identities can neither
+match one nor sort among them.
 """
 
 from __future__ import annotations
@@ -15,29 +22,36 @@ from repro import wire
 DIGEST_SIZE = 32
 
 
-class Hash:
+def _unordered(other: object) -> TypeError:
+    return TypeError(
+        f"cannot order Hash against {type(other).__name__}"
+    )
+
+
+class Hash(bytes):
     """An immutable 32-byte SHA-256 digest usable as a dict key."""
 
-    __slots__ = ("_digest",)
+    __slots__ = ()
 
-    def __init__(self, digest: bytes):
+    def __new__(cls, digest: bytes) -> "Hash":
         # bytes(n) of an int n allocates n zero bytes: refuse anything
         # that is not already a byte string before converting.
         if not isinstance(digest, (bytes, bytearray, memoryview)):
             raise TypeError(
                 f"digest must be bytes, got {type(digest).__name__}"
             )
-        digest = bytes(digest)
-        if len(digest) != DIGEST_SIZE:
+        self = bytes.__new__(cls, digest)
+        if len(self) != DIGEST_SIZE:
             raise ValueError(
-                f"digest must be {DIGEST_SIZE} bytes, got {len(digest)}"
+                f"digest must be {DIGEST_SIZE} bytes, got {len(self)}"
             )
-        self._digest = digest
+        return self
 
     @classmethod
     def of_bytes(cls, data: bytes) -> "Hash":
         """Hash a raw byte string."""
-        return cls(hashlib.sha256(data).digest())
+        # A SHA-256 digest is always DIGEST_SIZE bytes: no check needed.
+        return bytes.__new__(cls, hashlib.sha256(data).digest())
 
     @classmethod
     def of_value(cls, value: Any) -> "Hash":
@@ -49,33 +63,51 @@ class Hash:
         """Parse a 64-character hex digest."""
         return cls(bytes.fromhex(text))
 
-    @property
-    def digest(self) -> bytes:
-        return self._digest
-
-    def hex(self) -> str:
-        return self._digest.hex()
+    #: The digest as a plain ``bytes`` object (a copy).
+    digest = property(bytes)
 
     def short(self) -> str:
         """First 8 hex characters, for human-readable output."""
-        return self._digest[:4].hex()
+        return self[:4].hex()
 
-    def __bytes__(self) -> bytes:
-        return self._digest
+    # ``bytes`` would answer all of these against any byte string, in
+    # either operand order (it takes the subclass's reflected method
+    # first), so each one is spelled out.
+    __hash__ = bytes.__hash__
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Hash) and self._digest == other._digest
+        return type(other) is Hash and bytes.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return type(other) is not Hash or bytes.__ne__(self, other)
 
     def __lt__(self, other: "Hash") -> bool:
-        if not isinstance(other, Hash):
-            return NotImplemented
-        return self._digest < other._digest
+        if type(other) is not Hash:
+            raise _unordered(other)
+        return bytes.__lt__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._digest)
+    def __le__(self, other: "Hash") -> bool:
+        if type(other) is not Hash:
+            raise _unordered(other)
+        return bytes.__le__(self, other)
+
+    def __gt__(self, other: "Hash") -> bool:
+        if type(other) is not Hash:
+            raise _unordered(other)
+        return bytes.__gt__(self, other)
+
+    def __ge__(self, other: "Hash") -> bool:
+        if type(other) is not Hash:
+            raise _unordered(other)
+        return bytes.__ge__(self, other)
+
+    def __reduce__(self):
+        return (Hash, (bytes(self),))
 
     def __repr__(self) -> str:
         return f"Hash({self.short()})"
+
+    __str__ = __repr__
 
 
 def sha256(data: bytes) -> bytes:

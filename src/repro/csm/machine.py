@@ -113,7 +113,7 @@ class _ResolvedView:
     """What one causal view decides, built in one pass and then only read
     (forks of one genesis share these objects).
 
-    ``members`` maps a user id's digest to the user's effective
+    ``members`` maps a user id to the user's effective
     certificate: live (added and not revoked inside the view) and of the
     greatest ``(issued_at, fingerprint)``.  ``bindings`` maps a CRDT name
     to its winning creation inside the view (least ``order_key``).
@@ -138,11 +138,11 @@ class _ResolvedView:
                 )
             else:
                 revoked.add(event.certificate.fingerprint().digest)
-        members: dict[bytes, Certificate] = {}
+        members: dict[Hash, Certificate] = {}
         for fingerprint, certificate in added.items():
             if fingerprint in revoked:
                 continue
-            user = certificate.user_id.digest
+            user = certificate.user_id
             effective = members.get(user)
             if effective is None or (
                 _precedence(certificate) > _precedence(effective)
@@ -326,7 +326,7 @@ class CSMachine:
         fingerprint)``) as-of the causal past spanned by *parent_hashes*.
         """
         view = self._inherited_view(parent_hashes)
-        certificate = self._resolve(view).members.get(user_id.digest)
+        certificate = self._resolve(view).members.get(user_id)
         return None if certificate is None else certificate.public_key
 
     # ------------------------------------------------------------------
@@ -353,9 +353,7 @@ class CSMachine:
         if genesis_bootstrap:
             creator_role: Optional[str] = "owner"
         else:
-            creator = self._resolve(inherited).members.get(
-                block.user_id.digest
-            )
+            creator = self._resolve(inherited).members.get(block.user_id)
             creator_role = None if creator is None else creator.role
         # The inherited object itself until a transaction adds an event
         # (one frozenset per event, not one per block); then a wider

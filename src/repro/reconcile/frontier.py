@@ -70,6 +70,7 @@ class FrontierProtocol(Protocol):
 
     def initiate(self, me: SessionSide):
         node, stats = me.node, me.stats
+        held = node.dag.table
         responder_frontier: list[Hash] = []
         # Bodies awaiting parents, every hash received so far (an
         # invalid block is not asked for twice), and the hashes still
@@ -86,7 +87,7 @@ class FrontierProtocol(Protocol):
             if request["type"] == "get_frontier":
                 expect(reply, "frontier_set")
                 responder_frontier = as_hashes(reply["frontier"])
-                if all(node.has_block(h) for h in responder_frontier):
+                if all(map(held.__contains__, responder_frontier)):
                     # Identical frontiers ⇒ identical chains; otherwise
                     # the initiator is strictly ahead and only pushes.
                     stats.converged = True
@@ -108,14 +109,14 @@ class FrontierProtocol(Protocol):
             )
             wanted = {
                 h for h in wanted
-                if h not in received and not node.has_block(h)
+                if h not in received and h not in held
             }
             pending.extend(new_blocks)
             # A merge places nothing (and charges nothing) unless some
             # new block is held already or has every parent.
             if any(
-                node.has_block(block.hash)
-                or all(node.has_block(p) for p in block.parents)
+                block.hash in held
+                or all(map(held.__contains__, block.parents))
                 for block in new_blocks
             ):
                 # Only the blocks still awaiting parents carry on;
@@ -131,7 +132,7 @@ class FrontierProtocol(Protocol):
                            "hashes": digest_list(wanted)}
             else:
                 stats.converged = all(
-                    node.has_block(h) for h in responder_frontier
+                    map(held.__contains__, responder_frontier)
                 )
                 break
 

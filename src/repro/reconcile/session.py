@@ -96,14 +96,16 @@ def merge_blocks(node: VegvisirNode, blocks: Iterable[Block]) -> MergeResult:
     """
     result = MergeResult()
     batch = list(blocks)
-    dag = node.dag
+    table = node.dag.table
     # Per batch position: how many parent references are still absent;
     # per absent parent: the positions that wait for it.
     absent: dict[int, int] = {}
     waiting: dict[Hash, list[int]] = {}
     ready: list[int] = []
     for position, block in enumerate(batch):
-        missing = [parent for parent in block.parents if parent not in dag]
+        missing = [
+            parent for parent in block.parents if parent not in table
+        ]
         if missing:
             absent[position] = len(missing)
             for parent in missing:
@@ -120,7 +122,7 @@ def merge_blocks(node: VegvisirNode, blocks: Iterable[Block]) -> MergeResult:
         while ready:
             position = heapq.heappop(ready)
             block = batch[position]
-            if node.has_block(block.hash):
+            if block.hash in table:
                 result.duplicates += 1
                 continue
             try:
@@ -143,7 +145,7 @@ def merge_blocks(node: VegvisirNode, blocks: Iterable[Block]) -> MergeResult:
     result.unplaced = [batch[position] for position in absent]
     for block in result.unplaced:
         for parent in block.parents:
-            if not node.has_block(parent):
+            if parent not in table:
                 result.missing_parents.add(parent)
     return result
 

@@ -59,9 +59,9 @@ class TestVerifiedBlockCache:
         assert first.hash != second.hash
         key = node.key_pair.public_key
         assert cache.verify_block(key, first) is True
-        # Only `first`'s digest is cached; `second` must be computed
+        # Only `first`'s hash is cached; `second` must be computed
         # (and must not inherit first's verdict slot).
-        assert second.hash.digest not in cache
+        assert second.hash not in cache
         assert cache.verify_block(key, second) is True
         assert len(cache) == 2
 
@@ -77,7 +77,7 @@ class TestVerifiedBlockCache:
         assert cache.verify_block(key, forged) is False
         # The False verdict is cached — under the forged block's OWN
         # hash, where it can never vouch for the genuine block.
-        assert cache.get(forged.hash.digest) is False
+        assert cache.get(forged.hash) is False
         assert cache.verify_block(key, block) is True
 
     def test_cache_hit_skips_backend(self, deployment):
@@ -104,7 +104,7 @@ class TestVerifiedBlockCache:
         cache.preverify([(key, block) for block in blocks])
         assert len(cache) == 3
         for block in blocks:
-            assert cache.get(block.hash.digest) is True
+            assert cache.get(block.hash) is True
 
     def test_clear_resets_everything(self):
         cache = VerifiedBlockCache()
@@ -144,7 +144,7 @@ class TestValidatorIntegration:
         # The signature was computed at most once for all three replicas
         # (the first receive misses; the rest hit).
         assert shared.misses - baseline_misses <= 1
-        assert shared.get(block.hash.digest) is True
+        assert shared.get(block.hash) is True
 
     def test_reconcile_pair_still_converges(self, deployment):
         shared_cache().clear()

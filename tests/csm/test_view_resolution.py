@@ -346,14 +346,12 @@ class TestTheScanIsTheOracle:
                         expected = (
                             effective_certificate(live) if live else None
                         )
-                        got = resolved.members.get(user_id.digest)
+                        got = resolved.members.get(user_id)
                         assert got == expected
                         assert (got and got.role) == (
                             expected and expected.role
                         )
-                    assert set(resolved.members) <= {
-                        u.digest for u in users
-                    }
+                    assert set(resolved.members) <= set(users)
                     for name in NAMES + ["__chain_name__", "nowhere"]:
                         creations = visible_creations(csm, name, view)
                         expected = min(
