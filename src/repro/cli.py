@@ -676,7 +676,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     simulated fleet, `serve` and `gateway` a live one."""
     parser.add_argument("--protocol", default="frontier", metavar="NAME",
                         help="reconciliation protocol: frontier, full, "
-                             "bloom, height_skip, sketch, or delta "
+                             "bloom, height_skip or sketch "
                              "(default frontier)")
     parser.add_argument("--crypto-backend",
                         choices=["pure", "cryptography", "auto"],

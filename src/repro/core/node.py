@@ -63,12 +63,6 @@ class VegvisirNode:
         self._clock = clock or _wall_clock_ms
         self._location = location or (lambda: None)
         self.blocks_created = 0
-        # Lattice state joined from peers' delta-CRDT syncs
-        # (repro.reconcile.delta), created on first use.  Deliberately
-        # outside the CSM and outside state_digest(): the CSM stays
-        # strictly replay-based, and unsigned delta entries never count
-        # as converged chain state.
-        self.delta_store = None
 
     # ------------------------------------------------------------------
     # Identity and time

@@ -49,11 +49,6 @@ class GCounter(CRDT):
     def canonical_state(self) -> Any:
         return {key.hex(): total for key, total in self._per_actor.items()}
 
-    def per_actor_totals(self) -> dict[bytes, int]:
-        """Per-actor contributions for delta sync (join = pointwise max:
-        one actor's total only ever grows, by branch-reining)."""
-        return dict(self._per_actor)
-
 
 @register_crdt_type
 class PNCounter(CRDT):
@@ -89,7 +84,3 @@ class PNCounter(CRDT):
             {key.hex(): total for key, total in self._positive.items()},
             {key.hex(): total for key, total in self._negative.items()},
         ]
-
-    def per_actor_totals(self) -> tuple[dict[bytes, int], dict[bytes, int]]:
-        """(positive, negative) per-actor maps for delta sync."""
-        return dict(self._positive), dict(self._negative)

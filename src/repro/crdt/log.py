@@ -65,14 +65,5 @@ class AppendLog(CRDT):
             for op_id in sorted(self._entries)
         ]
 
-    def delta_items(self):
-        """``(op_id, timestamp, actor, entry)`` tuples for delta sync.
-
-        The delta-state protocol (:mod:`repro.reconcile.delta`) rebuilds
-        per-actor version vectors from these; order is unspecified.
-        """
-        for op_id, (order_key, entry) in self._entries.items():
-            yield op_id, order_key[0], order_key[1], entry
-
     def __len__(self) -> int:
         return len(self._entries)

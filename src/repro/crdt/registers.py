@@ -56,17 +56,6 @@ class LWWRegister(CRDT):
         timestamp, actor, op_id = self._winner_key
         return [timestamp, actor, op_id, self._value]
 
-    def winner(self) -> tuple | None:
-        """``(timestamp, actor, op_id, value)`` for delta sync, or None.
-
-        The register is a join-semilattice under max-by-key, so shipping
-        just the winner is a complete delta.
-        """
-        if self._winner_key is None:
-            return None
-        timestamp, actor, op_id = self._winner_key
-        return (timestamp, actor, op_id, self._value)
-
 
 @register_crdt_type
 class MVRegister(CRDT):

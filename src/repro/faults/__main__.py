@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--protocol", default="frontier", metavar="NAME",
         help="reconciliation protocol for every seed (default frontier); "
-             "'rotate' cycles through frontier/bloom/sketch/delta by seed",
+             "'rotate' cycles through frontier/bloom/sketch by seed",
     )
     parser.add_argument(
         "--out", metavar="DIR",
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     # Protocols that converge DAGs under the message-level session
     # model; 'rotate' deals them out by seed so one nightly sweep
     # exercises the whole family against the same fault matrix.
-    rotation = ("frontier", "bloom", "sketch", "delta")
+    rotation = ("frontier", "bloom", "sketch")
     if args.protocol != "rotate":
         from repro.reconcile import protocol_class
 

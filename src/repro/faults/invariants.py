@@ -185,8 +185,8 @@ def run_chaos(
 
     ``protocol`` names any :data:`repro.reconcile.PROTOCOLS_BY_NAME`
     entry; the nightly sweep rotates through them so sketch fallback
-    and delta joins face the same loss/corruption/crash matrix as the
-    paper's frontier protocol.
+    and Bloom false positives face the same loss/corruption/crash
+    matrix as the paper's frontier protocol.
     """
     from repro.reconcile import protocol_factory
     from repro.sim.runner import Simulation

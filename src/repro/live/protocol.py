@@ -93,16 +93,20 @@ async def serve_connection(node: VegvisirNode, transport,
 
     Malformed traffic gets one ``error`` frame (best effort) and the
     connection is closed; the stream cannot be trusted past the first
-    bad frame.  A reply that cannot be framed closes the connection too
-    — it never ends the serving task with an exception.  *on_blocks*
-    fires inside every merge that adds a block — the hook LiveNode uses
-    to persist what a push batch merged.
+    bad frame.  A request over the connection's frame limit, or a reply
+    that cannot be framed, closes the connection too — neither ends the
+    serving task with an exception.  *on_blocks* fires inside every
+    merge that adds a block — the hook LiveNode uses to persist what a
+    push batch merged.
     """
     responder = LiveResponder(node, on_blocks=on_blocks, profiler=profiler)
     while True:
         try:
             payload = await transport.recv()
-        except TransportClosed:
+        except TransportError:
+            # Closed, or poisoned by a frame over the limit: either way
+            # nothing more can be read from this connection.
+            await transport.close()
             return
         try:
             reply = responder.handle(decode_message(payload, profiler))

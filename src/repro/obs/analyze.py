@@ -91,8 +91,6 @@ class TraceAnalysis:
             "blocks_pulled": 0, "blocks_pushed": 0,
             "duplicates": 0, "invalid": 0,
             "fp_resend": 0, "fallbacks": 0,
-            "delta_entries_pulled": 0, "delta_entries_pushed": 0,
-            "delta_entries_invalid": 0,
             "duration_ms": 0, "converged": 0,
             "interrupted": 0,
             "partial_bytes_i2r": 0, "partial_bytes_r2i": 0,
@@ -105,8 +103,7 @@ class TraceAnalysis:
         for key in ("rounds", "bytes_i2r", "bytes_r2i", "messages_i2r",
                     "messages_r2i", "blocks_pulled", "blocks_pushed",
                     "duplicates", "invalid", "fp_resend", "fallbacks",
-                    "delta_entries_pulled", "delta_entries_pushed",
-                    "delta_entries_invalid", "duration_ms"):
+                    "duration_ms"):
             # Older traces (and protocols that never produce a counter)
             # simply omit the key; .get keeps them parseable.
             entry[key] += record.get(key, 0)
@@ -348,16 +345,6 @@ class TraceAnalysis:
                 lines.append(
                     f"  fallbacks:      {entry['fallbacks']} sketch "
                     "sessions degraded to frontier"
-                )
-            delta_moved = (
-                entry["delta_entries_pulled"] + entry["delta_entries_pushed"]
-            )
-            if delta_moved or entry["delta_entries_invalid"]:
-                lines.append(
-                    f"  delta entries:  "
-                    f"{entry['delta_entries_pulled']} pulled / "
-                    f"{entry['delta_entries_pushed']} pushed, "
-                    f"{entry['delta_entries_invalid']} invalid"
                 )
         lines.append(
             f"totals:           {self.sessions_completed()} sessions, "

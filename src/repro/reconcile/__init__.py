@@ -2,7 +2,7 @@
 
 Blocks spread by opportunistic pairwise reconciliation: when two nodes
 meet, the initiator pulls the blocks it lacks and then pushes the blocks
-the responder lacks.  Six protocols share that contract but differ in
+the responder lacks.  Five protocols share that contract but differ in
 how they discover the difference:
 
 * :class:`FrontierProtocol` — the paper's Algorithm 1, told what the
@@ -20,7 +20,6 @@ how they discover the difference:
   diverging height in one round trip, then transfer everything above it.
 * :class:`SketchProtocol` — an invertible sketch sized for the
   *difference*: one round trip, bytes independent of DAG size.
-* :class:`DeltaProtocol` — delta-state CRDT sync, then the block plane.
 
 Each protocol is written **once**, as an initiator generator plus
 responder handlers that each touch only their own replica
@@ -35,7 +34,6 @@ experiments (F3, E5) measure real encodings.
 """
 
 from repro.reconcile.bloom import BloomFilter, BloomProtocol
-from repro.reconcile.delta import DeltaProtocol, DeltaStore, delta_view_value
 from repro.reconcile.engine import (
     Protocol,
     ReconcileSession,
@@ -57,8 +55,6 @@ from repro.reconcile.stats import ReconcileStats
 __all__ = [
     "BloomFilter",
     "BloomProtocol",
-    "DeltaProtocol",
-    "DeltaStore",
     "FrontierProtocol",
     "FullExchangeProtocol",
     "HeightSkipProtocol",
@@ -72,7 +68,6 @@ __all__ = [
     "SessionSide",
     "SessionStep",
     "SketchProtocol",
-    "delta_view_value",
     "drive_to_completion",
     "merge_blocks",
     "protocol_class",
@@ -89,7 +84,6 @@ PROTOCOLS_BY_NAME = {
     "bloom": BloomProtocol,
     "height_skip": HeightSkipProtocol,
     "sketch": SketchProtocol,
-    "delta": DeltaProtocol,
 }
 
 

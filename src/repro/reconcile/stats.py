@@ -44,11 +44,6 @@ class ReconcileStats:
         # frontier protocol (the bytes/rounds above then include the
         # fallback's traffic).
         self.fallbacks = 0
-        # Delta-plane lattice entries moved by the delta protocol; the
-        # block counters above stay block-granular.
-        self.delta_entries_pulled = 0
-        self.delta_entries_pushed = 0
-        self.delta_entries_invalid = 0
         self.converged = False
         # Set by the session engine when a message-level session was
         # aborted mid-transfer; the counters above then hold the partial
@@ -105,9 +100,6 @@ class ReconcileStats:
             "invalid": self.invalid_blocks,
             "fp_resend": self.fp_resend,
             "fallbacks": self.fallbacks,
-            "delta_entries_pulled": self.delta_entries_pulled,
-            "delta_entries_pushed": self.delta_entries_pushed,
-            "delta_entries_invalid": self.delta_entries_invalid,
             "converged": self.converged,
             "interrupted": self.interrupted,
         }
@@ -132,8 +124,7 @@ class ReconcileStats:
             "duplicates": self.duplicate_blocks,
             "invalid": self.invalid_blocks,
         }
-        for name in ("fp_resend", "fallbacks", "delta_entries_pulled",
-                     "delta_entries_pushed", "delta_entries_invalid"):
+        for name in ("fp_resend", "fallbacks"):
             count = getattr(self, name)
             if count:
                 fields[name] = count
@@ -204,17 +195,13 @@ class SessionCounters:
         self._rounds.labels(protocol=protocol).inc(stats.rounds)
         self._sessions.labels(protocol=protocol).inc()
         # Zero-valued kinds are skipped, so protocols that never
-        # produce Bloom re-sends or delta-plane lattice entries leave
-        # no such series behind.
+        # produce Bloom re-sends leave no such series behind.
         for kind, count in (
             ("pulled", stats.blocks_pulled),
             ("pushed", stats.blocks_pushed),
             ("duplicate", stats.duplicate_blocks),
             ("invalid", stats.invalid_blocks),
             ("fp_resend", stats.fp_resend),
-            ("delta_pulled", stats.delta_entries_pulled),
-            ("delta_pushed", stats.delta_entries_pushed),
-            ("delta_invalid", stats.delta_entries_invalid),
         ):
             if count:
                 self._blocks.labels(protocol=protocol, kind=kind).inc(count)

@@ -3,20 +3,27 @@
 The core CRDT obligation: applying the same set of concurrent operations
 in any order yields identical state.  Hypothesis generates random
 operation batches per type and random interleavings; every pair of
-interleavings must converge to the same canonical state.
+interleavings must converge to the same canonical state.  The sequence
+and graph types, whose ops name earlier ops or vertices, are checked
+over *every* interleaving of a short batch — including the orders in
+which an op arrives before the op it names.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.crdt.counters import GCounter, PNCounter
+from repro.crdt.graph import TwoPTwoPGraph
 from repro.crdt.gset import GSet
 from repro.crdt.log import AppendLog
 from repro.crdt.ormap import ORMap
 from repro.crdt.orset import ORSet
 from repro.crdt.registers import LWWRegister, MVRegister
+from repro.crdt.sequence import HEAD, RGASequence
 from repro.crdt.twophase import TwoPhaseSet
 
 from tests.crdt.helpers import ctx, replay_in_order
@@ -40,6 +47,14 @@ def _assert_all_orders_converge(factory, ops, permutation_seed: int):
     shuffled = replay_in_order(factory, ops, order)
     assert shuffled.state_digest() == baseline.state_digest()
     assert shuffled.value() == baseline.value()
+
+
+def _assert_every_order_converges(factory, ops):
+    baseline = replay_in_order(factory, ops, range(len(ops)))
+    for order in itertools.permutations(range(len(ops))):
+        replayed = replay_in_order(factory, ops, order)
+        assert replayed.state_digest() == baseline.state_digest(), order
+        assert replayed.value() == baseline.value(), order
 
 
 @given(
@@ -178,3 +193,52 @@ def test_append_log_converges(entries, seed):
         for entry, context in zip(entries, _contexts(len(entries)))
     ]
     _assert_all_orders_converge(lambda: AppendLog("str"), ops, seed)
+
+
+@given(
+    actions=st.lists(
+        st.tuples(st.sampled_from(["insert", "insert", "delete"]),
+                  st.integers(0, 5), _elements),
+        min_size=1, max_size=6,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_rga_sequence_converges_in_every_order(actions):
+    contexts = _contexts(len(actions))
+    inserted: list[bytes] = []
+    ops = []
+    for (action, pick, element), context in zip(actions, contexts):
+        if action == "delete" and inserted:
+            ops.append(("delete", [inserted[pick % len(inserted)]], context))
+        else:
+            # Insert after the head or after any earlier insert: the
+            # orders that deliver it first exercise the orphan buffer.
+            anchors = [HEAD] + inserted
+            ops.append(
+                ("insert", [anchors[pick % len(anchors)], element], context)
+            )
+            inserted.append(context.op_id)
+    _assert_every_order_converges(lambda: RGASequence("str"), ops)
+
+
+@given(
+    actions=st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["add_vertex", "remove_vertex", "add_edge", "remove_edge"]
+            ),
+            _elements, _elements,
+        ),
+        min_size=1, max_size=6,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_graph_2p2p_converges_in_every_order(actions):
+    ops = [
+        (action, [source] if action.endswith("vertex") else [source, target],
+         context)
+        for (action, source, target), context in zip(
+            actions, _contexts(len(actions))
+        )
+    ]
+    _assert_every_order_converges(lambda: TwoPTwoPGraph("str"), ops)

@@ -13,7 +13,7 @@ Plus: snapshots are wire-encodable (they have to cross storage).
 import pytest
 
 from repro import wire
-from repro.crdt.base import crdt_type
+from repro.crdt.base import crdt_type, crdt_type_names
 from repro.crdt.sequence import HEAD
 from repro.crdt.snapshot import SnapshotError, dump_state, restore_crdt
 
@@ -94,6 +94,10 @@ def _populated_instances():
     instances["graph_2p2p"] = graph
 
     return instances
+
+
+def test_fixture_covers_every_registered_type():
+    assert sorted(_populated_instances()) == list(crdt_type_names())
 
 
 @pytest.mark.parametrize("type_name", sorted(_populated_instances()))

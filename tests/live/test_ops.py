@@ -457,22 +457,3 @@ class TestSessionReport:
             assert field in fell_back[0], field
         assert 'reconcile_fallbacks_total{protocol="sketch"}' in text
         assert 'reconcile_rounds_total{protocol="sketch"}' in text
-
-    def test_delta_session_reports_lattice_entries(self, tmp_path):
-        async def write_on_b(a, b):
-            # a founds the log; b learns of it off the wire, then
-            # writes an entry only b holds.
-            created = a.append_transactions([a.node.create_crdt_tx(
-                "log", "append_log", "any", permissions={"append": "*"},
-            )])
-            b.node.receive_block(created)
-            b.append_transactions([b.node.crdt_op("log", "append", "x")])
-
-        sessions, text = self._run_pair(
-            tmp_path, "delta", write_on_b,
-            lambda done: any("delta_entries_pulled" in s for s in done),
-        )
-        pulled = [s for s in sessions if "delta_entries_pulled" in s]
-        assert pulled[0]["delta_entries_pulled"] >= 1
-        assert ('reconcile_blocks_total{protocol="delta",'
-                'kind="delta_pulled"}') in text

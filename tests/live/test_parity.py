@@ -21,7 +21,6 @@ from repro.live.protocol import run_session, serve_connection
 from repro.live.transport import LoopbackTransport
 from repro.reconcile import (
     BloomProtocol,
-    DeltaProtocol,
     FrontierProtocol,
     FullExchangeProtocol,
     HeightSkipProtocol,
@@ -111,9 +110,6 @@ PROTOCOLS = [
         SketchProtocol, {"initial_diff": 1, "max_attempts": 2},
         id="sketch-undersized",
     ),
-    pytest.param(DeltaProtocol, {}, id="delta"),
-    pytest.param(DeltaProtocol, {"push": False}, id="delta-pull-only"),
-    pytest.param(DeltaProtocol, {"durable": False}, id="delta-state-only"),
 ]
 
 

@@ -1,7 +1,8 @@
 """Reconciliation over the network driver, and the responder's edge:
 a session is complete over a framed link and robust to garbage and
-hostile replies, and every bad request gets one ``error`` frame before
-``serve_connection`` closes the connection."""
+hostile replies, every bad request gets one ``error`` frame before
+``serve_connection`` closes the connection, and a hostile one-way push
+leaves no more on the replica than its valid, placeable blocks."""
 
 import asyncio
 
@@ -9,9 +10,13 @@ import pytest
 
 from repro import wire
 from repro.live.protocol import serve_connection
-from repro.live.transport import LoopbackTransport, TransportClosed
+from repro.live.transport import (
+    LoopbackTransport,
+    StreamTransport,
+    TransportClosed,
+)
 from repro.reconcile.frontier import FrontierProtocol
-from repro.reconcile.session import Responder, decode_message
+from repro.reconcile.session import Responder, decode_message, encode_message
 
 from tests.conftest import InFlight, over_loopback
 
@@ -135,6 +140,66 @@ def _answers(node, *requests) -> list:
     return asyncio.run(scenario())
 
 
+def _chain(deployment, count):
+    """*count* blocks one author chains on genesis, parents first; the
+    replica under test (member 0) holds none of them."""
+    author = deployment.node(1)
+    return [author.append_transactions([]) for _ in range(count)]
+
+
+def _after_pushes(node, batches) -> list:
+    """``node``'s DAG after each of *batches* arrives as a one-way
+    ``push_blocks`` on one ``serve_connection``.  Each push is followed
+    by an empty fetch, whose reply proves the push was handled."""
+    async def scenario():
+        near, far = LoopbackTransport.pair()
+        server = asyncio.ensure_future(serve_connection(node, far))
+        held = []
+        for batch in batches:
+            await near.send(
+                encode_message({"type": "push_blocks", "blocks": batch})
+            )
+            await near.send(FETCH_NOTHING)
+            reply = wire.decode(await near.recv())
+            assert reply == {"type": "blocks", "blocks": []}
+            held.append(set(node.dag.hashes()))
+        await near.close()
+        await asyncio.wait_for(server, 5.0)
+        return held
+
+    return asyncio.run(scenario())
+
+
+@pytest.fixture
+def responders(monkeypatch):
+    """Every responder ``serve_connection`` builds, kept so a test can
+    read the stats a one-way push charges (it has no reply to read)."""
+    import repro.live.protocol as live_protocol
+
+    built = []
+
+    class Kept(live_protocol.LiveResponder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(live_protocol, "LiveResponder", Kept)
+    return built
+
+
+#: Hostile pushes of a three-block chain c: (the batches sent, the chain
+#: indices held after each, the duplicates charged in all).
+PUSHES = {
+    # The second copy changes nothing and is charged as duplicates.
+    "replayed": (lambda c: [c, c], [{0, 1, 2}, {0, 1, 2}], 3),
+    # Every child ahead of its parent: all of it is placed.
+    "child-first": (lambda c: [c[::-1]], [{0, 1, 2}], 0),
+    # Parent unknown: nothing is inserted, and nothing is kept to be
+    # placed once the parent arrives.
+    "orphans": (lambda c: [c[1:], c[:1]], [set(), {0}], 0),
+}
+
+
 class TestEndpointRobustness:
     @pytest.mark.parametrize(
         "request_bytes",
@@ -150,6 +215,11 @@ class TestEndpointRobustness:
             wire.encode({"type": "get_frontier", "have": [b"short"]}),
             wire.encode({"type": "get_blocks", "hashes": [b"short"]}),
             wire.encode({"type": "push_blocks", "blocks": ["bad"]}),
+            # Unsigned CRDT state is no message any replica accepts.
+            wire.encode({"type": "delta_summary", "crdts": []}),
+            wire.encode({"type": "delta_push", "crdts": [
+                ["readings", "g_counter", [[b"\x01" * 32, 5]]],
+            ]}),
         ],
     )
     def test_bad_requests_get_error_replies(self, deployment,
@@ -189,3 +259,58 @@ class TestEndpointRobustness:
         ))) is None
         assert not node.has_block(forged.hash)
         assert responder.stats.invalid_blocks == 1
+
+    @pytest.mark.parametrize("case", PUSHES)
+    def test_hostile_push(self, deployment, responders, case):
+        batches, held_after, duplicates = PUSHES[case]
+        node = deployment.node(0)
+        genesis_only = set(node.dag.hashes())
+        chain = _chain(deployment, 3)
+        held = _after_pushes(node, batches(chain))
+        assert held == [
+            genesis_only | {chain[index].hash for index in indices}
+            for indices in held_after
+        ]
+        [responder] = responders
+        assert responder.stats.duplicate_blocks == duplicates
+        assert responder.stats.invalid_blocks == 0
+
+    def test_frame_over_the_limit_closes_the_connection(self, deployment):
+        """A frame longer than the serving end's limit poisons the
+        stream: the connection closes and the serving task ends without
+        raising.  (A loopback pair shares one limit, so its sender
+        refuses such a frame; a socket carries whatever a peer writes.)"""
+        node = deployment.node(0)
+        genesis_only = set(node.dag.hashes())
+        push = encode_message(
+            {"type": "push_blocks", "blocks": _chain(deployment, 3)}
+        )
+
+        async def scenario():
+            accepted = asyncio.get_running_loop().create_future()
+
+            async def on_connect(reader, writer):
+                accepted.set_result(StreamTransport(
+                    reader, writer, max_frame_bytes=len(push) - 1,
+                ))
+
+            server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = StreamTransport(
+                *await asyncio.open_connection("127.0.0.1", port)
+            )
+            try:
+                serving = asyncio.ensure_future(
+                    serve_connection(node, await accepted)
+                )
+                await client.send(push)
+                await asyncio.wait_for(serving, 5.0)
+                with pytest.raises(TransportClosed):
+                    await client.recv()
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+        assert set(node.dag.hashes()) == genesis_only

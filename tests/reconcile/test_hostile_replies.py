@@ -23,7 +23,6 @@ from repro.live.transport import LoopbackTransport
 from repro.reconcile import (
     PROTOCOLS_BY_NAME,
     BloomProtocol,
-    DeltaProtocol,
     FrontierProtocol,
     FullExchangeProtocol,
     HeightSkipProtocol,
@@ -120,12 +119,6 @@ REPLIES = {
             ("want-of-str", with_("want", ["x"])),
         ],
     ),
-    "delta_state": (DeltaProtocol(), 2, 3, [
-        ("no-crdts", without("crdts")),
-        ("crdts-int", with_("crdts", 7)),
-        ("crdts-of-int", with_("crdts", [7])),
-        ("crdts-short-entry", with_("crdts", [["name", "g_counter"]])),
-    ]),
 }
 
 CASES = [

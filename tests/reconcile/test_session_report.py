@@ -36,12 +36,9 @@ def test_fields_omit_the_newer_counters_while_zero():
 def test_fields_carry_the_newer_counters_once_nonzero():
     stats = _session()
     stats.fallbacks = 1
-    stats.delta_entries_pulled = 4
     fields = stats.session_fields()
     assert fields["fallbacks"] == 1
-    assert fields["delta_entries_pulled"] == 4
     assert "fp_resend" not in fields
-    assert "delta_entries_pushed" not in fields
 
 
 def test_completed_and_interrupted_fold_into_separate_families():

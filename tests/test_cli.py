@@ -178,15 +178,11 @@ class TestSimulateAndDemo:
         assert main(["simulate", "--nodes", "4", "--duration", "10000",
                      "--seed", "3", "--protocol", "sketch"]) == 0
 
-    def test_simulate_with_delta_protocol(self, capsys):
-        assert main(["simulate", "--nodes", "4", "--duration", "10000",
-                     "--seed", "3", "--protocol", "delta"]) == 0
-
     def test_simulate_unknown_protocol_one_line_error(self, capsys):
         one_line_error(
             capsys, ["simulate", "--protocol", "gossipx"],
             "error: unknown protocol 'gossipx'",
-            "sketch", "delta", "frontier",
+            "sketch", "height_skip", "frontier",
         )
 
     def test_simulate_unknown_session_model_one_line_error(self, capsys):
@@ -254,7 +250,7 @@ class TestServe:
             capsys,
             ["serve", str(tmp_path / "whatever.blocks"),
              "--key", str(key), "--protocol", "osmosis"],
-            "error: unknown protocol 'osmosis'", "sketch", "delta",
+            "error: unknown protocol 'osmosis'", "sketch", "height_skip",
         )
 
     def test_every_command_names_the_same_protocols(self, tmp_path, capsys):
@@ -620,6 +616,11 @@ class TestTop:
         assert "!!" in out
 
 
+RETIRED_DELTA = (
+    "unknown protocol 'delta': expected one of "
+    "['bloom', 'frontier', 'full', 'height_skip', 'sketch']"
+)
+
 # Every way the CLI refuses its input: argv (built from the `chain`
 # fixture) and what the one error line must name.
 ERROR_ROWS = {
@@ -681,6 +682,16 @@ ERROR_ROWS = {
     "gateway, unknown protocol": (
         lambda c: ["gateway", c.store, "--key", c.key,
                    "--protocol", "osmosis"], "unknown protocol"),
+    # Every registered protocol moves signed blocks; `delta` is refused
+    # like any unknown name, and the error lists the five that are.
+    "simulate, retired delta protocol": (
+        lambda c: ["simulate", "--protocol", "delta"], RETIRED_DELTA),
+    "serve, retired delta protocol": (
+        lambda c: ["serve", c.store, "--key", c.key, "--protocol", "delta"],
+        RETIRED_DELTA),
+    "gateway, retired delta protocol": (
+        lambda c: ["gateway", c.store, "--key", c.key,
+                   "--protocol", "delta"], RETIRED_DELTA),
     "gateway, bad --chain": (
         lambda c: ["gateway", c.store, "--key", c.key, "--chain", "nocolon"],
         "expected STORE:KEYPATH"),
