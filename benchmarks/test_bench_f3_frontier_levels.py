@@ -12,13 +12,14 @@ on a shared history of 64 blocks, in two series:
 * **diverged** — each side is *d* blocks past the shared history.  The
   responder cannot tell what the initiator holds below its unknown
   tips, so the initiator walks down from the responder's tip one level
-  per round: the shape Fig. 3 draws.
+  per round — the shape Fig. 3 draws — for three levels; the request
+  for the third carries a skip sample of its history, the reply names
+  the rest of the gap by hash, and one more round fetches it.
 
-Expected shape: diverged rounds grow linearly in d (one level per round
-on a linear divergence), behind rounds stay at one, and the pulled
-bytes of both stay proportional to d; full exchange is flat in rounds
-but pays the entire chain in bytes — the crossover the paper's §VI
-efficiency remark is about.
+Expected shape: diverged rounds are ``min(d, 4)``, behind rounds stay at
+one, and the pulled bytes of both stay proportional to d; full exchange
+is flat in rounds but pays the entire chain in bytes — the crossover
+the paper's §VI efficiency remark is about.
 """
 
 from __future__ import annotations
@@ -74,12 +75,14 @@ def test_f3_frontier_levels(benchmark, results_dir):
                   *full[divergence])
     table.emit(results_dir, "f3_frontier_levels")
 
-    # Shape assertions: one level per round where both sides diverged,
-    # one round where one is simply behind; frontier bytes track the
-    # divergence, full exchange tracks chain length.
+    # Shape assertions: one level per round for the first three levels
+    # where both sides diverged, then one fetch of the rest; one round
+    # where one is simply behind; frontier bytes track the divergence,
+    # full exchange tracks chain length.
     for divergence in diverged:
-        assert diverged[divergence][0] == divergence, (
-            "a linear divergence is one level of Fig. 3 per round trip"
+        assert diverged[divergence][0] == min(divergence, 4), (
+            "three levels of Fig. 3, one per round trip, the third "
+            "naming the rest of the gap: then one fetch"
         )
         assert behind[divergence][0] == 1, (
             "a replica that is simply behind catches up in one round"

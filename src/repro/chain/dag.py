@@ -2,9 +2,10 @@
 
 :class:`BlockDAG` is one replica's copy of the chain: an append-only store
 of blocks indexed by hash, with parent/child edges, the frontier set (the
-blocks with no successors, which reconciliation exchanges first), level-N
-frontier sets (Fig. 3), heights, and topological iteration for the CRDT
-state machine.
+blocks with no successors, which reconciliation exchanges first), the
+difference against another replica's tips and a skip sample of the
+history to measure it against, heights, and topological iteration for
+the CRDT state machine.
 
 The DAG enforces only *structural* rules (parents present, single genesis,
 no duplicates); the protocol validity checks of §IV-E live in
@@ -35,6 +36,9 @@ class BlockDAG:
         self._blocks: dict[Hash, Block] = {genesis.hash: genesis}
         self._children: dict[Hash, set[Hash]] = {genesis.hash: set()}
         self._heights: dict[Hash, int] = {genesis.hash: 0}
+        # The blocks at each height, in insertion order: level N holds
+        # the blocks whose longest path from genesis has N edges.
+        self._levels: list[list[Hash]] = [[genesis.hash]]
         self._frontier: set[Hash] = {genesis.hash}
         self._genesis_hash = genesis.hash
         # Insertion sequence: one valid topological order, kept so replay
@@ -73,9 +77,13 @@ class BlockDAG:
         self._order.append(block_hash)
         for parent in parents:
             self._children[parent].add(block_hash)
-        self._heights[block_hash] = 1 + max(
-            map(self._heights.__getitem__, parents)
-        )
+        height = 1 + max(map(self._heights.__getitem__, parents))
+        self._heights[block_hash] = height
+        # A block is at most one above the highest level so far.
+        if height == len(self._levels):
+            self._levels.append([block_hash])
+        else:
+            self._levels[height].append(block_hash)
         self._frontier.difference_update(parents)
         self._frontier.add(block_hash)
 
@@ -117,32 +125,6 @@ class BlockDAG:
     def frontier(self) -> set[Hash]:
         """The level-1 frontier set: blocks with no successors (§IV-G)."""
         return set(self._frontier)
-
-    def frontier_level(self, level: int) -> set[Hash]:
-        """The level-N frontier set (Fig. 3).
-
-        Level 1 is the frontier; level N is level N-1 plus the parents of
-        all its blocks.  Used by the reconciliation protocol to bridge
-        progressively deeper divergences.
-        """
-        if level < 1:
-            raise ValueError("frontier level must be >= 1")
-        reached = set(self._frontier)
-        boundary = set(reached)
-        for _ in range(level - 1):
-            # Only the blocks the last step added can have new parents.
-            boundary = self.parents_of(boundary) - reached
-            if not boundary:
-                break
-            reached |= boundary
-        return reached
-
-    def parents_of(self, block_hashes: Iterable[Hash]) -> set[Hash]:
-        """Union of the parent sets of the given blocks."""
-        parents: set[Hash] = set()
-        for block_hash in block_hashes:
-            parents.update(self.get(block_hash).parents)
-        return parents
 
     def ancestors(self, block_hash: Hash) -> set[Hash]:
         """All ancestors of a block (excluding the block itself)."""
@@ -198,30 +180,38 @@ class BlockDAG:
         reader that has consumed *count* blocks has not seen yet."""
         return self._order[count:]
 
-    def not_under(self, tips: Iterable[Hash]) -> list[Block]:
-        """Blocks that are neither one of *tips* nor an ancestor of one,
-        in insertion order (``git rev-list frontier ^tips``).
+    def not_under(self, tips: Iterable[Hash],
+                  heads: Optional[Iterable[Hash]] = None) -> list[Block]:
+        """Blocks under *heads* (one of them or an ancestor of one; by
+        default under the frontier, i.e. every block) that are neither
+        one of *tips* nor an ancestor of one, in insertion order
+        (``git rev-list heads ^tips``).
 
-        Unknown tips are ignored.  Walks the insertion order backwards
-        from its end, marking what lies under the tips as it passes, and
-        stops once nothing above the walk can reach an unmarked block —
-        so the cost is the answer plus the blocks inserted after its
-        oldest member, not the size of the DAG.
+        Unknown tips and heads are ignored.  Walks the insertion order
+        backwards from its end, marking what lies under the tips as it
+        passes, and stops once nothing above the walk can reach an
+        unmarked block under the heads — so the cost is the answer plus
+        the blocks inserted after its oldest member, not the size of the
+        DAG.
         """
-        under = {tip for tip in tips if tip in self._blocks}
+        blocks = self._blocks
+        under = {tip for tip in tips if tip in blocks}
         # Blocks known to be in the answer that the walk has yet to pass.
-        # Every block descends to the frontier, so every block of the
-        # answer enters here before the walk reaches it.
-        awaited = self._frontier - under
+        # The walk reaches a block only after every descendant, so every
+        # block of the answer enters here before the walk reaches it.
+        awaited = {
+            h for h in (self._frontier if heads is None else heads)
+            if h in blocks
+        } - under
         result: list[Block] = []
         position = len(self._order)
         while awaited:
             position -= 1
-            block = self._blocks[self._order[position]]
+            block = blocks[self._order[position]]
             if block.hash in under:
                 under.update(block.parents)
                 awaited.difference_update(block.parents)
-            else:
+            elif block.hash in awaited:
                 awaited.discard(block.hash)
                 result.append(block)
                 awaited.update(
@@ -230,6 +220,32 @@ class BlockDAG:
                 )
         result.reverse()
         return result
+
+    def skip_sample(self, limit: int) -> list[Hash]:
+        """At most *limit* hashes that cut this replica's history at
+        exponentially spaced depths: every block at heights H, H−1, H−2,
+        H−4, … and 0, H the greatest height (Git's fetch negotiation
+        spaces its ``have`` lines the same way).  A whole level is a cut:
+        every block higher than it descends from a block on it.  So a
+        peer that holds the level at height t knows that, of what lies
+        under this replica's blocks, it can lack only blocks above t and
+        side branches that end below t; and below the top g levels there
+        is a sample level fewer than g levels further down.
+
+        A level that does not fit in what is left of *limit* is left out
+        whole, so the sample depends only on the DAG, never on the order
+        its blocks arrived in.  O(log H + sample).
+        """
+        levels = self._levels
+        top = len(levels) - 1
+        heights = dict.fromkeys(
+            [top, *(top - (1 << k) for k in range(top.bit_length())), 0]
+        )
+        sample: list[Hash] = []
+        for height in heights:
+            if len(sample) + len(levels[height]) <= limit:
+                sample += levels[height]
+        return sample
 
     def topological_order(
         self, rng: Optional[random.Random] = None
@@ -277,7 +293,7 @@ class BlockDAG:
         return len(self._frontier)
 
     def max_height(self) -> int:
-        return max(self._heights.values())
+        return len(self._levels) - 1
 
     def __len__(self) -> int:
         return len(self._blocks)

@@ -10,7 +10,8 @@ how they discover the difference:
   answers with its own frontier plus only the bodies the initiator can
   lack — the exact difference in one round trip when the initiator is
   simply behind, else its tips and a fetch-by-hash walk down the
-  missing branches, one level of Fig. 3 per round trip.
+  missing branches, which names the rest of a deep gap by hash at its
+  third level: at most four round trips plus one per budget of bodies.
 * :class:`FullExchangeProtocol` — the strawman the paper compares
   against: ship the entire DAG.
 * :class:`BloomProtocol` — the §VI "more efficient reconciliation"

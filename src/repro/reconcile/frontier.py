@@ -16,9 +16,18 @@ initiator can lack:
 * **diverged** — some ``have`` hash is unknown to the responder.  The
   reply carries the bodies of the responder's tips that are not in
   ``have``; the initiator then asks by hash (``get_blocks``) for exactly
-  the parents its pending blocks still miss — one level of Fig. 3 per
-  round trip, along missing branches only, which must eventually bridge
-  the gap because both replicas share the genesis block.
+  the parents its pending blocks still miss, walking Fig. 3's levels
+  down the missing branches — which must eventually bridge the gap
+  because both replicas share the genesis block.  Most gaps close
+  within two levels.  One that has not is deep, so the second
+  ``get_blocks`` also carries a skip sample of the initiator's history
+  (``BlockDAG.skip_sample``, at most ``SAMPLE_LIMIT`` hashes) and the
+  reply names, by hash, the rest of the gap down to the sample blocks
+  the responder holds.  The initiator adds the ones it lacks to what it
+  asks for next: a gap of any depth closes in four round trips plus one
+  per budget's worth of bodies.  The walk stays the repair path: a list
+  that was cut, or that lies, leaves pending blocks whose missing
+  parents are asked for as before.
 
 If every hash of the responder's frontier is already held the replicas
 are identical, or the initiator is strictly ahead; either way the pull
@@ -27,7 +36,7 @@ pushes the blocks the responder lacks, making one contact sufficient
 for bidirectional convergence (the gossip layer relies on this).
 
 The initiator merges only when something can land: on the diverged path
-levels arrive tip-first, so until one touches the local DAG every
+bodies arrive tip-first, so until one touches the local DAG every
 received block still lacks a parent — a deep pull is one
 ``merge_blocks`` call.
 """
@@ -39,6 +48,7 @@ from repro.core.node import VegvisirNode
 from repro.crypto.sha import Hash
 from repro.reconcile.engine import Protocol
 from repro.reconcile.session import (
+    SAMPLE_LIMIT,
     ReconcileError,
     Responder,
     SessionSide,
@@ -78,6 +88,7 @@ class FrontierProtocol(Protocol):
         pending: list[Block] = []
         received: set[Hash] = set()
         wanted: set[Hash] = set()
+        fetches = 0
 
         request = _get_frontier(node)
         for _ in range(self._max_level):
@@ -107,6 +118,10 @@ class FrontierProtocol(Protocol):
             wanted.update(
                 parent for block in new_blocks for parent in block.parents
             )
+            if "sample" in request:
+                # The rest of the gap below the sample, as far as the
+                # responder says; a missing list is an empty one.
+                wanted.update(as_hashes(reply.get("hashes", [])))
             wanted = {
                 h for h in wanted
                 if h not in received and h not in held
@@ -130,6 +145,12 @@ class FrontierProtocol(Protocol):
             elif wanted:
                 request = {"type": "get_blocks",
                            "hashes": digest_list(wanted)}
+                fetches += 1
+                if fetches == 2:
+                    # Two levels did not close the gap: it is deep.
+                    request["sample"] = digest_list(
+                        node.dag.skip_sample(SAMPLE_LIMIT)
+                    )
             else:
                 stats.converged = all(
                     map(held.__contains__, responder_frontier)

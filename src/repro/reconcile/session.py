@@ -21,8 +21,9 @@ driver does both.
 
 Also here: ``merge_blocks`` (the only way a block enters a DAG), the
 push half of a session, the ``get_blocks`` / ``push_blocks`` handlers
-any protocol may use, and the one byte budget every batch of block
-bodies is cut at.
+any protocol may use (``get_blocks`` optionally naming, by hash, the
+rest of a gap below a skip-sample cut), and the one byte budget every
+batch of block bodies is cut at.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ BlockSink = Callable[[List[Block]], None]
 #: at most this much, and a digest list is bounded by what the same
 #: budget holds in digests.
 BATCH_BUDGET_BYTES = 256 * 1024
+
+#: Most hashes in the ``sample`` of a ``get_blocks`` request: the
+#: log₂ H + 2 levels of a skip sample of a history a few blocks wide.
+SAMPLE_LIMIT = 64
 
 
 class ReconcileError(Exception):
@@ -394,10 +399,32 @@ def _on_push_blocks(responder: Responder, message: dict) -> None:
 
 @handles("get_blocks")
 def _on_get_blocks(responder: Responder, message: dict) -> dict:
-    blocks = []
+    """The asked-for bodies the responder holds, cut at the budget.
+
+    A request that carries a ``sample`` (a skip sample of the asker's
+    history, ``BlockDAG.skip_sample``) also gets ``hashes``: the asked-for
+    blocks' ancestors not under any sample block this replica holds,
+    less the bodies sent — the rest of the gap, for the asker to fetch
+    the part it lacks in one more round trip.  The asker holds
+    everything under the sample, so the list only overshoots by what it
+    holds above the cut.
+    """
+    dag = responder.node.dag
+    asked = []
     for block_hash in as_hashes(message["hashes"]):
-        block = responder.node.dag.maybe_get(block_hash)
+        block = dag.maybe_get(block_hash)
         if block is not None:
-            blocks.append(block)
+            asked.append(block)
     # What the budget cuts off the asker still lacks, and asks for again.
-    return {"type": "blocks", "blocks": first_batch(blocks)}
+    blocks = first_batch(asked)
+    reply = {"type": "blocks", "blocks": blocks}
+    if "sample" in message:
+        sample = as_hashes(message["sample"])
+        if len(sample) > SAMPLE_LIMIT:
+            raise ReconcileError(f"sample is over {SAMPLE_LIMIT} hashes")
+        sent = {block.hash for block in blocks}
+        below = dag.not_under(sample, [block.hash for block in asked])
+        reply["hashes"] = digest_list(
+            block.hash for block in below if block.hash not in sent
+        )
+    return reply

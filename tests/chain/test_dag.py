@@ -134,66 +134,6 @@ class TestAncestry:
         assert dag.children(a.hash) == {merge.hash}
 
 
-class TestFrontierLevels:
-    """The level-N frontier definition from Fig. 3."""
-
-    def _chain_with_fork(self, key, genesis):
-        # genesis <- c1 <- c2 <- {tip_a, tip_b}
-        dag = BlockDAG(genesis)
-        c1 = _block(key, [genesis], 1)
-        c2 = _block(key, [c1], 2)
-        dag.add_block(c1)
-        dag.add_block(c2)
-        tip_a = _block(key, [c2], 3)
-        tip_b = Block.create(KeyPair.deterministic(64), [c2.hash], 4)
-        dag.add_block(tip_a)
-        dag.add_block(tip_b)
-        return dag, c1, c2, tip_a, tip_b
-
-    def test_level_1_is_frontier(self, key, genesis):
-        dag, c1, c2, tip_a, tip_b = self._chain_with_fork(key, genesis)
-        assert dag.frontier_level(1) == {tip_a.hash, tip_b.hash}
-
-    def test_level_2_adds_parents(self, key, genesis):
-        dag, c1, c2, tip_a, tip_b = self._chain_with_fork(key, genesis)
-        assert dag.frontier_level(2) == {tip_a.hash, tip_b.hash, c2.hash}
-
-    def test_level_n_reaches_genesis(self, key, genesis):
-        dag, c1, c2, tip_a, tip_b = self._chain_with_fork(key, genesis)
-        assert genesis.hash in dag.frontier_level(4)
-        # Saturates once everything is included.
-        assert dag.frontier_level(10) == dag.hashes()
-
-    def test_level_must_be_positive(self, key, genesis):
-        dag = BlockDAG(genesis)
-        with pytest.raises(ValueError):
-            dag.frontier_level(0)
-
-    def test_levels_are_monotone(self, key, genesis):
-        dag, *_ = self._chain_with_fork(key, genesis)
-        previous = set()
-        for level in range(1, 6):
-            current = dag.frontier_level(level)
-            assert previous <= current
-            previous = current
-
-    def test_memo_invalidated_by_add_block(self, key, genesis):
-        dag, c1, c2, tip_a, tip_b = self._chain_with_fork(key, genesis)
-        before = dag.frontier_level(2)  # primes the memo
-        assert dag.frontier_level(2) == before  # served from memo
-        child = _block(key, [tip_a], 5)
-        dag.add_block(child)
-        after = dag.frontier_level(2)
-        assert after != before
-        assert after == {child.hash, tip_b.hash, tip_a.hash, c2.hash}
-
-    def test_memo_returns_independent_copies(self, key, genesis):
-        dag, *_ = self._chain_with_fork(key, genesis)
-        first = dag.frontier_level(1)
-        first.clear()  # caller mutation must not poison the memo
-        assert dag.frontier_level(1) == dag.frontier()
-
-
 class TestTopologicalOrder:
     def _random_dag(self, key, genesis, block_count=30, seed=7):
         rng = random.Random(seed)

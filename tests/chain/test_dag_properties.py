@@ -6,7 +6,6 @@ every other layer relies on:
 
 * the frontier is exactly the set of blocks with no children;
 * ancestors/descendants are duals;
-* frontier levels are monotone and saturate at the whole DAG;
 * every topological order places parents before children;
 * heights equal the longest genesis path.
 """
@@ -72,18 +71,6 @@ def test_ancestor_descendant_duality(dag, pick):
         assert target in dag.ancestors(descendant)
 
 
-@given(_dag_strategy)
-@settings(max_examples=40, deadline=None)
-def test_frontier_levels_monotone_and_saturating(dag):
-    previous: set = set()
-    saturated = dag.hashes()
-    for level in range(1, len(dag) + 2):
-        current = dag.frontier_level(level)
-        assert previous <= current
-        previous = current
-    assert previous == saturated
-
-
 @given(_dag_strategy, st.integers(0, 2**32))
 @settings(max_examples=40, deadline=None)
 def test_topological_orders_valid(dag, seed):
@@ -113,34 +100,3 @@ def test_genesis_is_universal_ancestor(dag):
     for block in dag.blocks():
         if not block.is_genesis():
             assert dag.is_ancestor(dag.genesis_hash, block.hash)
-
-
-def _naive_frontier_level(dag: BlockDAG, level: int) -> set:
-    """The definitional recomputation, used to cross-check the memo."""
-    result = set(dag.frontier())
-    boundary = set(result)
-    for _ in range(level - 1):
-        parents = set()
-        for block_hash in boundary:
-            parents.update(dag.get(block_hash).parents)
-        new = parents - result
-        if not new:
-            break
-        result |= new
-        boundary = new
-    return result
-
-
-@given(_dag_strategy, st.lists(st.integers(1, 8), min_size=1, max_size=6))
-@settings(max_examples=40, deadline=None)
-def test_frontier_level_memo_matches_naive(dag, levels):
-    # Repeated and out-of-order queries (exercising the memo) always
-    # agree with the naive recomputation...
-    for level in levels + levels:
-        assert dag.frontier_level(level) == _naive_frontier_level(dag, level)
-    # ...including after an insertion invalidates every cached level.
-    tips = sorted(dag.frontier())
-    clock = 1 + max(block.timestamp for block in dag.blocks())
-    dag.add_block(Block.create(_KEY, tips, clock))
-    for level in levels:
-        assert dag.frontier_level(level) == _naive_frontier_level(dag, level)

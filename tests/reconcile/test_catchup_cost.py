@@ -3,9 +3,10 @@
 * ``merge_blocks`` places blocks in the order of repeated sweeps over
   the batch without running the sweeps — compared, on shuffled batches
   with duplicates, gaps and a forged block, with the sweep loop itself;
-* a deep pull where both sides diverged — the path that still walks one
-  level of Fig. 3 per round trip — merges once: a 300-deep chain makes
-  O(1) ``merge_blocks`` calls, ``preverify`` looks at O(depth) blocks in
+* a deep pull where both sides diverged — three levels of Fig. 3, the
+  last naming the rest of the gap by hash, then one fetch — takes four
+  round trips and merges once: a 300-deep chain makes O(1)
+  ``merge_blocks`` calls, ``preverify`` looks at O(depth) blocks in
   total and the responder looks each block up once, on the in-process
   and the asyncio driver.
 
@@ -172,7 +173,7 @@ def test_deep_pull_merges_once_and_walks_each_level_once(drive, monkeypatch):
     joiner = deployment.node(1)
     joiner.append_transactions([])  # unknown to the source: no shortcut
 
-    counts = {"merges": 0, "preverified": 0, "looked_up": 0, "walks": 0}
+    counts = {"merges": 0, "preverified": 0, "looked_up": 0}
     real_merge = session_module.merge_blocks
     real_preverify = BlockValidator.preverify
     real_maybe_get = BlockDAG.maybe_get
@@ -189,19 +190,16 @@ def test_deep_pull_merges_once_and_walks_each_level_once(drive, monkeypatch):
         counts["looked_up"] += self is source.dag
         return real_maybe_get(self, block_hash)
 
-    def frontier_level(self, level):
-        counts["walks"] += 1
-        raise AssertionError("no session walks level sets any more")
-
     monkeypatch.setattr(session_module, "merge_blocks", merge)
     monkeypatch.setattr(BlockValidator, "preverify", preverify)
     monkeypatch.setattr(BlockDAG, "maybe_get", maybe_get)
-    monkeypatch.setattr(BlockDAG, "frontier_level", frontier_level)
 
     stats = drive(FrontierProtocol(push=False), joiner, source)
 
     assert stats.converged and stats.blocks_pulled == DEPTH
-    assert stats.rounds == DEPTH  # one level of Fig. 3 per round trip
+    # The tip, two levels (the second carrying the skip sample), then
+    # every body the listed hashes named, in one fetch.
+    assert stats.rounds == 4
     assert stats.duplicate_blocks == 0
     assert set(source.dag.hashes()) <= set(joiner.dag.hashes())
     assert counts["merges"] <= 2
@@ -209,4 +207,3 @@ def test_deep_pull_merges_once_and_walks_each_level_once(drive, monkeypatch):
     # The tip came with the first reply; every other block was asked
     # for, and looked up, exactly once.
     assert counts["looked_up"] == DEPTH - 1
-    assert counts["walks"] == 0

@@ -16,7 +16,12 @@ from repro.live.transport import (
     TransportClosed,
 )
 from repro.reconcile.frontier import FrontierProtocol
-from repro.reconcile.session import Responder, decode_message, encode_message
+from repro.reconcile.session import (
+    SAMPLE_LIMIT,
+    Responder,
+    decode_message,
+    encode_message,
+)
 
 from tests.conftest import InFlight, over_loopback
 
@@ -220,6 +225,11 @@ class TestEndpointRobustness:
             wire.encode({"type": "delta_push", "crdts": [
                 ["readings", "g_counter", [[b"\x01" * 32, 5]]],
             ]}),
+            # A skip sample one hash over the limit, or not digests.
+            wire.encode({"type": "get_blocks", "hashes": [],
+                         "sample": [b"\x00" * 32] * (SAMPLE_LIMIT + 1)}),
+            wire.encode({"type": "get_blocks", "hashes": [],
+                         "sample": [b"short"]}),
         ],
     )
     def test_bad_requests_get_error_replies(self, deployment,
@@ -236,6 +246,25 @@ class TestEndpointRobustness:
         answers = _answers(deployment.node(0), request, GARBAGE)
         assert answers[0] == {"type": "blocks", "blocks": []}
         assert [answer["type"] for answer in answers[1:]] == ["error"]
+
+    def test_sample_at_the_limit_is_answered(self, deployment):
+        """Sixty-four hashes the responder never saw cut nothing: the
+        reply lists every ancestor of the asked-for block it did not
+        send, genesis included."""
+        from repro.chain.block import Block
+
+        node = deployment.node(0)
+        chain = [node.append_transactions([]) for _ in range(3)]
+        unknown = [bytes([n]) * 32 for n in range(SAMPLE_LIMIT)]
+        request = wire.encode({"type": "get_blocks",
+                               "hashes": [chain[-1].hash.digest],
+                               "sample": unknown})
+        [answer] = _answers(node, request, GARBAGE)[:1]
+        assert [Block.from_wire(b) for b in answer["blocks"]] == chain[-1:]
+        assert answer["hashes"] == sorted(
+            h.digest for h in [deployment.genesis.hash, *(
+                block.hash for block in chain[:-1])]
+        )
 
     def test_one_way_message_gets_no_reply_frame(self, deployment):
         push = wire.encode({"type": "push_blocks", "blocks": []})

@@ -266,7 +266,7 @@ def test_deep_behind_pull_is_one_merge_one_difference_no_level_walk(
         source.append_transactions([])
     joiner = deployment.node(1)
 
-    calls = {"not_under": 0, "frontier_level": 0}
+    calls = {"not_under": 0, "skip_sample": 0}
 
     def counted(name):
         real = getattr(BlockDAG, name)
@@ -278,7 +278,7 @@ def test_deep_behind_pull_is_one_merge_one_difference_no_level_walk(
         monkeypatch.setattr(BlockDAG, name, method)
 
     counted("not_under")
-    counted("frontier_level")
+    counted("skip_sample")
 
     stats = drive(FrontierProtocol(push=False), joiner, source)
 
@@ -286,7 +286,7 @@ def test_deep_behind_pull_is_one_merge_one_difference_no_level_walk(
     assert stats.rounds == 1 and stats.total_messages == 2
     assert joiner.dag.insertion_order() == source.dag.insertion_order()
     assert merges == [(DEPTH, 0)]
-    assert calls == {"not_under": 1, "frontier_level": 0}
+    assert calls == {"not_under": 1, "skip_sample": 0}
 
 
 # -- a hostile ``have`` ---------------------------------------------------------

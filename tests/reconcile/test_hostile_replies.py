@@ -269,6 +269,66 @@ def test_parents_that_never_arrive_stop_at_the_round_cap():
     _assert_pull_gave_up(stats, left, right)
 
 
+class ListExtra(InFlight):
+    """A link that adds *extra* to the ``hashes`` of the reply to the
+    request that carried the skip sample."""
+
+    def __init__(self, extra):
+        self._extra = extra
+        self.fired = False
+
+    def edit(self, reply: bytes) -> bytes:
+        decoded = wire.decode(reply)
+        if "hashes" not in decoded:
+            return reply
+        self.fired = True
+        decoded["hashes"] = sorted(decoded["hashes"] + self._extra)
+        return wire.encode(decoded)
+
+
+def test_listed_hashes_that_never_arrive_end_the_pull_one_round_later():
+    """The reply to the skip sample names blocks the responder never
+    delivers: the fetch of them comes back empty and the pull ends
+    there, unconverged — not after ``max_level`` round trips."""
+    left, right = _pair(1, 3)
+    lie = ListExtra([Hash.of_value(n).digest for n in range(5)])
+    stats = over_loopback(FrontierProtocol(), left, right, lie)
+    assert lie.fired
+    # Tip, two levels (the second with the sample), the vain fetch.
+    assert stats.rounds == 4
+    assert stats.blocks_pulled == 3 and stats.duplicate_blocks == 0
+    _assert_pull_gave_up(stats, left, right)
+
+
+class SampleSwap(InFlight):
+    """A link that replaces the initiator's skip sample on its way out."""
+
+    def __init__(self, sample):
+        self._sample = sample
+        self.fired = False
+
+    async def send(self, payload: bytes) -> None:
+        decoded = wire.decode(payload)
+        if isinstance(decoded, dict) and "sample" in decoded:
+            self.fired = True
+            decoded["sample"] = self._sample
+            payload = wire.encode(decoded)
+        await super().send(payload)
+
+
+def test_sample_of_unknown_hashes_still_converges():
+    """Sixty-four hashes the responder never saw cut nothing: the list
+    names the whole history under the asked-for blocks, the initiator
+    fetches only what it lacks, and the pull converges."""
+    left, right = _pair(2, 12)
+    swap = SampleSwap([Hash.of_value(n).digest for n in range(64)])
+    stats = over_loopback(FrontierProtocol(), left, right, swap)
+    assert swap.fired
+    assert stats.converged and stats.rounds == 4
+    assert stats.blocks_pulled == 12 and stats.duplicate_blocks == 0
+    assert left.dag.hashes() == right.dag.hashes()
+
+
 def test_blocks_nobody_asked_for_are_merged_or_dropped():
     """An unasked block goes through ``merge_blocks`` like any batch — a
     valid one with its parents held lands, an orphan is dropped with the

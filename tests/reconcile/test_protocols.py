@@ -100,20 +100,20 @@ class TestConvergence:
 
 class TestFrontierSpecifics:
     def test_rounds_grow_with_divergence_depth(self, deployment):
-        # Both sides diverged: one level of Fig. 3 per round trip.  (A
-        # side that is simply behind is one round at any depth.)
-        shallow_left, shallow_right = _diverge(
-            deployment, left_appends=2, right_appends=2
-        )
-        shallow = FrontierProtocol().run(shallow_left, shallow_right)
-
-        deployment2 = type(deployment)()
-        deep_left, deep_right = _diverge(
-            deployment2, left_appends=2, right_appends=12
-        )
-        deep = FrontierProtocol().run(deep_left, deep_right)
-        assert shallow.converged and deep.converged
-        assert shallow.rounds == 2 and deep.rounds == 12
+        # Both sides diverged: one level of Fig. 3 per round trip for
+        # the first three, whose last also names the rest of the gap by
+        # hash — so four round trips at any depth past that.  (A side
+        # that is simply behind is one round at any depth.)
+        rounds = {}
+        for depth in (1, 2, 3, 4, 5, 12, 40):
+            left, right = _diverge(
+                type(deployment)(), left_appends=2, right_appends=depth
+            )
+            stats = FrontierProtocol().run(left, right)
+            assert stats.converged and stats.duplicate_blocks == 0
+            assert left.dag.hashes() == right.dag.hashes()
+            rounds[depth] = stats.rounds
+        assert rounds == {1: 1, 2: 2, 3: 3, 4: 4, 5: 4, 12: 4, 40: 4}
 
     def test_level_deepening_does_not_resend_blocks(self, deployment):
         left, right = _diverge(deployment, left_appends=1, right_appends=8)
