@@ -83,8 +83,7 @@ def _run_session(obs=None, profiler=None, with_ops=False):
             serve_connection(right, resp_end, profiler=profiler)
         )
         loop = AntiEntropyLoop(
-            left, _OnePeer(init_end), protocol="frontier",
-            obs=obs, profiler=profiler,
+            left, _OnePeer(init_end), obs=obs, profiler=profiler,
         )
         stats = await loop.run_once("peer")
         await init_end.close()

@@ -14,14 +14,15 @@ Measured here:
 * **rounds** — on ideal links the sketch session is one round trip;
 * **fallback** — an undersized, non-growing sketch must degrade to the
   frontier protocol and still converge, under the A7-style fault matrix
-  too (chaos invariants with ``protocol="sketch"``).
+  too (chaos invariants with the sketch protocol in every session).
 """
 
 from __future__ import annotations
 
-from repro.reconcile import BloomProtocol, FrontierProtocol, SketchProtocol
+from repro.reconcile import FrontierProtocol
 
 from benchmarks.bench_util import Table, make_fleet
+from benchmarks.protocols import BloomProtocol, SketchProtocol
 
 DIVERGENCE_EACH = 8
 CHAIN_SIZES = (20, 200)  # 10x growth of the shared prefix
@@ -54,17 +55,19 @@ def test_a14_sketch_bytes_flat_in_dag_size(benchmark, results_dir):
             ("frontier", lambda: FrontierProtocol()),
         ):
             left, right = _pair(chain, seed=chain)
-            stats = factory().run(left, right)
+            protocol = factory()
+            stats = protocol.run(left, right)
+            fallbacks = getattr(protocol, "fallbacks", 0)
             assert stats.converged
             assert left.state_digest() == right.state_digest()
             bytes_by[(chain, name)] = stats.total_bytes
             table.add(chain, name, stats.rounds, stats.total_bytes,
-                      stats.fallbacks, stats.converged)
+                      fallbacks, stats.converged)
             if name == "sketch":
                 # Ideal links, difference within the first sketch's
                 # capacity: exactly one round trip, no fallback.
                 assert stats.rounds == 1
-                assert stats.fallbacks == 0
+                assert fallbacks == 0
     table.emit(results_dir, "a14_sketch_bytes")
 
     small, big = CHAIN_SIZES
@@ -93,11 +96,10 @@ def test_a14_fallback_converges_and_under_faults(results_dir):
     # Direct pair: a sketch that cannot grow or retry must take the
     # frontier fallback and still fully converge.
     left, right = _pair(30, divergence_each=12, seed=5)
-    stats = SketchProtocol(initial_diff=1, max_attempts=1, growth=1).run(
-        left, right
-    )
+    impatient = SketchProtocol(initial_diff=1, max_attempts=1, growth=1)
+    stats = impatient.run(left, right)
     assert stats.converged
-    assert stats.fallbacks == 1
+    assert impatient.fallbacks == 1
     assert left.state_digest() == right.state_digest()
 
     # A7-style fault matrix: the chaos harness under the sketch protocol
@@ -106,7 +108,7 @@ def test_a14_fallback_converges_and_under_faults(results_dir):
     from repro.faults.invariants import run_chaos
 
     report = run_chaos(seed=2, node_count=4, duration_ms=12_000,
-                       protocol="sketch")
+                       protocol_factory=lambda push: SketchProtocol(push=push))
     assert report.ok, report.violations
     assert report.converged
 
@@ -114,7 +116,7 @@ def test_a14_fallback_converges_and_under_faults(results_dir):
         "A14: sketch fallback + chaos",
         ["case", "fallbacks", "converged", "violations"],
     )
-    table.add("pair-undersized", stats.fallbacks, stats.converged, 0)
+    table.add("pair-undersized", impatient.fallbacks, stats.converged, 0)
     table.add("chaos-seed-2", "-", report.converged,
               len(report.violations))
     table.emit(results_dir, "a14_sketch_fallback")

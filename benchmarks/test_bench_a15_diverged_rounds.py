@@ -23,14 +23,14 @@ list names replace one request per level.
 
 from __future__ import annotations
 
-from repro.reconcile import (
+from repro.reconcile import FrontierProtocol
+
+from benchmarks.bench_util import Table, make_fleet
+from benchmarks.protocols import (
     BloomProtocol,
-    FrontierProtocol,
     HeightSkipProtocol,
     SketchProtocol,
 )
-
-from benchmarks.bench_util import Table, make_fleet
 
 SHARED_HISTORY = 300
 DEPTHS = (1, 2, 3, 5, 50, 200)
@@ -74,13 +74,15 @@ def test_a15_diverged_rounds(benchmark, results_dir):
     for depth in DEPTHS:
         for name, protocol_cls in PROTOCOLS:
             left, right = _pair(depth)
-            stats = protocol_cls().run(left, right)
+            protocol = protocol_cls()
+            stats = protocol.run(left, right)
             assert stats.converged
             assert left.state_digest() == right.state_digest()
             measured[(depth, name)] = (stats.rounds, stats.total_bytes)
             walk = LEVEL_WALK[depth] if name == "frontier" else ("-", "-")
             table.add(depth, name, stats.rounds, stats.total_bytes,
-                      stats.duplicate_blocks, stats.fallbacks, *walk)
+                      stats.duplicate_blocks,
+                      getattr(protocol, "fallbacks", 0), *walk)
     table.emit(results_dir, "a15_diverged_rounds")
 
     for depth in DEPTHS:

@@ -22,10 +22,11 @@ from __future__ import annotations
 from repro.net.links import LinkModel
 from repro.net.partitions import PartitionSchedule, PartitionedTopology
 from repro.net.topology import FullMeshTopology
-from repro.reconcile import BloomProtocol, FrontierProtocol
+from repro.reconcile import FrontierProtocol
 from repro.sim import Scenario, Simulation
 
 from benchmarks.bench_util import Table
+from benchmarks.protocols import BloomProtocol
 
 CYCLE_MS = 2_000
 DURATION_MS = 30_000

@@ -17,10 +17,11 @@ than frontier's chattier rounds.
 from __future__ import annotations
 
 from repro.faults.plan import FaultPlan, LinkFaults
-from repro.reconcile import BloomProtocol, FrontierProtocol
+from repro.reconcile import FrontierProtocol
 from repro.sim import Scenario, Simulation
 
 from benchmarks.bench_util import Table
+from benchmarks.protocols import BloomProtocol
 
 DURATION_MS = 25_000
 DROP_RATES = (0.0, 0.02, 0.05, 0.10)

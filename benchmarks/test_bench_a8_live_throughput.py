@@ -18,10 +18,11 @@ import time
 
 from repro.live.protocol import run_session, serve_connection
 from repro.live.transport import LoopbackTransport
-from repro.reconcile import BloomProtocol, FrontierProtocol
+from repro.reconcile import FrontierProtocol
 from repro.reconcile.engine import drive_to_completion
 
 from benchmarks.bench_util import Table, make_fleet
+from benchmarks.protocols import BloomProtocol
 
 DIVERGENCES = (4, 16, 64)
 

@@ -18,9 +18,9 @@ its cross-side *confirmations* stall during the partition.
 from __future__ import annotations
 
 
-from repro.baselines.nakamoto import NakamotoNetwork
-from repro.baselines.quorum import QuorumChain
-from repro.baselines.tangle import Tangle
+from benchmarks.baselines.nakamoto import NakamotoNetwork
+from benchmarks.baselines.quorum import QuorumChain
+from benchmarks.baselines.tangle import Tangle
 from repro.chain.block import Transaction
 from repro.reconcile.frontier import FrontierProtocol
 

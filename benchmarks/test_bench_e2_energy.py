@@ -15,7 +15,7 @@ ratio is astronomically larger (reported as extrapolated rows).
 
 from __future__ import annotations
 
-from repro.baselines.nakamoto import NakamotoNetwork
+from benchmarks.baselines.nakamoto import NakamotoNetwork
 from repro.sim import Scenario, Simulation
 from repro.sim.energy import EnergyParameters
 

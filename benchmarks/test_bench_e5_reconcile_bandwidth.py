@@ -17,14 +17,14 @@ cross-branch blocks.
 
 from __future__ import annotations
 
-from repro.reconcile import (
+from repro.reconcile import FrontierProtocol
+
+from benchmarks.bench_util import Table, make_fleet
+from benchmarks.protocols import (
     BloomProtocol,
-    FrontierProtocol,
     FullExchangeProtocol,
     HeightSkipProtocol,
 )
-
-from benchmarks.bench_util import Table, make_fleet
 
 CHAIN = 96
 

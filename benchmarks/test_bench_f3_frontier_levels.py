@@ -25,10 +25,10 @@ the paper's §VI efficiency remark is about.
 from __future__ import annotations
 
 from repro.reconcile.frontier import FrontierProtocol
-from repro.reconcile.full import FullExchangeProtocol
 from repro.reconcile.stats import RESPONDER_TO_INITIATOR
 
 from benchmarks.bench_util import Table, make_fleet
+from benchmarks.protocols import FullExchangeProtocol
 
 SHARED_HISTORY = 64
 

@@ -9,12 +9,15 @@ Reproduction of Karlsson et al., ICDCS 2018.  Subpackages:
 * ``repro.chain`` — blocks, transactions, and the block DAG
 * ``repro.csm`` — the CRDT state machine
 * ``repro.core`` — the Vegvisir node, genesis, proof-of-witness
-* ``repro.reconcile`` — DAG reconciliation protocols
+* ``repro.reconcile`` — DAG reconciliation (the paper's Algorithm 1)
 * ``repro.support`` — superpeers and the support blockchain
 * ``repro.net`` — discrete-event ad-hoc network simulator
 * ``repro.sim`` — gossip simulation harness, energy model, adversaries
-* ``repro.baselines`` — Nakamoto proof-of-work chain and IOTA-style tangle
 * ``repro.apps`` — the paper's three motivating applications
+
+The comparison baselines (Nakamoto, quorum, tangle) and the other
+reconciliation protocols the paper measures against are study code
+under ``benchmarks/``; nothing here imports them.
 """
 
 __version__ = "1.0.0"

@@ -200,23 +200,18 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.net.partitions import PartitionSchedule, PartitionedTopology
     from repro.net.topology import FullMeshTopology
-    from repro.reconcile import protocol_factory as reconcile_factory
     from repro.sim import Scenario
     from repro.sim.gossip import SESSION_MODELS
 
     # Validated here rather than via argparse choices= so an unknown
-    # name exits with a single scriptable `error:` line (satellite of
-    # the protocol-family work; argparse's usage dump is multi-line).
+    # name exits with a single scriptable `error:` line (argparse's
+    # usage dump is multi-line).
     if (args.session_model is not None
             and args.session_model not in SESSION_MODELS):
         raise CliError(
             f"unknown session model {args.session_model!r}: "
             f"expected one of {sorted(SESSION_MODELS)}"
         )
-    try:
-        protocol_factory = reconcile_factory(args.protocol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
 
     if args.scenario == "city":
         return _simulate_city(args)
@@ -266,7 +261,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         topology_factory=topology_factory,
         seed=args.seed,
         session_model=session_model,
-        protocol_factory=protocol_factory,
         trace_path=args.trace,
         metrics=args.metrics,
         faults=faults,
@@ -306,9 +300,6 @@ def _simulate_city(args: argparse.Namespace) -> int:
                        "--partition-until or --faults")
     if args.session_model == "message":
         raise CliError("--scenario city runs the atomic session model")
-    if args.protocol != "frontier":
-        raise CliError("--scenario city runs its own lite-sync protocol; "
-                       "--protocol applies to the default scenario")
     kwargs = {}
     if args.nodes is not None:
         kwargs["node_count"] = args.nodes
@@ -434,10 +425,8 @@ def _node_setup(args: argparse.Namespace):
     import time
 
     from repro.live import PeerSpec
-    from repro.reconcile import protocol_class
 
     try:
-        protocol_class(args.protocol)
         peers = [PeerSpec.parse(entry) for entry in args.peer]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -481,7 +470,7 @@ def _live_node(args: argparse.Namespace, store: str, key: str,
 
     return LiveNode(
         _load_key(key), _open_store(store),
-        protocol=args.protocol, interval_s=args.interval,
+        interval_s=args.interval,
         session_timeout_s=args.session_timeout,
         obs=obs, profiler=profiler, **where,
     )
@@ -515,7 +504,7 @@ def _run_service(args: argparse.Namespace, node, service, obs, profiler,
         )
         print(f"serving chain {node.chain_id.hex()[:16]}… "
               f"on {args.host}:{node.listen_port} "
-              f"({mode}, protocol={args.protocol})")
+              f"({mode})")
         if banner is not None:
             print(banner())
         if service.ops is not None:
@@ -674,10 +663,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     """What every command that runs replicas takes — `simulate` its
     simulated fleet, `serve` and `gateway` a live one."""
-    parser.add_argument("--protocol", default="frontier", metavar="NAME",
-                        help="reconciliation protocol: frontier, full, "
-                             "bloom, height_skip or sketch "
-                             "(default frontier)")
     parser.add_argument("--crypto-backend",
                         choices=["pure", "cryptography", "auto"],
                         default=None,
@@ -925,8 +910,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    # A flag no command takes is refused on the one failure path too,
+    # not with argparse's multi-line usage dump.
+    args, unknown = build_parser().parse_known_args(argv)
     try:
+        if unknown:
+            raise CliError(f"unrecognized arguments: {' '.join(unknown)}")
         return args.func(args)
     except BackendUnavailable as exc:
         message = f"crypto backend unavailable: {exc}"

@@ -51,11 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="faulty phase length in sim ms (default 25000)",
     )
     parser.add_argument(
-        "--protocol", default="frontier", metavar="NAME",
-        help="reconciliation protocol for every seed (default frontier); "
-             "'rotate' cycles through frontier/bloom/sketch by seed",
-    )
-    parser.add_argument(
         "--out", metavar="DIR",
         help="directory for failing-seed artifacts (created on demand)",
     )
@@ -77,8 +72,15 @@ def _load_artifact_plan(path: str) -> tuple[int, FaultPlan]:
     return plan.seed, plan
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def main(argv=None, protocol_factory=None) -> int:
+    """Run the harness; *protocol_factory* (a ``Scenario`` one) stands
+    in for the shipped protocol, as ``benchmarks/protocols/chaos.py``
+    passes a study protocol's."""
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        print(f"error: unrecognized arguments: {' '.join(unknown)}",
+              file=sys.stderr)
+        return 1
     runs: list[tuple[int, FaultPlan | None]] = []
     if args.seeds is not None:
         runs = [(int(part), None) for part in args.seeds.split(",") if part]
@@ -92,35 +94,18 @@ def main(argv=None) -> int:
     trace_dir = pathlib.Path(args.trace_dir) if args.trace_dir else None
     if trace_dir is not None:
         trace_dir.mkdir(parents=True, exist_ok=True)
-    # Protocols that converge DAGs under the message-level session
-    # model; 'rotate' deals them out by seed so one nightly sweep
-    # exercises the whole family against the same fault matrix.
-    rotation = ("frontier", "bloom", "sketch")
-    if args.protocol != "rotate":
-        from repro.reconcile import protocol_class
-
-        try:
-            protocol_class(args.protocol)
-        except ValueError as exc:
-            print(f"error: {exc}, or 'rotate'", file=sys.stderr)
-            return 1
     failures = 0
-    for index, (seed, plan) in enumerate(runs):
-        protocol = (
-            rotation[index % len(rotation)]
-            if args.protocol == "rotate" else args.protocol
-        )
+    for seed, plan in runs:
         trace_path = (
             trace_dir / f"chaos_seed_{seed}.jsonl"
             if trace_dir is not None else None
         )
         report = run_chaos(
             seed, node_count=args.nodes, duration_ms=args.duration,
-            plan=plan, trace_path=trace_path, protocol=protocol,
+            plan=plan, trace_path=trace_path,
+            protocol_factory=protocol_factory,
         )
         print(report.render(), flush=True)
-        if protocol != "frontier":
-            print(f"  protocol: {protocol}", flush=True)
         if not report.ok:
             failures += 1
             if out_dir is not None:

@@ -179,16 +179,14 @@ def run_chaos(
     plan: Optional[FaultPlan] = None,
     drain_budget_ms: int = 120_000,
     trace_path=None,
-    protocol: str = "frontier",
+    protocol_factory=None,
 ) -> ChaosReport:
     """One full chaos run: simulate under faults, then check invariants.
 
-    ``protocol`` names any :data:`repro.reconcile.PROTOCOLS_BY_NAME`
-    entry; the nightly sweep rotates through them so sketch fallback
-    and Bloom false positives face the same loss/corruption/crash
-    matrix as the paper's frontier protocol.
+    *protocol_factory* is passed through to ``Scenario`` (``None`` runs
+    the shipped frontier protocol); the nightly sweep hands in the study
+    protocols' so they face the same loss/corruption/crash matrix.
     """
-    from repro.reconcile import protocol_factory
     from repro.sim.runner import Simulation
     from repro.sim.scenario import Scenario
 
@@ -202,7 +200,7 @@ def run_chaos(
         seed=seed,
         faults=plan,
         trace_path=trace_path,
-        protocol_factory=protocol_factory(protocol),
+        protocol_factory=protocol_factory,
     )
     sim = Simulation(scenario)
     try:

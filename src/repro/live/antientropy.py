@@ -3,7 +3,7 @@ and the push of this replica's own writes.
 
 One :class:`AntiEntropyLoop` per node plays the paper's §IV-G gossip
 role on real sockets: every interval (with jitter) it picks a random
-connected outbound peer and runs one initiator session of the configured
+connected outbound peer and runs one initiator session of the frontier
 protocol (:func:`~repro.live.protocol.run_session`) under a per-session
 deadline.  A session that times out, hits a transport error, receives
 garbage, or builds a message the connection cannot frame is
@@ -41,7 +41,7 @@ from repro.core.node import VegvisirNode
 from repro.live.protocol import BlockSink, run_session
 from repro.live.transport import TransportError
 from repro.obs.profiling import PHASE_SESSION, maybe_phase
-from repro.reconcile import ReconcileError, protocol_class
+from repro.reconcile import FrontierProtocol, ReconcileError
 from repro.reconcile.engine import Protocol
 from repro.reconcile.session import push_missing
 from repro.reconcile.stats import ReconcileStats, SessionCounters
@@ -61,8 +61,8 @@ SESSION_ERRORS = (
 
 class _PushAbove(Protocol):
     """The push half of a session run alone: what lies above *held*.
-    Not a registry protocol — it never pulls, so only a frontier the
-    peer is known to hold makes it sound."""
+    It never pulls, so only a frontier the peer is known to hold makes
+    it sound."""
 
     name = "push"
 
@@ -82,7 +82,6 @@ class AntiEntropyLoop:
         node: VegvisirNode,
         peer_manager,
         *,
-        protocol: str = "frontier",
         interval_s: float = DEFAULT_INTERVAL,
         jitter_s: float = DEFAULT_JITTER,
         session_timeout_s: float = DEFAULT_SESSION_TIMEOUT,
@@ -93,7 +92,6 @@ class AntiEntropyLoop:
     ):
         self._node = node
         self._peers = peer_manager
-        self._protocol_cls = protocol_class(protocol)
         self._interval = interval_s
         self._jitter = jitter_s
         self._session_timeout = session_timeout_s
@@ -210,7 +208,7 @@ class AntiEntropyLoop:
                 return None
             sink = self._block_sink_factory
             return await self._session(
-                peer_name, transport, self._protocol_cls(),
+                peer_name, transport, FrontierProtocol(),
                 None if sink is None else sink(peer_name),
             )
 

@@ -75,7 +75,6 @@ class LiveNode:
         port: int = 0,
         peers: Optional[List[PeerSpec]] = None,
         name: Optional[str] = None,
-        protocol: str = "frontier",
         interval_s: float = DEFAULT_INTERVAL,
         jitter_s: float = DEFAULT_JITTER,
         session_timeout_s: float = DEFAULT_SESSION_TIMEOUT,
@@ -133,7 +132,6 @@ class LiveNode:
         )
         self.antientropy = AntiEntropyLoop(
             self.node, self.peer_manager,
-            protocol=protocol,
             interval_s=interval_s, jitter_s=jitter_s,
             session_timeout_s=session_timeout_s,
             block_sink_factory=self._pull_sink,

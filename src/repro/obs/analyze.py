@@ -90,7 +90,6 @@ class TraceAnalysis:
             "messages_i2r": 0, "messages_r2i": 0,
             "blocks_pulled": 0, "blocks_pushed": 0,
             "duplicates": 0, "invalid": 0,
-            "fp_resend": 0, "fallbacks": 0,
             "duration_ms": 0, "converged": 0,
             "interrupted": 0,
             "partial_bytes_i2r": 0, "partial_bytes_r2i": 0,
@@ -102,10 +101,8 @@ class TraceAnalysis:
         entry["sessions"] += 1
         for key in ("rounds", "bytes_i2r", "bytes_r2i", "messages_i2r",
                     "messages_r2i", "blocks_pulled", "blocks_pushed",
-                    "duplicates", "invalid", "fp_resend", "fallbacks",
-                    "duration_ms"):
-            # Older traces (and protocols that never produce a counter)
-            # simply omit the key; .get keeps them parseable.
+                    "duplicates", "invalid", "duration_ms"):
+            # Older traces simply omit a key; .get keeps them parseable.
             entry[key] += record.get(key, 0)
         if record.get("converged"):
             entry["converged"] += 1
@@ -336,16 +333,6 @@ class TraceAnalysis:
                 f"{entry['blocks_pushed']} pushed, "
                 f"{entry['duration_ms']} ms on air"
             )
-            if entry["fp_resend"]:
-                lines.append(
-                    f"  fp_resend:      {entry['fp_resend']} blocks "
-                    "re-sent after Bloom false positives"
-                )
-            if entry["fallbacks"]:
-                lines.append(
-                    f"  fallbacks:      {entry['fallbacks']} sketch "
-                    "sessions degraded to frontier"
-                )
         lines.append(
             f"totals:           {self.sessions_completed()} sessions, "
             f"{self.total_bytes()} bytes, "

@@ -1,7 +1,8 @@
 """What every reconciliation protocol shares.
 
 A protocol is written once, as two halves that each touch only their
-own replica (see ``docs/reconciliation.md``, "Adding a protocol"):
+own replica (see ``docs/reconciliation.md``, "Adding a study
+protocol"):
 
 * an **initiator** — a generator over a :class:`SessionSide`:
   ``reply = yield request``; a one-way message yields and gets ``None``
@@ -295,7 +296,9 @@ class SessionSide:
 
 
 #: request type -> (handler, does it answer).  Filled at import time by
-#: :func:`handles`; every protocol module is imported by the package.
+#: :func:`handles`: ``get_frontier``, ``get_blocks`` and ``push_blocks``
+#: are all a replica answers.  A study protocol under
+#: ``benchmarks/protocols/`` adds its own in the process that imports it.
 HANDLERS: dict = {}
 
 

@@ -36,14 +36,6 @@ class ReconcileStats:
         self.blocks_pushed = 0
         self.duplicate_blocks = 0
         self.invalid_blocks = 0
-        # Blocks re-sent because a Bloom filter false positive hid them
-        # from the digest round — the attributable share of Bloom's
-        # waste in the E5 protocol comparison.
-        self.fp_resend = 0
-        # Times a sketch session gave up peeling and degraded to the
-        # frontier protocol (the bytes/rounds above then include the
-        # fallback's traffic).
-        self.fallbacks = 0
         self.converged = False
         # Set by the session engine when a message-level session was
         # aborted mid-transfer; the counters above then hold the partial
@@ -98,8 +90,6 @@ class ReconcileStats:
             "blocks_pushed": self.blocks_pushed,
             "duplicates": self.duplicate_blocks,
             "invalid": self.invalid_blocks,
-            "fp_resend": self.fp_resend,
-            "fallbacks": self.fallbacks,
             "converged": self.converged,
             "interrupted": self.interrupted,
         }
@@ -107,12 +97,10 @@ class ReconcileStats:
     def session_fields(self) -> dict:
         """The trace fields of a finished session, completed or torn.
 
-        The newer protocols' counters appear only when non-zero: a field
-        that is always zero for the classic protocols must not be in
-        their records at all, because the pinned-trace suite hashes the
-        raw JSONL bytes of frontier runs.
+        The pinned-trace suite hashes the raw JSONL bytes of frontier
+        runs, so this set is part of the pins.
         """
-        fields = {
+        return {
             "protocol": self.protocol,
             "rounds": self.rounds,
             "bytes_i2r": self.bytes[INITIATOR_TO_RESPONDER],
@@ -124,11 +112,6 @@ class ReconcileStats:
             "duplicates": self.duplicate_blocks,
             "invalid": self.invalid_blocks,
         }
-        for name in ("fp_resend", "fallbacks"):
-            count = getattr(self, name)
-            if count:
-                fields[name] = count
-        return fields
 
     def __repr__(self) -> str:
         return (
@@ -166,11 +149,6 @@ class SessionCounters:
             "blocks moved by protocol and kind",
             labels=("protocol", "kind"),
         )
-        self._fallbacks = registry.counter(
-            "reconcile_fallbacks_total",
-            "sessions that degraded to the frontier protocol",
-            labels=("protocol",),
-        )
         self._interrupted = registry.counter(
             "reconcile_sessions_interrupted_total",
             "sessions aborted mid-transfer by link loss",
@@ -194,19 +172,16 @@ class SessionCounters:
             ).inc(stats.messages[direction])
         self._rounds.labels(protocol=protocol).inc(stats.rounds)
         self._sessions.labels(protocol=protocol).inc()
-        # Zero-valued kinds are skipped, so protocols that never
-        # produce Bloom re-sends leave no such series behind.
+        # Zero-valued kinds are skipped, so a session that moved no
+        # block leaves no series behind.
         for kind, count in (
             ("pulled", stats.blocks_pulled),
             ("pushed", stats.blocks_pushed),
             ("duplicate", stats.duplicate_blocks),
             ("invalid", stats.invalid_blocks),
-            ("fp_resend", stats.fp_resend),
         ):
             if count:
                 self._blocks.labels(protocol=protocol, kind=kind).inc(count)
-        if stats.fallbacks:
-            self._fallbacks.labels(protocol=protocol).inc(stats.fallbacks)
 
     def interrupted(self, stats: ReconcileStats) -> None:
         """Fold one session torn mid-transfer: its bytes were spent on

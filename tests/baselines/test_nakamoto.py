@@ -1,7 +1,7 @@
 """Nakamoto baseline tests: real mining, longest-chain, fork discard."""
 
 
-from repro.baselines.nakamoto import (
+from benchmarks.baselines.nakamoto import (
     NakamotoChain,
     NakamotoNetwork,
     PowBlock,

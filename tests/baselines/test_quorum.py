@@ -1,7 +1,7 @@
 """Majority-quorum chain baseline tests: safe but unavailable."""
 
 
-from repro.baselines.quorum import QuorumChain
+from benchmarks.baselines.quorum import QuorumChain
 
 
 class TestCommitment:

@@ -1,6 +1,6 @@
 """IOTA-style tangle baseline tests."""
 
-from repro.baselines.tangle import Tangle
+from benchmarks.baselines.tangle import Tangle
 
 
 class TestTangle:
@@ -93,7 +93,7 @@ class TestMcmcTipSelection:
             # Force-extend the main chain only.
             main_tips = [t for t in tangle.tips() if t != lazy.tx_id]
             approves = main_tips[:2] if main_tips else [tangle.genesis_id]
-            from repro.baselines.tangle import TangleTransaction
+            from benchmarks.baselines.tangle import TangleTransaction
             from repro.crypto.sha import Hash
 
             tx_id = Hash.of_value(["main", i])

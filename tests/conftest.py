@@ -5,13 +5,22 @@ Everything is seeded so the suite is bit-for-bit reproducible.  The
 members with assorted roles, a genesis carrying all certificates, and a
 shared monotonic test clock.  :func:`over_loopback` runs one session on
 the network driver, and :class:`InFlight` tampers with its link.
+:func:`shipped_handlers` is the responder table of a process that
+imports only ``repro``, and :func:`only_shipped_handlers` puts a test
+back in one.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.core.genesis import create_genesis
 from repro.core.node import VegvisirNode
@@ -121,3 +130,41 @@ def deployment() -> Deployment:
 @pytest.fixture
 def clock() -> TestClock:
     return TestClock()
+
+
+#: Imports every module under ``repro`` in a fresh interpreter whose
+#: path holds only ``src`` (so ``benchmarks`` cannot be imported) and
+#: prints the request types its responder answers.
+_SHIPPED_HANDLERS = """
+import importlib, pkgutil, repro
+for module in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not module.name.endswith("__main__"):
+        importlib.import_module(module.name)
+from repro.reconcile.session import HANDLERS
+print(" ".join(sorted(HANDLERS)))
+"""
+
+
+@pytest.fixture(scope="session")
+def shipped_handlers() -> list:
+    """The request types a replica answers when nothing but ``repro`` is
+    loaded.  Importing ``benchmarks.protocols`` registers the study
+    protocols' handlers in this process, and test modules do."""
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _SHIPPED_HANDLERS], cwd=src,
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    return out.split()
+
+
+@pytest.fixture
+def only_shipped_handlers(monkeypatch, shipped_handlers):
+    """The responder answers what a shipped replica answers, whatever
+    study protocols this process imported."""
+    from repro.reconcile import session
+
+    monkeypatch.setattr(session, "HANDLERS", {
+        kind: session.HANDLERS[kind] for kind in shipped_handlers
+    })

@@ -17,9 +17,10 @@ from repro.core.genesis import create_genesis
 from repro.core.node import VegvisirNode
 from repro.crypto.keys import KeyPair
 from repro.membership.authority import CertificateAuthority
-from repro.reconcile import (
+from repro.reconcile import FrontierProtocol
+
+from benchmarks.protocols import (
     BloomProtocol,
-    FrontierProtocol,
     FullExchangeProtocol,
     HeightSkipProtocol,
 )

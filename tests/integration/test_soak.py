@@ -25,9 +25,10 @@ from repro.core.node import VegvisirNode
 from repro.crypto.keys import KeyPair
 from repro.csm.machine import CSMachine
 from repro.membership.authority import CertificateAuthority
-from repro.reconcile import (
+from repro.reconcile import FrontierProtocol
+
+from benchmarks.protocols import (
     BloomProtocol,
-    FrontierProtocol,
     FullExchangeProtocol,
     HeightSkipProtocol,
 )

@@ -385,7 +385,7 @@ class TestSessionReport:
     """A live session reports what a simulated one does: the field set
     and the ``reconcile_*`` families of ``repro.reconcile.stats``."""
 
-    def _run_pair(self, tmp_path, protocol, prepare, settled):
+    def _run_pair(self, tmp_path, prepare, settled):
         """Node a (traced, ops endpoint) dials b; *prepare* diverges
         them, and once *settled*(a's completed sessions) holds, returns
         those sessions and a's ``/metrics`` text."""
@@ -402,9 +402,8 @@ class TestSessionReport:
             ]
 
         async def scenario():
-            a = _make_node(deployment, tmp_path, 0, obs=obs, ops_port=0,
-                           protocol=protocol)
-            b = _make_node(deployment, tmp_path, 1, protocol=protocol)
+            a = _make_node(deployment, tmp_path, 0, obs=obs, ops_port=0)
+            b = _make_node(deployment, tmp_path, 1)
             await a.start()
             await b.start()
             try:
@@ -424,36 +423,28 @@ class TestSessionReport:
         assert_valid_exposition(text)
         return completed(), text
 
-    def test_sketch_fallback_is_reported(self, tmp_path, monkeypatch):
-        from repro.reconcile import PROTOCOLS_BY_NAME, SketchProtocol
-
-        class ImpatientSketch(SketchProtocol):
-            """Gives up peeling after one undersized attempt."""
-
-            def __init__(self, push=True):
-                super().__init__(push=push, initial_diff=1,
-                                 max_attempts=1, growth=1)
-
-        monkeypatch.setitem(PROTOCOLS_BY_NAME, "sketch", ImpatientSketch)
-
+    def test_frontier_session_is_reported(self, tmp_path):
         async def diverge(a, b):
             for _ in range(6):
                 a.append_transactions([])
             for _ in range(5):
                 b.append_transactions([])
 
+        def pulled(done):
+            return [
+                s for s in done
+                if s["protocol"] == "frontier" and s["blocks_pulled"]
+            ]
+
         sessions, text = self._run_pair(
-            tmp_path, "sketch", diverge,
-            lambda done: any("fallbacks" in s for s in done),
+            tmp_path, diverge, lambda done: bool(pulled(done)),
         )
-        fell_back = [s for s in sessions if "fallbacks" in s]
-        assert fell_back[0]["fallbacks"] == 1
-        assert fell_back[0]["protocol"] == "sketch"
+        session = pulled(sessions)[0]
+        assert session["blocks_pulled"] == 5
         # The whole shared field set rides along, not the old subset.
         for field in ("messages_i2r", "messages_r2i", "duplicates",
                       "invalid", "rounds", "bytes_i2r", "bytes_r2i",
                       "blocks_pulled", "blocks_pushed", "converged",
                       "peer", "seq"):
-            assert field in fell_back[0], field
-        assert 'reconcile_fallbacks_total{protocol="sketch"}' in text
-        assert 'reconcile_rounds_total{protocol="sketch"}' in text
+            assert field in session, field
+        assert 'reconcile_rounds_total{protocol="frontier"}' in text

@@ -19,19 +19,19 @@ import pytest
 from repro import wire
 from repro.live.protocol import run_session, serve_connection
 from repro.live.transport import LoopbackTransport
-from repro.reconcile import (
-    BloomProtocol,
-    FrontierProtocol,
-    FullExchangeProtocol,
-    HeightSkipProtocol,
-    SketchProtocol,
-)
+from repro.reconcile import FrontierProtocol
 from repro.reconcile.engine import ReconcileSession
 from repro.reconcile.stats import (
     INITIATOR_TO_RESPONDER,
     RESPONDER_TO_INITIATOR,
 )
 
+from benchmarks.protocols import (
+    BloomProtocol,
+    FullExchangeProtocol,
+    HeightSkipProtocol,
+    SketchProtocol,
+)
 from tests.conftest import Deployment
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chain.block import Block
-from repro.reconcile.bloom import BloomFilter
+from benchmarks.protocols.bloom import BloomFilter
 from repro.reconcile.session import merge_blocks
 from repro.crypto.keys import KeyPair
 

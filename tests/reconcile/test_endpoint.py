@@ -230,9 +230,23 @@ class TestEndpointRobustness:
                          "sample": [b"\x00" * 32] * (SAMPLE_LIMIT + 1)}),
             wire.encode({"type": "get_blocks", "hashes": [],
                          "sample": [b"short"]}),
+            # Well-formed requests of the study protocols under
+            # benchmarks/protocols: their replies carry every body they
+            # match, uncut by the batch budget, and no replica answers
+            # them.
+            wire.encode({"type": "get_dag"}),
+            wire.encode({"type": "bloom", "filter": {
+                "bits": bytes(1), "bit_count": 8, "hash_count": 1,
+            }}),
+            wire.encode({"type": "height_digests", "digests": []}),
+            wire.encode({"type": "sketch", "sketch": {
+                "cells": 4, "k": 2, "seed": 0, "counts": [0] * 4,
+                "keys": bytes(4 * 32), "checks": bytes(4 * 8),
+            }}),
         ],
     )
     def test_bad_requests_get_error_replies(self, deployment,
+                                            only_shipped_handlers,
                                             request_bytes):
         # One error frame, then the connection is closed: the request
         # behind it is never answered.

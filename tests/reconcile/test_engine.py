@@ -9,18 +9,16 @@ run's).
 
 import pytest
 
-from repro.reconcile import (
-    PROTOCOLS_BY_NAME,
-    ReconcileSession,
-    drive_to_completion,
-)
+from repro.reconcile import ReconcileSession, drive_to_completion
 from repro.reconcile.stats import (
     INITIATOR_TO_RESPONDER,
     RESPONDER_TO_INITIATOR,
 )
 
-# Registering a protocol is what puts it under these tests.
-ALL_PROTOCOLS = list(PROTOCOLS_BY_NAME.values())
+from benchmarks.protocols import PROTOCOLS
+
+# The shipped protocol and every study protocol run these tests.
+ALL_PROTOCOLS = list(PROTOCOLS.values())
 
 
 def _diverge(deployment, left_appends=5, right_appends=3):

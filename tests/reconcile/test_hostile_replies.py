@@ -3,12 +3,13 @@ is torn — nothing else is raised, nothing enters the replica.
 
 Driven through the network driver (``run_session`` against an honest
 ``serve_connection``) with the initiator's end of the link swapping a
-reply of one type for a hostile variant on its way in.  Every
-reply type any registry protocol's initiator consumes is covered:
-missing keys, wrong container types, malformed blocks, non-bytes and
-wrong-length digests, bool / negative sizes, plus an ``error`` reply and
-an unexpected reply type on each protocol's first exchange.  One live
-case checks that the anti-entropy loop survives such a peer.
+reply of one type for a hostile variant on its way in.  Every reply
+type the shipped protocol's or a study protocol's initiator consumes
+is covered: missing keys, wrong container types, malformed blocks,
+non-bytes and wrong-length digests, bool / negative sizes, plus an
+``error`` reply and an unexpected reply type on each protocol's first
+exchange.  One live case checks that the anti-entropy loop survives
+such a peer.
 """
 
 import asyncio
@@ -20,16 +21,16 @@ from repro.chain.block import Block
 from repro.crypto.sha import DIGEST_SIZE, Hash
 from repro.live.antientropy import AntiEntropyLoop
 from repro.live.transport import LoopbackTransport
-from repro.reconcile import (
-    PROTOCOLS_BY_NAME,
-    BloomProtocol,
-    FrontierProtocol,
-    FullExchangeProtocol,
-    HeightSkipProtocol,
-    SketchProtocol,
-)
+from repro.reconcile import FrontierProtocol
 from repro.reconcile.session import BATCH_BUDGET_BYTES
 
+from benchmarks.protocols import (
+    BloomProtocol,
+    FullExchangeProtocol,
+    HeightSkipProtocol,
+    PROTOCOLS,
+    SketchProtocol,
+)
 from tests.conftest import Deployment, InFlight, over_loopback
 
 
@@ -186,7 +187,7 @@ def test_hostile_repair_fetch_reply(mutate):
     _assert_torn(stats, left, before)
 
 
-@pytest.mark.parametrize("name", sorted(PROTOCOLS_BY_NAME))
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
 @pytest.mark.parametrize("reply", [
     pytest.param({"type": "error", "reason": "no"}, id="error"),
     pytest.param({"type": "surprise", "blocks": []}, id="unexpected-type"),
@@ -206,7 +207,7 @@ def test_first_reply_of_every_protocol(name, reply):
         def edit(self, _reply: bytes) -> bytes:
             return wire.encode(reply)
 
-    stats = over_loopback(PROTOCOLS_BY_NAME[name](), left, right, Hostile())
+    stats = over_loopback(PROTOCOLS[name](), left, right, Hostile())
     assert len(requests) == 1
     _assert_torn(stats, left, before)
 

@@ -1,6 +1,6 @@
-"""Reconciliation protocol tests: every registered protocol must
-converge any pair of replicas of the same chain, and must refuse foreign
-chains."""
+"""Reconciliation protocol tests: the shipped protocol and every study
+protocol must converge any pair of replicas of the same chain, and must
+refuse foreign chains."""
 
 import pytest
 
@@ -8,16 +8,17 @@ from repro.chain.block import Transaction
 from repro.core.genesis import create_genesis
 from repro.core.node import VegvisirNode
 from repro.crypto.keys import KeyPair
-from repro.reconcile import (
-    PROTOCOLS_BY_NAME,
+from repro.reconcile import FrontierProtocol
+
+from benchmarks.protocols import (
     BloomProtocol,
-    FrontierProtocol,
     FullExchangeProtocol,
     HeightSkipProtocol,
+    PROTOCOLS,
 )
 
-# Registering a protocol is what puts it under these tests.
-ALL_PROTOCOLS = list(PROTOCOLS_BY_NAME.values())
+# The shipped protocol and every study protocol run these tests.
+ALL_PROTOCOLS = list(PROTOCOLS.values())
 
 
 def _diverge(deployment, left_appends=5, right_appends=3):
@@ -160,9 +161,14 @@ class TestBloomSpecifics:
     def test_false_positive_repair(self, deployment):
         # An aggressive FP rate forces repair fetches yet must converge.
         left, right = _diverge(deployment, left_appends=2, right_appends=20)
-        stats = BloomProtocol(false_positive_rate=0.5).run(left, right)
+        protocol = BloomProtocol(false_positive_rate=0.5)
+        stats = protocol.run(left, right)
         assert stats.converged
         assert left.dag.hashes() == right.dag.hashes()
+        # Each repair round re-sent blocks a false positive hid; the
+        # protocol object counts them.
+        assert stats.rounds > 1
+        assert protocol.fp_resend > 0
 
     def test_low_fp_rate_single_round(self, deployment):
         left, right = _diverge(deployment, left_appends=2, right_appends=6)

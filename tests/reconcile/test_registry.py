@@ -1,14 +1,12 @@
-"""The one protocol registry: every name runs on both drivers."""
+"""The request registry: a shipped replica answers three request types,
+and every study protocol, registered on import, runs on both drivers."""
 
 import pytest
 
-from repro.reconcile import (
-    PROTOCOLS_BY_NAME,
-    protocol_class,
-    protocol_factory,
-)
 from repro.reconcile.session import HANDLERS
 
+from benchmarks.protocols import PROTOCOLS
+from benchmarks.protocols.chaos import main as chaos_main
 from tests.conftest import Deployment, over_loopback
 
 
@@ -35,12 +33,16 @@ def _over_asyncio(protocol, left, right):
 DRIVERS = [_in_process, _over_asyncio]
 
 
-@pytest.mark.parametrize("name", sorted(PROTOCOLS_BY_NAME))
+def test_a_shipped_replica_answers_three_request_types(shipped_handlers):
+    assert shipped_handlers == ["get_blocks", "get_frontier", "push_blocks"]
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_every_name_converges_on_every_driver(name):
     outcomes = []
     for drive in DRIVERS:
         left, right = _diverged()
-        stats = drive(protocol_factory(name)(True), left, right)
+        stats = drive(PROTOCOLS[name](push=True), left, right)
         assert stats.converged and not stats.interrupted, drive.__name__
         assert left.state_digest() == right.state_digest(), drive.__name__
         outcomes.append((stats.as_dict(), left.state_digest()))
@@ -48,10 +50,13 @@ def test_every_name_converges_on_every_driver(name):
     assert outcomes[1] == outcomes[0]
 
 
-def test_unknown_name_lists_the_registry():
-    with pytest.raises(ValueError) as raised:
-        protocol_class("osmosis")
-    assert str(sorted(PROTOCOLS_BY_NAME)) in str(raised.value)
+def test_unknown_name_lists_the_registry(capsys):
+    with pytest.raises(SystemExit):
+        chaos_main(["--protocol", "osmosis", "--seeds", "1"])
+    err = capsys.readouterr().err
+    assert "osmosis" in err
+    for name in PROTOCOLS:
+        assert repr(name) in err
 
 
 def test_two_protocols_cannot_claim_one_request_type():

@@ -33,25 +33,14 @@ def test_fields_omit_the_newer_counters_while_zero():
     }
 
 
-def test_fields_carry_the_newer_counters_once_nonzero():
-    stats = _session()
-    stats.fallbacks = 1
-    fields = stats.session_fields()
-    assert fields["fallbacks"] == 1
-    assert "fp_resend" not in fields
-
-
 def test_completed_and_interrupted_fold_into_separate_families():
     registry = MetricsRegistry()
     counters = SessionCounters(registry)
-    done = _session()
-    done.fallbacks = 1
-    counters.completed(done)
+    counters.completed(_session())
     counters.interrupted(_session())
     labels = dict(protocol="sketch")
     assert registry.value("reconcile_sessions_total", **labels) == 1
     assert registry.value("reconcile_rounds_total", **labels) == 2
-    assert registry.value("reconcile_fallbacks_total", **labels) == 1
     assert registry.value(
         "reconcile_bytes_total", direction="r->i", **labels
     ) == 42

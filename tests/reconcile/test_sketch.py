@@ -4,7 +4,7 @@ The codec half is a seeded property suite: random set pairs across a
 grid of base sizes and symmetric differences, checking that a sketch
 sized for the true difference peels it back exactly, that subtraction is
 symmetric, and that the decode-failure rate of properly-sized sketches
-stays within the margin :data:`repro.reconcile.sketch.CELL_MARGIN` buys.
+stays within the margin :data:`benchmarks.protocols.sketch.CELL_MARGIN` buys.
 Everything is seeded — the suite is bit-for-bit reproducible.
 """
 
@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from repro.reconcile import SketchProtocol
-from repro.reconcile.sketch import (
+from benchmarks.protocols import SketchProtocol
+from benchmarks.protocols.sketch import (
     IBLT,
     MAX_WIRE_CELLS,
     decode_against,
@@ -201,31 +201,30 @@ def _diverge(deployment, left_appends, right_appends, shared=1):
 class TestSketchProtocol:
     def test_one_round_trip_on_modest_difference(self):
         left, right = _diverge(Deployment(), 6, 3)
-        stats = SketchProtocol().run(left, right)
+        protocol = SketchProtocol()
+        stats = protocol.run(left, right)
         assert stats.converged
         assert stats.rounds == 1
-        assert stats.fallbacks == 0
+        assert protocol.fallbacks == 0
         assert stats.blocks_pulled == 3
         assert stats.blocks_pushed == 6
         assert left.state_digest() == right.state_digest()
 
     def test_doubling_recovers_from_undersized_start(self):
         left, right = _diverge(Deployment(), 12, 10)
-        stats = SketchProtocol(initial_diff=1, max_attempts=4).run(
-            left, right
-        )
+        protocol = SketchProtocol(initial_diff=1, max_attempts=4)
+        stats = protocol.run(left, right)
         assert stats.converged
-        assert stats.fallbacks == 0
+        assert protocol.fallbacks == 0
         assert stats.rounds > 1
         assert left.state_digest() == right.state_digest()
 
     def test_fallback_to_frontier_still_converges(self):
         left, right = _diverge(Deployment(), 12, 10)
-        stats = SketchProtocol(initial_diff=1, max_attempts=1, growth=1).run(
-            left, right
-        )
+        protocol = SketchProtocol(initial_diff=1, max_attempts=1, growth=1)
+        stats = protocol.run(left, right)
         assert stats.converged
-        assert stats.fallbacks == 1
+        assert protocol.fallbacks == 1
         assert left.state_digest() == right.state_digest()
 
     def test_pull_only_skips_push(self):

@@ -19,14 +19,13 @@ from repro.net.links import LinkModel
 from repro.net.partitions import PartitionSchedule, PartitionedTopology
 from repro.net.topology import FullMeshTopology
 from repro.obs.analyze import analyze_trace
-from repro.reconcile import (
-    PROTOCOLS_BY_NAME,
-    FrontierProtocol,
-)
+from repro.reconcile import FrontierProtocol
 from repro.sim import Scenario, Simulation
 
-# Registering a protocol is what puts it under these tests.
-ALL_PROTOCOLS = list(PROTOCOLS_BY_NAME.values())
+from benchmarks.protocols import PROTOCOLS
+
+# The shipped protocol and every study protocol run these tests.
+ALL_PROTOCOLS = list(PROTOCOLS.values())
 
 
 def _ideal_link() -> LinkModel:

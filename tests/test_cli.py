@@ -175,14 +175,17 @@ class TestSimulateAndDemo:
         assert "hello from alice" in out
 
     def test_simulate_with_sketch_protocol(self, capsys):
-        assert main(["simulate", "--nodes", "4", "--duration", "10000",
-                     "--seed", "3", "--protocol", "sketch"]) == 0
+        """One protocol ships; the study ones run from benchmarks/."""
+        one_line_error(
+            capsys, ["simulate", "--nodes", "4", "--duration", "10000",
+                     "--seed", "3", "--protocol", "sketch"],
+            "error: unrecognized arguments: --protocol sketch",
+        )
 
     def test_simulate_unknown_protocol_one_line_error(self, capsys):
         one_line_error(
             capsys, ["simulate", "--protocol", "gossipx"],
-            "error: unknown protocol 'gossipx'",
-            "sketch", "height_skip", "frontier",
+            "error: unrecognized arguments: --protocol gossipx",
         )
 
     def test_simulate_unknown_session_model_one_line_error(self, capsys):
@@ -192,9 +195,10 @@ class TestSimulateAndDemo:
         )
 
     def test_simulate_city_rejects_protocol_override(self, capsys):
-        assert main(["simulate", "--scenario", "city",
-                     "--protocol", "sketch"]) == 1
-        assert "city" in capsys.readouterr().err
+        one_line_error(
+            capsys, ["simulate", "--scenario", "city", "--protocol", "sketch"],
+            "unrecognized arguments: --protocol sketch",
+        )
 
 
 class TestParser:
@@ -250,16 +254,13 @@ class TestServe:
             capsys,
             ["serve", str(tmp_path / "whatever.blocks"),
              "--key", str(key), "--protocol", "osmosis"],
-            "error: unknown protocol 'osmosis'", "sketch", "height_skip",
+            "error: unrecognized arguments: --protocol osmosis",
         )
 
     def test_every_command_names_the_same_protocols(self, tmp_path, capsys):
-        """``serve``, ``simulate`` and ``python -m repro.faults`` validate
-        ``--protocol`` against the one registry."""
-        import re
-
+        """``serve``, ``simulate`` and ``python -m repro.faults`` run the
+        one shipped protocol and refuse ``--protocol`` alike."""
         from repro.faults.__main__ import main as faults_main
-        from repro.reconcile import PROTOCOLS_BY_NAME
 
         key = self._keyfile(tmp_path)
         commands = [
@@ -267,14 +268,12 @@ class TestServe:
             (main, ["serve", str(tmp_path / "x.blocks"), "--key", str(key)]),
             (faults_main, ["--seeds", "1"]),
         ]
-        listed = []
         for entry_point, argv in commands:
-            assert entry_point(argv + ["--protocol", "osmosis"]) == 1
+            assert entry_point(argv + ["--protocol", "frontier"]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: unknown protocol 'osmosis'")
-            assert len(err.strip().splitlines()) == 1
-            listed.append(re.search(r"\[.*\]", err).group(0))
-        assert listed == [str(sorted(PROTOCOLS_BY_NAME))] * 3
+            assert err == (
+                "error: unrecognized arguments: --protocol frontier\n"
+            )
 
     def test_serve_rejects_malformed_peer(self, tmp_path, capsys):
         key = self._keyfile(tmp_path)
@@ -616,10 +615,7 @@ class TestTop:
         assert "!!" in out
 
 
-RETIRED_DELTA = (
-    "unknown protocol 'delta': expected one of "
-    "['bloom', 'frontier', 'full', 'height_skip', 'sketch']"
-)
+RETIRED_PROTOCOL = "unrecognized arguments: --protocol"
 
 # Every way the CLI refuses its input: argv (built from the `chain`
 # fixture) and what the one error line must name.
@@ -650,7 +646,7 @@ ERROR_ROWS = {
         lambda c: ["simulate", "--contact-epoch", "0"], "must be positive"),
     "simulate, city with a protocol": (
         lambda c: ["simulate", "--scenario", "city", "--protocol", "bloom"],
-        "lite-sync"),
+        RETIRED_PROTOCOL),
     "simulate, unavailable backend": (
         lambda c: ["simulate", "--nodes", "2", "--duration", "100",
                    "--crypto-backend", "cryptography"],
@@ -679,19 +675,19 @@ ERROR_ROWS = {
     "gateway, bad --peer": (
         lambda c: ["gateway", c.store, "--key", c.key, "--peer", "nowhere"],
         "host:port"),
+    # One protocol ships, so no command takes `--protocol`: any name,
+    # a retired or a study one, is an unrecognized argument.
     "gateway, unknown protocol": (
         lambda c: ["gateway", c.store, "--key", c.key,
-                   "--protocol", "osmosis"], "unknown protocol"),
-    # Every registered protocol moves signed blocks; `delta` is refused
-    # like any unknown name, and the error lists the five that are.
+                   "--protocol", "osmosis"], RETIRED_PROTOCOL),
     "simulate, retired delta protocol": (
-        lambda c: ["simulate", "--protocol", "delta"], RETIRED_DELTA),
+        lambda c: ["simulate", "--protocol", "delta"], RETIRED_PROTOCOL),
     "serve, retired delta protocol": (
         lambda c: ["serve", c.store, "--key", c.key, "--protocol", "delta"],
-        RETIRED_DELTA),
+        RETIRED_PROTOCOL),
     "gateway, retired delta protocol": (
         lambda c: ["gateway", c.store, "--key", c.key,
-                   "--protocol", "delta"], RETIRED_DELTA),
+                   "--protocol", "delta"], RETIRED_PROTOCOL),
     "gateway, bad --chain": (
         lambda c: ["gateway", c.store, "--key", c.key, "--chain", "nocolon"],
         "expected STORE:KEYPATH"),
