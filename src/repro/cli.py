@@ -22,7 +22,7 @@ Thirteen subcommands:
   ``--discover`` the node announces itself via signed UDP multicast
   beacons and dials whoever it hears — zero static configuration.
   ``--ops-port`` exposes ``/metrics``, ``/healthz``, ``/status`` over
-  HTTP; ``--profile`` times the hot path per phase.
+  HTTP; ``--profile-dump PATH`` writes a cProfile of the whole run.
 * ``gateway STORE --key KEY`` — ``serve`` plus the client plane: every
   ``serve`` flag (``--port``, ``--peer``, ``--discover``, …) places the
   replica in its cluster, and an HTTP/WebSocket edge (``POST /v1/tx``,
@@ -420,7 +420,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def _node_setup(args: argparse.Namespace):
     """Check the node flags `serve` and `gateway` share; returns
-    ``(obs, profiler, place)`` — *place* is what puts a replica in its
+    ``(obs, place)`` — *place* is what puts a replica in its
     cluster (listen address, peers, discovery), as LiveNode keywords."""
     import time
 
@@ -444,11 +444,6 @@ def _node_setup(args: argparse.Namespace):
         obs = Observability(
             sinks=sinks, clock=lambda: int(time.time() * 1000)
         )
-    profiler = None
-    if args.profile or args.profile_dump:
-        from repro.obs.profiling import PhaseProfiler
-
-        profiler = PhaseProfiler()
     discovery = None
     if args.discover:
         from repro.discovery import DiscoveryConfig
@@ -457,13 +452,13 @@ def _node_setup(args: argparse.Namespace):
             group=args.discovery_group, port=args.discovery_port,
             beacon_interval_s=args.beacon_interval,
         )
-    return obs, profiler, dict(
+    return obs, dict(
         host=args.host, port=args.port, peers=peers, discovery=discovery
     )
 
 
 def _live_node(args: argparse.Namespace, store: str, key: str,
-               obs, profiler, **where):
+               obs, **where):
     """The one place the CLI builds a ``LiveNode``: *where* is its name,
     its *place* and, for `serve`, its ops endpoint."""
     from repro.live import LiveNode
@@ -472,11 +467,11 @@ def _live_node(args: argparse.Namespace, store: str, key: str,
         _load_key(key), _open_store(store),
         interval_s=args.interval,
         session_timeout_s=args.session_timeout,
-        obs=obs, profiler=profiler, **where,
+        obs=obs, **where,
     )
 
 
-def _run_service(args: argparse.Namespace, node, service, obs, profiler,
+def _run_service(args: argparse.Namespace, node, service, obs,
                  banner=None, summary=None) -> None:
     """Start *service* — *node* itself, or the gateway around it — wait
     for SIGINT/SIGTERM (or ``node.request_stop()``), stop it, report.
@@ -528,8 +523,6 @@ def _run_service(args: argparse.Namespace, node, service, obs, profiler,
               f"(digest {node.dag_digest()[:16]}…)")
         if summary is not None:
             print(summary())
-        if profiler is not None:
-            print(profiler.render())
         if cprofile is not None:
             cprofile.dump_stats(args.profile_dump)
             print(f"cProfile stats written to {args.profile_dump}")
@@ -542,12 +535,12 @@ def _run_service(args: argparse.Namespace, node, service, obs, profiler,
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run a live node until interrupted (Ctrl-C exits cleanly)."""
-    obs, profiler, place = _node_setup(args)
+    obs, place = _node_setup(args)
     node = _live_node(
-        args, args.store, args.key, obs, profiler, name=args.name,
+        args, args.store, args.key, obs, name=args.name,
         ops_host=args.ops_host, ops_port=args.ops_port, **place,
     )
-    _run_service(args, node, node, obs, profiler)
+    _run_service(args, node, node, obs)
     return 0
 
 
@@ -555,7 +548,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     """`serve` plus the client plane, until interrupted."""
     from repro.gateway import GatewayNode
 
-    obs, profiler, place = _node_setup(args)
+    obs, place = _node_setup(args)
     tenants = []
     for entry in args.chain:
         store, _, key = entry.rpartition(":")
@@ -566,11 +559,11 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     def name(store: str) -> str:
         return f"gw-{pathlib.Path(store).stem}"
 
-    lives = [_live_node(args, args.store, args.key, obs, profiler,
+    lives = [_live_node(args, args.store, args.key, obs,
                         name=args.name or name(args.store), **place)]
     # A peer follows one chain and a port has one listener: an extra
     # tenant gossips from a free port, with whoever dials it.
-    lives += [_live_node(args, store, key, obs, profiler, name=name(store))
+    lives += [_live_node(args, store, key, obs, name=name(store))
               for store, key in tenants]
     gateway = GatewayNode(
         lives,
@@ -596,7 +589,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 f"({served['admission']['admitted']} admitted, "
                 f"{served['admission']['refused']} refused)")
 
-    _run_service(args, lives[0], gateway, obs, profiler, banner, summary)
+    _run_service(args, lives[0], gateway, obs, banner, summary)
     return 0
 
 
@@ -718,12 +711,10 @@ def _add_node_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ops-host", default="127.0.0.1",
                         dest="ops_host", metavar="ADDR",
                         help="bind address for the ops endpoint")
-    parser.add_argument("--profile", action="store_true",
-                        help="time hot-path phases; print the profile "
-                             "on exit")
     parser.add_argument("--profile-dump", metavar="PATH", default=None,
                         dest="profile_dump",
-                        help="also write cProfile stats to PATH")
+                        help="profile the whole run with cProfile and "
+                             "write its stats to PATH on exit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -834,15 +825,19 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-request timeout in seconds")
     top.set_defaults(func=_cmd_top)
 
+    # Node flags match exactly: a retired flag that prefixes a live one
+    # (``--profile``, ``--profile-dump``) is refused, not taken for it.
     serve = commands.add_parser(
-        "serve", help="run a live node over TCP until interrupted"
+        "serve", help="run a live node over TCP until interrupted",
+        allow_abbrev=False,
     )
     _add_node_arguments(serve)
     serve.set_defaults(func=_cmd_serve)
 
     gateway = commands.add_parser(
         "gateway", help="serve, plus the HTTP/WebSocket client plane "
-                        "in front of the replica"
+                        "in front of the replica",
+        allow_abbrev=False,
     )
     _add_node_arguments(gateway)
     gateway.add_argument("--chain", action="append", default=[],

@@ -28,9 +28,9 @@ the node id is bound to the embedded public key by hashing.
 from __future__ import annotations
 
 from repro import wire
-from repro.crypto.ed25519 import PublicKey
+from repro.crypto.ed25519 import PUBLIC_KEY_SIZE, SIGNATURE_SIZE, PublicKey
 from repro.crypto.keys import KeyPair
-from repro.crypto.sha import Hash
+from repro.crypto.sha import DIGEST_SIZE, Hash
 
 BEACON_TYPE = "vgv_beacon"
 BEACON_VERSION = 1
@@ -109,6 +109,15 @@ def encode_beacon(key_pair: KeyPair, chain: Hash, port: int, name: str,
     return wire.encode({**body, "sig": signature})
 
 
+def _field(decoded: dict, key: str, size: int) -> bytes:
+    """A byte field exactly as decoded, nothing coerced: ``bytes(n)`` of
+    a wire integer would allocate *n* bytes before any check."""
+    value = decoded[key]
+    if not isinstance(value, bytes) or len(value) != size:
+        raise BeaconDecodeError(f"beacon {key!r} must be {size} bytes")
+    return value
+
+
 def decode_beacon(datagram: bytes) -> Beacon:
     """Decode and fully verify one datagram into a :class:`Beacon`.
 
@@ -127,29 +136,28 @@ def decode_beacon(datagram: bytes) -> Beacon:
         raise BeaconDecodeError(f"undecodable beacon: {exc}") from exc
     if not isinstance(decoded, dict) or decoded.get("type") != BEACON_TYPE:
         raise BeaconDecodeError("datagram is not a vgv_beacon map")
-    if decoded.get("v") != BEACON_VERSION:
+    version = decoded.get("v")
+    if type(version) is not int or version != BEACON_VERSION:
         raise BeaconDecodeError(
-            f"unsupported beacon version {decoded.get('v')!r}"
+            f"unsupported beacon version {version!r}"
         )
     try:
-        chain = bytes(decoded["chain"])
-        node = bytes(decoded["node"])
-        pub = bytes(decoded["pub"])
+        chain = _field(decoded, "chain", DIGEST_SIZE)
+        node = _field(decoded, "node", DIGEST_SIZE)
+        pub = _field(decoded, "pub", PUBLIC_KEY_SIZE)
         port = decoded["port"]
         name = decoded["name"]
-        frontier = bytes(decoded["frontier"])
+        frontier = _field(decoded, "frontier", DIGEST_SIZE)
         epoch = decoded["epoch"]
         seq = decoded["seq"]
-        signature = bytes(decoded["sig"])
-    except (KeyError, TypeError) as exc:
+        signature = _field(decoded, "sig", SIGNATURE_SIZE)
+    except KeyError as exc:
         raise BeaconDecodeError(f"beacon missing field: {exc}") from exc
-    if len(chain) != 32 or len(node) != 32 or len(frontier) != 32:
-        raise BeaconDecodeError("beacon hash fields must be 32 bytes")
-    if not isinstance(port, int) or not 0 < port < 65536:
+    if type(port) is not int or not 0 < port < 65536:
         raise BeaconDecodeError(f"beacon port out of range: {port!r}")
     if not isinstance(name, str):
         raise BeaconDecodeError("beacon name must be a string")
-    if not isinstance(epoch, int) or not isinstance(seq, int):
+    if type(epoch) is not int or type(seq) is not int:
         raise BeaconDecodeError("beacon epoch/seq must be integers")
     try:
         public_key = PublicKey(pub)

@@ -40,7 +40,6 @@ from repro import wire
 from repro.core.node import VegvisirNode
 from repro.live.protocol import BlockSink, run_session
 from repro.live.transport import TransportError
-from repro.obs.profiling import PHASE_SESSION, maybe_phase
 from repro.reconcile import FrontierProtocol, ReconcileError
 from repro.reconcile.engine import Protocol
 from repro.reconcile.session import push_missing
@@ -88,7 +87,6 @@ class AntiEntropyLoop:
         block_sink_factory: Optional[Callable[[str], BlockSink]] = None,
         seed: Optional[int] = None,
         obs=None,
-        profiler=None,
     ):
         self._node = node
         self._peers = peer_manager
@@ -102,7 +100,6 @@ class AntiEntropyLoop:
         self._block_sink_factory = block_sink_factory
         self._rng = random.Random(seed)
         self._obs = obs if obs is not None and obs.enabled else None
-        self._profiler = profiler
         self.sessions_completed = 0
         self.sessions_interrupted = 0
         #: Completed push sessions (also counted in sessions_completed).
@@ -252,15 +249,11 @@ class AntiEntropyLoop:
                 seq=seq,
             )
         try:
-            with maybe_phase(self._profiler, PHASE_SESSION) as ph:
-                await asyncio.wait_for(
-                    run_session(
-                        protocol, self._node, transport, stats,
-                        on_blocks=on_blocks, profiler=self._profiler,
-                    ),
-                    self._session_timeout,
-                )
-                ph.units += 1
+            await asyncio.wait_for(
+                run_session(protocol, self._node, transport, stats,
+                            on_blocks=on_blocks),
+                self._session_timeout,
+            )
         except SESSION_ERRORS as exc:
             stats.interrupted = True
             self.sessions_interrupted += 1

@@ -88,7 +88,6 @@ class LiveNode:
         discovery: Optional["DiscoveryConfig"] = None,
         ops_host: str = "127.0.0.1",
         ops_port: Optional[int] = None,
-        profiler=None,
     ):
         self._key_pair = key_pair
         clock = clock or _wall_ms
@@ -119,7 +118,6 @@ class LiveNode:
         self._host = host
         self._port = port
         self._obs = obs if obs is not None and obs.enabled else None
-        self.profiler = profiler
         self.peer_manager = PeerManager(
             self.node, self.name, list(peers or ()),
             connection_handler=self._serve_peer,
@@ -128,7 +126,6 @@ class LiveNode:
             max_frame_bytes=max_frame_bytes,
             seed=None if seed is None else seed ^ 0xD1A1,
             obs=obs,
-            profiler=profiler,
         )
         self.antientropy = AntiEntropyLoop(
             self.node, self.peer_manager,
@@ -137,7 +134,6 @@ class LiveNode:
             block_sink_factory=self._pull_sink,
             seed=None if seed is None else seed ^ 0x90551,
             obs=obs,
-            profiler=profiler,
         )
         # Dynamic peer discovery (repro.discovery): built lazily in
         # start() so the UDP endpoint lands on the running loop.
@@ -279,11 +275,7 @@ class LiveNode:
         def persist_push(_blocks=None) -> None:
             self._persist_blocks(_blocks, origin=f"push:{peer_name}")
 
-        await serve_connection(
-            self.node, transport,
-            on_blocks=persist_push,
-            profiler=self.profiler,
-        )
+        await serve_connection(self.node, transport, on_blocks=persist_push)
 
     def add_peer(self, spec: PeerSpec) -> None:
         self.peer_manager.add_peer(spec)
@@ -341,7 +333,6 @@ class LiveNode:
             self.ops = OpsServer(
                 registry=None if self._obs is None else self._obs.registry,
                 status=self.status,
-                profiler=self.profiler,
                 host=self._ops_host,
                 port=self._ops_port,
             )

@@ -179,7 +179,6 @@ class PeerManager:
         max_frame_bytes: Optional[int] = None,
         seed: Optional[int] = None,
         obs=None,
-        profiler=None,
     ):
         self._node = node
         self.name = name
@@ -192,9 +191,6 @@ class PeerManager:
         self._max_frame_bytes = max_frame_bytes
         self._rng = random.Random(seed)
         self._obs = obs if obs is not None and obs.enabled else None
-        #: Optional :class:`~repro.obs.profiling.PhaseProfiler` handed
-        #: to every transport this manager creates (frame_io phase).
-        self.profiler = profiler
         self._server: Optional[asyncio.base_events.Server] = None
         self._outbound: Dict[str, StreamTransport] = {}
         self._maintain_tasks: Dict[str, asyncio.Task] = {}
@@ -438,7 +434,6 @@ class PeerManager:
         if self._max_frame_bytes is not None:
             kwargs["max_frame_bytes"] = self._max_frame_bytes
         transport = StreamTransport(reader, writer, **kwargs)
-        transport.profiler = self.profiler
         try:
             await handshake(
                 transport, self._node, self.name, self._handshake_timeout
@@ -464,7 +459,6 @@ class PeerManager:
         if self._max_frame_bytes is not None:
             kwargs["max_frame_bytes"] = self._max_frame_bytes
         transport = StreamTransport(reader, writer, **kwargs)
-        transport.profiler = self.profiler
         try:
             await self._accept_inner(transport)
         except asyncio.CancelledError:

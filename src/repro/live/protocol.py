@@ -58,28 +58,26 @@ LiveResponder = Responder
 
 async def run_session(protocol: Protocol, node: VegvisirNode, transport,
                       stats: Optional[ReconcileStats] = None,
-                      on_blocks: Optional[BlockSink] = None,
-                      profiler=None) -> ReconcileStats:
+                      on_blocks: Optional[BlockSink] = None
+                      ) -> ReconcileStats:
     """Run *protocol*'s initiator against the peer behind *transport*.
 
     Raises :class:`ReconcileError` on an unusable reply and lets
     transport errors through; *stats* then hold the partial totals.
     """
     stats = stats if stats is not None else ReconcileStats(protocol.name)
-    initiator = protocol.initiate(
-        SessionSide(node, stats, on_blocks, profiler)
-    )
+    initiator = protocol.initiate(SessionSide(node, stats, on_blocks))
     try:
         request = resume(initiator, None)
         while request is not None:
-            payload = encode_message(request, profiler)
+            payload = encode_message(request)
             stats.record_raw(INITIATOR_TO_RESPONDER, len(payload))
             await transport.send(payload)
             reply = None
             if expects_reply(request):
                 reply_payload = await transport.recv()
                 stats.record_raw(RESPONDER_TO_INITIATOR, len(reply_payload))
-                reply = decode_message(reply_payload, profiler)
+                reply = decode_message(reply_payload)
             request = resume(initiator, reply)
     finally:
         initiator.close()
@@ -87,8 +85,7 @@ async def run_session(protocol: Protocol, node: VegvisirNode, transport,
 
 
 async def serve_connection(node: VegvisirNode, transport,
-                           on_blocks: Optional[BlockSink] = None,
-                           profiler=None) -> None:
+                           on_blocks: Optional[BlockSink] = None) -> None:
     """Serve reconciliation requests on one connection until it drops.
 
     Malformed traffic gets one ``error`` frame (best effort) and the
@@ -99,7 +96,7 @@ async def serve_connection(node: VegvisirNode, transport,
     merge that adds a block — the hook LiveNode uses to persist what a
     push batch merged.
     """
-    responder = LiveResponder(node, on_blocks=on_blocks, profiler=profiler)
+    responder = LiveResponder(node, on_blocks=on_blocks)
     while True:
         try:
             payload = await transport.recv()
@@ -109,7 +106,7 @@ async def serve_connection(node: VegvisirNode, transport,
             await transport.close()
             return
         try:
-            reply = responder.handle(decode_message(payload, profiler))
+            reply = responder.handle(decode_message(payload))
         except ReconcileError as exc:
             try:
                 await transport.send(wire.encode(error_message(str(exc))))
@@ -119,7 +116,7 @@ async def serve_connection(node: VegvisirNode, transport,
             return
         if reply is not None:
             try:
-                await transport.send(encode_message(reply, profiler))
+                await transport.send(encode_message(reply))
             except TransportClosed:
                 return
             except wire.WireError:

@@ -26,7 +26,6 @@ import asyncio
 from collections import deque
 from typing import Callable, Optional, Tuple
 
-from repro.obs.profiling import PHASE_FRAME_IO, maybe_phase
 from repro.wire.framing import (
     FrameDecoder,
     FrameError,
@@ -59,10 +58,6 @@ class FrameTransport:
         #: Optional observer of every payload: ``tap(direction, payload)``
         #: with direction ``"send"`` or ``"recv"``.
         self.tap: Optional[Callable[[str, bytes], None]] = None
-        #: Optional :class:`~repro.obs.profiling.PhaseProfiler`; when
-        #: set, framing work is timed under the ``frame_io`` phase
-        #: (units = frame bytes).  Idle waiting is never counted.
-        self.profiler = None
         self._closed = False
         self._closed_event = asyncio.Event()
 
@@ -124,12 +119,10 @@ class StreamTransport(FrameTransport):
     async def send(self, payload: bytes) -> None:
         if self._closed:
             raise TransportClosed(f"{self.label}: send on closed transport")
-        with maybe_phase(self.profiler, PHASE_FRAME_IO) as ph:
-            if not isinstance(payload, bytes):
-                payload = bytes(payload)
-            header = frame_header(len(payload), self._max_frame_bytes)
-            frame_len = LENGTH_BYTES + len(payload)
-            ph.units += frame_len
+        if not isinstance(payload, bytes):
+            payload = bytes(payload)
+        header = frame_header(len(payload), self._max_frame_bytes)
+        frame_len = LENGTH_BYTES + len(payload)
         try:
             # One write per frame.  A selector transport with an empty
             # buffer sends each write() at once, with TCP_NODELAY set:
@@ -160,9 +153,7 @@ class StreamTransport(FrameTransport):
                 self._mark_closed()
                 raise TransportClosed(f"{self.label}: stream ended")
             try:
-                with maybe_phase(self.profiler, PHASE_FRAME_IO) as ph:
-                    self._ready.extend(self._decoder.feed(data))
-                    ph.units += len(data)
+                self._ready.extend(self._decoder.feed(data))
             except FrameError as exc:
                 # An oversize or garbled frame poisons the stream: there
                 # is no way to resynchronise, so the connection dies.
@@ -224,11 +215,9 @@ class LoopbackTransport(FrameTransport):
         peer = self._peer
         if self._closed or peer is None or peer._closed:
             raise TransportClosed(f"{self.label}: send on closed transport")
-        with maybe_phase(self.profiler, PHASE_FRAME_IO) as ph:
-            frame = encode_frame(payload, self._max_frame_bytes)
-            for received in peer._decoder.feed(frame):
-                peer._inbox.append(received)
-            ph.units += len(frame)
+        frame = encode_frame(payload, self._max_frame_bytes)
+        for received in peer._decoder.feed(frame):
+            peer._inbox.append(received)
         peer._arrival.set()
         self._account_send(payload, len(frame))
 

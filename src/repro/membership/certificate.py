@@ -84,16 +84,22 @@ class Certificate:
 
     @classmethod
     def from_wire(cls, value: Any) -> "Certificate":
-        """Parse a wire map; raises :class:`CertificateError` on bad shape."""
+        """Parse a wire map; raises :class:`CertificateError` on bad shape.
+
+        Key and signature are taken only as ``bytes``: coercing a wire
+        integer would allocate that many bytes before any check.
+        """
         if not isinstance(value, dict):
             raise CertificateError("certificate must be a map")
         try:
-            public_key = PublicKey(value["public_key"])
+            key, signature = value["public_key"], value["signature"]
+            if not isinstance(key, bytes) or not isinstance(signature, bytes):
+                raise CertificateError("key and signature must be bytes")
             return cls(
-                public_key=public_key,
+                public_key=PublicKey(key),
                 role=value["role"],
                 issued_at=value["issued_at"],
-                signature=value["signature"],
+                signature=signature,
             )
         except (KeyError, TypeError, ValueError, SignatureError) as exc:
             raise CertificateError(f"malformed certificate: {exc}") from exc

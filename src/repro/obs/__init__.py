@@ -13,16 +13,13 @@ Three dependency-free pieces:
   success rates, per-protocol byte breakdowns, and block propagation
   timelines.
 
-Three more pieces serve the **live** fleet:
+Two more pieces serve the **live** fleet:
 
 * :mod:`repro.obs.live` — the per-node HTTP ops endpoint
-  (``/metrics``, ``/healthz``, ``/status``, ``/profile``);
+  (``/metrics``, ``/healthz``, ``/status``);
 * :mod:`repro.obs.merge` — the causal cross-node trace merger behind
   ``vegvisir trace-merge`` (happens-before stitching with pairwise
-  clock-skew estimation, zero wire bytes added);
-* :mod:`repro.obs.profiling` — per-phase wall/CPU timers for the live
-  hot path (verify, codec, frame I/O, session drive) reporting
-  verify/s and codec MB/s.
+  clock-skew estimation, zero wire bytes added).
 
 There is one way in: whoever builds a component hands it an
 :class:`Observability` as ``obs=`` (default ``None``).
@@ -59,7 +56,6 @@ from repro.obs.trace import (
 )
 from repro.obs.live import OpsError, OpsServer
 from repro.obs.merge import MergeResult, NodeTrace, merge_traces
-from repro.obs.profiling import PhaseProfiler, maybe_phase
 
 
 class Observability:
@@ -103,11 +99,9 @@ __all__ = [
     "Observability",
     "OpsError",
     "OpsServer",
-    "PhaseProfiler",
     "RingBufferSink",
     "TraceBus",
     "TraceEvent",
-    "maybe_phase",
     "merge_traces",
     "read_jsonl",
     "read_jsonl_lenient",

@@ -14,9 +14,7 @@ Routes (``GET`` or ``HEAD``):
   format (``text/plain; version=0.0.4``);
 * ``/status``  — a JSON snapshot from the ``status`` callable: node id,
   chain, frontier digest, connected peers, discovery summary, session
-  counters (what ``vegvisir top`` renders);
-* ``/profile`` — the :class:`~repro.obs.profiling.PhaseProfiler`
-  report as JSON, when profiling is enabled (404 otherwise).
+  counters (what ``vegvisir top`` renders).
 
 The HTTP itself — bounded parsing, keep-alive, the request deadline,
 every 4xx — is :mod:`repro.httpd`, shared with the client gateway; this
@@ -46,8 +44,7 @@ class OpsServer(HttpServer):
 
     *registry* is a :class:`~repro.obs.metrics.MetricsRegistry` (or
     ``None`` to 404 ``/metrics``); *status* is a zero-argument callable
-    returning a JSON-serialisable dict; *profiler* is an optional
-    :class:`~repro.obs.profiling.PhaseProfiler`.
+    returning a JSON-serialisable dict (or ``None`` to 404 ``/status``).
     """
 
     def __init__(
@@ -55,7 +52,6 @@ class OpsServer(HttpServer):
         *,
         registry=None,
         status: Optional[Callable[[], dict]] = None,
-        profiler=None,
         host: str = "127.0.0.1",
         port: int = 0,
     ):
@@ -69,10 +65,6 @@ class OpsServer(HttpServer):
         if status is not None:
             routes["/status"] = lambda: json_response(
                 200, status(), indent=2
-            )
-        if profiler is not None:
-            routes["/profile"] = lambda: json_response(
-                200, profiler.report(), indent=2
             )
         self.routes = tuple(
             Route(path, GET, handler) for path, handler in routes.items()

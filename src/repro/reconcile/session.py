@@ -42,7 +42,6 @@ from repro.chain.errors import (
 )
 from repro.core.node import VegvisirNode
 from repro.crypto.sha import DIGEST_SIZE, Hash
-from repro.obs.profiling import PHASE_CODEC, PHASE_VERIFY, maybe_phase
 from repro.reconcile.stats import ReconcileStats
 
 #: Called with each batch of blocks newly merged into the local replica
@@ -244,19 +243,13 @@ def lift(decoded) -> dict:
     return decoded
 
 
-def encode_message(message: dict, profiler=None) -> bytes:
-    wire_map = lower(message)
-    with maybe_phase(profiler, PHASE_CODEC) as ph:
-        payload = wire.encode(wire_map)
-        ph.units += len(payload)
-    return payload
+def encode_message(message: dict) -> bytes:
+    return wire.encode(lower(message))
 
 
-def decode_message(payload: bytes, profiler=None) -> dict:
+def decode_message(payload: bytes) -> dict:
     try:
-        with maybe_phase(profiler, PHASE_CODEC) as ph:
-            decoded = wire.decode(payload)
-            ph.units += len(payload)
+        decoded = wire.decode(payload)
     except wire.DecodeError as exc:
         raise ReconcileError(f"undecodable message: {exc}") from exc
     return lift(decoded)
@@ -267,21 +260,17 @@ def decode_message(payload: bytes, profiler=None) -> dict:
 
 class SessionSide:
     """One replica's half of a session: its node, the stats it charges,
-    and the optional persistence / profiling hooks (``None`` in the
-    simulator)."""
+    and the optional persistence hook (``None`` in the simulator)."""
 
     def __init__(self, node: VegvisirNode, stats: ReconcileStats,
-                 on_blocks: Optional[BlockSink] = None, profiler=None):
+                 on_blocks: Optional[BlockSink] = None):
         self.node = node
         self.stats = stats
         self._on_blocks = on_blocks
-        self._profiler = profiler
 
     def merge(self, blocks: Iterable[Block]) -> MergeResult:
         """``merge_blocks`` into this side's replica, charged and hooked."""
-        with maybe_phase(self._profiler, PHASE_VERIFY) as ph:
-            merged = merge_blocks(self.node, blocks)
-            ph.units += len(merged.added)
+        merged = merge_blocks(self.node, blocks)
         self.stats.duplicate_blocks += merged.duplicates
         self.stats.invalid_blocks += merged.invalid
         if self._on_blocks is not None and merged.added:
@@ -332,10 +321,10 @@ class Responder(SessionSide):
 
     def __init__(self, node: VegvisirNode,
                  stats: Optional[ReconcileStats] = None,
-                 on_blocks: Optional[BlockSink] = None, profiler=None):
+                 on_blocks: Optional[BlockSink] = None):
         if stats is None:
             stats = ReconcileStats("responder")
-        super().__init__(node, stats, on_blocks, profiler)
+        super().__init__(node, stats, on_blocks)
 
     def handle(self, message: dict) -> Optional[dict]:
         kind = message["type"]

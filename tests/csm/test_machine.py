@@ -1,6 +1,8 @@
 """CRDT state machine tests: genesis bootstrap, transaction verdicts,
 permissions, and membership dynamics."""
 
+import tracemalloc
+
 import pytest
 
 from repro.chain.block import Block, Transaction, USERS_CRDT_NAME
@@ -68,6 +70,30 @@ class TestTransactionVerdicts:
         outcomes = node.csm.outcomes(block.hash)
         assert not outcomes[0].applied
         assert "no CRDT" in outcomes[0].reason
+
+    def test_certificate_with_integer_signature_is_a_bad_certificate(
+            self, deployment):
+        """A wire integer where the signature belongs is refused at the
+        parse, before it becomes a buffer of that many bytes."""
+        node = deployment.node(0)
+        newcomer = KeyPair.deterministic(701)
+        tracemalloc.start()
+        try:
+            block = node.append_transactions([Transaction(
+                USERS_CRDT_NAME, "add", [{
+                    "issued_at": 1,
+                    "public_key": newcomer.public_key.data,
+                    "role": "medic",
+                    "signature": 50_000_000,
+                }],
+            )])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outcome = node.csm.outcomes(block.hash)[0]
+        assert not outcome.applied
+        assert outcome.reason.startswith("bad certificate")
+        assert peak < 1_000_000
 
     def test_invalid_op_rejected(self, deployment):
         node = deployment.node(0)

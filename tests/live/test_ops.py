@@ -8,7 +8,6 @@ import time
 from repro.live import LiveNode, PeerSpec
 from repro.obs import JsonlFileSink, Observability
 from repro.obs.merge import NodeTrace, merge_traces
-from repro.obs.profiling import PhaseProfiler
 
 from tests.conftest import Deployment
 from tests.obs.test_metrics import assert_valid_exposition
@@ -268,33 +267,6 @@ class TestLiveOps:
         # Determinism: reversed input order, byte-identical output.
         again = merge_traces(list(reversed(traces)))
         assert again.to_jsonl() == result.to_jsonl()
-
-    def test_profiler_populates_hot_path_phases(self, tmp_path):
-        deployment = Deployment()
-        profiler = PhaseProfiler()
-
-        async def scenario():
-            a = _make_node(deployment, tmp_path, 0, profiler=profiler)
-            b = _make_node(deployment, tmp_path, 1)
-            await a.start()
-            await b.start()
-            a.add_peer(PeerSpec("n1", "127.0.0.1", b.listen_port))
-            b.append_transactions([])
-            try:
-                assert await _await_convergence([a, b], expect_blocks=2)
-            finally:
-                await a.stop()
-                await b.stop()
-
-        asyncio.run(scenario())
-        report = profiler.report()
-        for phase in ("verify", "codec", "frame_io", "session"):
-            assert phase in report["phases"], report
-            assert report["phases"][phase]["calls"] > 0
-        assert report["phases"]["verify"]["units"] >= 1
-        assert report["phases"]["codec"]["units"] > 0
-        assert "verify_per_s" in report
-        assert "codec_mb_per_s" in report
 
     def test_block_events_carry_origin_attribution(self, tmp_path):
         from repro.obs import RingBufferSink

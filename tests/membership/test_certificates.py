@@ -1,5 +1,7 @@
 """Certificate and CA tests."""
 
+import tracemalloc
+
 import pytest
 
 from repro.crypto.keys import KeyPair
@@ -120,6 +122,28 @@ class TestWireFormat:
         wire_form["public_key"] = b"short"
         with pytest.raises(CertificateError):
             Certificate.from_wire(wire_form)
+
+    @pytest.mark.parametrize("field,value", [
+        ("public_key", 50_000_000),
+        ("signature", 50_000_000),
+        ("public_key", list(range(32))),
+        ("signature", list(range(64))),
+    ])
+    def test_byte_field_that_is_not_bytes_rejected(
+            self, authority, member_key, field, value):
+        """``bytes(50_000_000)`` is 50 MB of zeros, and a list of ints
+        is a second wire form of the same certificate: key and
+        signature are refused unless they are ``bytes`` as decoded."""
+        wire_form = authority.issue(member_key.public_key, "medic").to_wire()
+        wire_form[field] = value
+        tracemalloc.start()
+        try:
+            with pytest.raises(CertificateError):
+                Certificate.from_wire(wire_form)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestRoles:

@@ -415,6 +415,7 @@ class TestServeOps:
     def test_serve_with_ops_profile_and_trace(self, tmp_path, capsys,
                                               self_stopping):
         import json
+        import pstats
 
         key = tmp_path / "owner.key"
         main(["keygen", str(key)])
@@ -426,13 +427,13 @@ class TestServeOps:
         dump = tmp_path / "serve.prof"
         code = main(["serve", str(store), "--key", str(key),
                      "--name", "ops-node", "--ops-port", "0",
-                     "--profile", "--profile-dump", str(dump),
+                     "--profile-dump", str(dump),
                      "--trace", str(trace)])
         assert code == 0
         out = capsys.readouterr().out
         assert "ops endpoint on http://127.0.0.1:" in out
-        assert "profile:" in out
-        assert dump.exists()
+        assert f"cProfile stats written to {dump}" in out
+        assert pstats.Stats(str(dump)).total_calls > 0
         # The live trace is wall-clock stamped and carries the node id
         # (what trace-merge keys on).
         events = [
@@ -688,6 +689,14 @@ ERROR_ROWS = {
     "gateway, retired delta protocol": (
         lambda c: ["gateway", c.store, "--key", c.key,
                    "--protocol", "delta"], RETIRED_PROTOCOL),
+    # `--profile-dump` is the one profiler; exact flags only, so the
+    # retired `--profile` is not taken for it.
+    "serve, retired --profile": (
+        lambda c: ["serve", c.store, "--key", c.key, "--profile"],
+        "unrecognized arguments: --profile"),
+    "gateway, retired --profile": (
+        lambda c: ["gateway", c.store, "--key", c.key, "--profile"],
+        "unrecognized arguments: --profile"),
     "gateway, bad --chain": (
         lambda c: ["gateway", c.store, "--key", c.key, "--chain", "nocolon"],
         "expected STORE:KEYPATH"),
