@@ -26,6 +26,7 @@ def main(argv=None) -> int:
         prog="python -m benchmarks.protocols.chaos",
         description="Run the chaos invariant harness with a study "
                     "protocol; other flags go to python -m repro.faults.",
+        allow_abbrev=False,
     )
     parser.add_argument("--protocol", required=True,
                         choices=sorted(PROTOCOLS))

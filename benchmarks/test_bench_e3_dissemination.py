@@ -13,10 +13,10 @@ gracefully — not catastrophically — with 10-30% contact loss.
 from __future__ import annotations
 
 from repro.net.links import LinkModel
-from repro.net.traces import TraceTopology, synthetic_encounter_trace
 from repro.sim import Scenario, Simulation
 
 from benchmarks.bench_util import Table
+from benchmarks.traces import TraceTopology, synthetic_encounter_trace
 
 
 def _trace_factory(node_count):

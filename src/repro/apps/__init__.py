@@ -13,23 +13,11 @@
 from repro.apps.agriculture import ProvenanceLedger
 from repro.apps.health import HealthAccessLedger, RecordVault
 from repro.apps.maritime import BlackBoxRecorder, recover_voyage_log
-from repro.apps.privacy import (
-    PolicyEngine,
-    declare_emergency,
-    grant_consent,
-    setup_policy_crdts,
-    withdraw_consent,
-)
 
 __all__ = [
     "BlackBoxRecorder",
     "HealthAccessLedger",
-    "PolicyEngine",
     "ProvenanceLedger",
     "RecordVault",
-    "declare_emergency",
-    "grant_consent",
     "recover_voyage_log",
-    "setup_policy_crdts",
-    "withdraw_consent",
 ]

@@ -721,46 +721,53 @@ def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser with all subcommands."""
     from repro import __version__
 
+    # Flags match exactly, on every command: a retired flag that
+    # prefixes a live one (``--profile``, ``--profile-dump``) is
+    # refused, not taken for it.
     parser = argparse.ArgumentParser(
         prog="vegvisir",
         description="Vegvisir: a partition-tolerant blockchain for IoT",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    keygen = commands.add_parser("keygen", help="generate a key seed file")
+    def command(name: str, **kwargs) -> argparse.ArgumentParser:
+        return commands.add_parser(name, allow_abbrev=False, **kwargs)
+
+    keygen = command("keygen", help="generate a key seed file")
     keygen.add_argument("path")
     keygen.add_argument("--force", action="store_true")
     keygen.set_defaults(func=_cmd_keygen)
 
-    init = commands.add_parser("init", help="create a new chain")
+    init = command("init", help="create a new chain")
     init.add_argument("store")
     init.add_argument("--owner-key", required=True)
     init.add_argument("--name", default="vegvisir")
     init.set_defaults(func=_cmd_init)
 
-    inspect = commands.add_parser("inspect", help="summarize a chain store")
+    inspect = command("inspect", help="summarize a chain store")
     inspect.add_argument("store")
     inspect.add_argument("--dag", action="store_true",
                          help="render the block DAG as ASCII")
     inspect.set_defaults(func=_cmd_inspect)
 
-    verify = commands.add_parser(
+    verify = command(
         "verify", help="fully validate every block in a store"
     )
     verify.add_argument("store")
     verify.set_defaults(func=_cmd_verify)
 
-    export = commands.add_parser(
+    export = command(
         "export", help="print CRDT values from a store as JSON"
     )
     export.add_argument("store")
     export.add_argument("--crdt", help="export a single CRDT by name")
     export.set_defaults(func=_cmd_export)
 
-    simulate = commands.add_parser("simulate", help="run a gossip fleet")
+    simulate = command("simulate", help="run a gossip fleet")
     simulate.add_argument("--scenario", choices=["default", "city"],
                           default="default",
                           help="'city' runs the 10k-node heterogeneous-"
@@ -794,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_arguments(simulate)
     simulate.set_defaults(func=_cmd_simulate)
 
-    analyze = commands.add_parser(
+    analyze = command(
         "analyze", help="summarize a JSONL trace from simulate --trace"
     )
     analyze.add_argument("trace")
@@ -802,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the analysis as JSON")
     analyze.set_defaults(func=_cmd_analyze)
 
-    trace_merge = commands.add_parser(
+    trace_merge = command(
         "trace-merge",
         help="merge per-node live traces into one causal timeline",
     )
@@ -814,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="emit the merge summary as JSON")
     trace_merge.set_defaults(func=_cmd_trace_merge)
 
-    top = commands.add_parser(
+    top = command(
         "top", help="poll /status across a cluster's ops endpoints"
     )
     top.add_argument("target", nargs="+", metavar="HOST:PORT",
@@ -825,19 +832,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-request timeout in seconds")
     top.set_defaults(func=_cmd_top)
 
-    # Node flags match exactly: a retired flag that prefixes a live one
-    # (``--profile``, ``--profile-dump``) is refused, not taken for it.
-    serve = commands.add_parser(
-        "serve", help="run a live node over TCP until interrupted",
-        allow_abbrev=False,
-    )
+    serve = command("serve", help="run a live node over TCP until interrupted")
     _add_node_arguments(serve)
     serve.set_defaults(func=_cmd_serve)
 
-    gateway = commands.add_parser(
+    gateway = command(
         "gateway", help="serve, plus the HTTP/WebSocket client plane "
                         "in front of the replica",
-        allow_abbrev=False,
     )
     _add_node_arguments(gateway)
     gateway.add_argument("--chain", action="append", default=[],
@@ -872,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "beyond it the oldest is shed with a 429")
     gateway.set_defaults(func=_cmd_gateway)
 
-    loadgen = commands.add_parser(
+    loadgen = command(
         "loadgen", help="open-loop Poisson load against a gateway"
     )
     loadgen.add_argument("--host", default="127.0.0.1")
@@ -898,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="arrival-schedule RNG seed")
     loadgen.set_defaults(func=_cmd_loadgen)
 
-    demo = commands.add_parser("demo", help="run the quickstart scenario")
+    demo = command("demo", help="run the quickstart scenario")
     demo.set_defaults(func=_cmd_demo)
     return parser
 

@@ -36,7 +36,6 @@ from repro.crdt.orset import ORSet
 from repro.crdt.registers import LWWRegister, MVRegister
 from repro.crdt.schema import Permissions, Schema, check_type, validate_spec
 from repro.crdt.sequence import RGASequence
-from repro.crdt.snapshot import SnapshotError, dump_state, restore_crdt
 from repro.crdt.twophase import TwoPhaseSet
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "OpContext",
     "PNCounter",
     "Permissions",
-    "SnapshotError",
     "RGASequence",
     "Schema",
     "TwoPTwoPGraph",
@@ -64,8 +62,6 @@ __all__ = [
     "check_type",
     "crdt_type",
     "crdt_type_names",
-    "dump_state",
     "register_crdt_type",
-    "restore_crdt",
     "validate_spec",
 ]

@@ -12,12 +12,6 @@ have seen, so all replicas reach identical verdicts and identical state
 no matter which topological order blocks arrive in.
 """
 
-from repro.csm.checkpoint import (
-    checkpoint_bytes,
-    dump_checkpoint,
-    restore_checkpoint,
-    restore_checkpoint_bytes,
-)
 from repro.csm.errors import CSMError
 from repro.csm.machine import CSMachine, TxOutcome
 from repro.csm.permissions import ChainPolicy, DefaultPolicy
@@ -28,8 +22,4 @@ __all__ = [
     "ChainPolicy",
     "DefaultPolicy",
     "TxOutcome",
-    "checkpoint_bytes",
-    "dump_checkpoint",
-    "restore_checkpoint",
-    "restore_checkpoint_bytes",
 ]

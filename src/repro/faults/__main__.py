@@ -26,6 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults",
         description="Run the chaos invariant harness.",
+        allow_abbrev=False,
     )
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument(

@@ -28,6 +28,7 @@ import asyncio
 import math
 from typing import Optional, TYPE_CHECKING
 
+from repro import wire
 from repro.chain.errors import MalformedBlockError
 from repro.chain.block import Transaction
 from repro.crypto.sha import Hash
@@ -144,6 +145,12 @@ class GatewayServer(HttpServer):
             tx = Transaction(payload.get("crdt"), payload.get("op"), args)
         except MalformedBlockError as exc:
             raise HttpError(400, str(exc)) from exc
+        # What the block encoder would refuse (a float, a list nested
+        # past the stack) fails this client here, not its whole batch.
+        try:
+            wire.encode(args)
+        except (wire.EncodeError, RecursionError) as exc:
+            raise HttpError(400, f"args are not wire-encodable: {exc}") from exc
         loop = asyncio.get_running_loop()
         start = loop.time()
         future = host.batcher.submit(tx)

@@ -87,7 +87,7 @@ class FrameParser:
         self._buffer = bytearray()
         self._max_message = max_message
         self._require_mask = require_mask
-        self._fragments: list[bytes] = []
+        self._message = bytearray()
         self._fragment_opcode: Optional[int] = None
 
     def feed(self, data: bytes) -> list[tuple[int, bytes]]:
@@ -106,19 +106,16 @@ class FrameParser:
             if opcode == OP_CONT:
                 if self._fragment_opcode is None:
                     raise WebSocketError("continuation without a start")
-                self._fragments.append(payload)
             else:
                 if self._fragment_opcode is not None:
                     raise WebSocketError("interleaved data fragments")
                 self._fragment_opcode = opcode
-                self._fragments = [payload]
-            if sum(len(part) for part in self._fragments) > self._max_message:
+            if len(self._message) + len(payload) > self._max_message:
                 raise WebSocketError("message too large")
+            self._message += payload
             if fin:
-                messages.append(
-                    (self._fragment_opcode, b"".join(self._fragments))
-                )
-                self._fragments = []
+                messages.append((self._fragment_opcode, bytes(self._message)))
+                self._message.clear()
                 self._fragment_opcode = None
 
     def _next_frame(self) -> Optional[tuple[bool, int, bytes]]:

@@ -101,7 +101,8 @@ class Request:
             raise HttpError(400, "request body must be JSON")
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
+        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+            # RecursionError: a body nested past the decoder's stack.
             raise HttpError(400, f"malformed JSON body: {exc}") from exc
 
     def __repr__(self) -> str:

@@ -24,7 +24,6 @@ from repro.net.mobility import (
 )
 from repro.net.partitions import PartitionSchedule, PartitionedTopology
 from repro.net.spatial import NeighborIndex
-from repro.net.traces import Contact, TraceTopology, synthetic_encounter_trace
 from repro.net.topology import (
     FullMeshTopology,
     GeometricTopology,
@@ -33,7 +32,6 @@ from repro.net.topology import (
 )
 
 __all__ = [
-    "Contact",
     "EventLoop",
     "FullMeshTopology",
     "GeometricTopology",
@@ -47,6 +45,4 @@ __all__ = [
     "StaticPlacement",
     "StaticTopology",
     "Topology",
-    "TraceTopology",
-    "synthetic_encounter_trace",
 ]

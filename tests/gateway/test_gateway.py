@@ -179,6 +179,83 @@ class TestSubmitPath:
             assert status == 400
             assert "error" in body
 
+    def test_unencodable_args_fail_only_their_client(self, deployment,
+                                                     tmp_path):
+        """A float in ``args`` is valid JSON but not wire-encodable: it
+        gets a 400 at admission, and the three good transactions that
+        would have shared its block are applied."""
+        async def scenario():
+            gateway = make_gateway(
+                deployment, tmp_path, max_batch=8, max_delay_s=0.5
+            )
+            await gateway.start()
+            create_ledger(gateway)
+            clients = [
+                GatewayClient("127.0.0.1", gateway.http_port)
+                for _ in range(4)
+            ]
+            bodies = [
+                {"crdt": "ledger", "op": "append", "args": ["g0"]},
+                {"crdt": "ledger", "op": "append", "args": [1.5]},
+                {"crdt": "ledger", "op": "append", "args": ["g1"]},
+                {"crdt": "ledger", "op": "append", "args": ["g2"]},
+            ]
+            try:
+                # The opener's cut starts the hold-off that gathers the
+                # next four into one batch.
+                await clients[0].request(
+                    "POST", "/v1/tx",
+                    body={"crdt": "ledger", "op": "append",
+                          "args": ["opener"]},
+                )
+                results = await asyncio.gather(*[
+                    client.request("POST", "/v1/tx", body=body,
+                                   headers={"X-Client-Id": f"c{i}"})
+                    for i, (client, body) in enumerate(zip(clients, bodies))
+                ])
+                _, _, state = await clients[0].request(
+                    "GET", "/v1/state/ledger"
+                )
+            finally:
+                for client in clients:
+                    await client.close()
+                await gateway.stop()
+            return results, state
+
+        results, state = asyncio.run(scenario())
+        bad_status, _, bad_body = results.pop(1)
+        assert bad_status == 400 and "wire-encodable" in bad_body["error"]
+        assert [status for status, _, _ in results] == [200, 200, 200]
+        good = [body for _, _, body in results]
+        assert all(body["applied"] for body in good)
+        assert len({body["block"] for body in good}) == 1
+        assert good[0]["batch_size"] == 3
+        assert sorted(state["value"]) == ["g0", "g1", "g2", "opener"]
+
+    def test_deeply_nested_body_gets_400(self, deployment, tmp_path):
+        """JSON nested past the decoder's stack is a malformed body
+        (400), not a handler failure (500)."""
+        async def scenario():
+            gateway = make_gateway(deployment, tmp_path)
+            await gateway.start()
+            body = b"[" * 100_000 + b"]" * 100_000
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", gateway.http_port
+                )
+                writer.write(
+                    b"POST /v1/tx HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(body) + body
+                )
+                await writer.drain()
+                status_line = await asyncio.wait_for(reader.readline(), 5.0)
+                writer.close()
+            finally:
+                await gateway.stop()
+            return status_line
+
+        assert asyncio.run(scenario()).split()[1] == b"400"
+
     def test_get_block_and_404s(self, deployment, tmp_path):
         async def scenario():
             gateway = make_gateway(deployment, tmp_path)

@@ -1,6 +1,8 @@
 """RFC 6455 codec: handshake vector, frames, fragmentation, bounds."""
 
 import struct
+import time
+import tracemalloc
 
 import pytest
 
@@ -120,6 +122,34 @@ class TestProtocolViolations:
         second = ws.mask_frame(ws.OP_CONT, b"b" * 10, b"abcd")
         with pytest.raises(ws.WebSocketError, match="large"):
             parser.feed(second)
+
+    def test_empty_continuations_parse_in_linear_time(self):
+        """Each empty continuation frame costs the same however many
+        came before it: 60 006 bytes take well under 0.2 s of CPU and
+        1 MB of memory, not the seconds a per-frame re-count took."""
+        stream = ws.mask_frame(ws.OP_TEXT, b"", b"abcd", fin=False)
+        stream += ws.mask_frame(ws.OP_CONT, b"", b"abcd", fin=False) * 9_999
+        stream += ws.mask_frame(ws.OP_CONT, b"", b"abcd")
+        assert len(stream) == 60_006
+
+        def feed_all():
+            parser, messages = ws.FrameParser(), []
+            for offset in range(0, len(stream), 4096):
+                messages += parser.feed(stream[offset:offset + 4096])
+            return messages
+
+        # CPU untraced (tracemalloc alone costs more than the parse),
+        # then the memory peak on a second parse.
+        started = time.process_time()
+        assert feed_all() == [(ws.OP_TEXT, b"")]
+        assert time.process_time() - started < 0.2
+        tracemalloc.start()
+        try:
+            feed_all()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_bad_mask_length_rejected(self):
         with pytest.raises(ws.WebSocketError, match="mask"):

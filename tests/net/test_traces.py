@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.traces import (
+from benchmarks.traces import (
     Contact,
     TraceTopology,
     synthetic_encounter_trace,

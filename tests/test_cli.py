@@ -235,6 +235,57 @@ class TestParser:
         assert __version__ == match.group(1)
 
 
+# One abbreviated flag per command: each prefixes exactly one real
+# flag, so an abbreviating parser would take it for that flag.
+ABBREVIATED = {
+    "keygen": (["keygen", "k", "--forc"], ["--forc"]),
+    "init": (["init", "c.vgv", "--owner-key", "k", "--nam", "x"], ["--nam", "x"]),
+    "inspect": (["inspect", "c.vgv", "--da"], ["--da"]),
+    "verify": (["verify", "c.vgv", "--hel"], ["--hel"]),
+    "export": (["export", "c.vgv", "--crd", "x"], ["--crd", "x"]),
+    "simulate": (["simulate", "--node", "2", "--dur", "200"],
+                 ["--node", "2", "--dur", "200"]),
+    "analyze": (["analyze", "t.jsonl", "--js"], ["--js"]),
+    "trace-merge": (["trace-merge", "t.jsonl", "--ou", "m.jsonl"],
+                    ["--ou", "m.jsonl"]),
+    "top": (["top", "127.0.0.1:1", "--wat", "1"], ["--wat", "1"]),
+    "serve": (["serve", "c.vgv", "--key", "k", "--inter", "1"], ["--inter", "1"]),
+    "gateway": (["gateway", "c.vgv", "--key", "k", "--http-p", "0"],
+                ["--http-p", "0"]),
+    "loadgen": (["loadgen", "--port", "1", "--rat", "5"], ["--rat", "5"]),
+    "demo": (["demo", "--hel"], ["--hel"]),
+}
+
+
+def test_abbreviation_table_covers_every_command():
+    import argparse
+
+    from repro.cli import build_parser
+
+    (commands,) = (action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert sorted(commands.choices) == sorted(ABBREVIATED)
+
+
+@pytest.mark.parametrize("command", ABBREVIATED)
+def test_abbreviated_flag_is_unrecognized(command):
+    """`simulate --node 2` is not `--nodes 2`: a prefix of a real flag
+    is an unrecognized argument, which `main` turns into its one error
+    line."""
+    from repro.cli import build_parser
+
+    argv, refused = ABBREVIATED[command]
+    _, unknown = build_parser().parse_known_args(argv)
+    assert unknown == refused
+
+
+def test_faults_main_refuses_abbreviated_flags():
+    from repro.faults.__main__ import build_parser
+
+    _, unknown = build_parser().parse_known_args(["--seeds", "0", "--node", "3"])
+    assert unknown == ["--node", "3"]
+
+
 class TestServe:
     def _keyfile(self, tmp_path, seed=b"\x07" * 32):
         key = tmp_path / "node.key"
