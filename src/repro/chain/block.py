@@ -26,6 +26,28 @@ CRDTS_CRDT_NAME = "__crdts__"
 MAX_PARENTS = 64
 MAX_TRANSACTIONS = 1024
 MAX_ARG_BYTES = 64 * 1024
+#: Levels of nesting a transaction's args may use, args itself being
+#: one: ``[]`` is 1, ``[0]`` and ``[[]]`` are 2.  In a ``blocks`` or
+#: ``push_blocks`` message args sit under five containers (message map,
+#: block list, block map, transaction list, transaction map), so the
+#: deepest value of the deepest legal args is the deepest
+#: ``wire.decode`` reads, and every block can travel.
+MAX_ARG_DEPTH = wire.MAX_DEPTH - 4
+_CONTAINERS = (list, tuple, dict)
+
+
+def _nests_within(values, levels: int) -> bool:
+    """Whether *values*, a container's items, and all they hold fit in
+    *levels* levels."""
+    if levels < 1:
+        return not values
+    for value in values:
+        if isinstance(value, _CONTAINERS) and not _nests_within(
+            value.values() if isinstance(value, dict) else value,
+            levels - 1,
+        ):
+            return False
+    return True
 
 
 class Transaction:
@@ -41,6 +63,10 @@ class Transaction:
         self.crdt_name = crdt_name
         self.op = op
         self.args = list(args)
+        if not _nests_within(self.args, MAX_ARG_DEPTH - 1):
+            raise MalformedBlockError(
+                f"transaction args nest deeper than {MAX_ARG_DEPTH} levels"
+            )
 
     def to_wire(self) -> dict:
         return {"crdt": self.crdt_name, "op": self.op, "args": self.args}

@@ -154,16 +154,23 @@ class GatewayServer(HttpServer):
         loop = asyncio.get_running_loop()
         start = loop.time()
         future = host.batcher.submit(tx)
+        # The deadline cancels the future, which is awaited directly: the
+        # answer goes out in the loop turn after the cut, before the
+        # replica pushes the block (``wait_for`` on Python 3.11 hands the
+        # result back one turn later, behind the push).
+        deadline = loop.call_later(self._node.submit_timeout_s, future.cancel)
         try:
-            result = await asyncio.wait_for(
-                future, self._node.submit_timeout_s
-            )
+            result = await future
         except ShedError as exc:
             return self._retry_later("shed", exc.retry_after_s)
         except BatcherClosed:
             return json_response(503, {"error": "gateway stopping"})
-        except (asyncio.TimeoutError, TimeoutError):
+        except asyncio.CancelledError:
+            if loop.time() < deadline.when():
+                raise
             return json_response(503, {"error": "submit timed out"})
+        finally:
+            deadline.cancel()
         latency_ms = (loop.time() - start) * 1000.0
         self._node.observe_submit_latency(latency_ms)
         return json_response(200, {

@@ -20,9 +20,11 @@ difference against (``ReconcileStats.held``).  A local write
 (:meth:`AntiEntropyLoop.notify_write`) wakes one pusher per connected
 peer: a peer with such a frontier is sent what lies above it, as a
 one-way ``push_blocks`` session — the push half of a session without
-the pull in front.  Pushes to one peer are at least
-:data:`PUSH_HOLD_OFF_S` apart and writes in between ride the next one;
-a stalled peer holds up no other peer's.  Received blocks wake nothing
+the pull in front.  A woken pusher yields one loop turn, so the
+writer's caller runs first, then pushes at once; writes that land
+while a push or session holds the peer's connection ride the next one,
+so a peer has at most one push in flight and no timer sets the rate.
+A stalled peer holds up no other peer's.  Received blocks wake nothing
 (no relay: more than one hop is still the timer's), a peer with no
 converged session on its current connection gets nothing until the
 timer's next session, and :meth:`AntiEntropyLoop.stop` sends no pending
@@ -32,7 +34,6 @@ push.  One session at a time runs on a connection, whoever started it.
 from __future__ import annotations
 
 import asyncio
-import math
 import random
 from typing import Callable, Optional
 
@@ -48,14 +49,23 @@ from repro.reconcile.stats import ReconcileStats, SessionCounters
 DEFAULT_INTERVAL = 1.0
 DEFAULT_JITTER = 0.2
 DEFAULT_SESSION_TIMEOUT = 30.0
-#: Least time between two pushes to one peer (``docs/live.md``, "Writes are
-#: pushed", has the curve it was picked from).
-PUSH_HOLD_OFF_S = 0.25
 #: What a peer or its link can make a session raise: each ends the
 #: session as interrupted, never the loop.
 SESSION_ERRORS = (
     TransportError, ReconcileError, wire.WireError, asyncio.TimeoutError,
 )
+
+
+if hasattr(asyncio, "timeout"):
+    async def _within(seconds: float, session) -> None:
+        """Await *session* in this task under a deadline: no task of its
+        own and no loop turn to hand its result back, which a push, one
+        per write, would pay each time."""
+        async with asyncio.timeout(seconds):
+            await session
+else:  # Python 3.10
+    async def _within(seconds: float, session) -> None:
+        await asyncio.wait_for(session, seconds)
 
 
 class _PushAbove(Protocol):
@@ -136,7 +146,7 @@ class AntiEntropyLoop:
             tasks = [task for _, task in self._pushers.values()]
             self._pushers = None
             # Cancel until it takes, as PeerManager.stop() does: a
-            # push's own wait_for can swallow a cancel.
+            # push's own deadline can swallow a cancel.
             while not all(task.done() for task in tasks):
                 for task in tasks:
                     task.cancel()
@@ -149,9 +159,9 @@ class AntiEntropyLoop:
         """Make :meth:`run` return after the tick in progress, sending
         no pending push.
 
-        Cancelling the task is not enough on its own: on Python 3.11 a
-        cancel that lands as a session's ``asyncio.wait_for`` returns is
-        swallowed, and the loop would sleep into its next tick.
+        Cancelling the task is not enough on its own: a cancel that
+        lands as a session's deadline returns can be swallowed, and the
+        loop would sleep into its next tick.
         """
         self._stopping = True
 
@@ -168,21 +178,17 @@ class AntiEntropyLoop:
             self._pushers[name][0].set()
 
     async def _push_writes(self, peer_name: str, wake: asyncio.Event) -> None:
-        """Pushes to *peer_name*, one per wake-up, at least
-        ``PUSH_HOLD_OFF_S`` apart; the writes of a hold-off coalesce
-        into the push at its end.  Each peer has its own, so a stalled
-        peer holds up no other."""
-        clock = asyncio.get_running_loop().time
-        last = -math.inf
+        """Pushes to *peer_name*, one per wake-up.  Each waits one loop
+        turn first, so the writer's caller (the gateway answering the
+        batch it just cut) runs before it; the writes that land while a
+        push or session holds the peer's lock ride the next.  Each peer
+        has its own, so a stalled peer holds up no other."""
         while True:
             await wake.wait()
-            hold = last + PUSH_HOLD_OFF_S - clock()
-            if hold > 0:
-                await asyncio.sleep(hold)
+            await asyncio.sleep(0)
             if self._stopping:
                 return
             wake.clear()
-            last = clock()
             await self.push_once(peer_name)
 
     async def run_tick(self) -> Optional[ReconcileStats]:
@@ -194,7 +200,10 @@ class AntiEntropyLoop:
         return await self.run_once(names[self._rng.randrange(len(names))])
 
     def _lock(self, peer_name: str) -> asyncio.Lock:
-        return self._locks.setdefault(peer_name, asyncio.Lock())
+        lock = self._locks.get(peer_name)
+        if lock is None:
+            lock = self._locks[peer_name] = asyncio.Lock()
+        return lock
 
     async def run_once(self, peer_name: str) -> Optional[ReconcileStats]:
         """One session against *peer_name* now, after whatever session
@@ -249,10 +258,10 @@ class AntiEntropyLoop:
                 seq=seq,
             )
         try:
-            await asyncio.wait_for(
+            await _within(
+                self._session_timeout,
                 run_session(protocol, self._node, transport, stats,
                             on_blocks=on_blocks),
-                self._session_timeout,
             )
         except SESSION_ERRORS as exc:
             stats.interrupted = True

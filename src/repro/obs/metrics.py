@@ -119,6 +119,15 @@ class _Instrument:
 
     def labels(self, **labelvalues):
         """The child for one label-value combination (created on demand)."""
+        # An existing child is found by its key alone; the label names
+        # are checked in full only on the way to a new one.
+        if len(labelvalues) == len(self.labelnames):
+            try:
+                return self._children[
+                    tuple([str(labelvalues[name]) for name in self.labelnames])
+                ]
+            except KeyError:
+                pass
         if tuple(sorted(labelvalues)) != tuple(sorted(self.labelnames)):
             raise MetricsError(
                 f"{self.name} takes labels {self.labelnames}, "

@@ -7,7 +7,9 @@ provides a small, self-contained, deterministic tag-length-value codec with
 strict canonicity checking on decode.
 """
 
-from repro.wire.codec import Encoded, decode, encode, encoded_size
+from repro.wire.codec import (
+    MAX_DEPTH, Encoded, decode, encode, encoded_size,
+)
 from repro.wire.errors import DecodeError, EncodeError, FrameError, WireError
 from repro.wire.framing import (
     FrameDecoder,
@@ -23,6 +25,7 @@ __all__ = [
     "Encoded",
     "FrameDecoder",
     "FrameError",
+    "MAX_DEPTH",
     "MAX_FRAME_BYTES",
     "WireError",
     "decode",

@@ -38,6 +38,10 @@ TAG_STR = 0x05
 TAG_LIST = 0x06
 TAG_MAP = 0x07
 
+#: How deep ``decode`` reads: the top-level value is at depth 0, and a
+#: value inside a list or map one deeper than the container.
+MAX_DEPTH = 64
+
 _TAG_NAMES = {
     TAG_NULL: "null",
     TAG_FALSE: "false",
@@ -236,8 +240,8 @@ class _Reader:
 
 
 def _decode_value(reader: _Reader, depth: int) -> Any:
-    if depth > 64:
-        raise DecodeError("nesting depth exceeds limit of 64")
+    if depth > MAX_DEPTH:
+        raise DecodeError(f"nesting depth exceeds limit of {MAX_DEPTH}")
     tag = reader.u8()
     if tag == TAG_NULL:
         return None

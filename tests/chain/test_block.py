@@ -7,6 +7,7 @@ import pytest
 from repro.chain.block import (
     Block,
     BlockHeader,
+    MAX_ARG_DEPTH,
     MAX_PARENTS,
     MAX_TRANSACTIONS,
     Transaction,
@@ -14,11 +15,21 @@ from repro.chain.block import (
 from repro.chain.errors import MalformedBlockError
 from repro.crypto.keys import KeyPair
 from repro.crypto.sha import Hash
+from repro.reconcile.session import decode_message, encode_message
 
 
 @pytest.fixture
 def key():
     return KeyPair.deterministic(50)
+
+
+def nested_args(levels):
+    """Args *levels* levels deep, the args list and its innermost 0
+    included."""
+    value = 0
+    for _ in range(levels - 1):
+        value = [value]
+    return value
 
 
 def _parent_hashes(n):
@@ -42,6 +53,30 @@ class TestTransaction:
             Transaction.from_wire(["not", "a", "map"])
         with pytest.raises(MalformedBlockError):
             Transaction.from_wire({"crdt": "x", "op": "y"})  # missing args
+
+    @pytest.mark.parametrize("kind", ["push_blocks", "blocks"])
+    def test_the_deepest_legal_args_travel_in_a_message(self, key, kind):
+        tx = Transaction("x", "y", nested_args(MAX_ARG_DEPTH))
+        block = Block.create(key, [], 1, [tx])
+        message = decode_message(
+            encode_message({"type": kind, "blocks": [block]})
+        )
+        assert message["blocks"] == [block]
+        assert message["blocks"][0].transactions == [tx]
+
+    def test_args_one_level_deeper_are_refused(self):
+        args = nested_args(MAX_ARG_DEPTH + 1)
+        with pytest.raises(MalformedBlockError, match="nest deeper"):
+            Transaction("x", "y", args)
+        with pytest.raises(MalformedBlockError, match="nest deeper"):
+            Transaction.from_wire({"crdt": "x", "op": "y", "args": args})
+        # A map is a level too: {"k": 0} under MAX_ARG_DEPTH - 1 lists.
+        args = {"k": 0}
+        for _ in range(MAX_ARG_DEPTH - 1):
+            args = [args]
+        with pytest.raises(MalformedBlockError, match="nest deeper"):
+            Transaction("x", "y", args)
+        Transaction("x", "y", args[0])
 
 
 class TestBlockHeader:

@@ -4,6 +4,7 @@ import asyncio
 import json
 import time
 
+from repro.chain.block import MAX_ARG_DEPTH
 from repro.gateway import GatewayClient, GatewayNode
 from repro.gateway import websocket as ws
 from repro.live.node import LiveNode
@@ -231,6 +232,66 @@ class TestSubmitPath:
         assert len({body["block"] for body in good}) == 1
         assert good[0]["batch_size"] == 3
         assert sorted(state["value"]) == ["g0", "g1", "g2", "opener"]
+
+    def test_a_submit_past_its_deadline_gets_503(self, deployment, tmp_path):
+        """The second transaction waits out a 5 s hold-off, past its
+        50 ms deadline: 503, and the gateway serves the next one."""
+        async def scenario():
+            gateway = make_gateway(
+                deployment, tmp_path, max_delay_s=5.0, submit_timeout_s=0.05
+            )
+            await gateway.start()
+            create_ledger(gateway)
+            client = GatewayClient("127.0.0.1", gateway.http_port)
+            body = {"crdt": "ledger", "op": "append", "args": ["x"]}
+            try:
+                first = await client.request("POST", "/v1/tx", body=body)
+                late = await client.request("POST", "/v1/tx", body=body)
+                health = await client.request("GET", "/healthz")
+            finally:
+                await client.close()
+                await gateway.stop()
+            return first, late, health
+
+        (first, _, _), (late, _, late_body), (health, _, _) = (
+            asyncio.run(scenario())
+        )
+        assert first == 200
+        assert late == 503 and late_body["error"] == "submit timed out"
+        assert health == 200
+
+    def test_args_past_the_nesting_bound_get_400(self, deployment, tmp_path):
+        """Args one level deeper than a block may carry and still travel
+        are refused at admission; the deepest legal args are a block."""
+        def nested(levels):
+            args = "x"
+            for _ in range(levels - 1):
+                args = [args]
+            return args
+
+        async def scenario():
+            gateway = make_gateway(deployment, tmp_path)
+            await gateway.start()
+            create_ledger(gateway)
+            client = GatewayClient("127.0.0.1", gateway.http_port)
+            try:
+                return [
+                    await client.request(
+                        "POST", "/v1/tx",
+                        body={"crdt": "ledger", "op": "append",
+                              "args": nested(levels)},
+                    )
+                    for levels in (MAX_ARG_DEPTH + 1, MAX_ARG_DEPTH)
+                ]
+            finally:
+                await client.close()
+                await gateway.stop()
+
+        (deep_status, _, deep_body), (legal_status, _, legal_body) = (
+            asyncio.run(scenario())
+        )
+        assert deep_status == 400 and "nest deeper" in deep_body["error"]
+        assert legal_status == 200 and legal_body["block"]
 
     def test_deeply_nested_body_gets_400(self, deployment, tmp_path):
         """JSON nested past the decoder's stack is a malformed body

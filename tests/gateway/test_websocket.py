@@ -151,6 +151,23 @@ class TestProtocolViolations:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_a_large_frame_unmasks_at_c_speed(self):
+        """One masked frame of the largest message a client may send
+        unmasks in well under 0.02 s of CPU, not the 0.12 s of a loop
+        per byte."""
+        payload = bytes(range(256)) * (ws.MAX_MESSAGE_BYTES // 256)
+        mask = b"\x00\xa5\x5a\xff"
+        frame = ws.mask_frame(ws.OP_BINARY, payload, mask)
+        # RFC 6455 §5.3 byte by byte, the reference.
+        assert frame[-len(payload):] == bytes(
+            byte ^ mask[index & 3] for index, byte in enumerate(payload)
+        )
+        parser = ws.FrameParser()
+        started = time.process_time()
+        messages = parser.feed(frame)
+        assert time.process_time() - started < 0.02
+        assert messages == [(ws.OP_BINARY, payload)]
+
     def test_bad_mask_length_rejected(self):
         with pytest.raises(ws.WebSocketError, match="mask"):
             ws.mask_frame(ws.OP_TEXT, b"x", b"abc")

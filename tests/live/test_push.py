@@ -1,12 +1,11 @@
 """Writes are pushed: a replica sends its own new blocks to every peer
-whose frontier it knows on the current connection, one push per peer
-and hold-off at most, and never on a connection that has not
-converged."""
+whose frontier it knows on the current connection, at once but after
+the writer's caller has had its loop turn, with at most one push in
+flight per peer, and never on a connection that has not converged."""
 
 import asyncio
 
 from repro.live import LiveNode, PeerSpec
-from repro.live import antientropy
 from repro.live.transport import TransportClosed
 from repro.obs import Observability, RingBufferSink
 
@@ -17,6 +16,8 @@ from tests.conftest import Deployment
 PARKED = dict(interval_s=3600.0, jitter_s=0.0, session_timeout_s=5.0)
 #: No scenario here may wait longer than this, whatever breaks.
 SCENARIO_LIMIT_S = 60.0
+#: Long enough for any push to have landed: a push takes milliseconds.
+SETTLE_S = 0.3
 
 
 def _nodes(tmp_path, count=2, **kwargs):
@@ -71,44 +72,60 @@ class TestPush:
         async def body(a, b):
             await _dial(a, b)
             await _converge(a, b)
-            block = a.append_transactions([])
+            # Each write within 100 ms, the second too: no hold-off
+            # stands between a push and the next.
+            for _ in range(2):
+                block = a.append_transactions([])
+                assert await _until(
+                    lambda: b.node.has_block(block.hash), 0.1
+                )
+            # One session by hand, one push per write, no tick.
+            assert a.antientropy.sessions_completed == 3
+            assert a.antientropy.pushes == 2
+
+        _run(_nodes(tmp_path), body)
+
+    def test_appends_in_one_loop_turn_ride_one_push(self, tmp_path):
+        async def body(a, b):
+            await _dial(a, b)
+            await _converge(a, b)
+            written = [a.append_transactions([]).hash for _ in range(20)]
             assert await _until(
-                lambda: b.node.has_block(block.hash),
-                antientropy.PUSH_HOLD_OFF_S + 1.0,
+                lambda: all(b.node.has_block(h) for h in written)
             )
-            # One session by hand, one push, no tick.
-            assert a.antientropy.sessions_completed == 2
+            await asyncio.sleep(SETTLE_S)  # a second push would be done
             assert a.antientropy.pushes == 1
 
         _run(_nodes(tmp_path), body)
 
-    def test_writes_inside_one_hold_off_coalesce(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(antientropy, "PUSH_HOLD_OFF_S", 0.5)
-
+    def test_the_writers_caller_runs_before_the_push(self, tmp_path):
         async def body(a, b):
             await _dial(a, b)
             await _converge(a, b)
-            written = []
-            for _ in range(20):
-                written.append(a.append_transactions([]).hash)
-                await asyncio.sleep(0.005)
-            assert await _until(
-                lambda: all(b.node.has_block(h) for h in written), 3.0
-            )
-            await asyncio.sleep(0.6)  # a third pass would be done by now
-            # The first write goes at once, the other 19 at the end of
-            # its hold-off.
-            assert a.antientropy.pushes <= 2
+            transport = a.peer_manager.connection("b")
+            real_send = transport.send
+            frames = []
+
+            async def send(payload):
+                frames.append(payload)
+                await real_send(payload)
+
+            transport.send = send
+            block = a.append_transactions([])
+            # The caller's next loop turn (the gateway answering the
+            # batch it cut) comes before any push frame is written.
+            await asyncio.sleep(0)
+            assert frames == []
+            assert await _until(lambda: b.node.has_block(block.hash))
+            assert len(frames) == 1
 
         _run(_nodes(tmp_path), body)
 
     def test_no_push_before_a_converged_session(self, tmp_path):
-        settle = antientropy.PUSH_HOLD_OFF_S + 0.3
-
         async def body(a, b):
             await _dial(a, b)
             early = a.append_transactions([])
-            await asyncio.sleep(settle)
+            await asyncio.sleep(SETTLE_S)
             assert not b.node.has_block(early.hash)
             await _converge(a, b)
             # The session's push half (one-way: it lands a moment later).
@@ -120,7 +137,7 @@ class TestPush:
                 lambda: a.peer_manager.connection("b") is not None
             )
             after = a.append_transactions([])
-            await asyncio.sleep(settle)
+            await asyncio.sleep(SETTLE_S)
             assert not b.node.has_block(after.hash)
             assert a.antientropy.pushes == 0
             await _converge(a, b)
@@ -139,7 +156,7 @@ class TestPush:
             block = c.append_transactions([])
             # c pushes its write to a; a does not pass it on to b.
             assert await _until(lambda: a.node.has_block(block.hash))
-            await asyncio.sleep(antientropy.PUSH_HOLD_OFF_S + 0.3)
+            await asyncio.sleep(SETTLE_S)
             assert c.antientropy.pushes == 1
             assert a.antientropy.pushes == 0
             assert not b.node.has_block(block.hash)
@@ -213,8 +230,7 @@ class TestPush:
             first = a.append_transactions([])
             assert await _until(
                 lambda: b.node.has_block(first.hash)
-                and racing and b.node.has_block(racing[0].hash),
-                2 * antientropy.PUSH_HOLD_OFF_S + 1.0,
+                and racing and b.node.has_block(racing[0].hash)
             )
             assert a.antientropy.pushes == 2
             assert a.antientropy.unsent() == {"b": 0}
@@ -236,10 +252,7 @@ class TestPush:
             stuck = asyncio.ensure_future(a.antientropy.run_once("c"))
             for _ in range(2):
                 block = a.append_transactions([])
-                assert await _until(
-                    lambda: b.node.has_block(block.hash),
-                    antientropy.PUSH_HOLD_OFF_S + 1.0,
-                )
+                assert await _until(lambda: b.node.has_block(block.hash))
             assert not stuck.done()
             assert not c.node.has_block(block.hash)
             await stuck

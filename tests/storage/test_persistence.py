@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chain.block import Transaction
+from repro.chain.block import MAX_ARG_DEPTH, Transaction
 from repro.storage import BlockStore, StorageError, load_node, save_node
 
 
@@ -21,6 +21,19 @@ class TestBlockStore:
         store.append_all(blocks)
         restored = list(BlockStore(store_path).blocks())
         assert restored == blocks
+
+    def test_the_deepest_legal_args_load_from_the_store(self, deployment,
+                                                         store_path):
+        args = 0
+        for _ in range(MAX_ARG_DEPTH - 1):
+            args = [args]
+        block = deployment.node(0).append_transactions(
+            [Transaction("x", "y", args)]
+        )
+        BlockStore(store_path).append_all([deployment.genesis, block])
+        restored = list(BlockStore(store_path).blocks())
+        assert restored == [deployment.genesis, block]
+        assert restored[1].transactions[0].args == args
 
     def test_count(self, deployment, store_path):
         store = BlockStore(store_path)
