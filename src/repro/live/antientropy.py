@@ -20,15 +20,19 @@ difference against (``ReconcileStats.held``).  A local write
 (:meth:`AntiEntropyLoop.notify_write`) wakes one pusher per connected
 peer: a peer with such a frontier is sent what lies above it, as a
 one-way ``push_blocks`` session — the push half of a session without
-the pull in front.  A woken pusher yields one loop turn, so the
-writer's caller runs first, then pushes at once; writes that land
-while a push or session holds the peer's connection ride the next one,
-so a peer has at most one push in flight and no timer sets the rate.
-A stalled peer holds up no other peer's.  Received blocks wake nothing
-(no relay: more than one hop is still the timer's), a peer with no
-converged session on its current connection gets nothing until the
-timer's next session, and :meth:`AntiEntropyLoop.stop` sends no pending
-push.  One session at a time runs on a connection, whoever started it.
+the pull in front.  A peer with none on its current connection gets the
+session the timer runs instead, a pull and then a push, once per
+connection: when it converges, the next write is a plain push; when it
+does not (the responder offers no body that bridges the gap), that
+connection is left to the timer.  A woken pusher yields one loop turn,
+so the writer's caller runs first, then pushes at once; writes that
+land while a push or session holds the peer's connection ride the next
+one, so a peer has at most one push in flight and no timer sets the
+rate.  A stalled peer holds up no other peer's.  Received blocks wake
+nothing (no relay: more than one hop is still the timer's), writes made
+before a connection came up wait on it for the next write or tick, and
+:meth:`AntiEntropyLoop.stop` sends no pending push.  One session at a
+time runs on a connection, whoever started it.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ class _PushAbove(Protocol):
 
 class AntiEntropyLoop:
     """Periodic initiator sessions against connected peers, and pushes
-    of local writes to the peers known to be current."""
+    of local writes to the connected peers."""
 
     def __init__(
         self,
@@ -123,6 +127,9 @@ class AntiEntropyLoop:
         #: the peer, learned on *transport* — any other connection to it
         #: knows nothing.
         self._held: dict = {}
+        #: peer -> the connection a pusher last ran a frontier session
+        #: on: one per connection, converged or not.
+        self._tried: dict = {}
         #: peer -> the lock one session at a time holds on it.
         self._locks: dict[str, asyncio.Lock] = {}
         #: peer -> (wake-up, pusher task) while :meth:`run` runs.
@@ -212,21 +219,25 @@ class AntiEntropyLoop:
             transport = self._peers.connection(peer_name)
             if transport is None:
                 return None
-            sink = self._block_sink_factory
-            return await self._session(
-                peer_name, transport, FrontierProtocol(),
-                None if sink is None else sink(peer_name),
-            )
+            return await self._reconcile(peer_name, transport)
 
     async def push_once(self, peer_name: str) -> Optional[ReconcileStats]:
         """Push *peer_name* what lies above the frontier it is known to
-        hold on its current connection; None when no such frontier is
-        known or nothing lies above it."""
+        hold on its current connection.  With no such frontier, run
+        :meth:`run_once`'s session instead, the first time on this
+        connection.  None when not connected, when nothing lies above
+        the known frontier, or when this connection has had its
+        session."""
         async with self._lock(peer_name):
             transport = self._peers.connection(peer_name)
-            known = self._held.get(peer_name)
-            if transport is None or known is None or known[0] is not transport:
+            if transport is None:
                 return None
+            known = self._held.get(peer_name)
+            if known is None or known[0] is not transport:
+                if self._tried.get(peer_name) is transport:
+                    return None
+                self._tried[peer_name] = transport
+                return await self._reconcile(peer_name, transport)
             # A tip outside the held frontier cannot be under it.
             if self._node.frontier() <= known[1]:
                 return None
@@ -246,6 +257,16 @@ class AntiEntropyLoop:
             for name, (transport, tips) in self._held.items()
             if self._peers.connection(name) is transport
         }
+
+    async def _reconcile(self, peer_name: str,
+                         transport) -> ReconcileStats:
+        """A frontier session, a pull and then a push, with the pulled
+        blocks through the session sink; the caller holds the lock."""
+        sink = self._block_sink_factory
+        return await self._session(
+            peer_name, transport, FrontierProtocol(),
+            None if sink is None else sink(peer_name),
+        )
 
     async def _session(self, peer_name: str, transport, protocol,
                        on_blocks: Optional[BlockSink]) -> ReconcileStats:

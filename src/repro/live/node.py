@@ -203,7 +203,7 @@ class LiveNode:
         self, transactions: List[Transaction] = ()
     ) -> Block:
         """Create a block locally, persist it durably, and have it
-        pushed to the peers known to be current."""
+        pushed to the connected peers."""
         block = self.node.append_transactions(transactions)
         if self._obs is not None:
             self._obs.emit(

@@ -1,10 +1,15 @@
-"""Writes are pushed: a replica sends its own new blocks to every peer
-whose frontier it knows on the current connection, at once but after
-the writer's caller has had its loop turn, with at most one push in
-flight per peer, and never on a connection that has not converged."""
+"""Writes are pushed: a replica sends its own new blocks to every
+connected peer, at once but after the writer's caller has had its loop
+turn, with at most one push in flight per peer.  A peer whose frontier
+the writer knows on the current connection gets a plain push; on a
+connection it knows nothing of, the first write runs one full session
+(pull, then push), and a connection whose session tore or did not
+converge gets no second one."""
 
 import asyncio
 
+from repro import wire
+from repro.crypto.sha import DIGEST_SIZE
 from repro.live import LiveNode, PeerSpec
 from repro.live.transport import TransportClosed
 from repro.obs import Observability, RingBufferSink
@@ -121,31 +126,106 @@ class TestPush:
 
         _run(_nodes(tmp_path), body)
 
-    def test_no_push_before_a_converged_session(self, tmp_path):
+    def test_a_write_converges_a_connection_it_knows_nothing_of(
+        self, tmp_path
+    ):
+        async def two_writes(a, b):
+            loop = a.antientropy
+            completed, pushes = loop.sessions_completed, loop.pushes
+            # The first write on the connection: one full session.
+            first = a.append_transactions([])
+            assert await _until(
+                lambda: b.node.has_block(first.hash)
+                and loop.sessions_completed == completed + 1, 0.1
+            )
+            assert loop.pushes == pushes
+            assert loop.unsent() == {"b": 0}
+            # The session's push half taught it b's frontier.
+            second = a.append_transactions([])
+            assert await _until(
+                lambda: b.node.has_block(second.hash)
+                and loop.pushes == pushes + 1, 0.1
+            )
+            assert loop.sessions_completed == completed + 2
+
         async def body(a, b):
             await _dial(a, b)
-            early = a.append_transactions([])
-            await asyncio.sleep(SETTLE_S)
-            assert not b.node.has_block(early.hash)
-            await _converge(a, b)
-            # The session's push half (one-way: it lands a moment later).
-            assert await _until(lambda: b.node.has_block(early.hash))
+            await two_writes(a, b)
+            assert a.antientropy.pushes == 1
             # A new connection knows nothing of the old one's frontier.
+            old = a.peer_manager.connection("b")
             await a.isolate()
             a.rejoin()
             assert await _until(
-                lambda: a.peer_manager.connection("b") is not None
+                lambda: a.peer_manager.connection("b") not in (None, old)
             )
-            after = a.append_transactions([])
-            await asyncio.sleep(SETTLE_S)
-            assert not b.node.has_block(after.hash)
-            assert a.antientropy.pushes == 0
-            await _converge(a, b)
-            pushed = a.append_transactions([])
-            assert await _until(lambda: b.node.has_block(pushed.hash))
-            assert a.antientropy.pushes == 1
+            await two_writes(a, b)
+            assert a.antientropy.sessions_interrupted == 0
 
         _run(_nodes(tmp_path), body)
+
+    def test_a_connection_costs_the_pusher_one_session(self, tmp_path):
+        ring = RingBufferSink()
+        obs = Observability(sinks=[ring])
+
+        def started(peer):
+            return sum(
+                1 for e in ring.events()
+                if e.type == "session.start" and e.fields["peer"] == peer
+            )
+
+        async def body(a, b, c):
+            await _dial(a, b)
+            await _dial(a, c)
+            torn = a.peer_manager.connection("b")
+
+            async def tear(payload):
+                # b drops out of reach as the session starts, and stays
+                # out: no new connection comes up.
+                await b.isolate()
+                raise TransportClosed("torn mid-session")
+
+            torn.send = tear
+            # c names a tip it never offers a body for: the session ends
+            # unconverged, so the push half never runs.
+            unbridged = a.peer_manager.connection("c")
+            real_recv = unbridged.recv
+
+            async def recv():
+                await real_recv()
+                return wire.encode({
+                    "type": "frontier_set",
+                    "frontier": [bytes(DIGEST_SIZE)], "blocks": [],
+                })
+
+            unbridged.recv = recv
+            written = []
+            for _ in range(20):
+                written.append(a.append_transactions([]).hash)
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(SETTLE_S)
+            assert (started("b"), started("c")) == (1, 1)
+            assert a.antientropy.sessions_interrupted == 1
+            assert a.antientropy.sessions_completed == 1
+            assert a.antientropy.pushes == 0
+            assert a.antientropy.unsent() == {}
+            assert a.peer_manager.connection("c") is unbridged
+            assert not any(
+                node.node.has_block(h) for node in (b, c) for h in written
+            )
+            # A new connection to b gets a session of its own.
+            b.rejoin()
+            assert await _until(
+                lambda: a.peer_manager.connection("b") not in (None, torn)
+            )
+            written.append(a.append_transactions([]).hash)
+            assert await _until(
+                lambda: all(b.node.has_block(h) for h in written)
+            )
+            assert started("b") == 2
+            assert started("c") == 1
+
+        _run(_nodes(tmp_path, count=3, obs=obs), body)
 
     def test_received_blocks_are_not_relayed(self, tmp_path):
         async def body(a, b, c):

@@ -5,13 +5,16 @@ durable with one fsync, and only then announces any of it.  The store
 stays a valid replica at every byte a crash can cut it at: a reader
 recovers a record-aligned prefix, and the next writer appends behind
 the last intact record — never behind the tear, where no reader would
-find it.
+find it.  That holds for a store whose tail interleaves local appends
+(one record, one fsync) with the group commits of received pushes, as
+a replica's does once every write is pushed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from itertools import accumulate
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.chain.block import Block, Transaction
 from repro.chain.errors import ChainError
 from repro.live import LiveNode
 from repro.reconcile import FrontierProtocol
+from repro.reconcile.session import Responder
 from repro.storage import BlockStore, load_node
 
 from tests.conftest import Deployment, over_loopback
@@ -155,6 +159,85 @@ class TestTornTail:
             last_record_at = store_path.stat().st_size
             store.append(batch[-1])
         return store_path.read_bytes(), last_record_at
+
+
+class TestInterleavedTail:
+    """The last :attr:`TAIL` records of a replica's store, written as
+    pushes write it: each local append a record and an fsync, each
+    received push batch a group commit, one handle for both."""
+
+    #: Local appends between received batches of these sizes.
+    PUSHED = (2, 1, 2)
+    TAIL = 6
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        """The store's bytes, its blocks in record order with the end
+        offset of each record, and a block written after all of them."""
+        deployment = Deployment()
+        writer = deployment.node(0)
+        replica = LiveNode(
+            deployment.keys[1], tmp_path / "replica.blocks",
+            genesis=deployment.genesis, name="replica",
+            clock=deployment.clock,
+        )
+        responder = Responder(
+            replica.node,
+            on_blocks=lambda _blocks=None: replica._persist_blocks(
+                _blocks, origin="push:writer"
+            ),
+        )
+        commits = []
+        for size in self.PUSHED:
+            replica.append_transactions([])
+            commits.append(replica.store.path.stat().st_size)
+            batch = [writer.append_transactions([]) for _ in range(size)]
+            responder.handle({"type": "push_blocks", "blocks": batch})
+            commits.append(replica.store.path.stat().st_size)
+        replica.store.close()
+        image = replica.store.path.read_bytes()
+        blocks = list(replica.node.dag.blocks())
+        # A record is its length (4 bytes), checksum (32) and payload.
+        sizes = [4 + 32 + len(block.to_bytes()) for block in blocks]
+        ends = list(accumulate(sizes, initial=len(image) - sum(sizes)))[1:]
+        assert ends[-1] == len(image) and set(commits) <= set(ends)
+        assert list(BlockStore(replica.store.path).blocks()) == blocks
+        assert len(blocks) > self.TAIL
+        later = replica.node.append_transactions([])
+        return replica.store.path, image, blocks, ends, later, deployment
+
+    @staticmethod
+    def _carries_on(path, blocks, kept, later, where):
+        """The replica re-pulls what it lost, then appends *later*: the
+        next reader finds every block, *later* last."""
+        with BlockStore(path, fsync=False) as reopened:
+            reopened.append_all(blocks[kept:] + [later])
+        assert list(BlockStore(path).blocks()) == blocks + [later], where
+
+    def test_tail_cut_at_every_byte(self, written):
+        path, image, blocks, ends, later, deployment = written
+        for cut in range(ends[-self.TAIL - 1], ends[-1] + 1):
+            path.write_bytes(image[:cut])
+            kept = sum(1 for end in ends if end <= cut)
+            recovered = load_node(deployment.keys[2], path)
+            assert list(recovered.dag.blocks()) == blocks[:kept], cut
+            self._carries_on(path, blocks, kept, later, cut)
+
+    def test_tail_flipped_at_every_byte(self, written):
+        path, image, blocks, ends, later, deployment = written
+        for position in range(ends[-self.TAIL - 1], ends[-1]):
+            # The record holding the byte, and every one behind it, is
+            # lost; the ones before it are whole.
+            kept = sum(1 for end in ends if end <= position)
+            for flip in (0x01, 0x80, 0xFF):
+                damaged = bytearray(image)
+                damaged[position] ^= flip
+                path.write_bytes(bytes(damaged))
+                recovered = load_node(deployment.keys[2], path)
+                assert list(recovered.dag.blocks()) == blocks[:kept], (
+                    position, flip,
+                )
+            self._carries_on(path, blocks, kept, later, position)
 
 
 class TestDeferredSync:
