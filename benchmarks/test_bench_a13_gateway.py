@@ -5,11 +5,15 @@ Three tables:
 * **Rate sweep** — offered Poisson rate vs. sustained accepted tx/s,
   client-observed p50/p99 (latency measured from the *scheduled*
   arrival, so queueing delay is charged to the server — no coordinated
-  omission) and blocks cut.  The 20/s point is the near-idle edge the
-  perf ledger's ``edge_steady`` runs: there the batcher cuts a lone
-  transaction at once, so p50 sits far below the 25 ms hold-off that
-  bounds the busier points — and the same transactions make more,
-  smaller blocks, which is what the blocks column is for.
+  omission), blocks cut, and the share of them that waited for the
+  cut rate (``held %``: the ``hold_off`` cuts over all cuts).  The
+  20/s point is the near-idle edge the perf ledger's ``edge_steady``
+  runs: there the cut rate (40 partial blocks a second at the 25 ms
+  default, with a one-second burst) always holds a token, so every
+  transaction is cut at once and ``held %`` must read 0; the busier
+  points run past the burst and wait for the rate — and the same
+  transactions make more, smaller blocks, which is what the blocks
+  column is for.
 * **Client sweep** — p50/p99 vs. distinct client-id population at a
   fixed rate; the admission table is LRU-bounded, so a million ids must
   cost the same as ten.
@@ -18,8 +22,9 @@ Three tables:
 
   - *admission clamp*: one client id against a small token bucket —
     the surplus must come back as polite 429 + Retry-After;
-  - *queue shed*: a tiny batch queue behind a long hold-off —
-    the surplus must be shed oldest-first, again as 429.
+  - *queue shed*: a tiny batch queue behind a slow cut rate (4 partial
+    blocks a second, a burst of 4) — the surplus must be shed
+    oldest-first, again as 429.
 
   In both, the hard assertion is **zero transport/5xx errors**: every
   offered request gets an orderly answer, and accepted requests still
@@ -84,10 +89,15 @@ async def _measure(tmp_path, tag: str, *, rate: float,
             rate=rate, duration_s=duration_s, num_clients=num_clients,
             connections=16, seed=13, **(loadgen_kwargs or {}),
         )
-        blocks = gateway.default_host.batcher.batches_flushed
+        batcher = gateway.default_host.batcher
+        blocks = batcher.batches_flushed
+        held = batcher.cuts["hold_off"]
     finally:
         await gateway.stop()
-    summary = report.summary() | {"blocks": blocks}
+    summary = report.summary() | {
+        "blocks": blocks,
+        "held_pct": round(100.0 * held / blocks, 1) if blocks else 0.0,
+    }
     # The invariants every regime must keep: an orderly answer for
     # every offered request, and no transport or server errors.
     assert summary["errors"] == 0, summary
@@ -102,10 +112,14 @@ def _sweep_rates(tmp_path, table: Table) -> list[dict]:
             _measure(tmp_path, f"rate{rate}", rate=rate)
         )
         assert summary["accepted"] > 0
+        if rate == RATES[0]:
+            # Near-idle: under the cut rate, no transaction waits for it.
+            assert summary["held_pct"] == 0.0, summary
         table.add(
             rate, summary["offered"], summary["accepted"],
             round(summary["accepted_rate"], 1),
             summary["p50_ms"], summary["p99_ms"], summary["blocks"],
+            summary["held_pct"],
         )
         summaries.append(summary)
     return summaries
@@ -163,7 +177,7 @@ def test_a13_gateway(benchmark, results_dir, tmp_path):
         f"A13.1: open-loop rate sweep ({DURATION:.0f}s per point, "
         "10k client ids, 16 connections)",
         ["offered/s", "offered", "accepted", "accepted/s",
-         "p50_ms", "p99_ms", "blocks"],
+         "p50_ms", "p99_ms", "blocks", "held %"],
     )
     sweep = _sweep_rates(tmp_path, rate_table)
     rate_table.emit(results_dir, "a13_gateway_rates")

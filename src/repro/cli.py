@@ -864,9 +864,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="transactions per witness block (default 128)")
     gateway.add_argument("--batch-delay-ms", dest="batch_delay_ms",
                          type=float, default=25.0,
-                         help="hold-off between partial-batch cuts, and "
-                              "the most a transaction waits for one: an "
-                              "idle gateway cuts at once (default 25)")
+                         help="average spacing of partial-batch cuts "
+                              "under sustained load (a one-second burst "
+                              "goes first), and the most a transaction "
+                              "waits for one: under that rate every "
+                              "transaction is cut at once (default 25)")
     gateway.add_argument("--max-queue", dest="max_queue", type=int,
                          default=1024,
                          help="pending-transaction bound per chain; "

@@ -13,7 +13,7 @@ Layout:
   parsing and framing, and the server loop;
 * :mod:`repro.gateway.websocket` — RFC 6455 frames for the push feed;
 * :mod:`repro.gateway.admission` — per-client token buckets, LRU-bounded;
-* :mod:`repro.gateway.batching` — size-or-hold-off transaction batching
+* :mod:`repro.gateway.batching` — size-or-rate transaction batching
   with shed-oldest backpressure;
 * :mod:`repro.gateway.server` — the client routes and the push feed;
 * :mod:`repro.gateway.node` — :class:`GatewayNode` tying it together;

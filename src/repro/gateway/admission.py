@@ -42,10 +42,17 @@ class TokenBucket:
         if elapsed > 0:
             self.tokens = min(self.burst, self.tokens + elapsed * self.rate)
         self.updated = now
-        if self.tokens >= cost:
+        # A millionth of a token is float rounding, not a shortfall: a
+        # caller that waits until ready_at() is admitted then.
+        if self.tokens + 1e-6 >= cost:
             self.tokens -= cost
             return 0.0
         return (cost - self.tokens) / self.rate
+
+    def ready_at(self, cost: float = 1.0) -> float:
+        """When the refill since the last update reaches *cost* tokens
+        (at or before that update if the bucket holds them already)."""
+        return self.updated + (cost - self.tokens) / self.rate
 
 
 class AdmissionController:

@@ -1,22 +1,27 @@
 """Coalescing client transactions into Vegvisir blocks.
 
 Ordinary clients submit single transactions; the chain wants blocks.
-The :class:`TxBatcher` sits between them with a size-or-hold-off
-trigger (:func:`next_cut` is the whole rule): a batch is cut the
-moment it reaches ``max_batch`` transactions, and otherwise as soon as
-``max_delay_s`` has passed since the *previous cut* or since its
-oldest transaction arrived — whichever comes first.  A transaction
-that finds the batcher idle is therefore cut into a block at once; one
-that arrives inside a hold-off waits for the hold-off's end; under
-sustained load a block is cut every ``max_delay_s``, as a timer would.
+The :class:`TxBatcher` sits between them with a size-or-rate trigger
+(:func:`next_cut` is the whole rule): a batch is cut the moment it
+reaches ``max_batch`` transactions, and otherwise as soon as the cut
+rate allows.  The rate is a :class:`~repro.gateway.admission.TokenBucket`
+refilled at ``1 / max_delay_s`` tokens a second that holds one second
+of them, never less than one token (40 at the 25 ms default).  Every
+cut spends a token if one is there; only a batch that is not full ever
+waits for one.  A transaction that finds a token is therefore cut into
+a block at once, however recently the previous cut was; one that finds
+the bucket empty waits for the next token, at most ``max_delay_s``.
 Two bounds follow: no transaction waits longer than ``max_delay_s``
-before its append starts, and cuts not forced by a full batch are
-never closer than ``max_delay_s`` (at most ``1 / max_delay_s`` partial
-blocks a second).  Each cut batch becomes one signed block through the
-host chain's append callable (the gateway's LiveNode), so a thousand
-cheap HTTP submits cost the DAG one block, one signature, and one
-witness of the current frontier (§IV-H: every block witnesses
-everything beneath it).
+before its append starts, and in any T seconds the cuts not forced by
+a full batch number at most ``burst + T / max_delay_s`` (besides the
+one that may follow a full cut: what it leaves behind is cut
+``max_delay_s`` after its arrival, token or not).  A busy gateway cuts
+``1 / max_delay_s`` partial blocks a second on average, as a timer
+would; a quiet one cuts each transaction as it comes.  Each cut batch
+becomes one signed block through the host chain's append callable (the
+gateway's LiveNode), so a thousand cheap HTTP submits cost the DAG one
+block, one signature, and one witness of the current frontier (§IV-H:
+every block witnesses everything beneath it).
 
 Backpressure is explicit and memory is bounded: the queue holds at
 most ``max_queue`` pending transactions.  When a submit arrives over
@@ -36,31 +41,33 @@ from collections import deque
 from typing import Callable, Optional, Sequence
 
 from repro.chain.block import MAX_TRANSACTIONS, Transaction
+from repro.gateway.admission import TokenBucket
 
 DEFAULT_MAX_BATCH = 128
 DEFAULT_MAX_DELAY_S = 0.025
 DEFAULT_MAX_QUEUE = 1024
 
 
-def next_cut(queued: int, oldest: float, last_cut: float, now: float, *,
+def next_cut(queued: int, oldest: float, token_at: float, now: float, *,
              max_batch: int, max_delay_s: float
              ) -> tuple[float, Optional[str]]:
     """When the next batch is due, and the trigger that makes it so.
 
-    ``full``: *queued* reached ``max_batch`` — now, whatever the
-    hold-off.  ``idle``: the *oldest* queued transaction arrived with
-    no cut in the ``max_delay_s`` before it — now.  ``hold_off``: it
-    arrived inside the hold-off that *last_cut* started and waits for
-    its end (or, for what a full cut left behind, for its own
-    ``max_delay_s``, whichever is first).  Nothing queued is never due.
+    *token_at* is when the cut-rate bucket holds a token (at or before
+    *now* if it holds one already).  ``full``: *queued* reached
+    ``max_batch`` — now, token or not.  ``idle``: a token was there
+    when the *oldest* queued transaction arrived — now.  ``hold_off``:
+    the oldest arrived to an empty bucket and waits for the rate, until
+    the next token or its own ``max_delay_s``, whichever is first.
+    Nothing queued is never due.
     """
     if queued == 0:
         return math.inf, None
     if queued >= max_batch:
         return now, "full"
-    if last_cut + max_delay_s <= oldest:
+    if token_at <= oldest:
         return now, "idle"
-    return max(now, min(last_cut, oldest) + max_delay_s), "hold_off"
+    return max(now, min(token_at, oldest + max_delay_s)), "hold_off"
 
 
 class ShedError(Exception):
@@ -102,7 +109,7 @@ class _Pending:
 
 
 class TxBatcher:
-    """One chain's size-or-hold-off transaction coalescer.
+    """One chain's size-or-rate transaction coalescer.
 
     *append* turns a list of transactions into a block and per-
     transaction outcomes: ``append(txs) -> (block, outcomes)`` where
@@ -143,7 +150,7 @@ class TxBatcher:
         self._wakeup: Optional[asyncio.Event] = None
         self._task: Optional[asyncio.Task] = None
         self._closed = False
-        self._last_cut = -math.inf
+        self._bucket = self._fresh_bucket()
         #: Blocks cut, by what triggered the cut (see :func:`next_cut`;
         #: ``stop`` is the final flush).
         self.cuts = dict.fromkeys(("idle", "hold_off", "full", "stop"), 0)
@@ -156,9 +163,15 @@ class TxBatcher:
         if self._task is not None:
             raise RuntimeError("batcher already started")
         self._closed = False
-        self._last_cut = -math.inf  # a (re)started batcher is idle
+        self._bucket = self._fresh_bucket()  # a (re)started batcher is idle
         self._wakeup = asyncio.Event()
         self._task = asyncio.ensure_future(self._run())
+
+    def _fresh_bucket(self) -> TokenBucket:
+        """The cut-rate bucket, full: ``1 / max_delay_s`` tokens a
+        second, one second of them and never less than one."""
+        rate = 1.0 / self.max_delay_s
+        return TokenBucket(rate, max(1.0, rate), self._clock())
 
     async def stop(self) -> None:
         """Flush what is queued, then stop.  Idempotent."""
@@ -234,7 +247,7 @@ class TxBatcher:
             due, trigger = next_cut(
                 len(self._queue),
                 self._queue[0].enqueued if self._queue else now,
-                self._last_cut, now,
+                self._bucket.ready_at(), now,
                 max_batch=self.max_batch, max_delay_s=self.max_delay_s,
             )
             if due <= now:
@@ -252,9 +265,10 @@ class TxBatcher:
         batch: list[_Pending] = []
         while self._queue and len(batch) < self.max_batch:
             batch.append(self._queue.popleft())
-        # The hold-off runs from here whether or not the chain takes
-        # the batch: a refused block costs what an accepted one does.
-        now = self._last_cut = self._clock()
+        # Spent whether or not the chain takes the batch: a refused
+        # block costs what an accepted one does.
+        now = self._clock()
+        self._bucket.admit(now)
         oldest_wait_ms = (now - batch[0].enqueued) * 1000.0
         try:
             block, outcomes = self._append([entry.tx for entry in batch])

@@ -10,10 +10,11 @@ DLedger's IoT-gateway deployment, see PAPERS.md):
 
 * ``POST /v1/tx`` — submit one transaction; admission-controlled,
   coalesced into a witness block by the chain's
-  :class:`~repro.gateway.batching.TxBatcher` (cut at once when the
-  batcher has been idle for ``max_delay_s``, else at the end of the
-  hold-off the previous cut started, or when full), answered with the
-  block hash and the CSM verdict once the batch flushes;
+  :class:`~repro.gateway.batching.TxBatcher` (cut at once while the
+  cut rate, ``1 / max_delay_s`` partial blocks a second with a
+  one-second burst, holds a token, else when the next token comes, or
+  when full), answered with the block hash and the CSM verdict once
+  the batch flushes;
 * ``GET /v1/state/<crdt>`` — read a CRDT's current value;
 * ``GET /v1/block/<hash>`` — fetch one block as JSON;
 * ``WS /v1/subscribe`` — push feed of every block the replica

@@ -1,4 +1,4 @@
-"""TxBatcher: size/hold-off triggers, shed-oldest, clean shutdown."""
+"""TxBatcher: size/rate triggers, shed-oldest, clean shutdown."""
 
 import asyncio
 import math
@@ -50,32 +50,41 @@ def cuts(**counts) -> dict:
 
 
 class TestRule:
-    """``next_cut`` with max_batch=4, max_delay_s=10: when, and why."""
+    """``next_cut`` with max_batch=4, max_delay_s=10: when, and why.
+
+    The third column is when the cut-rate bucket holds a token."""
 
     @pytest.mark.parametrize(
-        "queued, oldest, last_cut, now, expected",
+        "queued, oldest, token_at, now, expected",
         [
-            # Idle: no cut in the 10 s before the arrival -> at once.
+            # A token was there when the oldest arrived -> at once,
+            # however recently the previous cut was.
             (1, 100.0, -math.inf, 100.0, (100.0, "idle")),
             (1, 100.0, 90.0, 100.0, (100.0, "idle")),
             (3, 100.0, 50.0, 104.0, (104.0, "idle")),
-            # Inside a hold-off: its end, not own arrival + 10.
-            (1, 100.0, 95.0, 100.0, (105.0, "hold_off")),
-            (2, 100.0, 99.0, 103.0, (109.0, "hold_off")),
-            (1, 100.0, 95.0, 105.0, (105.0, "hold_off")),
-            (1, 100.0, 95.0, 107.0, (107.0, "hold_off")),  # timer ran late
-            # Left behind by a full cut: its own 10 s still bounds it.
-            (1, 100.0, 103.0, 104.0, (110.0, "hold_off")),
-            # Full: now, whatever the hold-off.
+            (1, 100.0, 95.0, 100.0, (100.0, "idle")),
+            (2, 100.0, 99.0, 103.0, (103.0, "idle")),
+            (1, 100.0, 95.0, 105.0, (105.0, "idle")),
+            (1, 100.0, 95.0, 107.0, (107.0, "idle")),
+            # It arrived to an empty bucket: the token came later.
+            (1, 100.0, 103.0, 104.0, (104.0, "hold_off")),
+            # Full: now, token or not.
             (4, 100.0, 99.9, 100.0, (100.0, "full")),
             (9, 100.0, -math.inf, 100.0, (100.0, "full")),
             # Empty: never.
             (0, 100.0, 95.0, 100.0, (math.inf, None)),
+            # An empty bucket: the next token, not own arrival + 10.
+            (1, 100.0, 105.0, 100.0, (105.0, "hold_off")),
+            (2, 100.0, 109.0, 103.0, (109.0, "hold_off")),
+            (1, 100.0, 105.0, 107.0, (107.0, "hold_off")),  # timer ran late
+            # Left behind by a full cut: its own 10 s still bounds it.
+            (1, 100.0, 113.0, 104.0, (110.0, "hold_off")),
+            (4, 100.0, 120.0, 100.0, (100.0, "full")),
         ],
     )
-    def test_table(self, queued, oldest, last_cut, now, expected):
+    def test_table(self, queued, oldest, token_at, now, expected):
         assert next_cut(
-            queued, oldest, last_cut, now, max_batch=4, max_delay_s=10.0
+            queued, oldest, token_at, now, max_batch=4, max_delay_s=10.0
         ) == expected
 
 
@@ -98,36 +107,48 @@ class TestTriggers:
         assert all(r.batch_size == 3 and r.applied for r in results)
 
     def test_deadline_trigger_flushes_partial_batch(self):
-        # The deadline is a hold-off between cuts: the opener finds the
-        # batcher idle and is cut alone, at once; what arrives inside
-        # the hold-off it started is flushed, partial, at its end.
+        # The deadline is a rate: 1 / max_delay_s cuts a second, with a
+        # burst of max(1, 1 / max_delay_s).  The openers find tokens and
+        # are cut alone, at once; once they have emptied the bucket,
+        # what arrives waits for the next token and is flushed, partial,
+        # when it comes.
+        delay = 0.5  # 2 tokens a second, a burst of 2
+
         async def scenario():
             chain = FakeChain()
-            batcher = TxBatcher(
-                chain.append, max_batch=100, max_delay_s=0.05
-            )
+            cut_times = []
+
+            def append(txs):
+                cut_times.append(time.monotonic())
+                return chain.append(txs)
+
+            batcher = TxBatcher(append, max_batch=100, max_delay_s=delay)
             await batcher.start()
-            opener = await asyncio.wait_for(
-                batcher.submit(tx("opener")), timeout=5.0
-            )
-            opened = batcher._last_cut
+            openers = [
+                await asyncio.wait_for(
+                    batcher.submit(tx(f"opener{i}")), timeout=5.0
+                )
+                for i in range(2)
+            ]
+            token_at = batcher._bucket.ready_at()
             results = await asyncio.wait_for(
                 asyncio.gather(
                     batcher.submit(tx("a")), batcher.submit(tx("b"))
                 ),
                 timeout=5.0,
             )
-            gap = batcher._last_cut - opened
             await batcher.stop()
-            return chain, batcher, opener, results, gap
+            return chain, batcher, openers, results, cut_times, token_at
 
-        chain, batcher, opener, results, gap = asyncio.run(scenario())
-        assert [len(batch) for batch in chain.batches] == [1, 2]
-        assert opener.batch_size == 1
+        chain, batcher, openers, results, cut_times, token_at = (
+            asyncio.run(scenario())
+        )
+        assert [len(batch) for batch in chain.batches] == [1, 1, 2]
+        assert [r.batch_size for r in openers] == [1, 1]
         assert [r.batch_size for r in results] == [2, 2]
-        assert all(0 <= r.queued_ms for r in results)
-        assert gap >= 0.05 - 1e-6
-        assert batcher.cuts == cuts(idle=1, hold_off=1)
+        assert cut_times[-1] >= token_at - 1e-6
+        assert all(0 < r.queued_ms <= 2 * delay * 1000.0 for r in results)
+        assert batcher.cuts == cuts(idle=2, hold_off=1)
 
     def test_lone_submit_is_cut_at_once(self):
         async def scenario():
@@ -140,7 +161,7 @@ class TestTriggers:
             )
             elapsed = time.monotonic() - began
             summary = batcher.summary()
-            # Leave no 5 s hold-off between this test and its teardown.
+            # Leave no 5 s wait between this test and its teardown.
             await batcher.stop()
             return result, elapsed, summary
 
@@ -150,21 +171,21 @@ class TestTriggers:
         assert summary["cuts"] == cuts(idle=1)
 
     def test_drip_keeps_both_promises(self):
-        # Submits arriving faster than the hold-off: partial cuts are
-        # never closer than max_delay_s, and nobody waits longer than
-        # max_delay_s for one (plus what a loaded event loop adds: the
-        # slack below is for the timer, the rule itself is exact).
-        delay = 0.05
+        # Submits arriving faster than the rate: the burst goes first,
+        # one transaction a block and at once, and from then on every
+        # cut waits for the rate; nobody waits longer than max_delay_s
+        # for one (plus what a loaded event loop adds: the slack below
+        # is for the timer, the rule itself is exact).
+        delay = 0.05  # 20 tokens a second, a burst of 20
 
         async def scenario():
-            chain = FakeChain()
-            cut_times = []
-
-            def append(txs):
-                cut_times.append(batcher._last_cut)
-                return chain.append(txs)
-
-            batcher = TxBatcher(append, max_batch=1000, max_delay_s=delay)
+            flushed = []
+            batcher = TxBatcher(
+                FakeChain().append, max_batch=1000, max_delay_s=delay,
+                on_flush=lambda size, _, trigger: flushed.append(
+                    (size, trigger)
+                ),
+            )
             await batcher.start()
             futures = []
             for i in range(60):
@@ -174,14 +195,77 @@ class TestTriggers:
                 asyncio.gather(*futures), timeout=5.0
             )
             await batcher.stop()
-            return batcher, cut_times, results
+            return batcher, flushed, results
 
-        batcher, cut_times, results = asyncio.run(scenario())
+        batcher, flushed, results = asyncio.run(scenario())
         assert batcher.cuts["full"] == 0 and batcher.cuts["stop"] == 0
-        assert batcher.cuts["idle"] == 1  # only the very first
-        assert len(cut_times) >= 4
-        gaps = [b - a for a, b in zip(cut_times, cut_times[1:])]
-        assert min(gaps) >= delay - 1e-6
+        idle = batcher.cuts["idle"]
+        assert idle >= 20  # the burst, and what refilled meanwhile
+        assert batcher.cuts["hold_off"] >= 2
+        assert flushed[:idle] == [(1, "idle")] * idle
+        assert all(trigger == "hold_off" for _, trigger in flushed[idle:])
+        assert max(r.queued_ms for r in results) <= 2 * delay * 1000.0
+
+    def test_drip_under_the_rate_is_never_held(self):
+        # Twenty a second against a rate of forty, in pairs 5 ms apart
+        # (the shape of a Poisson drip's short gaps): each transaction
+        # finds a token and is cut alone, at once, however short the
+        # gap since the previous cut.
+        delay = 0.025
+
+        async def scenario():
+            chain = FakeChain()
+            batcher = TxBatcher(chain.append, max_batch=1000,
+                                max_delay_s=delay)
+            await batcher.start()
+            futures = []
+            for i in range(30):
+                futures.append(batcher.submit(tx(f"d{i}")))
+                await asyncio.sleep(0.005 if i % 2 == 0 else 0.095)
+            results = await asyncio.wait_for(
+                asyncio.gather(*futures), timeout=5.0
+            )
+            await batcher.stop()
+            return chain, batcher, results
+
+        chain, batcher, results = asyncio.run(scenario())
+        assert batcher.cuts == cuts(idle=30)
+        assert [len(batch) for batch in chain.batches] == [1] * 30
+        assert max(r.queued_ms for r in results) < delay * 1000.0 / 2
+
+    def test_load_above_the_rate_keeps_both_bounds(self):
+        # 250 a second against a rate of twenty: in a window of T
+        # seconds the partial cuts number at most burst + T / delay,
+        # and nobody waits longer than max_delay_s for one (with the
+        # timer's slack).
+        delay = 0.05  # 20 tokens a second, a burst of 20
+
+        async def scenario():
+            chain = FakeChain()
+            cut_times = []
+
+            def append(txs):
+                cut_times.append(time.monotonic())
+                return chain.append(txs)
+
+            batcher = TxBatcher(append, max_batch=1000, max_delay_s=delay)
+            began = time.monotonic()
+            await batcher.start()
+            futures = []
+            for i in range(150):
+                futures.append(batcher.submit(tx(f"l{i}")))
+                await asyncio.sleep(0.004)
+            results = await asyncio.wait_for(
+                asyncio.gather(*futures), timeout=5.0
+            )
+            await batcher.stop()
+            return batcher, cut_times, results, began
+
+        batcher, cut_times, results, began = asyncio.run(scenario())
+        assert batcher.cuts["full"] == 0 and batcher.cuts["stop"] == 0
+        assert batcher.cuts["hold_off"] > 0  # the rate held some
+        window = cut_times[-1] - began
+        assert len(cut_times) <= 1 / delay + window / delay
         assert max(r.queued_ms for r in results) <= 2 * delay * 1000.0
 
     def test_submits_inside_a_hold_off_do_not_wake_the_flusher(self):
@@ -195,11 +279,12 @@ class TestTriggers:
         async def scenario():
             chain = FakeChain()
             batcher = TxBatcher(chain.append, max_batch=1000,
-                                max_delay_s=0.1)
+                                max_delay_s=0.25)  # a burst of 4
             await batcher.start()
             # The flusher task has not run yet: it will wait on this one.
             batcher._wakeup = wakeup = CountingEvent()
-            await batcher.submit(tx("opener"))  # starts the hold-off
+            for i in range(4):  # empty the bucket
+                await batcher.submit(tx(f"opener{i}"))
             await asyncio.sleep(0)  # the flusher is back in its wait
             before = wakeup.waits
             futures = []
@@ -208,11 +293,12 @@ class TestTriggers:
                 await asyncio.sleep(0)  # give the flusher every chance
             await asyncio.wait_for(asyncio.gather(*futures), timeout=5.0)
             await batcher.stop()
-            return chain, wakeup.waits - before
+            return chain, batcher, wakeup.waits - before
 
-        chain, waits = asyncio.run(scenario())
-        assert [len(batch) for batch in chain.batches] == [1, 100]
-        # One pass to sleep out the hold-off, one to go back to idle.
+        chain, batcher, waits = asyncio.run(scenario())
+        assert [len(batch) for batch in chain.batches] == [1] * 4 + [100]
+        assert batcher.cuts == cuts(idle=4, hold_off=1)
+        # One pass to wait for the token, one to go back to idle.
         assert waits <= 2
 
     def test_submissions_during_flush_form_next_batch(self):
@@ -280,22 +366,28 @@ class TestBackpressure:
         async def scenario():
             chain = FakeChain()
             chain.fail_with = RuntimeError("chain refused")
-            batcher = TxBatcher(chain.append, max_delay_s=0.05)
+            batcher = TxBatcher(chain.append, max_delay_s=0.25)
             await batcher.start()
-            with pytest.raises(RuntimeError, match="chain refused"):
-                await asyncio.wait_for(
-                    batcher.submit(tx("doomed")), timeout=5.0
-                )
-            refused_at = batcher._last_cut
+            for i in range(4):  # the whole burst, each one refused
+                with pytest.raises(RuntimeError, match="chain refused"):
+                    await asyncio.wait_for(
+                        batcher.submit(tx(f"doomed{i}")), timeout=5.0
+                    )
+            token_at = batcher._bucket.ready_at()
             chain.fail_with = None
-            await asyncio.wait_for(batcher.submit(tx("next")), timeout=5.0)
-            gap = batcher._last_cut - refused_at
+            result = await asyncio.wait_for(
+                batcher.submit(tx("next")), timeout=5.0
+            )
+            cut_at = time.monotonic()
             await batcher.stop()
-            return batcher, gap
+            return batcher, result, token_at, cut_at
 
-        batcher, gap = asyncio.run(scenario())
-        assert gap >= 0.05 - 1e-6
-        # Only blocks count: the refused batch cut nothing.
+        batcher, result, token_at, cut_at = asyncio.run(scenario())
+        # A refused block spends its token like an accepted one: the
+        # next transaction waits for the rate.
+        assert cut_at >= token_at - 1e-6
+        assert 0 < result.queued_ms <= 2 * 250.0
+        # Only blocks count: the refused batches cut nothing.
         assert batcher.cuts == cuts(hold_off=1)
         assert batcher.batches_flushed == 1
 
@@ -348,18 +440,42 @@ class TestLifecycle:
         chain = asyncio.run(scenario())
         assert len(chain.batches) == 2
 
+    def test_a_slow_rate_still_holds_one_token(self):
+        # The burst is max(1, 1 / max_delay_s): at 5 s and 30 s a lone
+        # transaction is cut at once, and only the next one is held.
+        async def scenario(delay):
+            chain = FakeChain()
+            batcher = TxBatcher(chain.append, max_delay_s=delay)
+            await batcher.start()
+            began = time.monotonic()
+            lone = await asyncio.wait_for(
+                batcher.submit(tx("lonely")), timeout=1.0
+            )
+            elapsed = time.monotonic() - began
+            held = batcher.submit(tx("held"))
+            await asyncio.sleep(0.01)
+            was_held = not held.done()
+            await batcher.stop()  # leave no wait behind
+            return lone, elapsed, was_held, batcher.cuts
+
+        for delay in (5.0, 30.0):
+            lone, elapsed, was_held, counts = asyncio.run(scenario(delay))
+            assert elapsed < 1.0 and lone.queued_ms < 1000.0
+            assert was_held
+            assert counts == cuts(idle=1, stop=1)
+
     def test_stop_flushes_a_held_batch_and_a_restart_is_idle(self):
         async def scenario():
             chain = FakeChain()
             batcher = TxBatcher(chain.append, max_delay_s=5.0)
             await batcher.start()
             await batcher.submit(tx("opener"))
-            held = batcher.submit(tx("held"))  # 5 s of hold-off ahead
+            held = batcher.submit(tx("held"))  # 5 s to the next token
             await asyncio.sleep(0.01)
             assert not held.done()
             await batcher.stop()
             assert held.done() and held.result().applied
-            # The old life's hold-off does not reach into the new one.
+            # The old life's empty bucket does not reach into the new one.
             await batcher.start()
             began = time.monotonic()
             await asyncio.wait_for(batcher.submit(tx("again")), timeout=4.0)

@@ -67,13 +67,17 @@ class TestSubmitPath:
                 for _ in range(5)
             ]
             try:
-                # An idle gateway cuts a lone submit at once; it is the
-                # hold-off that cut starts which gathers the next five.
-                opener = await clients[0].request(
-                    "POST", "/v1/tx",
-                    body={"crdt": "ledger", "op": "append",
-                          "args": ["opener"]},
-                )
+                # A gateway with a token cuts a lone submit at once.  At
+                # 0.5 s the cut rate holds two: the two openers empty
+                # it, and the wait for the next token gathers the five.
+                openers = [
+                    await clients[0].request(
+                        "POST", "/v1/tx",
+                        body={"crdt": "ledger", "op": "append",
+                              "args": [f"opener{i}"]},
+                    )
+                    for i in range(2)
+                ]
                 results = await asyncio.gather(*[
                     client.request(
                         "POST", "/v1/tx",
@@ -90,10 +94,11 @@ class TestSubmitPath:
                 for client in clients:
                     await client.close()
                 await gateway.stop()
-            return opener, results, state
+            return openers, results, state
 
-        opener, results, (st, _, state) = asyncio.run(scenario())
-        assert opener[0] == 200 and opener[2]["batch_size"] == 1
+        openers, results, (st, _, state) = asyncio.run(scenario())
+        assert all(status == 200 and body["batch_size"] == 1
+                   for status, _, body in openers)
         assert all(status == 200 for status, _, _ in results)
         bodies = [body for _, _, body in results]
         assert all(body["applied"] for body in bodies)
@@ -102,12 +107,12 @@ class TestSubmitPath:
         assert bodies[0]["batch_size"] == 5
         assert st == 200
         assert sorted(state["value"]) == (
-            [f"e{i}" for i in range(5)] + ["opener"]
+            [f"e{i}" for i in range(5)] + ["opener0", "opener1"]
         )
 
     def test_lone_post_is_answered_at_once(self, deployment, tmp_path):
-        # max_delay_s bounds the wait; it is not a wait: nothing cut a
-        # block in the 5 s before this transaction, so nothing holds it.
+        # max_delay_s bounds the wait; it is not a wait: the cut rate
+        # holds a token (never less than one), so nothing holds it.
         async def scenario():
             gateway = make_gateway(deployment, tmp_path, max_delay_s=5.0)
             await gateway.start()
@@ -202,13 +207,14 @@ class TestSubmitPath:
                 {"crdt": "ledger", "op": "append", "args": ["g2"]},
             ]
             try:
-                # The opener's cut starts the hold-off that gathers the
-                # next four into one batch.
-                await clients[0].request(
-                    "POST", "/v1/tx",
-                    body={"crdt": "ledger", "op": "append",
-                          "args": ["opener"]},
-                )
+                # Empty the cut rate's two tokens, so that the wait for
+                # the next one gathers the four into one batch.
+                for i in range(2):
+                    await clients[0].request(
+                        "POST", "/v1/tx",
+                        body={"crdt": "ledger", "op": "append",
+                              "args": [f"opener{i}"]},
+                    )
                 results = await asyncio.gather(*[
                     client.request("POST", "/v1/tx", body=body,
                                    headers={"X-Client-Id": f"c{i}"})
@@ -231,11 +237,14 @@ class TestSubmitPath:
         assert all(body["applied"] for body in good)
         assert len({body["block"] for body in good}) == 1
         assert good[0]["batch_size"] == 3
-        assert sorted(state["value"]) == ["g0", "g1", "g2", "opener"]
+        assert sorted(state["value"]) == [
+            "g0", "g1", "g2", "opener0", "opener1"
+        ]
 
     def test_a_submit_past_its_deadline_gets_503(self, deployment, tmp_path):
-        """The second transaction waits out a 5 s hold-off, past its
-        50 ms deadline: 503, and the gateway serves the next one."""
+        """The second transaction waits 5 s for the cut rate's next
+        token, past its 50 ms deadline: 503, and the gateway serves the
+        next one."""
         async def scenario():
             gateway = make_gateway(
                 deployment, tmp_path, max_delay_s=5.0, submit_timeout_s=0.05
