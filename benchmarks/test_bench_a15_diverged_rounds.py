@@ -36,10 +36,12 @@ SHARED_HISTORY = 300
 DEPTHS = (1, 2, 3, 5, 50, 200)
 
 #: The level walk on this setup (one level per round trip): d ->
-#: (rounds, bytes), measured with the same pairs before the skip sample.
+#: (rounds, bytes), measured with the same pairs before the skip sample,
+#: on keyed blocks; the bytes are restated for positional blocks, 72
+#: bytes smaller per body, less 144 per level (one body each way).
 LEVEL_WALK = {
-    1: (1, 609), 2: (2, 1_135), 3: (3, 1_661), 5: (5, 2_713),
-    50: (50, 26_383), 200: (200, 105_565),
+    1: (1, 465), 2: (2, 847), 3: (3, 1_229), 5: (5, 1_993),
+    50: (50, 19_183), 200: (200, 76_765),
 }
 
 PROTOCOLS = (

@@ -5,10 +5,13 @@ variable parent hashes), transaction body, signature.  This experiment
 reproduces the figure quantitatively: the canonical wire size of a block
 broken down by component as the parent count and transaction count vary.
 
-Expected shape: a fixed ~180-byte floor (ids, timestamp, signature,
-framing), +33 bytes per parent hash, and transaction-dominated growth
-for fat blocks — confirming that witness blocks (0 transactions) are
-cheap and that multi-parent merges cost little.
+Expected shape: a fixed ~125-byte floor (user id, timestamp, location,
+signature and the list framing around them), +34 bytes per parent hash,
+and transaction-dominated growth for fat blocks — confirming that
+witness blocks (0 transactions) are cheap and that multi-parent merges
+cost little.  A block is a positional list, so no field name is in its
+bytes: the one-parent witness is exactly its fields plus list framing,
+159 bytes (231 when every field carried its name).
 """
 
 from __future__ import annotations
@@ -64,7 +67,14 @@ def test_f2_block_layout(benchmark, results_dir):
     per_parent = two_parents - one_parent
     assert 32 <= per_parent <= 40, "a parent is one 32-byte hash + framing"
 
-    empty = _block_with(1, 0).wire_size
-    assert empty < 350, "witness blocks must stay small"
+    # Tripwire: a witness block is its fields and the tag and count of
+    # its two lists (block, header), nothing more — a keyed form fails.
+    witness = _block_with(1, 0)
+    fields = sum(map(wire.encoded_size, [
+        *witness.header.to_wire(), witness.signature, [],
+    ]))
+    assert witness.wire_size == fields + 2 + 2 == 159, (
+        "a witness block is its fields plus list framing"
+    )
 
     benchmark(_block_with, 4, 8)

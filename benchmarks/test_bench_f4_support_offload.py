@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.reconcile.frontier import FrontierProtocol
 from repro.support import OffloadManager, Superpeer
+from repro.support.offload import STUB_BYTES
 
 from benchmarks.bench_util import Table, make_fleet
 
@@ -47,6 +48,7 @@ def test_f4_support_offload(benchmark, results_dir):
     }
 
     retained_by_budget = {}
+    dropped_by_budget = {}
     for budget in (full_bytes, full_bytes // 2, full_bytes // 4,
                    full_bytes // 8, 0):
         device, superpeer = _device_with_history(seed=1)
@@ -54,6 +56,7 @@ def test_f4_support_offload(benchmark, results_dir):
         dropped = manager.offload(superpeer)
         retained = manager.stored_bytes()
         retained_by_budget[budget] = retained
+        dropped_by_budget[budget] = dropped
         table.add(
             budget, full_bytes, dropped, retained,
             manager.over_budget(),
@@ -69,11 +72,13 @@ def test_f4_support_offload(benchmark, results_dir):
     table.emit(results_dir, "f4_support_offload")
 
     assert retained_by_budget[full_bytes] == full_bytes  # no-op offload
-    # The floor is genesis + frontier bodies + 96-byte stubs per dropped
-    # block (honest accounting of retained structure), ≈40% here; the
-    # *body* bytes freed are what §IV-I is after.
-    assert retained_by_budget[0] < full_bytes * 0.45, (
-        "aggressive offload must free most storage"
+    # The floor is genesis + frontier bodies + a STUB_BYTES stub per
+    # dropped block (honest accounting of retained structure), ≈57 %
+    # here: a stub is a fixed 96 bytes however small a block encodes.
+    # The *body* bytes freed are what §IV-I is after.
+    bodies_kept = retained_by_budget[0] - STUB_BYTES * dropped_by_budget[0]
+    assert bodies_kept < full_bytes * 0.10, (
+        "aggressive offload must free most body bytes"
     )
 
     def kernel():

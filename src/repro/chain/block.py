@@ -8,6 +8,11 @@ The block header holds the creator's user id, a timestamp, an optional
 physical location, and the list of parent hashes.  The block hash covers
 the entire block including the signature, so a block is immutable down to
 the last byte once referenced as a parent.
+
+Each is encoded as a positional list — ``[crdt, op, args]``,
+``[location, parents, timestamp, user_id]``, ``[header, signature,
+transactions]`` — so no field name is on the wire, on disk or under a
+hash, and that one encoding serves all three.
 """
 
 from __future__ import annotations
@@ -25,11 +30,17 @@ CRDTS_CRDT_NAME = "__crdts__"
 
 MAX_PARENTS = 64
 MAX_TRANSACTIONS = 1024
-MAX_ARG_BYTES = 64 * 1024
+#: Most bytes a block may encode to.  Such a block, alone in any message
+#: that carries blocks (``blocks``, ``frontier_set``, ``push_blocks``)
+#: beside the longest digest list one carries (the 8 192 digests,
+#: 272 KiB, that reconciliation's batch budget holds), still fits one
+#: ``wire.MAX_FRAME_BYTES`` frame: every block a replica accepts can
+#: travel.
+MAX_BLOCK_BYTES = wire.MAX_FRAME_BYTES - 512 * 1024
 #: Levels of nesting a transaction's args may use, args itself being
 #: one: ``[]`` is 1, ``[0]`` and ``[[]]`` are 2.  In a ``blocks`` or
 #: ``push_blocks`` message args sit under five containers (message map,
-#: block list, block map, transaction list, transaction map), so the
+#: block list, block list, transaction list, transaction list), so the
 #: deepest value of the deepest legal args is the deepest
 #: ``wire.decode`` reads, and every block can travel.
 MAX_ARG_DEPTH = wire.MAX_DEPTH - 4
@@ -68,17 +79,15 @@ class Transaction:
                 f"transaction args nest deeper than {MAX_ARG_DEPTH} levels"
             )
 
-    def to_wire(self) -> dict:
-        return {"crdt": self.crdt_name, "op": self.op, "args": self.args}
+    def to_wire(self) -> list:
+        """``[crdt, op, args]``."""
+        return [self.crdt_name, self.op, self.args]
 
     @classmethod
     def from_wire(cls, value: Any) -> "Transaction":
-        if not isinstance(value, dict) or len(value) != 3:
-            raise MalformedBlockError("transaction must be a map of three")
-        try:
-            crdt_name, op, args = value["crdt"], value["op"], value["args"]
-        except KeyError as exc:
-            raise MalformedBlockError(f"transaction missing {exc}") from exc
+        if type(value) is not list or len(value) != 3:
+            raise MalformedBlockError("transaction must be a list of three")
+        crdt_name, op, args = value
         # The constructor's list(args) would make a list of "xy" or of
         # {"x": 1} too; on the wire only a list is a list.
         if type(args) is not list:
@@ -129,31 +138,28 @@ class BlockHeader:
         # same parent set serialize identically.
         self.parents = sorted(parents)
 
-    def to_wire(self) -> dict:
-        return {
-            "location": (
-                list(self.location) if self.location is not None else None
-            ),
-            "parents": [parent.digest for parent in self.parents],
-            "timestamp": self.timestamp,
-            "user_id": self.user_id.digest,
-        }
+    def to_wire(self) -> list:
+        """``[location, parents, timestamp, user_id]``."""
+        return [
+            list(self.location) if self.location is not None else None,
+            [parent.digest for parent in self.parents],
+            self.timestamp,
+            self.user_id.digest,
+        ]
 
     @classmethod
     def from_wire(cls, value: Any) -> "BlockHeader":
-        """Parse a decoded header map, coercing nothing.
+        """Parse a decoded header list, coercing nothing.
 
         Whatever the constructor would convert or reorder — ``"12"`` or
         ``True`` for a timestamp, a map where the parent list belongs,
-        parents out of order, an extra key — would be a second wire form
-        of a block with the same hash, and a block has exactly one.
+        parents out of order, a fifth field — would be a second wire
+        form of a block with the same hash, and a block has exactly one.
         """
-        if not isinstance(value, dict) or len(value) != 4:
-            raise MalformedBlockError("header must be a map of four")
+        if type(value) is not list or len(value) != 4:
+            raise MalformedBlockError("header must be a list of four")
+        location, digests, timestamp, user_id = value
         try:
-            timestamp = value["timestamp"]
-            location = value["location"]
-            digests = value["parents"]
             if type(timestamp) is not int:
                 raise MalformedBlockError("timestamp must be an int")
             if location is not None and not (
@@ -164,12 +170,12 @@ class BlockHeader:
             if type(digests) is not list or digests != sorted(digests):
                 raise MalformedBlockError("parents must be a sorted list")
             return cls(
-                user_id=Hash(value["user_id"]),
+                user_id=Hash(user_id),
                 timestamp=timestamp,
                 parents=[Hash(digest) for digest in digests],
                 location=location,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise MalformedBlockError(f"malformed header: {exc}") from exc
 
     def __repr__(self) -> str:
@@ -179,12 +185,9 @@ class BlockHeader:
         )
 
 
-# Where things sit in a block's encoding, the map {header, signature,
-# transactions}: the codec orders a map by its encoded keys, and a
-# shorter key encodes lower.
-_HEADER_AT = 2 + len(wire.encode("header"))  # map tag, entry count, key
-_SIGNATURE_KEY_LEN = len(wire.encode("signature"))
-_TRANSACTIONS_KEY_LEN = len(wire.encode("transactions"))
+# Where the header starts in a block's encoding, the list [header,
+# signature, transactions]: after the list tag and the count of three.
+_HEADER_AT = 2
 
 
 def _encode_parts(
@@ -205,11 +208,10 @@ def _encode_parts(
 
 
 def _signed_bytes(header_bytes: bytes, body_bytes: bytes) -> bytes:
-    """What a creator signs: header and transactions, no signature."""
-    return wire.encode({
-        "header": wire.Encoded(header_bytes),
-        "transactions": wire.Encoded(body_bytes),
-    })
+    """What a creator signs: ``[header, transactions]``, no signature."""
+    return wire.encode(
+        [wire.Encoded(header_bytes), wire.Encoded(body_bytes)]
+    )
 
 
 class Block:
@@ -245,11 +247,16 @@ class Block:
         self.timestamp = header.timestamp
         self.transactions = transactions
         self.signature = bytes(signature)
-        self._encoded = wire.encode({
-            "header": wire.Encoded(header_bytes),
-            "signature": self.signature,
-            "transactions": wire.Encoded(body_bytes),
-        })
+        self._encoded = wire.encode([
+            wire.Encoded(header_bytes),
+            self.signature,
+            wire.Encoded(body_bytes),
+        ])
+        if len(self._encoded) > MAX_BLOCK_BYTES:
+            raise MalformedBlockError(
+                f"block of {len(self._encoded)} bytes exceeds the "
+                f"{MAX_BLOCK_BYTES}-byte limit"
+            )
         self.hash = Hash.of_bytes(self._encoded)
         self._header_end = _HEADER_AT + len(header_bytes)
 
@@ -280,12 +287,7 @@ class Block:
     def signing_payload(self) -> bytes:
         """The bytes the creator signed (header + transactions)."""
         encoded = self._encoded
-        body_at = (
-            self._header_end
-            + _SIGNATURE_KEY_LEN
-            + wire.encoded_size(self.signature)
-            + _TRANSACTIONS_KEY_LEN
-        )
+        body_at = self._header_end + wire.encoded_size(self.signature)
         return _signed_bytes(
             encoded[_HEADER_AT:self._header_end], encoded[body_at:]
         )
@@ -298,27 +300,25 @@ class Block:
     def is_genesis(self) -> bool:
         return not self.parents
 
-    def to_wire(self) -> dict:
-        return {
-            "header": self.header.to_wire(),
-            "signature": self.signature,
-            "transactions": [tx.to_wire() for tx in self.transactions],
-        }
+    def to_wire(self) -> list:
+        """``[header, signature, transactions]``, the value
+        :meth:`to_bytes` encodes."""
+        return [
+            self.header.to_wire(),
+            self.signature,
+            [tx.to_wire() for tx in self.transactions],
+        ]
 
     @classmethod
     def from_wire(cls, value: Any) -> "Block":
-        if not isinstance(value, dict) or len(value) != 3:
-            raise MalformedBlockError("block must be a map of three")
-        try:
-            header = BlockHeader.from_wire(value["header"])
-            entries = value["transactions"]
-            if type(entries) is not list:
-                raise MalformedBlockError("transactions must be a list")
-            transactions = [Transaction.from_wire(tx) for tx in entries]
-            signature = value["signature"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedBlockError(f"malformed block: {exc}") from exc
-        if not isinstance(signature, bytes):
+        if type(value) is not list or len(value) != 3:
+            raise MalformedBlockError("block must be a list of three")
+        header_value, signature, entries = value
+        header = BlockHeader.from_wire(header_value)
+        if type(entries) is not list:
+            raise MalformedBlockError("transactions must be a list")
+        transactions = [Transaction.from_wire(tx) for tx in entries]
+        if type(signature) is not bytes:
             raise MalformedBlockError("signature must be bytes")
         return cls(header, transactions, signature)
 

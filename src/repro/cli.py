@@ -46,6 +46,7 @@ it as one ``error: …`` line on stderr and exits 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import pathlib
 import sys
 from typing import Optional, Sequence
@@ -86,13 +87,28 @@ def _open_store(path: str) -> pathlib.Path:
     return _existing(path, "store", " (create one with `init`)")
 
 
+@contextlib.contextmanager
+def _readable_store(path: str):
+    """A store that is not one, or holds a record no block parses from
+    (such as a block in an encoding this version does not read), is a
+    refusal, not a traceback."""
+    from repro.chain.errors import ChainError
+    from repro.storage import StorageError
+
+    try:
+        yield
+    except (StorageError, ChainError) as exc:
+        raise CliError(f"cannot read store {path}: {exc}") from exc
+
+
 def _replay_store(path: str):
     """``(dag, machine)`` of a persisted chain, replayed unvalidated."""
     from repro.storage import BlockStore
     from repro.chain.dag import BlockDAG
     from repro.csm.machine import CSMachine
 
-    blocks = list(BlockStore(_open_store(path)).blocks())
+    with _readable_store(path):
+        blocks = list(BlockStore(_open_store(path)).blocks())
     if not blocks:
         raise CliError("store is empty")
     dag = BlockDAG(blocks[0])
@@ -463,12 +479,13 @@ def _live_node(args: argparse.Namespace, store: str, key: str,
     its *place* and, for `serve`, its ops endpoint."""
     from repro.live import LiveNode
 
-    return LiveNode(
-        _load_key(key), _open_store(store),
-        interval_s=args.interval,
-        session_timeout_s=args.session_timeout,
-        obs=obs, **where,
-    )
+    with _readable_store(store):
+        return LiveNode(
+            _load_key(key), _open_store(store),
+            interval_s=args.interval,
+            session_timeout_s=args.session_timeout,
+            obs=obs, **where,
+        )
 
 
 def _run_service(args: argparse.Namespace, node, service, obs,

@@ -256,7 +256,7 @@ class FaultInjector:
 
     @staticmethod
     def _changed_blocks(decoded, original) -> list:
-        """Block wire maps in *decoded* whose bytes were touched
+        """Decoded blocks in *decoded* whose bytes were touched
         (*original* is the lowered step: its blocks are their bytes)."""
         if not isinstance(decoded, dict) or not isinstance(original, dict):
             return []
@@ -268,7 +268,7 @@ class FaultInjector:
             return []
         changed = []
         for index, entry in enumerate(decoded_blocks):
-            if not isinstance(entry, dict):
+            if not isinstance(entry, list):
                 continue
             if (
                 index >= len(original_blocks)

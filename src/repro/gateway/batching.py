@@ -4,11 +4,15 @@ Ordinary clients submit single transactions; the chain wants blocks.
 The :class:`TxBatcher` sits between them with a size-or-rate trigger
 (:func:`next_cut` is the whole rule): a batch is cut the moment it
 reaches ``max_batch`` transactions, and otherwise as soon as the cut
-rate allows.  The rate is a :class:`~repro.gateway.admission.TokenBucket`
-refilled at ``1 / max_delay_s`` tokens a second that holds one second
-of them, never less than one token (40 at the 25 ms default).  Every
-cut spends a token if one is there; only a batch that is not full ever
-waits for one.  A transaction that finds a token is therefore cut into
+rate allows.  A batch is full too when more encoded bytes are queued
+than one block carries (``max_batch_bytes``): it is then cut at once,
+just before the transaction that would cross that budget, so every
+block the gateway writes can travel.  The rate is a
+:class:`~repro.gateway.admission.TokenBucket` refilled at
+``1 / max_delay_s`` tokens a second that holds one second of them,
+never less than one token (40 at the 25 ms default).  Every cut spends
+a token if one is there; only a batch that is not full ever waits for
+one.  A transaction that finds a token is therefore cut into
 a block at once, however recently the previous cut was; one that finds
 the bucket empty waits for the next token, at most ``max_delay_s``.
 Two bounds follow: no transaction waits longer than ``max_delay_s``
@@ -40,12 +44,17 @@ import time
 from collections import deque
 from typing import Callable, Optional, Sequence
 
-from repro.chain.block import MAX_TRANSACTIONS, Transaction
+from repro import wire
+from repro.chain.block import MAX_BLOCK_BYTES, MAX_TRANSACTIONS, Transaction
 from repro.gateway.admission import TokenBucket
 
 DEFAULT_MAX_BATCH = 128
 DEFAULT_MAX_DELAY_S = 0.025
 DEFAULT_MAX_QUEUE = 1024
+#: Most encoded transaction bytes in one batch: the rest of
+#: ``MAX_BLOCK_BYTES`` holds the block's list framing, a header citing
+#: ``MAX_PARENTS`` parents and a signature (≈ 2.3 KB of the 4 KiB).
+MAX_BATCH_BYTES = MAX_BLOCK_BYTES - 4 * 1024
 
 
 def next_cut(queued: int, oldest: float, token_at: float, now: float, *,
@@ -99,11 +108,12 @@ class SubmitResult:
 
 
 class _Pending:
-    __slots__ = ("tx", "future", "enqueued")
+    __slots__ = ("tx", "size", "future", "enqueued")
 
-    def __init__(self, tx: Transaction, future: asyncio.Future,
+    def __init__(self, tx: Transaction, size: int, future: asyncio.Future,
                  enqueued: float):
         self.tx = tx
+        self.size = size
         self.future = future
         self.enqueued = enqueued
 
@@ -143,10 +153,12 @@ class TxBatcher:
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
         self.max_queue = max_queue
+        self.max_batch_bytes = MAX_BATCH_BYTES
         self._clock = clock or time.monotonic
         self._on_flush = on_flush
         self._on_shed = on_shed
         self._queue: deque[_Pending] = deque()
+        self._queued_bytes = 0
         self._wakeup: Optional[asyncio.Event] = None
         self._task: Optional[asyncio.Task] = None
         self._closed = False
@@ -184,7 +196,7 @@ class TxBatcher:
         # Anything still pending (a submit that raced the stop) fails
         # cleanly rather than hanging its waiter forever.
         while self._queue:
-            entry = self._queue.popleft()
+            entry = self._popleft()
             if not entry.future.done():
                 entry.future.set_exception(BatcherClosed())
 
@@ -201,25 +213,46 @@ class TxBatcher:
     def submit(self, tx: Transaction) -> asyncio.Future:
         """Queue one transaction; the future resolves to a
         :class:`SubmitResult` (or :class:`ShedError` /
-        :class:`BatcherClosed`)."""
+        :class:`BatcherClosed`).  One the block encoder would refuse is
+        refused here, queueing nothing: ``wire.EncodeError`` (or
+        ``RecursionError``) for args it cannot encode, ``ValueError``
+        for one that could never fit a batch (over ``max_batch_bytes``).
+        """
+        size = wire.encoded_size(tx.to_wire())
+        if size > self.max_batch_bytes:
+            raise ValueError(
+                f"transaction of {size} bytes exceeds the "
+                f"{self.max_batch_bytes}-byte batch budget"
+            )
         if self._closed or self._task is None:
             future = asyncio.get_running_loop().create_future()
             future.set_exception(BatcherClosed())
             return future
         while len(self._queue) >= self.max_queue:
-            shed = self._queue.popleft()
+            shed = self._popleft()
             self.txs_shed += 1
             if self._on_shed is not None:
                 self._on_shed(1)
             if not shed.future.done():
                 shed.future.set_exception(ShedError(self._retry_after()))
         future = asyncio.get_running_loop().create_future()
-        self._queue.append(_Pending(tx, future, self._clock()))
+        self._queue.append(_Pending(tx, size, future, self._clock()))
+        self._queued_bytes += size
         # Only the first entry (it sets the due time) and the one that
         # fills the batch can change what the flusher is waiting for.
-        if len(self._queue) in (1, self.max_batch):
+        if (len(self._queue) in (1, self.max_batch)
+                or self._bytes_full()):
             self._wakeup.set()
         return future
+
+    def _popleft(self) -> _Pending:
+        entry = self._queue.popleft()
+        self._queued_bytes -= entry.size
+        return entry
+
+    def _bytes_full(self) -> bool:
+        """Is more queued than one block's transaction bytes?"""
+        return self._queued_bytes > self.max_batch_bytes
 
     def _retry_after(self) -> float:
         """A Retry-After hint: roughly one full queue drain."""
@@ -243,6 +276,8 @@ class TxBatcher:
         while True:
             if self._closed:
                 return "stop" if self._queue else None
+            if self._bytes_full():
+                return "full"
             now = self._clock()
             due, trigger = next_cut(
                 len(self._queue),
@@ -263,8 +298,11 @@ class TxBatcher:
 
     def _flush_one_batch(self, trigger: str) -> None:
         batch: list[_Pending] = []
-        while self._queue and len(batch) < self.max_batch:
-            batch.append(self._queue.popleft())
+        budget = self.max_batch_bytes
+        while (self._queue and len(batch) < self.max_batch
+               and (not batch or self._queue[0].size <= budget)):
+            budget -= self._queue[0].size
+            batch.append(self._popleft())
         # Spent whether or not the chain takes the batch: a refused
         # block costs what an accepted one does.
         now = self._clock()
@@ -299,6 +337,7 @@ class TxBatcher:
             "queue_depth": self.queue_depth,
             "max_queue": self.max_queue,
             "max_batch": self.max_batch,
+            "max_batch_bytes": self.max_batch_bytes,
             "max_delay_ms": self.max_delay_s * 1000.0,
             "batches": self.batches_flushed,
             "cuts": dict(self.cuts),

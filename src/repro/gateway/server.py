@@ -145,15 +145,17 @@ class GatewayServer(HttpServer):
             tx = Transaction(payload.get("crdt"), payload.get("op"), args)
         except MalformedBlockError as exc:
             raise HttpError(400, str(exc)) from exc
-        # What the block encoder would refuse (a float, a list nested
-        # past the stack) fails this client here, not its whole batch.
-        try:
-            wire.encode(args)
-        except (wire.EncodeError, RecursionError) as exc:
-            raise HttpError(400, f"args are not wire-encodable: {exc}") from exc
         loop = asyncio.get_running_loop()
         start = loop.time()
-        future = host.batcher.submit(tx)
+        # What the block encoder would refuse (a float, a list nested
+        # past the stack, more bytes than a block carries) fails this
+        # client here, not its whole batch.
+        try:
+            future = host.batcher.submit(tx)
+        except (wire.EncodeError, RecursionError) as exc:
+            raise HttpError(400, f"args are not wire-encodable: {exc}") from exc
+        except ValueError as exc:
+            raise HttpError(413, str(exc)) from exc
         # The deadline cancels the future, which is awaited directly: the
         # answer goes out in the loop turn after the cut, before the
         # replica pushes the block (``wait_for`` on Python 3.11 hands the
@@ -208,10 +210,25 @@ class GatewayServer(HttpServer):
         if block_hash not in dag:
             raise HttpError(404, "no such block on this chain")
         block = dag.get(block_hash)
+        header = block.header
         return json_response(200, {
             "chain": host.prefix,
             "hash": block.hash.hex(),
-            "block": jsonable(block.to_wire()),
+            # Named fields for clients: the wire form is positional.
+            "block": {
+                "header": {
+                    "location": jsonable(header.location),
+                    "parents": [parent.hex() for parent in header.parents],
+                    "timestamp": header.timestamp,
+                    "user_id": header.user_id.hex(),
+                },
+                "signature": block.signature.hex(),
+                "transactions": [
+                    {"crdt": tx.crdt_name, "op": tx.op,
+                     "args": jsonable(tx.args)}
+                    for tx in block.transactions
+                ],
+            },
         })
 
     async def _subscribe(self, host, request, rest) -> Response:

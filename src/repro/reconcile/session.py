@@ -221,7 +221,8 @@ def lower(message: dict) -> dict:
 
 
 def lift(decoded) -> dict:
-    """A decoded wire map back as a message (wire maps as blocks)."""
+    """A decoded wire map back as a message (decoded blocks as
+    :class:`Block` objects)."""
     if not isinstance(decoded, dict) or not isinstance(
         decoded.get("type"), str
     ):

@@ -32,6 +32,12 @@ def nested_args(levels):
     return value
 
 
+# Positions in the list form.
+HEADER, TRANSACTIONS = 0, 2
+LOCATION, PARENTS, TIMESTAMP = 0, 1, 2
+ARGS = 2
+
+
 def _parent_hashes(n):
     return [Hash.of_value(["parent", i]) for i in range(n)]
 
@@ -50,9 +56,9 @@ class TestTransaction:
 
     def test_malformed_wire_rejected(self):
         with pytest.raises(MalformedBlockError):
-            Transaction.from_wire(["not", "a", "map"])
+            Transaction.from_wire({"crdt": "x", "op": "y", "args": []})
         with pytest.raises(MalformedBlockError):
-            Transaction.from_wire({"crdt": "x", "op": "y"})  # missing args
+            Transaction.from_wire(["x", "y"])  # missing args
 
     @pytest.mark.parametrize("kind", ["push_blocks", "blocks"])
     def test_the_deepest_legal_args_travel_in_a_message(self, key, kind):
@@ -69,7 +75,7 @@ class TestTransaction:
         with pytest.raises(MalformedBlockError, match="nest deeper"):
             Transaction("x", "y", args)
         with pytest.raises(MalformedBlockError, match="nest deeper"):
-            Transaction.from_wire({"crdt": "x", "op": "y", "args": args})
+            Transaction.from_wire(["x", "y", args])
         # A map is a level too: {"k": 0} under MAX_ARG_DEPTH - 1 lists.
         args = {"k": 0}
         for _ in range(MAX_ARG_DEPTH - 1):
@@ -167,20 +173,21 @@ class TestBlock:
 
     def test_wire_missing_signature_rejected(self, key):
         wire_form = Block.create(key, [], 100).to_wire()
-        del wire_form["signature"]
+        del wire_form[1]  # [header, signature, transactions]
         with pytest.raises(MalformedBlockError):
             Block.from_wire(wire_form)
 
+    # Header positions: [location, parents, timestamp, user_id].
     @pytest.mark.parametrize("field,value", [
-        ("parents", [300_000_000]),
-        ("user_id", 300_000_000),
-    ])
+        (1, [300_000_000]),
+        (3, 300_000_000),
+    ], ids=["parents-value0", "user_id-300000000"])
     def test_wire_int_digest_rejected_without_allocating(self, key, field,
                                                          value):
         """``bytes(300_000_000)`` is 300 MB of zeros: a digest that is
         not a byte string must be refused before any conversion."""
         wire_form = Block.create(key, [], 100).to_wire()
-        wire_form["header"][field] = value
+        wire_form[0][field] = value
         tracemalloc.start()
         try:
             with pytest.raises(MalformedBlockError):
@@ -190,21 +197,24 @@ class TestBlock:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    # Positions: block [header, signature, transactions], header
+    # [location, parents, timestamp, user_id], transaction [crdt, op,
+    # args]; one past the end appends a field.
     @pytest.mark.parametrize("path,value", [
-        (("header", "timestamp"), "12"),
-        (("header", "timestamp"), b"12"),
-        (("header", "timestamp"), True),
-        (("header", "location"), ["1", True]),
-        (("header", "location"), [1, 2, 3]),
-        (("header", "location"), {"0": 1, "1": 2}),
-        (("header", "parents"), {}),
-        (("header", "parents"), "reversed"),
-        (("header", "extra"), 1),
-        (("transactions",), {}),
-        (("transactions", 0, "args"), "xy"),
-        (("transactions", 0, "args"), {"x": 1}),
-        (("transactions", 0, "extra"), 1),
-        (("extra",), 1),
+        ((HEADER, TIMESTAMP), "12"),
+        ((HEADER, TIMESTAMP), b"12"),
+        ((HEADER, TIMESTAMP), True),
+        ((HEADER, LOCATION), ["1", True]),
+        ((HEADER, LOCATION), [1, 2, 3]),
+        ((HEADER, LOCATION), {"0": 1, "1": 2}),
+        ((HEADER, PARENTS), {}),
+        ((HEADER, PARENTS), "reversed"),
+        ((HEADER, 4), 1),
+        ((TRANSACTIONS,), {}),
+        ((TRANSACTIONS, 0, ARGS), "xy"),
+        ((TRANSACTIONS, 0, ARGS), {"x": 1}),
+        ((TRANSACTIONS, 0, 3), 1),
+        ((3,), 1),
     ])
     def test_wire_value_the_constructors_would_coerce_is_rejected(
             self, key, path, value):
@@ -217,11 +227,14 @@ class TestBlock:
         )
         wire_form = honest.to_wire()
         if value == "reversed":
-            value = list(reversed(wire_form["header"]["parents"]))
+            value = list(reversed(wire_form[HEADER][PARENTS]))
         target = wire_form
         for step in path[:-1]:
             target = target[step]
-        target[path[-1]] = value
+        if path[-1] == len(target):
+            target.append(value)
+        else:
+            target[path[-1]] = value
         with pytest.raises(MalformedBlockError):
             Block.from_wire(wire_form)
         assert Block.from_wire(honest.to_wire()) == honest

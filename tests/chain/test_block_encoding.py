@@ -46,10 +46,10 @@ _blocks = st.builds(
 
 
 def _walked_payload(block: Block) -> bytes:
-    return wire.encode({
-        "header": block.header.to_wire(),
-        "transactions": [tx.to_wire() for tx in block.transactions],
-    })
+    return wire.encode([
+        block.header.to_wire(),
+        [tx.to_wire() for tx in block.transactions],
+    ])
 
 
 @given(_blocks)
@@ -97,22 +97,26 @@ def test_create_signs_the_payload_it_hands_out():
 # ----------------------------------------------------------------------
 # One wire form: whatever from_wire accepts encodes to the block's bytes.
 
+# Positions: block [header, signature, transactions], header
+# [location, parents, timestamp, user_id], transaction [crdt, op, args].
+# A position one past the end appends a field.
+_HEADER, _SIGNATURE, _TRANSACTIONS = 0, 1, 2
 _PATHS = [
     (),
-    ("header",),
-    ("header", "timestamp"),
-    ("header", "location"),
-    ("header", "parents"),
-    ("header", "user_id"),
-    ("signature",),
-    ("transactions",),
-    ("transactions", 0),
-    ("transactions", 0, "crdt"),
-    ("transactions", 0, "op"),
-    ("transactions", 0, "args"),
-    ("header", "extra"),
-    ("transactions", 0, "extra"),
-    ("extra",),
+    (_HEADER,),
+    (_HEADER, 2),  # timestamp
+    (_HEADER, 0),  # location
+    (_HEADER, 1),  # parents
+    (_HEADER, 3),  # user_id
+    (_SIGNATURE,),
+    (_TRANSACTIONS,),
+    (_TRANSACTIONS, 0),
+    (_TRANSACTIONS, 0, 0),  # crdt
+    (_TRANSACTIONS, 0, 1),  # op
+    (_TRANSACTIONS, 0, 2),  # args
+    (_HEADER, 4),
+    (_TRANSACTIONS, 0, 3),
+    (3,),
 ]
 
 _SEED_BLOCK = Block(
@@ -128,12 +132,10 @@ _SEED_BLOCK = Block(
 def _replaced(value, path, replacement):
     if not path:
         return replacement
-    if isinstance(value, list):
-        copy = list(value)
-        copy[path[0]] = _replaced(value[path[0]], path[1:], replacement)
-        return copy
-    copy = dict(value)
-    copy[path[0]] = _replaced(value.get(path[0]), path[1:], replacement)
+    copy = list(value)
+    if path[0] == len(copy):
+        copy.append(None)
+    copy[path[0]] = _replaced(copy[path[0]], path[1:], replacement)
     return copy
 
 

@@ -6,7 +6,14 @@ import time
 
 import pytest
 
-from repro.chain.block import MAX_TRANSACTIONS, Transaction
+from repro import wire
+from repro.chain.block import (
+    MAX_BLOCK_BYTES,
+    MAX_TRANSACTIONS,
+    Block,
+    Transaction,
+)
+from repro.crypto.keys import KeyPair
 from repro.gateway.batching import (
     BatcherClosed,
     ShedError,
@@ -506,6 +513,76 @@ class TestLifecycle:
         assert summary["txs_batched"] == 2
         assert summary["txs_shed"] == 0
         assert summary["queue_depth"] == 0
+
+
+class TestByteBudget:
+    """A batch closes before its block would outgrow what can travel."""
+
+    def test_bytes_over_the_budget_cut_a_batch_at_once(self):
+        size = wire.encoded_size(tx("t0").to_wire())
+
+        async def scenario():
+            chain = FakeChain()
+            batcher = TxBatcher(chain.append, max_batch=10, max_delay_s=60.0)
+            batcher.max_batch_bytes = 2 * size + size // 2
+            await batcher.start()
+            await batcher.submit(tx("opener"))  # spends the one token
+            futures = [batcher.submit(tx(f"t{i}")) for i in range(3)]
+            # Two fit the budget, the third crosses it: the first two
+            # are a full batch now, not in 60 s.
+            await asyncio.wait_for(
+                asyncio.gather(*futures[:2]), timeout=5.0
+            )
+            cut = dict(batcher.cuts)
+            await batcher.stop()
+            await futures[2]
+            return chain, cut, batcher.queue_depth
+
+        chain, cut, depth = asyncio.run(scenario())
+        assert [len(batch) for batch in chain.batches] == [1, 2, 1]
+        assert cut == cuts(idle=1, full=1)
+        assert depth == 0
+
+    def test_a_transaction_over_the_budget_is_refused(self):
+        async def scenario():
+            batcher = TxBatcher(FakeChain().append)
+            batcher.max_batch_bytes = 10
+            await batcher.start()
+            try:
+                with pytest.raises(ValueError, match="batch budget"):
+                    batcher.submit(tx("longer than ten bytes"))
+                return batcher.queue_depth
+            finally:
+                await batcher.stop()
+
+        assert asyncio.run(scenario()) == 0
+
+    def test_seventeen_megabytes_become_blocks_that_fit(self):
+        """The default budget, on real blocks: 17 transactions of a
+        million characters each are one block of 16 and one of 1."""
+        key = KeyPair.deterministic(62)
+        blocks = []
+
+        def append(txs):
+            blocks.append(Block.create(key, [], 1, txs))
+            return blocks[-1], [FakeOutcome() for _ in txs]
+
+        async def scenario():
+            batcher = TxBatcher(append, max_delay_s=0.01)
+            await batcher.start()
+            big = "x" * 1_000_000
+            futures = [batcher.submit(Transaction("ledger", "append", [big]))
+                       for _ in range(17)]
+            results = await asyncio.wait_for(
+                asyncio.gather(*futures), timeout=10.0
+            )
+            await batcher.stop()
+            return results
+
+        results = asyncio.run(scenario())
+        assert [len(block.transactions) for block in blocks] == [16, 1]
+        assert all(block.wire_size <= MAX_BLOCK_BYTES for block in blocks)
+        assert [r.batch_size for r in results] == [16] * 16 + [1]
 
 
 class TestValidation:

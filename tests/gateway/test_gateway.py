@@ -4,7 +4,8 @@ import asyncio
 import json
 import time
 
-from repro.chain.block import MAX_ARG_DEPTH
+from repro import wire
+from repro.chain.block import MAX_ARG_DEPTH, Transaction
 from repro.gateway import GatewayClient, GatewayNode
 from repro.gateway import websocket as ws
 from repro.live.node import LiveNode
@@ -241,6 +242,68 @@ class TestSubmitPath:
             "g0", "g1", "g2", "opener0", "opener1"
         ]
 
+    def test_an_oversize_batch_is_split_and_fails_no_client(
+            self, deployment, tmp_path):
+        """With the batch budget at two and a half transactions, three
+        that wait for the same token become two blocks, each applied;
+        a transaction over the whole budget is a 413 for its client
+        alone."""
+        def body(tag):
+            return {"crdt": "ledger", "op": "append", "args": [tag * 1000]}
+
+        async def scenario():
+            gateway = make_gateway(
+                deployment, tmp_path, max_batch=8, max_delay_s=0.5
+            )
+            await gateway.start()
+            create_ledger(gateway)
+            host = gateway.default_host
+            size = wire.encoded_size(
+                Transaction("ledger", "append", ["a" * 1000]).to_wire()
+            )
+            host.batcher.max_batch_bytes = 2 * size + size // 2
+            clients = [
+                GatewayClient("127.0.0.1", gateway.http_port)
+                for _ in range(4)
+            ]
+            bodies = [body("a"), {**body("b"), "args": ["b" * 3000]},
+                      body("c"), body("d")]
+            try:
+                # Empty the cut rate's two tokens, so that the wait for
+                # the next one gathers the others.
+                for i in range(2):
+                    await clients[0].request(
+                        "POST", "/v1/tx",
+                        body={"crdt": "ledger", "op": "append",
+                              "args": [f"opener{i}"]},
+                    )
+                results = await asyncio.gather(*[
+                    client.request("POST", "/v1/tx", body=body,
+                                   headers={"X-Client-Id": f"c{i}"})
+                    for i, (client, body) in enumerate(zip(clients, bodies))
+                ])
+                _, _, state = await clients[0].request(
+                    "GET", "/v1/state/ledger"
+                )
+            finally:
+                for client in clients:
+                    await client.close()
+                await gateway.stop()
+            return results, state, host.batcher.cuts
+
+        results, state, cuts = asyncio.run(scenario())
+        big_status, _, big_body = results.pop(1)
+        assert big_status == 413 and "batch budget" in big_body["error"]
+        assert [status for status, _, _ in results] == [200, 200, 200]
+        good = [body for _, _, body in results]
+        assert all(body["applied"] for body in good)
+        assert len({body["block"] for body in good}) == 2
+        assert sorted(body["batch_size"] for body in good) == [1, 2, 2]
+        assert cuts["full"] == 1
+        assert sorted(state["value"]) == [
+            "a" * 1000, "c" * 1000, "d" * 1000, "opener0", "opener1"
+        ]
+
     def test_a_submit_past_its_deadline_gets_503(self, deployment, tmp_path):
         """The second transaction waits 5 s for the cut rate's next
         token, past its 50 ms deadline: 503, and the gateway serves the
@@ -411,8 +474,6 @@ class TestBackpressure:
             # Drive the batcher directly past its queue bound — five
             # synchronous submits with a 30 s deadline and batch size 4:
             # the fifth submission must shed the first.
-            from repro.chain.block import Transaction
-
             futures = [
                 host.batcher.submit(
                     Transaction("ledger", "append", [f"t{i}"])

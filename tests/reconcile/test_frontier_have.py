@@ -36,7 +36,7 @@ from repro.reconcile.session import ReconcileError, Responder
 from tests.conftest import Deployment
 from tests.reconcile.test_registry import DRIVERS
 
-SMALL_BUDGET = 2048
+SMALL_BUDGET = 1536
 
 
 # -- seeded DAG pairs ---------------------------------------------------------

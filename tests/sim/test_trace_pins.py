@@ -12,7 +12,7 @@ If a future change *legitimately* alters simulation behaviour (a new
 event type in traces, a protocol change), re-capture the constants in
 the same commit and say so — never loosen the comparison.
 
-Re-captured once, for PR 18 (have-pruned frontier reconciliation).
+Re-captured twice.  First for have-pruned frontier reconciliation.
 What changed: the frontier protocol's wire — ``get_frontier`` carries
 the initiator's frontier hashes, ``frontier_set`` the responder's
 frontier as hashes plus only the bodies the initiator can lack — so
@@ -23,6 +23,16 @@ parents.  What did not: the scenarios, the comparison (still the raw
 trace bytes and the sorted state digests, byte for byte), and the
 properties the pins stand for — the spatial index against the O(n²)
 oracle is held by ``tests/net``, unchanged and green.
+
+Then for the positional block encoding (a block is the list
+``[header, signature, transactions]``, its header and transactions
+lists too, with no field names).  What changed: every block's bytes,
+so every block hash, every parent a later block cites, every session's
+byte count and, through the link model, every session's airtime — and
+with it which contacts find a radio busy.  What did not: the scenarios,
+the comparison (the raw trace bytes and the sorted state digests, byte
+for byte), and the protocol: the same message types, sent by the same
+rules.
 """
 
 import hashlib
@@ -37,16 +47,16 @@ from repro.sim import Scenario, Simulation
 
 GOLDEN = {
     "geo_waypoint_atomic": (
-        "203dcce5c8e673a11f92ef25343e61673c0671ae87467e12433f8ce9964e1989",
-        "271522b6c65c5d47956d076dc1953f4b8d87831e75710d5c19c73d15b8929248",
+        "7d8e31c26c381eaf629fe5fddf2ebcdfc02b6aeb5dd1a7ddee674e69ad45ea69",
+        "70d0bd5de5d9a4f92aefd200d9b4965dbe876003a9eacffa32e4c52f963cd9f6",
     ),
     "geo_waypoint_message": (
-        "af6d548c60ef43b35505f6bf093e801960bbb42513150cac007a1fb867955811",
-        "ac693a0eb06e314decdc2f34442f3910a14adfd80c0123f0d8fba788b94aca13",
+        "e018be63d5058c63da1f25aae42991537ad27672cad8f3c7cecfe2cc9c3c2e68",
+        "cb37fd8b3ee3b1f77fbe255dcf64b868218b5a83de694510991f9356159f6da1",
     ),
     "geo_static_message": (
-        "dea5133fcb6d16b05381e01ebba40746987ea067864429d560b2e5e943ed4e13",
-        "1f74886dd09c3aab51187a513328948df23dc9317a0a84ef6f8d8614e55fd1ab",
+        "2801ae6b83a39d50d3af63311fe068f3a8825dd28483a6b82d62b2237b772bb2",
+        "504f92ca200e212b5097d40b57761d697384643148ed384605449b1dfc040230",
     ),
 }
 

@@ -94,6 +94,34 @@ class TestInitAndInspect:
         BlockStore(store)
         assert main(["inspect", str(store)]) == 1
 
+    @pytest.mark.parametrize("command", ["inspect", "export", "serve"])
+    def test_an_unreadable_store_is_one_error_line(self, tmp_path, capsys,
+                                                   command):
+        """A store that is not one, and one whose checksummed record is
+        no block (a keyed block map, as an older encoding wrote), are
+        each refused on the one failure path."""
+        import hashlib
+
+        from repro import wire
+        from repro.storage.blockstore import MAGIC
+
+        key = str(tmp_path / "k.key")
+        main(["keygen", key])
+        payload = wire.encode({"header": {}, "signature": b"",
+                               "transactions": []})
+        keyed = tmp_path / "keyed.vgv"
+        keyed.write_bytes(
+            MAGIC + len(payload).to_bytes(4, "big")
+            + hashlib.sha256(payload).digest() + payload
+        )
+        junk = tmp_path / "junk.vgv"
+        junk.write_bytes(b"not a store")
+        for store in (keyed, junk):
+            argv = [command, str(store)]
+            if command == "serve":
+                argv += ["--key", key, "--port", "0"]
+            one_line_error(capsys, argv, "cannot read store")
+
     def test_init_leaves_an_existing_chain_untouched(self, tmp_path,
                                                      deployment, capsys):
         from repro.storage import save_node

@@ -69,12 +69,12 @@ class TestFlippedSignatureByte(object):
     def test_block_decodes_but_signature_verification_fails(
         self, deployment, signed_block
     ):
-        wire_map = signed_block.to_wire()
-        signature = bytearray(wire_map["signature"])
+        wire_form = signed_block.to_wire()  # [header, signature, txs]
+        signature = bytearray(wire_form[1])
         signature[7] ^= 0x01
-        wire_map["signature"] = bytes(signature)
+        wire_form[1] = bytes(signature)
         # The frame is still canonical TLV: it decodes into a Block...
-        reparsed = Block.from_bytes(wire.encode(wire_map))
+        reparsed = Block.from_bytes(wire.encode(wire_form))
         # ...whose hash differs (the hash covers the signature)...
         assert reparsed.hash != signed_block.hash
         # ...and whose signature no longer verifies against the header.
