@@ -438,8 +438,6 @@ def _node_setup(args: argparse.Namespace):
     """Check the node flags `serve` and `gateway` share; returns
     ``(obs, place)`` — *place* is what puts a replica in its
     cluster (listen address, peers, discovery), as LiveNode keywords."""
-    import time
-
     from repro.live import PeerSpec
 
     try:
@@ -453,13 +451,12 @@ def _node_setup(args: argparse.Namespace):
     obs = None
     if args.trace or args.metrics or args.ops_port is not None:
         from repro.obs import JsonlFileSink, Observability
+        from repro.runtime import SYSTEM
 
         sinks = [JsonlFileSink(args.trace)] if args.trace else []
         # Live traces are stamped with wall-clock ms so the cross-node
         # merger (`vegvisir trace-merge`) can estimate clock skew.
-        obs = Observability(
-            sinks=sinks, clock=lambda: int(time.time() * 1000)
-        )
+        obs = Observability(sinks=sinks, clock=SYSTEM.wall_ms)
     discovery = None
     if args.discover:
         from repro.discovery import DiscoveryConfig
@@ -498,8 +495,7 @@ def _run_service(args: argparse.Namespace, node, service, obs,
     import cProfile
     import signal
 
-    from repro.live import ListenError
-    from repro.obs.live import OpsError
+    from repro.runtime import ListenError
 
     async def _run() -> None:
         loop = asyncio.get_running_loop()
@@ -534,7 +530,7 @@ def _run_service(args: argparse.Namespace, node, service, obs,
                 asyncio.run(_run())
         except KeyboardInterrupt:
             pass
-        except (ListenError, OpsError) as exc:
+        except ListenError as exc:
             raise CliError(str(exc)) from exc
         print(f"stopped with {len(node.node.dag)} blocks "
               f"(digest {node.dag_digest()[:16]}…)")

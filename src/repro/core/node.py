@@ -13,7 +13,6 @@ discrete-event simulator can drive it.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Optional, Sequence
 
 from repro.chain.block import (
@@ -35,10 +34,7 @@ from repro.crypto.sha import Hash
 from repro.csm.machine import CSMachine, TxOutcome
 from repro.csm.permissions import ChainPolicy
 from repro.membership.certificate import Certificate
-
-
-def _wall_clock_ms() -> int:
-    return int(time.time() * 1000)
+from repro.runtime import SYSTEM
 
 
 class VegvisirNode:
@@ -60,7 +56,7 @@ class VegvisirNode:
         self.validator = BlockValidator(
             self.dag, self.csm.resolve_member, max_skew_ms
         )
-        self._clock = clock or _wall_clock_ms
+        self._clock = clock or SYSTEM.wall_ms
         self._location = location or (lambda: None)
         self.blocks_created = 0
 
@@ -87,7 +83,7 @@ class VegvisirNode:
 
     @clock.setter
     def clock(self, clock) -> None:
-        self._clock = clock or _wall_clock_ms
+        self._clock = clock or SYSTEM.wall_ms
 
     @property
     def location_provider(self):

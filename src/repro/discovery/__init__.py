@@ -51,8 +51,6 @@ from repro.discovery.service import (
     DEFAULT_PORT,
     DiscoveryConfig,
     DiscoveryService,
-    ListenError,
-    make_discovery_socket,
 )
 from repro.discovery.simdriver import SimDiscovery
 
@@ -71,7 +69,6 @@ __all__ = [
     "DiscoveryDirectory",
     "DiscoveryService",
     "EXPIRED",
-    "ListenError",
     "MAX_BEACON_BYTES",
     "PeerEntry",
     "RECOVERED",
@@ -83,5 +80,4 @@ __all__ = [
     "encode_beacon",
     "filter_from_plan",
     "frontier_digest",
-    "make_discovery_socket",
 ]

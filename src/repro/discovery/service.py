@@ -11,9 +11,10 @@ via a :class:`~repro.discovery.faults.BeaconFaultFilter` — the receive
 path then classifies and counts the damage exactly as a hostile
 network would force it to.
 
-The socket uses ``SO_REUSEADDR``/``SO_REUSEPORT`` so several nodes on
-one host can share the group/port pair; ``IP_MULTICAST_LOOP`` keeps
-localhost clusters working.  A node's own beacons come back via
+The endpoint is the runtime's multicast endpoint
+(:meth:`repro.runtime.Runtime.multicast`, which shares the group/port
+pair among the nodes of one host and loops multicast back, so
+localhost clusters work).  A node's own beacons come back via
 multicast loopback and are rejected as ``self`` — cheap, and it keeps
 the receive path uniform.
 """
@@ -21,9 +22,6 @@ the receive path uniform.
 from __future__ import annotations
 
 import asyncio
-import socket
-import struct
-import time
 from typing import Callable, Optional, Set
 
 from repro.core.node import VegvisirNode
@@ -31,7 +29,7 @@ from repro.crypto.keys import KeyPair
 from repro.discovery.beacon import encode_beacon, frontier_digest
 from repro.discovery.directory import DirectoryEvent, DiscoveryDirectory
 from repro.discovery.faults import BeaconFaultFilter
-from repro.live.peers import ListenError
+from repro.runtime import SYSTEM, Runtime
 
 DEFAULT_GROUP = "239.86.71.86"  # V-G-V in the org-local scope
 DEFAULT_PORT = 47474
@@ -86,44 +84,6 @@ class _BeaconProtocol(asyncio.DatagramProtocol):
         pass  # ICMP errors on a multicast socket are noise
 
 
-def _wall_ms() -> int:
-    return int(time.time() * 1000)
-
-
-def make_discovery_socket(group: str, port: int,
-                          interface: str = "127.0.0.1") -> socket.socket:
-    """A bound, group-joined, nonblocking UDP multicast socket.
-
-    Raises :class:`ListenError` when the endpoint cannot be bound.
-    """
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if hasattr(socket, "SO_REUSEPORT"):
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind(("0.0.0.0", port))
-        membership = struct.pack(
-            "4s4s", socket.inet_aton(group), socket.inet_aton(interface)
-        )
-        sock.setsockopt(
-            socket.IPPROTO_IP, socket.IP_ADD_MEMBERSHIP, membership
-        )
-        sock.setsockopt(
-            socket.IPPROTO_IP, socket.IP_MULTICAST_IF,
-            socket.inet_aton(interface),
-        )
-        sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP, 1)
-        sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL, 1)
-        sock.setblocking(False)
-    except OSError as exc:
-        sock.close()
-        raise ListenError(
-            f"cannot join discovery group {group}:{port}: "
-            f"{exc.strerror or exc}"
-        ) from exc
-    return sock
-
-
 class DiscoveryService:
     """Beacon announcer + receiver for one live node."""
 
@@ -135,16 +95,17 @@ class DiscoveryService:
         tcp_port: Callable[[], Optional[int]],
         config: Optional[DiscoveryConfig] = None,
         *,
-        clock: Optional[Callable[[], int]] = None,
         obs=None,
         on_event: Optional[Callable[[DirectoryEvent], None]] = None,
+        runtime: Runtime = SYSTEM,
     ):
         self._key_pair = key_pair
         self._node = node
         self.name = name
         self._tcp_port = tcp_port
         self.config = config or DiscoveryConfig()
-        self._clock = clock or _wall_ms
+        self._runtime = runtime
+        self._clock = runtime.wall_ms
         self._obs = obs if obs is not None and obs.enabled else None
         self.directory = DiscoveryDirectory(
             node.chain_id, node.user_id,
@@ -175,15 +136,13 @@ class DiscoveryService:
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        """Join the group and start announcing and ticking."""
+        """Join the group (or raise ``ListenError``), start announcing
+        and ticking."""
         if self._transport is not None:
             raise RuntimeError("discovery service already started")
-        sock = make_discovery_socket(
-            self.config.group, self.config.port, self.config.interface
-        )
-        loop = asyncio.get_running_loop()
-        self._transport, _ = await loop.create_datagram_endpoint(
-            lambda: _BeaconProtocol(self), sock=sock
+        self._transport = await self._runtime.multicast(
+            lambda: _BeaconProtocol(self), self.config.group,
+            self.config.port, self.config.interface,
         )
         self.epoch = max(self.epoch + 1, self._clock())
         self.seq = 0

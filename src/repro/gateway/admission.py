@@ -16,9 +16,10 @@ global backstop either way).
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
+
+from repro.runtime import SYSTEM
 
 DEFAULT_RATE = 50.0
 DEFAULT_BURST = 100.0
@@ -64,7 +65,7 @@ class AdmissionController:
         burst: float = DEFAULT_BURST,
         *,
         max_clients: int = DEFAULT_MAX_CLIENTS,
-        clock: Optional[Callable[[], float]] = None,
+        clock: Callable[[], float] = SYSTEM.monotonic,
     ):
         if rate <= 0 or burst <= 0:
             raise ValueError("rate and burst must be positive")
@@ -73,7 +74,7 @@ class AdmissionController:
         self.rate = rate
         self.burst = burst
         self.max_clients = max_clients
-        self._clock = clock or time.monotonic
+        self._clock = clock
         self._buckets: "OrderedDict[str, TokenBucket]" = OrderedDict()
         self.admitted = 0
         self.refused = 0

@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import asyncio
 import math
-import time
 from collections import deque
 from typing import Callable, Optional, Sequence
 
 from repro import wire
 from repro.chain.block import MAX_BLOCK_BYTES, MAX_TRANSACTIONS, Transaction
 from repro.gateway.admission import TokenBucket
+from repro.runtime import SYSTEM
 
 DEFAULT_MAX_BATCH = 128
 DEFAULT_MAX_DELAY_S = 0.025
@@ -137,7 +137,7 @@ class TxBatcher:
         max_batch: int = DEFAULT_MAX_BATCH,
         max_delay_s: float = DEFAULT_MAX_DELAY_S,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        clock: Optional[Callable[[], float]] = None,
+        clock: Callable[[], float] = SYSTEM.monotonic,
         on_flush: Optional[Callable[[int, float, str], None]] = None,
         on_shed: Optional[Callable[[int], None]] = None,
     ):
@@ -154,7 +154,7 @@ class TxBatcher:
         self.max_delay_s = max_delay_s
         self.max_queue = max_queue
         self.max_batch_bytes = MAX_BATCH_BYTES
-        self._clock = clock or time.monotonic
+        self._clock = clock
         self._on_flush = on_flush
         self._on_shed = on_shed
         self._queue: deque[_Pending] = deque()
@@ -293,7 +293,7 @@ class TxBatcher:
                     self._wakeup.wait(),
                     None if trigger is None else due - now,
                 )
-            except (asyncio.TimeoutError, TimeoutError):
+            except TimeoutError:
                 return trigger
 
     def _flush_one_batch(self, trigger: str) -> None:

@@ -13,13 +13,13 @@ Client identity is sampled per request from ``num_clients`` distinct
 ids — millions of simulated clients cost the generator nothing, and
 exercise the gateway's LRU-bounded admission table.  Requests travel
 over a fixed pool of keep-alive connections; when every connection is
-busy and an arrival's turn is already ``late_budget_s`` past due, the
-request is counted as an *overrun* instead of being sent late enough
-to be meaningless.
+busy and an arrival's turn is already :data:`LATE_BUDGET_S` past due,
+the request is counted as an *overrun* instead of being sent late
+enough to be meaningless.
 
 Nothing here imports beyond the standard library plus :mod:`repro`
 itself; an optional :class:`~repro.obs.Observability` records the
-latency histogram.
+latency histogram; connections are dialed through a *runtime*.
 """
 
 from __future__ import annotations
@@ -30,9 +30,12 @@ import math
 import random
 from typing import Optional
 
+from repro.runtime import SYSTEM, Runtime
+
 DEFAULT_NUM_CLIENTS = 1_000_000
 DEFAULT_CONNECTIONS = 16
 MAX_RECORDED_LATENCIES = 250_000
+LATE_BUDGET_S = 5.0  # an arrival later than this is an overrun
 
 _LOADGEN_BUCKETS_MS = (
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000,
@@ -42,14 +45,15 @@ _LOADGEN_BUCKETS_MS = (
 class GatewayClient:
     """A minimal keep-alive HTTP/1.1 client for one gateway connection."""
 
-    def __init__(self, host: str, port: int):
+    def __init__(self, host: str, port: int, runtime: Runtime = SYSTEM):
         self.host = host
         self.port = port
+        self._runtime = runtime
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
 
     async def connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
+        self._reader, self._writer = await self._runtime.dial(
             self.host, self.port
         )
 
@@ -211,8 +215,8 @@ async def run_loadgen(
     op: str = "append",
     chain: Optional[str] = None,
     seed: int = 0,
-    late_budget_s: float = 5.0,
     obs=None,
+    runtime: Runtime = SYSTEM,
 ) -> LoadReport:
     """Drive one open-loop run and return its :class:`LoadReport`."""
     if rate <= 0 or duration_s <= 0:
@@ -263,7 +267,7 @@ async def run_loadgen(
 
     async def worker(index: int) -> None:
         worker_rng = random.Random(seed * 1_000_003 + index)
-        client = GatewayClient(host, port)
+        client = GatewayClient(host, port, runtime)
         sequence = 0
         try:
             while True:
@@ -271,7 +275,7 @@ async def run_loadgen(
                 if arrival is done:
                     return
                 now = loop.time()
-                if now - arrival > late_budget_s:
+                if now - arrival > LATE_BUDGET_S:
                     # Too far behind to be a meaningful measurement:
                     # the gateway already failed this arrival's clock.
                     report.overruns += 1

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.gateway.admission import (
     AdmissionController,
@@ -51,6 +51,7 @@ from repro.gateway.batching import (
 )
 from repro.live.node import LiveNode
 from repro.obs.live import OpsServer
+from repro.runtime import SYSTEM, Runtime
 
 SUBSCRIBER_QUEUE_LIMIT = 256
 
@@ -129,7 +130,8 @@ class GatewayNode:
     per tenant; the first is the default chain for unprefixed routes.
     The gateway owns their lifecycle: ``start()`` boots every replica,
     its batcher, the client HTTP server, and (optionally) the ops
-    endpoint; ``stop()`` tears all of it down leak-free.
+    endpoint; ``stop()`` tears all of it down leak-free.  *runtime*
+    clocks the batchers and admission and binds both HTTP planes.
     """
 
     def __init__(
@@ -148,15 +150,16 @@ class GatewayNode:
         ops_host: str = "127.0.0.1",
         ops_port: Optional[int] = None,
         obs=None,
-        clock: Optional[Callable[[], float]] = None,
+        runtime: Runtime = SYSTEM,
     ):
         if not chains:
             raise ValueError("a gateway needs at least one chain")
         self._obs = obs if obs is not None and obs.enabled else None
+        self.runtime = runtime
         self.submit_timeout_s = submit_timeout_s
         self.admission = AdmissionController(
             admission_rate, admission_burst,
-            max_clients=max_clients, clock=clock,
+            max_clients=max_clients, clock=runtime.monotonic,
         )
         self.hosts: dict[str, ChainHost] = {}
         for live in chains:
@@ -166,7 +169,7 @@ class GatewayNode:
             batcher = TxBatcher(
                 self._make_append(live),
                 max_batch=max_batch, max_delay_s=max_delay_s,
-                max_queue=max_queue, clock=clock,
+                max_queue=max_queue, clock=runtime.monotonic,
                 on_flush=self._make_on_flush(prefix),
                 on_shed=self._make_on_shed(prefix),
             )
@@ -301,6 +304,7 @@ class GatewayNode:
                     status=self.status,
                     host=self._ops_host,
                     port=self._ops_port,
+                    runtime=self.runtime,
                 )
                 await self.ops.start()
         except BaseException:

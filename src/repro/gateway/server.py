@@ -58,7 +58,7 @@ class GatewayServer(HttpServer):
 
     def __init__(self, node: "GatewayNode", *, host: str = "127.0.0.1",
                  port: int = 0, obs=None):
-        super().__init__(host, port, "gateway")
+        super().__init__(host, port, node.runtime)
         self._node = node
         self._obs = obs
 

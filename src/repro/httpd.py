@@ -9,7 +9,7 @@ plane adds a byte to any gossip frame.
 
 Dependency-free by design: a request parser with bounded head and body
 sizes, a response builder, and :class:`HttpServer` — the server loop
-both planes subclass with a route table each (bind, connection
+both planes subclass with a route table each (listen, connection
 tracking, keep-alive, the request deadline, :class:`HttpError` →
 response, handler bug → 500, clean close).  Anything outside the small subset the planes need
 (chunked bodies, trailers, multipart) is rejected with a clean 4xx,
@@ -22,6 +22,8 @@ import asyncio
 import json
 from typing import Callable, NamedTuple, Optional
 from urllib.parse import parse_qsl, unquote, urlsplit
+
+from repro.runtime import SYSTEM, Listener, Runtime
 
 MAX_HEAD_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1024 * 1024
@@ -45,10 +47,6 @@ REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
-
-
-class BindError(RuntimeError):
-    """An HTTP endpoint could not be bound (port in use, bad host)."""
 
 
 class HttpError(Exception):
@@ -241,51 +239,44 @@ class HttpServer:
     """The asyncio server loop under both HTTP planes.
 
     A subclass sets :attr:`routes` and implements :meth:`respond`;
-    :meth:`upgrade` and :meth:`observe` are optional.  *what* names the
-    endpoint in :class:`BindError` messages.
+    :meth:`upgrade` and :meth:`observe` are optional.  The listener
+    comes from *runtime* (:mod:`repro.runtime`).
     """
 
     routes: tuple = ()
 
-    def __init__(self, host: str, port: int, what: str):
+    def __init__(self, host: str, port: int, runtime: Runtime = SYSTEM):
         self._host = host
         self._port = port
-        self._what = what
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._runtime = runtime
+        self._listener: Optional[Listener] = None
         self._connections: set[asyncio.Task] = set()
         self.requests_served = 0
 
     @property
     def port(self) -> Optional[int]:
         """The bound port (after :meth:`start`; useful with port 0)."""
-        if self._server is None or not self._server.sockets:
-            return None
-        return self._server.sockets[0].getsockname()[1]
+        return None if self._listener is None else self._listener.port
 
     async def start(self) -> None:
-        if self._server is not None:
-            raise RuntimeError(f"{self._what} already started")
-        try:
-            self._server = await asyncio.start_server(
-                self._accept, self._host, self._port
-            )
-        except OSError as exc:
-            raise BindError(
-                f"cannot bind {self._what} on {self._host}:{self._port}: "
-                f"{exc.strerror or exc}"
-            ) from exc
+        """Listen; ``ListenError`` if the address cannot be bound."""
+        if self._listener is not None:
+            raise RuntimeError(f"{self!r} already started")
+        self._listener = await self._runtime.listen(
+            self._accept, self._host, self._port
+        )
 
     async def stop(self) -> None:
         """Stop accepting and end every open connection; leaves no task."""
-        if self._server is None:
+        if self._listener is None:
             return
-        self._server.close()
+        self._listener.close()
         connections = list(self._connections)
         for task in connections:
             task.cancel()
         await asyncio.gather(*connections, return_exceptions=True)
-        await self._server.wait_closed()
-        self._server = None
+        await self._listener.wait_closed()
+        self._listener = None
 
     # -- what a plane provides -----------------------------------------
 

@@ -31,7 +31,6 @@ from repro.live.node import LiveNode
 from repro.live.peers import (
     Backoff,
     HandshakeError,
-    ListenError,
     PeerManager,
     PeerSpec,
     handshake,
@@ -50,7 +49,6 @@ __all__ = [
     "Backoff",
     "FrameTransport",
     "HandshakeError",
-    "ListenError",
     "LiveNode",
     "LiveResponder",
     "LoopbackTransport",

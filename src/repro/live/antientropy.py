@@ -60,16 +60,12 @@ SESSION_ERRORS = (
 )
 
 
-if hasattr(asyncio, "timeout"):
-    async def _within(seconds: float, session) -> None:
-        """Await *session* in this task under a deadline: no task of its
-        own and no loop turn to hand its result back, which a push, one
-        per write, would pay each time."""
-        async with asyncio.timeout(seconds):
-            await session
-else:  # Python 3.10
-    async def _within(seconds: float, session) -> None:
-        await asyncio.wait_for(session, seconds)
+async def _within(seconds: float, session) -> None:
+    """Await *session* in this task under a deadline: no task of its
+    own and no loop turn to hand its result back, which a push, one
+    per write, would pay each time."""
+    async with asyncio.timeout(seconds):
+        await session
 
 
 class _PushAbove(Protocol):

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import pathlib
-import time
-from typing import Callable, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Union
 
 from repro.chain.block import Block, Transaction
 from repro.core.node import VegvisirNode
@@ -41,25 +40,16 @@ from repro.live.antientropy import (
     DEFAULT_JITTER,
     DEFAULT_SESSION_TIMEOUT,
 )
-from repro.live.peers import (
-    DEFAULT_DIAL_TIMEOUT,
-    DEFAULT_HANDSHAKE_TIMEOUT,
-    PeerManager,
-    PeerSpec,
-)
+from repro.live.peers import PeerManager, PeerSpec
 from repro.live.protocol import serve_connection
-from repro.obs.live import OpsError, OpsServer
-from typing import TYPE_CHECKING
+from repro.obs.live import OpsServer
+from repro.runtime import SYSTEM, ListenError, Runtime
+from repro.storage.blockstore import BlockStore
+from repro.storage.node_store import restore_node
 
 if TYPE_CHECKING:  # imported lazily at runtime (circular with live)
     from repro.discovery.directory import DirectoryEvent
     from repro.discovery.service import DiscoveryConfig, DiscoveryService
-from repro.storage.blockstore import BlockStore
-from repro.storage.node_store import restore_node
-
-
-def _wall_ms() -> int:
-    return int(time.time() * 1000)
 
 
 class LiveNode:
@@ -78,19 +68,18 @@ class LiveNode:
         interval_s: float = DEFAULT_INTERVAL,
         jitter_s: float = DEFAULT_JITTER,
         session_timeout_s: float = DEFAULT_SESSION_TIMEOUT,
-        dial_timeout_s: float = DEFAULT_DIAL_TIMEOUT,
-        handshake_timeout_s: float = DEFAULT_HANDSHAKE_TIMEOUT,
         max_frame_bytes: Optional[int] = None,
         seed: Optional[int] = None,
-        clock=None,
         fsync: bool = True,
         obs=None,
         discovery: Optional["DiscoveryConfig"] = None,
         ops_host: str = "127.0.0.1",
         ops_port: Optional[int] = None,
+        runtime: Runtime = SYSTEM,
     ):
         self._key_pair = key_pair
-        clock = clock or _wall_ms
+        self.runtime = runtime  # every clock and socket, handed down
+        clock = runtime.wall_ms
         # One handle: probe it, rebuild the replica from it through full
         # validation, then keep appending to it.
         self.store = BlockStore(store_path, fsync=fsync, obs=obs)
@@ -121,11 +110,10 @@ class LiveNode:
         self.peer_manager = PeerManager(
             self.node, self.name, list(peers or ()),
             connection_handler=self._serve_peer,
-            dial_timeout_s=dial_timeout_s,
-            handshake_timeout_s=handshake_timeout_s,
             max_frame_bytes=max_frame_bytes,
             seed=None if seed is None else seed ^ 0xD1A1,
             obs=obs,
+            runtime=runtime,
         )
         self.antientropy = AntiEntropyLoop(
             self.node, self.peer_manager,
@@ -327,6 +315,7 @@ class LiveNode:
                 self._discovery_config,
                 obs=self._raw_obs,
                 on_event=self._on_discovery_event,
+                runtime=self.runtime,
             )
             await self.discovery.start()
         if self._ops_port is not None:
@@ -335,10 +324,11 @@ class LiveNode:
                 status=self.status,
                 host=self._ops_host,
                 port=self._ops_port,
+                runtime=self.runtime,
             )
             try:
                 await self.ops.start()
-            except OpsError:
+            except ListenError:
                 self.ops = None
                 if self.discovery is not None:
                     await self.discovery.stop()

@@ -10,7 +10,7 @@ A :class:`PeerManager` owns every connection of one live node:
   reconciliation sessions on it — so two mutually configured peers hold
   two connections, one per direction, and no in-band multiplexing is
   ever needed.
-* **Inbound** — an asyncio server accepts connections, handshakes them
+* **Inbound** — a listener accepts connections, handshakes them
   under a deadline (a half-open socket that never says hello is cut
   off, not leaked), and hands them to the node's responder loop.
 
@@ -38,8 +38,9 @@ from repro.live.transport import (
     TransportClosed,
     TransportError,
 )
+from repro.runtime import SYSTEM, Listener, Runtime
 
-DEFAULT_DIAL_TIMEOUT = 5.0
+DIAL_TIMEOUT_S = 5.0
 DEFAULT_HANDSHAKE_TIMEOUT = 5.0
 
 HELLO_TYPE = "live_hello"
@@ -47,15 +48,6 @@ HELLO_TYPE = "live_hello"
 
 class HandshakeError(Exception):
     """The peer failed or refused the hello exchange."""
-
-
-class ListenError(RuntimeError):
-    """A network endpoint could not be bound (port in use, bad address).
-
-    Raised instead of the raw :class:`OSError` so callers (notably the
-    CLI) can print one clear line and exit non-zero rather than dumping
-    an asyncio traceback.
-    """
 
 
 class PeerSpec:
@@ -172,26 +164,24 @@ class PeerManager:
         peers: Optional[List[PeerSpec]] = None,
         *,
         connection_handler: Optional[ConnectionHandler] = None,
-        dial_timeout_s: float = DEFAULT_DIAL_TIMEOUT,
         handshake_timeout_s: float = DEFAULT_HANDSHAKE_TIMEOUT,
         backoff_base_s: float = 0.2,
-        backoff_cap_s: float = 30.0,
         max_frame_bytes: Optional[int] = None,
         seed: Optional[int] = None,
         obs=None,
+        runtime: Runtime = SYSTEM,
     ):
         self._node = node
         self.name = name
         self._peers: List[PeerSpec] = list(peers or ())
         self._connection_handler = connection_handler
-        self._dial_timeout = dial_timeout_s
         self._handshake_timeout = handshake_timeout_s
         self._backoff_base = backoff_base_s
-        self._backoff_cap = backoff_cap_s
         self._max_frame_bytes = max_frame_bytes
         self._rng = random.Random(seed)
         self._obs = obs if obs is not None and obs.enabled else None
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._runtime = runtime
+        self._listener: Optional[Listener] = None
         self._outbound: Dict[str, StreamTransport] = {}
         self._maintain_tasks: Dict[str, asyncio.Task] = {}
         self._backoffs: Dict[str, Backoff] = {}
@@ -232,25 +222,16 @@ class PeerManager:
     @property
     def listen_port(self) -> Optional[int]:
         """The bound port (useful after listening on port 0)."""
-        if self._server is None or not self._server.sockets:
-            return None
-        return self._server.sockets[0].getsockname()[1]
+        return None if self._listener is None else self._listener.port
 
     async def start(self, host: str = "127.0.0.1",
                     port: int = 0) -> None:
         """Bind the listener and begin maintaining outbound peers.
 
-        Raises :class:`ListenError` when the address cannot be bound
-        (port already in use, bad host, ...).
+        Raises :class:`~repro.runtime.ListenError` when the address
+        cannot be bound (port already in use, bad host, ...).
         """
-        try:
-            self._server = await asyncio.start_server(
-                self._accept, host, port
-            )
-        except OSError as exc:
-            raise ListenError(
-                f"cannot listen on {host}:{port}: {exc.strerror or exc}"
-            ) from exc
+        self._listener = await self._runtime.listen(self._accept, host, port)
         for spec in self._peers:
             self._start_maintaining(spec)
 
@@ -269,7 +250,7 @@ class PeerManager:
         self._peers.append(spec)
         if dynamic:
             self._dynamic.add(spec.name)
-        if self._server is not None and not self._stopped:
+        if self._listener is not None and not self._stopped:
             self._start_maintaining(spec)
         return True
 
@@ -339,10 +320,10 @@ class PeerManager:
             await transport.close()
         self._outbound.clear()
         self._inbound.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        if self._listener is not None:
+            self._listener.close()
+            await self._listener.wait_closed()
+            self._listener = None
 
     # -- partitions ----------------------------------------------------
 
@@ -382,10 +363,7 @@ class PeerManager:
         )
 
     async def _maintain(self, spec: PeerSpec) -> None:
-        backoff = Backoff(
-            base_s=self._backoff_base, cap_s=self._backoff_cap,
-            rng=self._rng,
-        )
+        backoff = Backoff(base_s=self._backoff_base, rng=self._rng)
         self._backoffs[spec.name] = backoff
         while True:
             await self._running.wait()
@@ -423,8 +401,7 @@ class PeerManager:
     async def _dial_once(self, spec: PeerSpec) -> Optional[StreamTransport]:
         try:
             reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(spec.host, spec.port),
-                self._dial_timeout,
+                self._runtime.dial(spec.host, spec.port), DIAL_TIMEOUT_S
             )
         except (OSError, asyncio.TimeoutError):
             if self._obs is not None:

@@ -54,7 +54,7 @@ from repro.obs.trace import (
     read_jsonl,
     read_jsonl_lenient,
 )
-from repro.obs.live import OpsError, OpsServer
+from repro.obs.live import OpsServer
 from repro.obs.merge import MergeResult, NodeTrace, merge_traces
 
 
@@ -97,7 +97,6 @@ __all__ = [
     "MetricsRegistry",
     "NodeTrace",
     "Observability",
-    "OpsError",
     "OpsServer",
     "RingBufferSink",
     "TraceBus",

@@ -25,18 +25,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.httpd import (
-    GET,
-    BindError,
-    HttpServer,
-    Request,
-    Response,
-    Route,
-    json_response,
-)
-
-#: The ops endpoint could not be bound (port in use, bad host).
-OpsError = BindError
+from repro.httpd import GET, HttpServer, Request, Response, Route, json_response
+from repro.runtime import SYSTEM, Runtime
 
 
 class OpsServer(HttpServer):
@@ -54,8 +44,9 @@ class OpsServer(HttpServer):
         status: Optional[Callable[[], dict]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
+        runtime: Runtime = SYSTEM,
     ):
-        super().__init__(host, port, "ops endpoint")
+        super().__init__(host, port, runtime)
         routes = {"/healthz": lambda: Response(200, b"ok\n")}
         if registry is not None:
             routes["/metrics"] = lambda: Response(

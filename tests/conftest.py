@@ -3,7 +3,8 @@
 Everything is seeded so the suite is bit-for-bit reproducible.  The
 ``chain`` fixture gives a small ready-made deployment: an owner, four
 members with assorted roles, a genesis carrying all certificates, and a
-shared monotonic test clock.  :func:`over_loopback` runs one session on
+shared monotonic test clock (and a runtime telling the time by it).
+:func:`over_loopback` runs one session on
 the network driver, and :class:`InFlight` tampers with its link.
 :func:`shipped_handlers` is the responder table of a process that
 imports only ``repro``, and :func:`only_shipped_handlers` puts a test
@@ -30,6 +31,7 @@ from repro.live.protocol import run_session, serve_connection
 from repro.live.transport import LoopbackTransport
 from repro.membership.authority import CertificateAuthority
 from repro.reconcile.stats import ReconcileStats
+from repro.runtime import Runtime
 
 
 class TestClock:
@@ -43,6 +45,13 @@ class TestClock:
         return self.now
 
 
+class ClockedRuntime(Runtime):
+    """The system runtime, telling wall-clock time by *clock*."""
+
+    def __init__(self, clock):
+        self.wall_ms = clock
+
+
 class Deployment:
     """A ready-to-use blockchain deployment for tests."""
 
@@ -50,6 +59,7 @@ class Deployment:
 
     def __init__(self):
         self.clock = TestClock()
+        self.runtime = ClockedRuntime(self.clock)
         self.owner = KeyPair.deterministic(0)
         self.authority = CertificateAuthority(self.owner)
         self.keys = [KeyPair.deterministic(i + 1) for i in range(4)]

@@ -11,14 +11,9 @@ import socket
 import pytest
 
 from repro import CertificateAuthority, KeyPair, create_genesis
-from repro.discovery import (
-    DiscoveryConfig,
-    ListenError,
-    encode_beacon,
-    frontier_digest,
-    make_discovery_socket,
-)
+from repro.discovery import DiscoveryConfig, encode_beacon, frontier_digest
 from repro.live import LiveNode
+from repro.runtime import SYSTEM, ListenError
 
 _PORT_BASE = 30_000 + (os.getpid() % 10_000)
 _counter = [0]
@@ -267,7 +262,9 @@ class TestServiceLifecycle:
 
     def test_bad_group_raises_listen_error(self):
         with pytest.raises(ListenError):
-            make_discovery_socket("not-a-group", 47474)
+            asyncio.run(SYSTEM.multicast(
+                asyncio.DatagramProtocol, "not-a-group", 47474
+            ))
 
     def test_discovery_config_validates_interval(self):
         with pytest.raises(ValueError):

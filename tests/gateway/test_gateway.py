@@ -18,7 +18,7 @@ def make_gateway(deployment, tmp_path, **kwargs):
     live = LiveNode(
         deployment.owner, tmp_path / "chain0.blocks",
         genesis=deployment.genesis, name="chain0",
-        clock=deployment.clock, fsync=False,
+        runtime=deployment.runtime, fsync=False,
     )
     kwargs.setdefault("max_delay_s", 0.01)
     return GatewayNode([live], **kwargs)
@@ -610,12 +610,12 @@ class TestMultiTenant:
             )
             live_a = LiveNode(
                 deployment.owner, tmp_path / "a.blocks",
-                genesis=deployment.genesis, clock=deployment.clock,
+                genesis=deployment.genesis, runtime=deployment.runtime,
                 fsync=False,
             )
             live_b = LiveNode(
                 other_owner, tmp_path / "b.blocks",
-                genesis=other_genesis, clock=deployment.clock,
+                genesis=other_genesis, runtime=deployment.runtime,
                 fsync=False,
             )
             gateway = GatewayNode([live_a, live_b], max_delay_s=0.01)

@@ -16,7 +16,7 @@ from repro.live.node import LiveNode
 def make_gateway(deployment, tmp_path, **kwargs):
     live = LiveNode(
         deployment.owner, tmp_path / "chain.blocks",
-        genesis=deployment.genesis, clock=deployment.clock, fsync=False,
+        genesis=deployment.genesis, runtime=deployment.runtime, fsync=False,
     )
     kwargs.setdefault("max_delay_s", 0.005)
     return GatewayNode([live], **kwargs)

@@ -134,7 +134,7 @@ class TestLiveOps:
         assert int(series.get("blockstore_blocks_read_total", 0)) == stored
 
     def test_ops_port_conflict_fails_cleanly(self, tmp_path):
-        from repro.obs.live import OpsError
+        from repro.runtime import ListenError
 
         deployment = Deployment()
 
@@ -146,10 +146,10 @@ class TestLiveOps:
             node = _make_node(deployment, tmp_path, 0, ops_port=taken)
             try:
                 await node.start()
-            except OpsError:
+            except ListenError:
                 pass
             else:
-                raise AssertionError("expected OpsError")
+                raise AssertionError("expected ListenError")
             finally:
                 blocker.close()
                 await blocker.wait_closed()

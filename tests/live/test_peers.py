@@ -10,12 +10,12 @@ from repro.crypto.keys import KeyPair
 from repro.live.peers import (
     Backoff,
     HandshakeError,
-    ListenError,
     PeerManager,
     PeerSpec,
     handshake,
 )
 from repro.live.transport import LoopbackTransport
+from repro.runtime import ListenError
 from repro import wire
 
 from tests.conftest import Deployment

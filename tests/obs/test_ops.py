@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.obs.live import OpsError, OpsServer
+from repro.obs.live import OpsServer
+from repro.runtime import ListenError
 
 
 async def _http_get(port, request: bytes) -> bytes:
@@ -140,7 +141,7 @@ class TestOpsServer:
             await first.start()
             try:
                 second = OpsServer(port=first.port)
-                with pytest.raises(OpsError):
+                with pytest.raises(ListenError):
                     await second.start()
             finally:
                 await first.stop()

@@ -33,7 +33,7 @@ def _body(raw: bytes) -> bytes:
 def _gateway(deployment, tmp_path, obs):
     live = LiveNode(
         deployment.owner, tmp_path / "chain.blocks",
-        genesis=deployment.genesis, clock=deployment.clock,
+        genesis=deployment.genesis, runtime=deployment.runtime,
         fsync=False, obs=obs, name="gw0",
     )
     return GatewayNode([live], max_delay_s=0.01, ops_port=0, obs=obs)
@@ -122,7 +122,7 @@ class TestOpsWithGateway:
         assert "live_blocks_persisted_total" in metrics
 
     def test_ops_port_conflict_rolls_back_gateway_start(self, tmp_path):
-        from repro.obs.live import OpsError
+        from repro.runtime import ListenError
 
         deployment = Deployment()
         obs = Observability(clock=_wall_ms)
@@ -137,7 +137,7 @@ class TestOpsWithGateway:
             baseline = len(asyncio.all_tasks())
             try:
                 await gateway.start()
-            except OpsError:
+            except ListenError:
                 failed = True
             else:
                 failed = False

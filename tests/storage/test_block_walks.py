@@ -35,7 +35,7 @@ def test_one_walk_per_process_that_constructs_the_block(
     writer, receiver = (
         LiveNode(
             deployment.keys[index], tmp_path / f"{name}.blocks",
-            genesis=deployment.genesis, name=name, clock=deployment.clock,
+            genesis=deployment.genesis, name=name, runtime=deployment.runtime,
         )
         for index, name in enumerate(("writer", "receiver"))
     )

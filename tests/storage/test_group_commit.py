@@ -179,7 +179,7 @@ class TestInterleavedTail:
         replica = LiveNode(
             deployment.keys[1], tmp_path / "replica.blocks",
             genesis=deployment.genesis, name="replica",
-            clock=deployment.clock,
+            runtime=deployment.runtime,
         )
         responder = Responder(
             replica.node,
@@ -327,7 +327,7 @@ class TestLiveNodeGroupCommit:
         writer = LiveNode(
             deployment.keys[0], tmp_path / "writer.blocks",
             genesis=deployment.genesis, name="writer",
-            clock=deployment.clock,
+            runtime=deployment.runtime,
         )
         for reading in range(5):
             writer.append_transactions(

@@ -1,10 +1,12 @@
 """What ships, and only what ships.
 
 No module under ``src/repro`` imports the study code under
-``benchmarks/`` (the comparison baselines and protocols), and every
+``benchmarks/`` (the comparison baselines and protocols), every
 module under ``src/repro`` is reached from a shipped entry point: the
-``vegvisir`` CLI, the ``python -m`` mains, or an example.  Both checks
-read source with ``ast``; nothing here imports the modules it checks.
+``vegvisir`` CLI, the ``python -m`` mains, or an example, and the live
+stack reads clocks and opens sockets only through ``repro.runtime``.
+The checks read source with ``ast``; nothing here imports the modules
+it checks.
 """
 
 import ast
@@ -35,6 +37,49 @@ def test_no_shipped_module_imports_benchmarks():
         if name == "benchmarks" or name.startswith("benchmarks.")
     ]
     assert offenders == []
+
+
+# -- the runtime seam ----------------------------------------------------------
+
+#: Where the live stack lives; all of it asks ``repro.runtime`` for the
+#: time and for sockets.
+LIVE_STACK = ("live", "gateway", "discovery", "httpd.py", "cli.py")
+
+#: Host calls only ``repro/runtime.py`` may make.
+HOST_CALLS = {
+    "time.time", "time.monotonic", "asyncio.start_server",
+    "asyncio.open_connection", "socket.socket",
+}
+
+
+def _host_calls(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr == "create_datagram_endpoint":
+                yield node.attr
+            elif (isinstance(node.value, ast.Name)
+                    and f"{node.value.id}.{node.attr}" in HOST_CALLS):
+                yield f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                if f"{node.module}.{alias.name}" in HOST_CALLS:
+                    yield f"{node.module}.{alias.name}"
+
+
+def test_the_live_stack_reaches_its_host_only_through_the_runtime():
+    paths = [path for entry in LIVE_STACK
+             for path in ([SRC / entry] if entry.endswith(".py")
+                          else sorted((SRC / entry).rglob("*.py")))]
+    offenders = [
+        f"{path.relative_to(SRC.parent)}: {call}"
+        for path in paths
+        for call in _host_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
+    # ... and the runtime really is where they went.
+    runtime = set(_host_calls(ast.parse(
+        (SRC / "runtime.py").read_text(encoding="utf-8"))))
+    assert runtime == HOST_CALLS | {"create_datagram_endpoint"}
 
 
 # -- reachability ------------------------------------------------------------

@@ -545,7 +545,7 @@ class TestServeOps:
                 capsys,
                 ["serve", str(store), "--key", str(key),
                  "--ops-port", str(port)],
-                "ops endpoint",
+                f"cannot listen on 127.0.0.1:{port}",
             )
         finally:
             blocker.close()
@@ -783,6 +783,26 @@ ERROR_ROWS = {
         lambda c: ["gateway", c.store, "--key", c.key,
                    "--chain", f"{c.missing}:{c.key}"], "no such store"),
 }
+
+
+@pytest.mark.parametrize("flag", ["--port", "--http-port", "--ops-port"])
+def test_gateway_occupied_port_is_one_error_line(flag, chain, capsys):
+    """Each of a gateway's three listeners (gossip, client plane, ops)
+    refuses a taken port the same way: one ``ListenError`` line."""
+    import socket
+
+    blocker = socket.socket()
+    blocker.bind(("127.0.0.1", 0))
+    blocker.listen(1)
+    port = blocker.getsockname()[1]
+    try:
+        one_line_error(
+            capsys,
+            ["gateway", chain.store, "--key", chain.key, flag, str(port)],
+            f"error: cannot listen on 127.0.0.1:{port}: ",
+        )
+    finally:
+        blocker.close()
 
 
 @pytest.mark.parametrize("row", ERROR_ROWS)

@@ -94,7 +94,7 @@ async def serving(plane, deployment, tmp_path):
     else:
         live = LiveNode(
             deployment.owner, tmp_path / "chain.blocks",
-            genesis=deployment.genesis, clock=deployment.clock, fsync=False,
+            genesis=deployment.genesis, runtime=deployment.runtime, fsync=False,
         )
         gateway = GatewayNode([live])
         await gateway.start()
