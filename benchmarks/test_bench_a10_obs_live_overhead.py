@@ -9,8 +9,9 @@ is ``serve --profile-dump``, cProfile over the whole run: nothing in
 the hot path to switch off.)
 
 This ablation times anti-entropy sessions over
-:class:`~repro.live.transport.LoopbackTransport` (the deterministic
-live stack, no socket noise) in three configurations:
+:class:`~repro.live.transport.StreamTransport` over the in-memory pipe
+(``tests.live.memory_runtime.stream_pair``: the live stack without
+socket noise) in three configurations:
 
 * ``off``   — the shipped default: no obs, no ops server;
 * ``trace`` — trace events to a ring buffer plus the metrics registry;
@@ -36,11 +37,11 @@ import time
 
 from repro.live.antientropy import AntiEntropyLoop
 from repro.live.protocol import serve_connection
-from repro.live.transport import LoopbackTransport
 from repro.obs import Observability, RingBufferSink
 from repro.obs.live import OpsServer
 
 from benchmarks.bench_util import Table, make_fleet
+from tests.live.memory_runtime import stream_pair
 
 DIVERGENCE = 24
 REPETITIONS = 5
@@ -89,7 +90,7 @@ class _Config:
         return self.loop.run_until_complete(self._session(*pair))
 
     async def _session(self, left, right) -> float:
-        init_end, resp_end = LoopbackTransport.pair()
+        init_end, resp_end = stream_pair()
         server = asyncio.ensure_future(serve_connection(right, resp_end))
         loop = AntiEntropyLoop(left, _OnePeer(init_end), obs=self.obs)
         start = time.perf_counter()
@@ -128,7 +129,7 @@ def test_a10_obs_live_overhead(benchmark, results_dir):
     best = {name: min(runs) for name, runs in times.items()}
 
     table = Table(
-        "A10: observability overhead on live loopback anti-entropy "
+        "A10: observability overhead on live anti-entropy over the memory pipe "
         f"({DIVERGENCE} blocks diverged each way, "
         f"{REPETITIONS * SESSIONS} timed sessions per config)",
         ["config", "best_s", "median_s", "vs_off"],

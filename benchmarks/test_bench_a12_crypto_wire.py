@@ -8,7 +8,7 @@ Three questions, one table each:
 * **Codec & framing** — canonical-wire encode/decode MB/s on a real
   block-push payload, and frame reassembly MB/s through
   :class:`~repro.wire.framing.FrameDecoder`.
-* **End-to-end** — the A8 live-loopback workload with **cold
+* **End-to-end** — the A8 live workload (memory pipe) with **cold
   verification caches** per backend (a fresh peer's blocks have never
   been seen, which is exactly the regime the crypto plane targets), and
   the verified-block LRU ablation: one author's blocks fanned out to
@@ -34,11 +34,11 @@ from repro.chain.verifycache import VerifiedBlockCache, shared_cache
 from repro.crypto import backend
 from repro.crypto.keys import KeyPair
 from repro.live.protocol import run_session, serve_connection
-from repro.live.transport import LoopbackTransport
 from repro.reconcile import FrontierProtocol
-from repro.wire.framing import FrameDecoder, encode_frame
+from repro.wire.framing import FrameDecoder, frame_header
 
 from benchmarks.bench_util import Table, make_fleet
+from tests.live.memory_runtime import stream_pair
 
 FULL = os.environ.get("A12_FULL", "") not in ("", "0")
 
@@ -125,7 +125,9 @@ def _bench_codec(table: Table) -> None:
     decode_wall = time.perf_counter() - start
 
     # Frame reassembly: many frames, fed in socket-sized chunks.
-    frames = b"".join(encode_frame(payload) for _ in range(rounds))
+    frames = b"".join(
+        frame_header(len(payload)) + payload for _ in range(rounds)
+    )
     start = time.perf_counter()
     decoder = FrameDecoder()
     count = 0
@@ -180,7 +182,7 @@ def _run_live_cold(name: str, seed: int) -> tuple[int, float]:
     protocol = FrontierProtocol()
 
     async def scenario():
-        init_end, resp_end = LoopbackTransport.pair()
+        init_end, resp_end = stream_pair()
         server = asyncio.ensure_future(serve_connection(right, resp_end))
         stats = await run_session(protocol, left, init_end)
         await init_end.close()

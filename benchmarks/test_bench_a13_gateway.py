@@ -41,6 +41,11 @@ runs long enough to expect :data:`P90_SAMPLES` arrivals (the 20/s
 point 6.5 s, not 1 s), so every sweep point has a p90; only the
 nightly sizes reach p99.
 
+Every block is signed on the ``cryptography`` backend, pinned as the
+perf ledger pins it (``benchmarks.ledger.common.pin_backend``), so the
+latencies are the gateway's and not pure-Python signing; each table
+header names the backend.
+
 Run with ``A13_FULL=1`` for the nightly sizes; the default is a PR-
 smoke subset.  The headline numbers also land in
 ``results/a13_gateway.json`` for the perf-trend CSV
@@ -53,7 +58,10 @@ import asyncio
 import json
 import os
 
+import pytest
+
 from repro.core.genesis import create_genesis
+from repro.crypto import backend as crypto_backend
 from repro.crypto.keys import KeyPair
 from repro.gateway import GatewayNode
 from repro.gateway.loadgen import run_loadgen
@@ -61,6 +69,7 @@ from repro.live.node import LiveNode
 from repro.runtime import Runtime
 
 from benchmarks.bench_util import Table
+from benchmarks.ledger.common import pin_backend
 
 FULL = os.environ.get("A13_FULL", "") not in ("", "0")
 
@@ -231,10 +240,22 @@ def _overload(tmp_path, table: Table, saturation: float) -> dict:
     return {"clamp": clamp, "shed": shed}
 
 
-def test_a13_gateway(benchmark, results_dir, tmp_path):
+@pytest.fixture
+def signing_backend():
+    """The pinned backend's name; the previous selection comes back
+    afterwards, so later benchmarks in this process are unaffected."""
+    previous = crypto_backend.active()
+    try:
+        yield pin_backend()
+    finally:
+        crypto_backend.set_backend(previous)
+
+
+def test_a13_gateway(benchmark, results_dir, tmp_path, signing_backend):
     rate_table = Table(
         f"A13.1: open-loop rate sweep (>= {DURATION:.0f}s per point, "
-        f"10k client ids, {CONNECTIONS} warm connections)",
+        f"10k client ids, {CONNECTIONS} warm connections, "
+        f"{signing_backend} backend)",
         ["offered/s", "seconds", "offered", "accepted", "accepted/s",
          "p50_ms", "p90_ms", "p99_ms", "blocks", "held %"],
     )
@@ -242,8 +263,9 @@ def test_a13_gateway(benchmark, results_dir, tmp_path):
     rate_table.emit(results_dir, "a13_gateway_rates")
 
     client_table = Table(
-        f"A13.2: latency vs client population (rate {RATES[1]}/s — the "
-        "LRU-bounded admission table must make 1M ids cost like 10)",
+        f"A13.2: latency vs client population (rate {RATES[1]}/s, "
+        f"{signing_backend} backend — the LRU-bounded admission table "
+        "must make 1M ids cost like 10)",
         ["clients", "accepted", "accepted/s", "p50_ms", "p90_ms",
          "p99_ms"],
     )
@@ -253,7 +275,8 @@ def test_a13_gateway(benchmark, results_dir, tmp_path):
     saturation = max(s["accepted_rate"] for s in sweep)
     overload_table = Table(
         "A13.3: graceful degradation at 2x sustained rate "
-        "(zero errors is the gate; surplus becomes 429s, not crashes)",
+        f"({signing_backend} backend; zero errors is the gate; surplus "
+        "becomes 429s, not crashes)",
         ["regime", "offered/s", "accepted", "rate_limited", "shed",
          "p50_ms", "p90_ms"],
     )

@@ -3,8 +3,9 @@
 The in-memory protocol classes hand Block objects across; a deployment
 ships canonical bytes through a socket (``run_session`` against
 ``serve_connection``).  This ablation runs the same divergence through
-both, the network driver over an in-process ``LoopbackTransport`` pair
-(real frames, no socket), and reports bytes, messages, and wall time —
+both, the network driver over the ``StreamTransport`` that ships, joined
+by the test suite's in-memory pipe (``stream_pair``: real frames through
+asyncio streams, no socket), and reports bytes, messages, and wall time —
 quantifying what the simulator's shortcut hides (it should be: nothing
 but encoding and event-loop time; the byte counts match because the
 in-memory stats already charge canonical encodings).
@@ -16,10 +17,10 @@ import asyncio
 import time
 
 from repro.live.protocol import run_session, serve_connection
-from repro.live.transport import LoopbackTransport
 from repro.reconcile import FrontierProtocol
 
 from benchmarks.bench_util import Table, make_fleet
+from tests.live.memory_runtime import stream_pair
 
 
 def _pair(divergence: int, seed: int):
@@ -38,7 +39,7 @@ def _over_loopback(left, right):
     """One frontier session on the network driver; returns the stats
     and the session's wall time in ms (event-loop set-up excluded)."""
     async def scenario():
-        near, far = LoopbackTransport.pair()
+        near, far = stream_pair()
         server = asyncio.ensure_future(serve_connection(right, far))
         start = time.perf_counter()
         stats = await run_session(FrontierProtocol(), left, near)
@@ -52,7 +53,7 @@ def _over_loopback(left, right):
 
 def test_a2_transport_overhead(benchmark, results_dir):
     table = Table(
-        "A2: in-memory protocol vs network driver over loopback "
+        "A2: in-memory protocol vs network driver over the memory pipe "
         "(30-block shared chain)",
         ["divergence", "mode", "bytes", "messages", "wall_ms"],
     )
@@ -69,7 +70,7 @@ def test_a2_transport_overhead(benchmark, results_dir):
         remote_stats, remote_ms = _over_loopback(left, right)
         assert remote_stats.converged
         assert left.state_digest() == right.state_digest()
-        table.add(divergence, "loopback", remote_stats.total_bytes,
+        table.add(divergence, "memory", remote_stats.total_bytes,
                   remote_stats.total_messages, round(remote_ms, 2))
 
         # Both drivers run the same protocol definition: the bytes that

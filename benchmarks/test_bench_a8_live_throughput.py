@@ -5,7 +5,8 @@ real frame transports.  By the byte-parity guarantee the traffic is
 identical to the sim's message-level driver — so the question this
 ablation answers is *what the asyncio/framing machinery costs*:
 blocks/sec of end-to-end delivery and bytes per delivered block, over
-:class:`~repro.live.transport.LoopbackTransport` (live) vs
+:class:`~repro.live.transport.StreamTransport` over the in-memory pipe
+(``tests.live.memory_runtime.stream_pair``, live) vs
 :func:`~repro.reconcile.engine.drive_to_completion` (sim), frontier vs
 bloom.  Bytes-per-block must match exactly between the two stacks; the
 wall-clock gap is the runtime overhead.
@@ -17,12 +18,12 @@ import asyncio
 import time
 
 from repro.live.protocol import run_session, serve_connection
-from repro.live.transport import LoopbackTransport
 from repro.reconcile import FrontierProtocol
 from repro.reconcile.engine import drive_to_completion
 
 from benchmarks.bench_util import Table, make_fleet
 from benchmarks.protocols import BloomProtocol
+from tests.live.memory_runtime import stream_pair
 
 DIVERGENCES = (4, 16, 64)
 
@@ -57,7 +58,7 @@ def _run_live(protocol_name: str, divergence: int):
     protocol = PROTOCOLS[protocol_name]()
 
     async def scenario():
-        init_end, resp_end = LoopbackTransport.pair()
+        init_end, resp_end = stream_pair()
         server = asyncio.ensure_future(serve_connection(right, resp_end))
         stats = await run_session(protocol, left, init_end)
         await init_end.close()
@@ -74,7 +75,7 @@ def _run_live(protocol_name: str, divergence: int):
 
 def test_a8_live_throughput(benchmark, results_dir):
     table = Table(
-        "A8: live loopback runtime vs sim message driver "
+        "A8: live runtime (memory pipe) vs sim message driver "
         "(10-block shared chain, both sides diverge)",
         ["divergence", "protocol", "stack", "blocks", "bytes",
          "B/block", "blocks/s", "wall_ms"],

@@ -5,10 +5,8 @@ protocols exchange *messages* and a driver shuttles them between two
 in-process replicas.  This package puts those same protocols on real
 sockets without changing a byte of what they say:
 
-* :mod:`repro.live.transport` — length-prefixed frame transports: a
-  real asyncio stream (:class:`StreamTransport`) and a deterministic
-  in-process pair (:class:`LoopbackTransport`) that carries identical
-  frames, for tests and benchmarks;
+* :mod:`repro.live.transport` — length-prefixed frames over an asyncio
+  stream (:class:`StreamTransport`);
 * :mod:`repro.live.protocol` — the asyncio session driver: runs any
   :mod:`repro.reconcile` protocol's initiator over a transport and
   serves the generic responder, so the frame payloads *are* the
@@ -37,8 +35,6 @@ from repro.live.peers import (
 )
 from repro.live.protocol import LiveResponder, run_session, serve_connection
 from repro.live.transport import (
-    FrameTransport,
-    LoopbackTransport,
     StreamTransport,
     TransportClosed,
     TransportError,
@@ -47,11 +43,9 @@ from repro.live.transport import (
 __all__ = [
     "AntiEntropyLoop",
     "Backoff",
-    "FrameTransport",
     "HandshakeError",
     "LiveNode",
     "LiveResponder",
-    "LoopbackTransport",
     "PeerManager",
     "PeerSpec",
     "StreamTransport",

@@ -1,23 +1,16 @@
-"""Frame transports: length-prefixed messages over a byte stream.
+"""The frame transport: length-prefixed messages over a byte stream.
 
-Two implementations share one interface (:class:`FrameTransport`):
-
-* :class:`StreamTransport` wraps an asyncio ``StreamReader`` /
-  ``StreamWriter`` pair — a real TCP connection (or anything else that
-  speaks the stream protocol, e.g. a Unix socket);
-* :class:`LoopbackTransport` is a deterministic in-process pair for
-  tests and benchmarks: :meth:`LoopbackTransport.pair` returns two ends
-  whose bytes still travel through :func:`~repro.wire.framing.
-  encode_frame` and a :class:`~repro.wire.framing.FrameDecoder`, so the
-  frames observed over loopback are byte-for-byte the frames a socket
-  would carry.
+:class:`StreamTransport` wraps an asyncio ``StreamReader`` /
+``StreamWriter`` pair — a real TCP connection in ``serve`` and
+``gateway``, or anything else that speaks the stream protocol (a Unix
+socket, or the in-memory pipe the tests join two ends with).
 
 Payloads are opaque here; one level up they are canonical
-:mod:`repro.wire` encodings of reconciliation messages.  Every
-transport counts frames and bytes in both directions and accepts an
-optional ``tap`` callable ``(direction, payload)`` with direction
-``"send"`` or ``"recv"`` — the hook the byte-parity tests use to record
-exactly what crossed the wire.
+:mod:`repro.wire` encodings of reconciliation messages.  The transport
+counts frames and bytes in both directions and accepts an optional
+``tap`` callable ``(direction, payload)`` with direction ``"send"`` or
+``"recv"`` — the hook the byte-parity tests use to record exactly what
+crossed the wire.
 """
 
 from __future__ import annotations
@@ -31,7 +24,6 @@ from repro.wire.framing import (
     FrameError,
     LENGTH_BYTES,
     MAX_FRAME_BYTES,
-    encode_frame,
     frame_header,
 )
 
@@ -44,10 +36,15 @@ class TransportClosed(TransportError):
     """The peer closed the connection (or we did)."""
 
 
-class FrameTransport:
-    """Common bookkeeping for frame transports."""
+class StreamTransport:
+    """Frames over an asyncio stream (TCP in production)."""
 
-    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES,
+    #: Read granularity; one frame may span many reads and vice versa.
+    READ_CHUNK = 64 * 1024
+
+    def __init__(self, reader: asyncio.StreamReader,
+                 writer: asyncio.StreamWriter,
+                 max_frame_bytes: int = MAX_FRAME_BYTES,
                  label: str = "?"):
         self._max_frame_bytes = max_frame_bytes
         self.label = label
@@ -60,6 +57,10 @@ class FrameTransport:
         self.tap: Optional[Callable[[str, bytes], None]] = None
         self._closed = False
         self._closed_event = asyncio.Event()
+        self._reader = reader
+        self._writer = writer
+        self._decoder = FrameDecoder(max_frame_bytes)
+        self._ready: deque[bytes] = deque()
 
     @property
     def closed(self) -> bool:
@@ -88,23 +89,6 @@ class FrameTransport:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return f"{type(self).__name__}({self.label}, {state})"
-
-
-class StreamTransport(FrameTransport):
-    """Frames over an asyncio stream (TCP in production)."""
-
-    #: Read granularity; one frame may span many reads and vice versa.
-    READ_CHUNK = 64 * 1024
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter,
-                 max_frame_bytes: int = MAX_FRAME_BYTES,
-                 label: str = "?"):
-        super().__init__(max_frame_bytes, label)
-        self._reader = reader
-        self._writer = writer
-        self._decoder = FrameDecoder(max_frame_bytes)
-        self._ready: deque[bytes] = deque()
 
     @property
     def peername(self) -> Optional[Tuple[str, int]]:
@@ -181,66 +165,3 @@ class StreamTransport(FrameTransport):
             # would trip over it.  The transport tears down regardless,
             # so there is nothing left to wait for.
             pass
-
-
-class LoopbackTransport(FrameTransport):
-    """One end of a deterministic in-process connection.
-
-    Created in pairs via :meth:`pair`.  Sent payloads are framed, fed
-    through the peer's :class:`FrameDecoder`, and queued on the peer —
-    so framing is exercised exactly as over a socket, without any I/O
-    nondeterminism: everything happens inline in the sending task.
-    """
-
-    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES,
-                 label: str = "loopback"):
-        super().__init__(max_frame_bytes, label)
-        self._decoder = FrameDecoder(max_frame_bytes)
-        self._inbox: deque[bytes] = deque()
-        self._arrival = asyncio.Event()
-        self._peer: Optional["LoopbackTransport"] = None
-
-    @classmethod
-    def pair(
-        cls, max_frame_bytes: int = MAX_FRAME_BYTES,
-        labels: Tuple[str, str] = ("loopback-a", "loopback-b"),
-    ) -> Tuple["LoopbackTransport", "LoopbackTransport"]:
-        a = cls(max_frame_bytes, labels[0])
-        b = cls(max_frame_bytes, labels[1])
-        a._peer = b
-        b._peer = a
-        return a, b
-
-    async def send(self, payload: bytes) -> None:
-        peer = self._peer
-        if self._closed or peer is None or peer._closed:
-            raise TransportClosed(f"{self.label}: send on closed transport")
-        frame = encode_frame(payload, self._max_frame_bytes)
-        for received in peer._decoder.feed(frame):
-            peer._inbox.append(received)
-        peer._arrival.set()
-        self._account_send(payload, len(frame))
-
-    async def recv(self) -> bytes:
-        while not self._inbox:
-            if self._closed:
-                raise TransportClosed(
-                    f"{self.label}: recv on closed transport"
-                )
-            self._arrival.clear()
-            await self._arrival.wait()
-        payload = self._inbox.popleft()
-        self._account_recv(payload, len(payload) + 4)
-        return payload
-
-    async def close(self) -> None:
-        """Close both directions: the peer's pending recv wakes and — once
-        its inbox drains — raises :class:`TransportClosed`."""
-        if self._closed:
-            return
-        self._mark_closed()
-        self._arrival.set()
-        peer = self._peer
-        if peer is not None and not peer._closed:
-            peer._mark_closed()
-            peer._arrival.set()

@@ -14,8 +14,6 @@ from repro.wire.errors import DecodeError, EncodeError, FrameError, WireError
 from repro.wire.framing import (
     FrameDecoder,
     MAX_FRAME_BYTES,
-    decode_frames,
-    encode_frame,
     frame_header,
 )
 
@@ -29,9 +27,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "WireError",
     "decode",
-    "decode_frames",
     "encode",
-    "encode_frame",
     "encoded_size",
     "frame_header",
 ]

@@ -11,8 +11,8 @@ themselves are canonical :mod:`repro.wire` encodings, so no checksum or
 type tag is needed at this layer (the codec rejects corruption, and the
 block store adds its own SHA-256 per record for at-rest integrity).
 
-Both directions guard against resource exhaustion: :func:`encode_frame`
-refuses to build a frame larger than *max_frame_bytes*, and
+Both directions guard against resource exhaustion: :func:`frame_header`
+refuses to announce a frame larger than *max_frame_bytes*, and
 :class:`FrameDecoder` raises :class:`FrameError` as soon as a length
 prefix announces an oversized frame — before buffering a single payload
 byte, so a malicious peer cannot make a node allocate unbounded memory.
@@ -63,14 +63,6 @@ def frame_header(payload_length: int,
             f"{max_frame_bytes}-byte limit"
         )
     return _LENGTH.pack(payload_length)
-
-
-def encode_frame(payload: bytes,
-                 max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Wrap *payload* in a length-prefixed frame."""
-    if not isinstance(payload, bytes):
-        payload = bytes(payload)
-    return frame_header(len(payload), max_frame_bytes) + payload
 
 
 class FrameDecoder:
@@ -136,19 +128,3 @@ class FrameDecoder:
             if pos:
                 del buffer[:pos]
         return frames
-
-
-def decode_frames(data: bytes,
-                  max_frame_bytes: int = MAX_FRAME_BYTES) -> List[bytes]:
-    """Decode a byte string that must contain whole frames only.
-
-    A convenience for tests and batch processing; raises
-    :class:`FrameError` if the data ends mid-frame.
-    """
-    decoder = FrameDecoder(max_frame_bytes)
-    frames = decoder.feed(data)
-    if decoder.buffered:
-        raise FrameError(
-            f"{decoder.buffered} trailing bytes form an incomplete frame"
-        )
-    return frames

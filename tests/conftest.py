@@ -28,10 +28,11 @@ from repro.core.node import VegvisirNode
 from repro.crypto.keys import KeyPair
 from repro.live.antientropy import SESSION_ERRORS
 from repro.live.protocol import run_session, serve_connection
-from repro.live.transport import LoopbackTransport
 from repro.membership.authority import CertificateAuthority
 from repro.reconcile.stats import ReconcileStats
 from repro.runtime import Runtime
+
+from tests.live.memory_runtime import stream_pair
 
 
 class TestClock:
@@ -114,7 +115,7 @@ def over_loopback(protocol, left: VegvisirNode, right: VegvisirNode,
     back with ``stats.interrupted`` set; any other exception escapes.
     """
     async def scenario():
-        near, far = LoopbackTransport.pair()
+        near, far = stream_pair()
         server = asyncio.ensure_future(serve_connection(right, far))
         stats = ReconcileStats(protocol.name)
         try:

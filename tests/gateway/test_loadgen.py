@@ -79,8 +79,10 @@ class TestRunLoadgen:
     def test_open_loop_run_against_live_gateway(self, deployment,
                                                 tmp_path):
         async def scenario():
+            # 20 partial cuts a second with a 20-cut burst, well under
+            # the 150 transactions a second offered: batching must show.
             gateway = make_gateway(
-                deployment, tmp_path,
+                deployment, tmp_path, max_delay_s=0.05,
                 admission_rate=10_000.0, admission_burst=10_000.0,
             )
             await gateway.start()

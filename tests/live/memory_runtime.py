@@ -10,6 +10,10 @@ asyncio's own servers and ``open_connection`` use — so the live stack
 above the runtime cannot tell the difference.  It is the starting
 point for running the live stack on a virtual clock or over a shaped
 link.
+
+:func:`stream_pair` is the same joint without a listener: two
+:class:`~repro.live.transport.StreamTransport` ends, for tests and
+benchmarks that drive one connection by hand.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ import asyncio
 import itertools
 from typing import Callable, Optional
 
+from repro.live.transport import StreamTransport
 from repro.runtime import ListenError, Runtime
+from repro.wire.framing import MAX_FRAME_BYTES
 
 
 class _Pipe(asyncio.Transport):
@@ -76,13 +82,33 @@ class _MemoryListener:
         pass
 
 
-def _end(handler: Optional[Callable], peername: tuple):
-    """One end's reader, protocol and transport; with *handler*, the
-    protocol hands ``(reader, writer)`` to it as an accepting server
-    does."""
+def _join(handler: Callable, near_address: tuple, far_address: tuple):
+    """Two stream ends back to back; returns the near end's ``(reader,
+    writer)`` and hands the far end's to *handler*, as an accepting
+    server does.  Each end's ``peername`` is the other's address."""
+    loop = asyncio.get_running_loop()
     reader = asyncio.StreamReader()
-    protocol = asyncio.StreamReaderProtocol(reader, handler)
-    return reader, protocol, _Pipe(protocol, peername)
+    near = asyncio.StreamReaderProtocol(reader)
+    far = asyncio.StreamReaderProtocol(asyncio.StreamReader(), handler)
+    near_end, far_end = _Pipe(near, far_address), _Pipe(far, near_address)
+    near_end.peer, far_end.peer = far_end, near_end
+    far.connection_made(far_end)  # calls the handler
+    near.connection_made(near_end)
+    return reader, asyncio.StreamWriter(near_end, near, reader, loop)
+
+
+def stream_pair(
+    max_frame_bytes: int = MAX_FRAME_BYTES,
+    labels: tuple = ("memory-a", "memory-b"),
+) -> tuple:
+    """Two :class:`StreamTransport` ends of one in-memory connection:
+    what one sends the other receives, and closing one is end of stream
+    at the other."""
+    accepted = []
+    near = _join(lambda *far: accepted.append(far),
+                 ("memory", 1), ("memory", 2))
+    return (StreamTransport(*near, max_frame_bytes, labels[0]),
+            StreamTransport(*accepted[0], max_frame_bytes, labels[1]))
 
 
 class MemoryRuntime(Runtime):
@@ -106,15 +132,7 @@ class MemoryRuntime(Runtime):
         if handler is None:
             raise ConnectionRefusedError(f"nothing listens on {host}:{port}")
         self.dials += 1
-        reader, client, client_end = _end(None, (host, port))
-        _, server, server_end = _end(handler, ("memory", self.dials))
-        client_end.peer, server_end.peer = server_end, client_end
-        server.connection_made(server_end)  # starts the handler
-        client.connection_made(client_end)
-        writer = asyncio.StreamWriter(
-            client_end, client, reader, asyncio.get_running_loop()
-        )
-        return reader, writer
+        return _join(handler, ("memory", self.dials), (host, port))
 
     async def multicast(self, protocol_factory, group: str, port: int,
                         interface: str = "127.0.0.1"):

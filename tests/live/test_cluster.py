@@ -8,10 +8,11 @@ import pytest
 from repro import wire
 from repro.live import LiveNode, PeerSpec, antientropy
 from repro.live.protocol import serve_connection
-from repro.live.transport import LoopbackTransport, TransportClosed
+from repro.live.transport import TransportClosed
 from repro.obs import Observability, RingBufferSink
 
 from tests.conftest import Deployment
+from tests.live.memory_runtime import stream_pair
 
 FAST = dict(interval_s=0.04, jitter_s=0.01, session_timeout_s=5.0)
 
@@ -348,7 +349,7 @@ class TestUnframeableBatch:
             source.append_transactions([])
 
         async def scenario():
-            near, far = LoopbackTransport.pair(max_frame_bytes=4096)
+            near, far = stream_pair(max_frame_bytes=4096)
             server = asyncio.ensure_future(serve_connection(source, far))
             await near.send(wire.encode({
                 "type": "get_frontier",

@@ -18,7 +18,6 @@ import pytest
 
 from repro import wire
 from repro.live.protocol import run_session, serve_connection
-from repro.live.transport import LoopbackTransport
 from repro.reconcile import FrontierProtocol
 from repro.reconcile.engine import ReconcileSession
 from repro.reconcile.stats import (
@@ -33,6 +32,7 @@ from benchmarks.protocols import (
     SketchProtocol,
 )
 from tests.conftest import Deployment
+from tests.live.memory_runtime import stream_pair
 
 
 def _apply(deployment, left_appends, right_appends, shared_prefix=1):
@@ -73,7 +73,7 @@ def _live_trace(protocol, initiator, responder):
         ))
 
     async def scenario():
-        init_end, resp_end = LoopbackTransport.pair()
+        init_end, resp_end = stream_pair()
         init_end.tap = tap
         server = asyncio.ensure_future(
             serve_connection(responder, resp_end)
@@ -174,7 +174,7 @@ class TestLiveSemantics:
         left, right = _apply(Deployment(), 2, 2)
 
         async def scenario():
-            init_end, resp_end = LoopbackTransport.pair()
+            init_end, resp_end = stream_pair()
             server = asyncio.ensure_future(
                 serve_connection(right, resp_end)
             )

@@ -14,11 +14,11 @@ from repro.live.peers import (
     PeerSpec,
     handshake,
 )
-from repro.live.transport import LoopbackTransport
 from repro.runtime import ListenError
 from repro import wire
 
 from tests.conftest import Deployment
+from tests.live.memory_runtime import stream_pair
 
 
 def run(coro):
@@ -103,7 +103,7 @@ class TestHandshake:
         right = deployment.node(1)
 
         async def scenario():
-            a, b = LoopbackTransport.pair()
+            a, b = stream_pair()
             left_hello, right_hello = await asyncio.gather(
                 handshake(a, left, "left"),
                 handshake(b, right, "right"),
@@ -125,7 +125,7 @@ class TestHandshake:
         other = VegvisirNode(stranger_key, stranger)
 
         async def scenario():
-            a, b = LoopbackTransport.pair()
+            a, b = stream_pair()
             results = await asyncio.gather(
                 handshake(a, left, "left"),
                 handshake(b, other, "other"),
@@ -143,7 +143,7 @@ class TestHandshake:
         left = deployment.node(0)
 
         async def scenario():
-            a, _b = LoopbackTransport.pair()
+            a, _b = stream_pair()
             with pytest.raises(HandshakeError, match="no hello"):
                 await handshake(a, left, "left", timeout_s=0.05)
 
@@ -154,7 +154,7 @@ class TestHandshake:
         left = deployment.node(0)
 
         async def scenario():
-            a, b = LoopbackTransport.pair()
+            a, b = stream_pair()
             await b.send(wire.encode({"type": "get_frontier", "have": []}))
             with pytest.raises(HandshakeError, match="not a live_hello"):
                 await handshake(a, left, "left", timeout_s=0.5)
@@ -416,10 +416,9 @@ class TestDynamicPeers:
         it as the removed peer's."""
         deployment = Deployment()
         left = deployment.node(0)
-        near, _far = LoopbackTransport.pair()
 
         class LosesOneCancel(PeerManager):
-            dialing = None
+            dialing = near = None
 
             async def _dial_once(self, spec):
                 if self.dialing.is_set():  # a later dial loses nothing
@@ -429,11 +428,12 @@ class TestDynamicPeers:
                     await asyncio.sleep(3600)
                 except asyncio.CancelledError:
                     pass
-                return near
+                return self.near
 
         async def scenario():
             manager = LosesOneCancel(left, "left", seed=1)
             manager.dialing = asyncio.Event()
+            manager.near, _far = stream_pair()
             await manager.start("127.0.0.1", 0)
             manager.add_peer(PeerSpec("d:abc", "127.0.0.1", 1), dynamic=True)
             await asyncio.wait_for(manager.dialing.wait(), 5.0)
@@ -443,9 +443,9 @@ class TestDynamicPeers:
             published = manager.connection("d:abc")
             ended = loop.done()
             await manager.stop()
-            return published, ended
+            return published, ended, manager.near
 
-        published, ended = run(scenario())
+        published, ended, near = run(scenario())
         assert published is None
         assert ended and near.closed
 

@@ -10,11 +10,7 @@ import pytest
 
 from repro import wire
 from repro.live.protocol import serve_connection
-from repro.live.transport import (
-    LoopbackTransport,
-    StreamTransport,
-    TransportClosed,
-)
+from repro.live.transport import StreamTransport, TransportClosed
 from repro.reconcile.frontier import FrontierProtocol
 from repro.reconcile.session import (
     SAMPLE_LIMIT,
@@ -24,6 +20,7 @@ from repro.reconcile.session import (
 )
 
 from tests.conftest import InFlight, over_loopback
+from tests.live.memory_runtime import stream_pair
 
 
 def _diverged(deployment, left_appends=3, right_appends=5):
@@ -130,7 +127,7 @@ def _answers(node, *requests) -> list:
     *requests* arrive on one connection, up to the close it must make
     itself."""
     async def scenario():
-        near, far = LoopbackTransport.pair()
+        near, far = stream_pair()
         server = asyncio.ensure_future(serve_connection(node, far))
         for request in requests:
             await near.send(request)
@@ -157,7 +154,7 @@ def _after_pushes(node, batches) -> list:
     ``push_blocks`` on one ``serve_connection``.  Each push is followed
     by an empty fetch, whose reply proves the push was handled."""
     async def scenario():
-        near, far = LoopbackTransport.pair()
+        near, far = stream_pair()
         server = asyncio.ensure_future(serve_connection(node, far))
         held = []
         for batch in batches:

@@ -20,7 +20,6 @@ from repro import wire
 from repro.chain.block import Block
 from repro.crypto.sha import DIGEST_SIZE, Hash
 from repro.live.antientropy import AntiEntropyLoop
-from repro.live.transport import LoopbackTransport
 from repro.reconcile import FrontierProtocol
 from repro.reconcile.session import BATCH_BUDGET_BYTES
 
@@ -32,6 +31,7 @@ from benchmarks.protocols import (
     SketchProtocol,
 )
 from tests.conftest import Deployment, InFlight, over_loopback
+from tests.live.memory_runtime import stream_pair
 
 
 def _pair(left_appends, right_appends):
@@ -359,7 +359,7 @@ class OnePeer:
 
     def connection(self, name):
         if self._end is None or self._end.closed:
-            self._end, far_end = LoopbackTransport.pair()
+            self._end, far_end = stream_pair()
             self.servers.append(asyncio.ensure_future(self._serve(far_end)))
         return self._end
 

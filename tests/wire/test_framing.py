@@ -1,43 +1,50 @@
 """Length-prefixed framing: split, coalesced, truncated, oversized."""
 
+import asyncio
+
 import pytest
 
 from repro import wire
-from repro.wire.framing import (
-    FrameDecoder,
-    LENGTH_BYTES,
-    decode_frames,
-    encode_frame,
-)
+from repro.live.transport import TransportClosed
+from repro.wire.framing import FrameDecoder, LENGTH_BYTES, frame_header
+
+from tests.live.memory_runtime import stream_pair
+
+
+def framed(payload: bytes) -> bytes:
+    return frame_header(len(payload)) + payload
 
 
 class TestEncodeFrame:
+    """A frame is its header and then its payload."""
+
     def test_round_trip(self):
-        frame = encode_frame(b"hello")
+        frame = framed(b"hello")
         assert frame == len(b"hello").to_bytes(LENGTH_BYTES, "big") + b"hello"
-        assert decode_frames(frame) == [b"hello"]
+        assert FrameDecoder().feed(frame) == [b"hello"]
 
     def test_empty_payload_is_legal(self):
-        assert decode_frames(encode_frame(b"")) == [b""]
+        assert FrameDecoder().feed(framed(b"")) == [b""]
 
     def test_oversize_payload_refused(self):
         with pytest.raises(wire.FrameError):
-            encode_frame(b"x" * 11, max_frame_bytes=10)
+            frame_header(11, max_frame_bytes=10)
 
     def test_at_limit_allowed(self):
-        frame = encode_frame(b"x" * 10, max_frame_bytes=10)
-        assert decode_frames(frame, max_frame_bytes=10) == [b"x" * 10]
+        frame = frame_header(10, max_frame_bytes=10) + b"x" * 10
+        decoder = FrameDecoder(max_frame_bytes=10)
+        assert decoder.feed(frame) == [b"x" * 10]
 
 
 class TestFrameDecoder:
     def test_many_frames_in_one_chunk(self):
-        data = b"".join(encode_frame(p) for p in (b"a", b"bb", b"ccc"))
+        data = b"".join(framed(p) for p in (b"a", b"bb", b"ccc"))
         decoder = FrameDecoder()
         assert decoder.feed(data) == [b"a", b"bb", b"ccc"]
         assert decoder.buffered == 0
 
     def test_frame_split_byte_by_byte(self):
-        frame = encode_frame(b"payload")
+        frame = framed(b"payload")
         decoder = FrameDecoder()
         seen = []
         for i in range(len(frame)):
@@ -46,19 +53,19 @@ class TestFrameDecoder:
         assert decoder.buffered == 0
 
     def test_split_inside_length_prefix(self):
-        frame = encode_frame(b"xy")
+        frame = framed(b"xy")
         decoder = FrameDecoder()
         assert decoder.feed(frame[:2]) == []
         assert decoder.buffered == 2
         assert decoder.feed(frame[2:]) == [b"xy"]
 
     def test_truncated_frame_stays_buffered(self):
-        frame = encode_frame(b"incomplete")
+        frame = framed(b"incomplete")
         decoder = FrameDecoder()
         assert decoder.feed(frame[:-3]) == []
         assert decoder.buffered == len(frame) - 3
         # The remainder completes it, plus a follow-up frame piggybacks.
-        assert decoder.feed(frame[-3:] + encode_frame(b"next")) == [
+        assert decoder.feed(frame[-3:] + framed(b"next")) == [
             b"incomplete", b"next",
         ]
 
@@ -85,7 +92,7 @@ class TestIncrementalFuzz:
         # emit each frame exactly when its final byte arrives — never
         # early, never merged with the next frame — including
         # zero-length payloads whose frames are all prefix.
-        stream = b"".join(encode_frame(p) for p in self.PAYLOADS)
+        stream = b"".join(framed(p) for p in self.PAYLOADS)
         boundaries = set()
         offset = 0
         for payload in self.PAYLOADS:
@@ -106,7 +113,7 @@ class TestIncrementalFuzz:
     def test_random_chunking_reassembles_identically(self):
         import random
 
-        stream = b"".join(encode_frame(p) for p in self.PAYLOADS)
+        stream = b"".join(framed(p) for p in self.PAYLOADS)
         for seed in range(20):
             rng = random.Random(seed)
             decoder = FrameDecoder()
@@ -122,9 +129,20 @@ class TestIncrementalFuzz:
 
 class TestDecodeFrames:
     def test_trailing_partial_frame_raises(self):
-        data = encode_frame(b"whole") + b"\x00\x00"
-        with pytest.raises(wire.FrameError):
-            decode_frames(data)
+        """A stream that ends mid-frame yields its whole frames, then
+        fails rather than hand over a short payload."""
+        async def scenario():
+            near, far = stream_pair()
+            near._writer.write(framed(b"whole") + b"\x00\x00")
+            await near.close()
+            assert await far.recv() == b"whole"
+            with pytest.raises(TransportClosed):
+                await far.recv()
+            await far.close()
+
+        asyncio.run(scenario())
 
     def test_empty_input_is_no_frames(self):
-        assert decode_frames(b"") == []
+        decoder = FrameDecoder()
+        assert decoder.feed(b"") == []
+        assert decoder.buffered == 0
