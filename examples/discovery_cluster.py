@@ -40,7 +40,7 @@ PORT = 28_000 + os.getpid() % 10_000
 def make_node(workdir, keys, genesis, index):
     return LiveNode(
         keys[index], workdir / f"node{index}.blocks", genesis=genesis,
-        name=f"node{index}", interval_s=0.1, jitter_s=0.03,
+        name=f"node{index}", interval_s=0.1,
         seed=index + 1,
         discovery=DiscoveryConfig(
             group=GROUP, port=PORT,

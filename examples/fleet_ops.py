@@ -81,7 +81,7 @@ async def main() -> int:
     nodes = [
         LiveNode(
             key, workdir / f"node{i}.blocks", genesis=genesis,
-            name=f"node{i}", interval_s=0.1, jitter_s=0.03,
+            name=f"node{i}", interval_s=0.1,
             seed=i + 1, obs=observers[i], ops_port=0,
         )
         for i, key in enumerate(keys)

@@ -59,7 +59,7 @@ async def main(node_count: int) -> int:
     nodes = [
         LiveNode(
             key, workdir / f"node{i}.blocks", genesis=genesis,
-            name=f"node{i}", interval_s=0.1, jitter_s=0.03,
+            name=f"node{i}", interval_s=0.1,
             seed=i + 1,
         )
         for i, key in enumerate(keys)

@@ -7,7 +7,7 @@ A new block is valid iff:
    replica reaches the same verdict regardless of replay order);
 2. all parent blocks are already in the DAG;
 3. the timestamp is strictly above the maximum parent timestamp and at or
-   below the local clock (plus a configurable skew allowance);
+   below the local clock (plus a bounded skew allowance);
 4. the signature verifies against the member's public key and the header
    user id matches that key.
 
@@ -34,8 +34,10 @@ from repro.crypto.sha import Hash
 
 # Clock skew allowance: ad hoc IoT devices do not have synchronized
 # clocks; the paper only requires the timestamp be "lower than the current
-# time at the user", which we soften by a bounded skew.
-DEFAULT_MAX_SKEW_MS = 5_000
+# time at the user", which we soften by a bounded skew.  Every replica
+# must allow the same skew (a block one accepts, another must too), so
+# it is a constant of the protocol.
+MAX_SKEW_MS = 5_000
 
 
 class MemberResolver(Protocol):
@@ -57,12 +59,10 @@ class BlockValidator:
         self,
         dag: BlockDAG,
         resolve_member: MemberResolver,
-        max_skew_ms: int = DEFAULT_MAX_SKEW_MS,
         verify_cache: Optional[VerifiedBlockCache] = None,
     ):
         self._dag = dag
         self._resolve_member = resolve_member
-        self._max_skew_ms = max_skew_ms
         # Shared by default: blocks verified by any node or session in
         # this process are verified once (see repro.chain.verifycache).
         self._verify_cache = (
@@ -95,10 +95,10 @@ class BlockValidator:
                 f"timestamp {block.timestamp} not above parent maximum "
                 f"{max_parent_ts}"
             )
-        if block.timestamp > now_ms + self._max_skew_ms:
+        if block.timestamp > now_ms + MAX_SKEW_MS:
             raise TimestampError(
                 f"timestamp {block.timestamp} is in the future "
-                f"(now {now_ms}, skew {self._max_skew_ms})"
+                f"(now {now_ms}, skew {MAX_SKEW_MS})"
             )
 
         public_key = self._resolve_member(block.user_id, block.parents)

@@ -217,17 +217,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.net.partitions import PartitionSchedule, PartitionedTopology
     from repro.net.topology import FullMeshTopology
     from repro.sim import Scenario
-    from repro.sim.gossip import SESSION_MODELS
+    from repro.sim.gossip import check_session_model
 
-    # Validated here rather than via argparse choices= so an unknown
-    # name exits with a single scriptable `error:` line (argparse's
-    # usage dump is multi-line).
-    if (args.session_model is not None
-            and args.session_model not in SESSION_MODELS):
-        raise CliError(
-            f"unknown session model {args.session_model!r}: "
-            f"expected one of {sorted(SESSION_MODELS)}"
-        )
+    # Unspecified, the model is "message" when faults are given (they
+    # only exist at message granularity) and "atomic" otherwise.  Not
+    # argparse choices=: a refusal is a single scriptable `error:` line
+    # (argparse's usage dump is multi-line).
+    session_model = args.session_model or (
+        "atomic" if args.faults is None else "message"
+    )
+    try:
+        check_session_model(session_model, args.faults)
+    except ValueError as error:
+        raise CliError(str(error)) from error
 
     if args.scenario == "city":
         return _simulate_city(args)
@@ -254,7 +256,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("--contact-epoch must be positive")
 
     faults = None
-    session_model = args.session_model
     if args.faults is not None:
         from repro.faults.plan import FaultPlan, FaultPlanError
 
@@ -262,13 +263,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             faults = FaultPlan.load(args.faults)
         except (OSError, FaultPlanError) as error:
             raise CliError(f"cannot load fault plan: {error}") from error
-        if session_model == "atomic":
-            raise CliError("--faults requires --session-model message")
-        # Unspecified model defaults to "message" when faults are given
-        # (they only exist at message granularity).
-        session_model = "message"
-    elif session_model is None:
-        session_model = "atomic"
 
     scenario = Scenario(
         node_count=nodes,

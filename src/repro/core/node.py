@@ -23,7 +23,7 @@ from repro.chain.block import (
     USERS_CRDT_NAME,
 )
 from repro.chain.dag import BlockDAG
-from repro.chain.validation import BlockValidator, DEFAULT_MAX_SKEW_MS
+from repro.chain.validation import BlockValidator
 from repro.crdt.base import InvalidOperation
 from repro.crdt.ormap import ORMap
 from repro.crdt.orset import ORSet
@@ -32,7 +32,6 @@ from repro.crdt.schema import Permissions, Schema, validate_spec
 from repro.crypto.keys import KeyPair
 from repro.crypto.sha import Hash
 from repro.csm.machine import CSMachine, TxOutcome
-from repro.csm.permissions import ChainPolicy
 from repro.membership.certificate import Certificate
 from repro.runtime import SYSTEM
 
@@ -44,18 +43,13 @@ class VegvisirNode:
         self,
         key_pair: KeyPair,
         genesis: Block,
-        policy: Optional[ChainPolicy] = None,
         clock: Optional[Callable[[], int]] = None,
-        max_skew_ms: int = DEFAULT_MAX_SKEW_MS,
         location: Optional[Callable[[], Optional[tuple[int, int]]]] = None,
     ):
         self.key_pair = key_pair
         self.dag = BlockDAG(genesis)
-        self._policy = policy
-        self.csm = CSMachine.from_genesis(genesis, policy)
-        self.validator = BlockValidator(
-            self.dag, self.csm.resolve_member, max_skew_ms
-        )
+        self.csm = CSMachine.from_genesis(genesis)
+        self.validator = BlockValidator(self.dag, self.csm.resolve_member)
         self._clock = clock or SYSTEM.wall_ms
         self._location = location or (lambda: None)
         self.blocks_created = 0
@@ -235,7 +229,7 @@ class VegvisirNode:
         linear replay of the ancestor set.
         """
         wanted = self.dag.ancestors(block_hash) | {block_hash}
-        machine = CSMachine.from_genesis(self.dag.genesis, self._policy)
+        machine = CSMachine.from_genesis(self.dag.genesis)
         for ordered_hash in self.dag.insertion_order():
             if ordered_hash == self.dag.genesis_hash:
                 continue

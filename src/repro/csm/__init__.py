@@ -14,12 +14,9 @@ no matter which topological order blocks arrive in.
 
 from repro.csm.errors import CSMError
 from repro.csm.machine import CSMachine, TxOutcome
-from repro.csm.permissions import ChainPolicy, DefaultPolicy
 
 __all__ = [
     "CSMError",
     "CSMachine",
-    "ChainPolicy",
-    "DefaultPolicy",
     "TxOutcome",
 ]

@@ -19,6 +19,12 @@ Transaction checks (paper §IV-E):
 * the arguments must pass the CRDT's type checks;
 * the creator's role must permit the operation.
 
+On the built-in CRDTs the roles are the protocol's, the same on every
+replica like the block checks: any member adds members to U (the CA's
+signature on the certificate is what admits one), any member creates
+CRDTs in Ω, and only the owner revokes.  A user CRDT's grants are in
+its schema.
+
 A failed check rejects the transaction (recorded in its
 :class:`TxOutcome`) but never the block: the block replays identically on
 every replica either way.
@@ -43,8 +49,8 @@ from repro.crdt.twophase import TwoPhaseSet
 from repro.crypto.ed25519 import PublicKey
 from repro.crypto.sha import Hash
 from repro.csm.errors import CSMError
-from repro.csm.permissions import ChainPolicy, DefaultPolicy
 from repro.membership.certificate import Certificate, CertificateError
+from repro.membership.roles import ROLE_OWNER
 
 _EVENT_CERT_ADD = "cert_add"
 _EVENT_CERT_REMOVE = "cert_remove"
@@ -54,11 +60,12 @@ _EVENT_CREATE = "create"
 # used to cost n × (genesis checks + n founding certificates parsed,
 # fingerprinted, verified and frozen into U) — O(n²) for identical,
 # immutable input.  The genesis block's hash covers every byte of it
-# (certificates and signatures included) and the default policy is pure
-# code, so the whole post-genesis machine is a function of that hash:
-# the first replica pays every check and its replay is kept here; each
-# later replica is a fork of it (:meth:`CSMachine._fork`).  A genesis
-# that fails a check raises before anything is kept.
+# (certificates and signatures included) and the chain-level rules are
+# constants of the protocol, so the whole post-genesis machine is a
+# function of that hash: the first replica pays every check and its
+# replay is kept here; each later replica is a fork of it
+# (:meth:`CSMachine._fork`).  A genesis that fails a check raises before
+# anything is kept.
 _GENESIS_CACHE_LIMIT = 8
 _genesis_cache: "OrderedDict[bytes, CSMachine]" = OrderedDict()
 
@@ -161,9 +168,8 @@ class CSMachine:
     so far.
     """
 
-    def __init__(self, ca_key: PublicKey, policy: Optional[ChainPolicy] = None):
+    def __init__(self, ca_key: PublicKey):
         self._ca_key = ca_key
-        self._policy = policy or DefaultPolicy()
         self._events: list[_Event] = []
         # block hash -> frozenset of event ids visible in its causal past
         # *including* the block's own events.
@@ -186,8 +192,7 @@ class CSMachine:
     # Construction
 
     @classmethod
-    def from_genesis(cls, genesis: Block,
-                     policy: Optional[ChainPolicy] = None) -> "CSMachine":
+    def from_genesis(cls, genesis: Block) -> "CSMachine":
         """Bootstrap a CSM from a genesis block.
 
         The genesis block must carry, as its first transaction, the
@@ -197,13 +202,9 @@ class CSMachine:
         """
         if not genesis.is_genesis():
             raise CSMError("genesis block must have no parents")
-        if not (policy is None or type(policy) is DefaultPolicy):
-            # The policy is consulted while genesis replays, so another
-            # policy's replay is its own.
-            return cls._replay_genesis(genesis, policy)
         kept = _genesis_cache.get(genesis.hash.digest)
         if kept is None:
-            kept = cls._replay_genesis(genesis, policy)
+            kept = cls._replay_genesis(genesis)
             _genesis_cache[genesis.hash.digest] = kept
             while len(_genesis_cache) > _GENESIS_CACHE_LIMIT:
                 _genesis_cache.popitem(last=False)
@@ -212,8 +213,7 @@ class CSMachine:
         return kept._fork()
 
     @classmethod
-    def _replay_genesis(cls, genesis: Block,
-                        policy: Optional[ChainPolicy]) -> "CSMachine":
+    def _replay_genesis(cls, genesis: Block) -> "CSMachine":
         """Every genesis check, then the replay, with its view resolved."""
         owner_cert = cls._extract_owner_certificate(genesis)
         if not owner_cert.verify(owner_cert.public_key):
@@ -224,7 +224,7 @@ class CSMachine:
             genesis.signing_payload(), genesis.signature
         ):
             raise CSMError("genesis block signature does not verify")
-        machine = cls(owner_cert.public_key, policy)
+        machine = cls(owner_cert.public_key)
         # The owner is not yet a member while genesis replays; membership
         # checks are skipped for the genesis block only.
         machine._replay_transactions(genesis, inherited=frozenset(),
@@ -259,7 +259,7 @@ class CSMachine:
         their block.  CRDT instances are written by later blocks, so
         each is copied whole.
         """
-        fork = type(self)(self._ca_key, self._policy)
+        fork = type(self)(self._ca_key)
         fork._events = list(self._events)
         fork._visible = dict(self._visible)
         fork._resolved = self._resolved.copy()
@@ -392,7 +392,7 @@ class CSMachine:
         if tx.crdt_name == USERS_CRDT_NAME:
             return self._replay_membership(tx, ctx, creator_role)
         if tx.crdt_name == CRDTS_CRDT_NAME:
-            return self._replay_create(tx, ctx, creator_role)
+            return self._replay_create(tx, ctx)
         return self._replay_user_crdt(tx, ctx, view, creator_role)
 
     def _replay_membership(
@@ -407,8 +407,6 @@ class CSMachine:
         except CertificateError as exc:
             return self._rejected(tx, f"bad certificate: {exc}")
         if tx.op == "add":
-            if not self._policy.can_add_member(role):
-                return self._rejected(tx, f"role {role!r} may not add members")
             if not (
                 certificate.verify(self._ca_key)
                 or (
@@ -419,7 +417,7 @@ class CSMachine:
                 return self._rejected(tx, "certificate not signed by the CA")
             event = _Event(_EVENT_CERT_ADD, certificate=certificate)
         else:
-            if not self._policy.can_revoke_member(role):
+            if role != ROLE_OWNER:
                 return self._rejected(
                     tx, f"role {role!r} may not revoke members"
                 )
@@ -428,13 +426,9 @@ class CSMachine:
         self._users.apply(tx.op, [tx.args[0]], ctx)
         return TxOutcome(tx.crdt_name, tx.op, True)
 
-    def _replay_create(
-        self, tx: Transaction, ctx: OpContext, role: str
-    ) -> TxOutcome:
+    def _replay_create(self, tx: Transaction, ctx: OpContext) -> TxOutcome:
         if tx.op != "create":
             return self._rejected(tx, f"Ω has no operation {tx.op!r}")
-        if not self._policy.can_create_crdt(role):
-            return self._rejected(tx, f"role {role!r} may not create CRDTs")
         if len(tx.args) != 3:
             return self._rejected(tx, "create takes (name, type, schema)")
         name, type_name, schema_wire = tx.args

@@ -22,6 +22,9 @@ from typing import List, Optional, Tuple
 #: (0xFA017) streams, so enabling beacon faults never perturbs them.
 BEACON_FAULT_SALT = 0xBEAC0
 
+#: How late a duplicated or reordered beacon lands, in ms (inclusive).
+BEACON_DELAY_SPAN_MS = (5, 80)
+
 
 class BeaconFaultFilter:
     """Applies at most one fault per beacon datagram.
@@ -40,7 +43,6 @@ class BeaconFaultFilter:
         duplicate: float = 0.0,
         corrupt: float = 0.0,
         reorder: float = 0.0,
-        delay_span_ms: Tuple[int, int] = (5, 80),
         seed: int = 0,
     ):
         for name, value in (("drop", drop), ("duplicate", duplicate),
@@ -52,7 +54,6 @@ class BeaconFaultFilter:
         self.duplicate = duplicate
         self.corrupt = corrupt
         self.reorder = reorder
-        self.delay_span_ms = delay_span_ms
         self._rng = random.Random(seed ^ BEACON_FAULT_SALT)
         self.dropped = 0
         self.duplicated = 0
@@ -99,8 +100,7 @@ class BeaconFaultFilter:
         }
 
     def _delay(self) -> int:
-        low, high = self.delay_span_ms
-        return self._rng.randint(low, max(low, high))
+        return self._rng.randint(*BEACON_DELAY_SPAN_MS)
 
     def _flip(self, datagram: bytes) -> bytes:
         """Flip 1–4 random bytes — enough to break the signature (or

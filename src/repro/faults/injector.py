@@ -343,22 +343,17 @@ class CrashController:
     path and rejoins it to gossip.
     """
 
-    def __init__(self, plan: FaultPlan, injector: FaultInjector,
-                 store_dir=None):
+    def __init__(self, plan: FaultPlan, injector: FaultInjector):
         from repro.storage.blockstore import BlockStore
 
         self._plan = plan
         self._injector = injector
         self._sim = None
-        self._tempdir: Optional[str] = None
-        if store_dir is None:
-            self._tempdir = tempfile.mkdtemp(prefix="vgv-faults-")
-            store_dir = self._tempdir
-        self._dir = pathlib.Path(store_dir)
-        self._dir.mkdir(parents=True, exist_ok=True)
+        self._tempdir: Optional[str] = tempfile.mkdtemp(prefix="vgv-faults-")
         self.stores = {
             crash.node: BlockStore(
-                self._dir / f"node{crash.node}.vgv", fsync=False
+                pathlib.Path(self._tempdir) / f"node{crash.node}.vgv",
+                fsync=False,
             )
             for crash in plan.crashes
         }
@@ -442,7 +437,7 @@ class CrashController:
             )
 
     def cleanup(self) -> None:
-        """Close stores; remove the temp dir if this controller made it."""
+        """Close stores and remove their temp dir."""
         for store in self.stores.values():
             store.close()
         if self._tempdir is not None:

@@ -2,7 +2,8 @@
 and the push of this replica's own writes.
 
 One :class:`AntiEntropyLoop` per node plays the paper's §IV-G gossip
-role on real sockets: every interval (with jitter) it picks a random
+role on real sockets: every interval, give or take a fifth of it (the
+rule the simulated city's timers use), it picks a random
 connected outbound peer and runs one initiator session of the frontier
 protocol (:func:`~repro.live.protocol.run_session`) under a per-session
 deadline.  A session that times out, hits a transport error, receives
@@ -33,6 +34,11 @@ nothing (no relay: more than one hop is still the timer's), writes made
 before a connection came up wait on it for the next write or tick, and
 :meth:`AntiEntropyLoop.stop` sends no pending push.  One session at a
 time runs on a connection, whoever started it.
+
+Pushes go to outbound connections only.  Where one side alone dials —
+a discovered pair, where the lower user id dials — the dialer's writes
+are pushed and the acceptor's wait for the dialer's next tick to pull
+them.
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ from repro.reconcile.session import push_missing
 from repro.reconcile.stats import ReconcileStats, SessionCounters
 
 DEFAULT_INTERVAL = 1.0
-DEFAULT_JITTER = 0.2
 DEFAULT_SESSION_TIMEOUT = 30.0
 #: What a peer or its link can make a session raise: each ends the
 #: session as interrupted, never the loop.
@@ -92,7 +97,6 @@ class AntiEntropyLoop:
         peer_manager,
         *,
         interval_s: float = DEFAULT_INTERVAL,
-        jitter_s: float = DEFAULT_JITTER,
         session_timeout_s: float = DEFAULT_SESSION_TIMEOUT,
         block_sink_factory: Optional[Callable[[str], BlockSink]] = None,
         seed: Optional[int] = None,
@@ -101,7 +105,6 @@ class AntiEntropyLoop:
         self._node = node
         self._peers = peer_manager
         self._interval = interval_s
-        self._jitter = jitter_s
         self._session_timeout = session_timeout_s
         #: When set, each initiator session gets its own block sink
         #: built from the peer name — LiveNode uses this to persist
@@ -140,9 +143,10 @@ class AntiEntropyLoop:
         self._pushers = {}
         try:
             while not self._stopping:
-                delay = self._interval
-                if self._jitter:
-                    delay += self._jitter * (2.0 * self._rng.random() - 1.0)
+                jitter = self._interval / 5
+                delay = self._interval + jitter * (
+                    2.0 * self._rng.random() - 1.0
+                )
                 await asyncio.sleep(max(0.01, delay))
                 await self.run_tick()
         finally:

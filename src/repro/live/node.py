@@ -37,7 +37,6 @@ from repro.crypto.sha import Hash
 from repro.live.antientropy import (
     AntiEntropyLoop,
     DEFAULT_INTERVAL,
-    DEFAULT_JITTER,
     DEFAULT_SESSION_TIMEOUT,
 )
 from repro.live.peers import PeerManager, PeerSpec
@@ -66,7 +65,6 @@ class LiveNode:
         peers: Optional[List[PeerSpec]] = None,
         name: Optional[str] = None,
         interval_s: float = DEFAULT_INTERVAL,
-        jitter_s: float = DEFAULT_JITTER,
         session_timeout_s: float = DEFAULT_SESSION_TIMEOUT,
         max_frame_bytes: Optional[int] = None,
         seed: Optional[int] = None,
@@ -117,7 +115,7 @@ class LiveNode:
         )
         self.antientropy = AntiEntropyLoop(
             self.node, self.peer_manager,
-            interval_s=interval_s, jitter_s=jitter_s,
+            interval_s=interval_s,
             session_timeout_s=session_timeout_s,
             block_sink_factory=self._pull_sink,
             seed=None if seed is None else seed ^ 0x90551,

@@ -75,20 +75,18 @@ class PeerSpec:
 class Backoff:
     """Exponential backoff with full jitter.
 
-    Delays grow ``base * multiplier**attempt`` up to ``cap``; each is
+    Delays grow ``base * 2**attempt`` up to ``cap``; each is
     then scaled by a uniform draw in ``[1 - jitter, 1]`` from a caller-
     supplied RNG, so a seeded RNG gives a reproducible schedule in
     tests while real fleets desynchronize.
     """
 
     def __init__(self, base_s: float = 0.2, cap_s: float = 30.0,
-                 multiplier: float = 2.0, jitter: float = 0.5,
-                 rng: Optional[random.Random] = None):
+                 jitter: float = 0.5, rng: Optional[random.Random] = None):
         if not 0.0 <= jitter <= 1.0:
             raise ValueError("jitter must be within [0, 1]")
         self._base = base_s
         self._cap = cap_s
-        self._multiplier = multiplier
         self._jitter = jitter
         self._rng = rng or random.Random()
         self._attempt = 0
@@ -99,7 +97,7 @@ class Backoff:
 
     def next_delay(self) -> float:
         """The next delay in seconds; each call escalates."""
-        raw = min(self._cap, self._base * self._multiplier ** self._attempt)
+        raw = min(self._cap, self._base * 2.0 ** self._attempt)
         self._attempt += 1
         return raw * (1.0 - self._jitter * self._rng.random())
 

@@ -69,6 +69,22 @@ SESSION_MESSAGE = "message"
 SESSION_MODELS = (SESSION_ATOMIC, SESSION_MESSAGE)
 
 
+def check_session_model(session_model: str, faults=None) -> None:
+    """Raise ValueError unless *session_model* is a known model that
+    can carry *faults*: a fault plan acts on individual wire messages,
+    so only the message model takes one."""
+    if session_model not in SESSION_MODELS:
+        raise ValueError(
+            f"unknown session model {session_model!r}: "
+            f"expected one of {sorted(SESSION_MODELS)}"
+        )
+    if faults is not None and session_model != SESSION_MESSAGE:
+        raise ValueError(
+            f"faults require the {SESSION_MESSAGE!r} session model "
+            f"(got {session_model!r})"
+        )
+
+
 class _ActiveSession:
     """One in-flight message-level session occupying its two endpoints."""
 
@@ -106,8 +122,7 @@ class GossipScheduler:
     ):
         if peer_selector not in PEER_SELECTORS:
             raise ValueError(f"unknown peer selector {peer_selector!r}")
-        if session_model not in SESSION_MODELS:
-            raise ValueError(f"unknown session model {session_model!r}")
+        check_session_model(session_model, faults)
         self._loop = loop
         self._topology = topology
         self._nodes = nodes
@@ -153,10 +168,6 @@ class GossipScheduler:
         # one ``is not None`` check and consumes no randomness, so the
         # run is byte-identical to a fault-free one.  The injector keeps
         # its own RNG stream — never ``self._rng`` or the link model's.
-        if faults is not None and session_model != SESSION_MESSAGE:
-            raise ValueError(
-                "fault injection requires session_model='message'"
-            )
         self._faults = faults
         self._block_sink: Optional[Callable[[int, object], None]] = None
         # Observability is opt-in; with no observer attached every

@@ -50,7 +50,7 @@ class Simulation:
             scenario.node_count, obs=self.obs,
             aggregate_propagation=scenario.aggregate_propagation,
         )
-        self.energy = EnergyModel(scenario.energy_parameters)
+        self.energy = EnergyModel()
         link = scenario.link or LinkModel(seed=scenario.seed ^ 0x11)
         # Fault injection (repro.faults): built even for an all-zero
         # plan — its hot path is draw-free, and the zero-plan run must

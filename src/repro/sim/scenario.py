@@ -1,10 +1,10 @@
 """Scenario description and fleet construction.
 
 A :class:`Scenario` bundles every knob a simulation needs — fleet size,
-topology, gossip cadence, workload, adversaries, energy table — with
-defaults modelling a small first-responder deployment.  ``build_fleet``
-turns the membership part into keys, certificates, a genesis block, and
-nodes wired to a shared event-loop clock.
+topology, gossip cadence, workload, adversaries — with defaults
+modelling a small first-responder deployment.  ``build_fleet`` turns
+the membership part into keys, certificates, a genesis block, and nodes
+wired to a shared event-loop clock.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.net.links import LinkModel
 from repro.net.topology import FullMeshTopology, Topology
 from repro.reconcile.frontier import FrontierProtocol
 from repro.sim.adversary import AdversaryPolicy
-from repro.sim.energy import EnergyParameters
+from repro.sim.gossip import check_session_model
 
 
 class Scenario:
@@ -38,7 +38,6 @@ class Scenario:
         topology_factory: Optional[Callable[[int], Topology]] = None,
         protocol_factory: Optional[Callable[[bool], object]] = None,
         link: Optional[LinkModel] = None,
-        energy_parameters: Optional[EnergyParameters] = None,
         policies: Optional[dict[int, AdversaryPolicy]] = None,
         roles: Optional[Sequence[str]] = None,
         seed: int = 0,
@@ -74,7 +73,6 @@ class Scenario:
             lambda push: FrontierProtocol(push=push)
         )
         self.link = link
-        self.energy_parameters = energy_parameters
         self.policies = policies or {}
         self.roles = list(roles) if roles is not None else None
         self.seed = seed
@@ -83,10 +81,11 @@ class Scenario:
         # "atomic" runs each reconciliation session in full at the
         # contact instant; "message" drives it one wire message at a
         # time over the event loop, where partitions and mobility can
-        # interrupt it mid-transfer (see repro.sim.gossip).
-        from repro.sim.gossip import SESSION_MODELS
-        if session_model not in SESSION_MODELS:
-            raise ValueError(f"unknown session model {session_model!r}")
+        # interrupt it mid-transfer (see repro.sim.gossip).  A FaultPlan
+        # (repro.faults) only makes sense against the message model —
+        # atomic sessions have no individual wire messages to drop or
+        # corrupt.
+        check_session_model(session_model, faults)
         self.session_model = session_model
         # A Workload instance replaces the default periodic appender
         # (append_interval_ms is then ignored).
@@ -106,14 +105,6 @@ class Scenario:
         self.trace_ring = trace_ring
         self.metrics = metrics
         self.obs = obs
-        # Fault injection (repro.faults).  A FaultPlan only makes sense
-        # against the message-level session model — atomic sessions have
-        # no individual wire messages to drop or corrupt.
-        if faults is not None and session_model != "message":
-            raise ValueError(
-                "faults require session_model='message' "
-                f"(got {session_model!r})"
-            )
         self.faults = faults
         # Peer discovery (repro.discovery).  With an interval set, each
         # node runs a DiscoveryDirectory fed by radio-range beacon

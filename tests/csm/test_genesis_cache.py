@@ -12,7 +12,6 @@ from repro.crypto.keys import KeyPair
 from repro.csm.errors import CSMError
 from repro.csm import machine as machine_mod
 from repro.csm.machine import CSMachine, clear_genesis_cache
-from repro.csm.permissions import ChainPolicy, DefaultPolicy
 from repro.membership.authority import CertificateAuthority
 from repro.membership.certificate import Certificate
 
@@ -270,48 +269,6 @@ class TestForksAreIsolated:
         first.outcomes(genesis.hash).clear()
         assert CSMachine.from_genesis(genesis).outcomes(genesis.hash)
         assert first.outcomes(genesis.hash)
-
-
-class NoCRDTs(ChainPolicy):
-    """Not even the owner creates CRDTs: genesis itself replays
-    differently (its `__chain_name__` creation is refused)."""
-
-    def can_create_crdt(self, role):
-        return False
-
-
-class TestPolicy:
-    def test_another_policy_replays_for_itself(self, counts):
-        genesis, owner, _ = make_genesis(8, founders=1)
-        default = CSMachine.from_genesis(genesis)
-        assert default.crdt_names() == ["__chain_name__"]
-
-        paid = counts.verify
-        strict = CSMachine.from_genesis(genesis, NoCRDTs())
-        assert counts.verify > paid
-        assert strict.crdt_names() == []
-        assert strict.rejected_count == 2
-        assert strict.is_member(owner.user_id)
-        # ...and is not kept: the default replay is still what a
-        # policy-less replica gets, the strict one is replayed again.
-        assert_same_state(CSMachine.from_genesis(genesis), default, genesis)
-        paid = counts.verify
-        assert CSMachine.from_genesis(genesis, NoCRDTs()).crdt_names() == []
-        assert counts.verify > paid
-
-    def test_strict_replay_first_does_not_poison_the_default(self):
-        genesis, _, _ = make_genesis(9)
-        assert CSMachine.from_genesis(genesis, NoCRDTs()).crdt_names() == []
-        assert CSMachine.from_genesis(genesis).crdt_names() == [
-            "__chain_name__"
-        ]
-
-    def test_the_default_policy_by_name_shares(self, counts):
-        genesis, _, _ = make_genesis(10)
-        CSMachine.from_genesis(genesis)
-        paid = counts.total()
-        CSMachine.from_genesis(genesis, DefaultPolicy())
-        assert counts.total() == paid
 
 
 class TestRestartPaths:

@@ -10,7 +10,6 @@ from repro.core.genesis import create_genesis
 from repro.crypto.keys import KeyPair
 from repro.csm.errors import CSMError
 from repro.csm.machine import CSMachine
-from repro.csm.permissions import OwnerOnlyPolicy
 from repro.membership.authority import CertificateAuthority
 
 
@@ -184,13 +183,6 @@ class TestRolePermissions:
             [Transaction("h", "append", ["owner write"])]
         )
         assert owner.csm.outcomes(block.hash)[0].applied
-
-    def test_owner_only_policy_blocks_creation(self, deployment):
-        node = deployment.node(0, policy=OwnerOnlyPolicy())
-        block = node.append_transactions(
-            [node.create_crdt_tx("x", "g_set", "str")]
-        )
-        assert not node.csm.outcomes(block.hash)[0].applied
 
     def test_non_owner_cannot_revoke(self, deployment):
         node = deployment.node(0)

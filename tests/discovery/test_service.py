@@ -50,7 +50,7 @@ def _fleet(tmp_path, count=3):
 def _node(tmp_path, keys, genesis, index, group, port, **kwargs):
     return LiveNode(
         keys[index], tmp_path / f"node{index}.blocks", genesis=genesis,
-        name=f"n{index}", interval_s=0.08, jitter_s=0.02,
+        name=f"n{index}", interval_s=0.08,
         seed=index + 1, fsync=False,
         discovery=_config(group, port, **kwargs),
     )

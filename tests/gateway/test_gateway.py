@@ -674,6 +674,9 @@ class TestMultiTenant:
             assert "duplicate" in str(exc)
         else:
             raise AssertionError("duplicate chain ids must be refused")
+        finally:
+            live_a.store.close()
+            live_b.store.close()
 
 
 class TestOpsIntegration:

@@ -13,12 +13,15 @@ link.
 
 :func:`stream_pair` is the same joint without a listener: two
 :class:`~repro.live.transport.StreamTransport` ends, for tests and
-benchmarks that drive one connection by hand.
+benchmarks that drive one connection by hand.  :func:`open_pair` is
+that pair as an ``async with``: both ends are closed on the way out,
+so a test that ends mid-conversation leaves no stream open.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 from typing import Callable, Optional
 
@@ -109,6 +112,21 @@ def stream_pair(
                  ("memory", 1), ("memory", 2))
     return (StreamTransport(*near, max_frame_bytes, labels[0]),
             StreamTransport(*accepted[0], max_frame_bytes, labels[1]))
+
+
+@contextlib.asynccontextmanager
+async def open_pair(
+    max_frame_bytes: int = MAX_FRAME_BYTES,
+    labels: tuple = ("memory-a", "memory-b"),
+):
+    """A :func:`stream_pair` whose two ends are closed on the way out,
+    whichever of them the test closed itself."""
+    near, far = stream_pair(max_frame_bytes, labels)
+    try:
+        yield near, far
+    finally:
+        await near.close()
+        await far.close()
 
 
 class MemoryRuntime(Runtime):

@@ -12,9 +12,9 @@ from repro.live.transport import TransportClosed
 from repro.obs import Observability, RingBufferSink
 
 from tests.conftest import Deployment
-from tests.live.memory_runtime import stream_pair
+from tests.live.memory_runtime import open_pair
 
-FAST = dict(interval_s=0.04, jitter_s=0.01, session_timeout_s=5.0)
+FAST = dict(interval_s=0.04, session_timeout_s=5.0)
 
 
 def _make_node(deployment, tmp_path, index, **kwargs):
@@ -349,16 +349,16 @@ class TestUnframeableBatch:
             source.append_transactions([])
 
         async def scenario():
-            near, far = stream_pair(max_frame_bytes=4096)
-            server = asyncio.ensure_future(serve_connection(source, far))
-            await near.send(wire.encode({
-                "type": "get_frontier",
-                "have": [deployment.genesis.hash.digest],
-            }))
-            await asyncio.wait_for(server, 5.0)  # ended, and not by raising
-            assert far.closed
-            with pytest.raises(TransportClosed):
-                await near.recv()
+            async with open_pair(max_frame_bytes=4096) as (near, far):
+                server = asyncio.ensure_future(serve_connection(source, far))
+                await near.send(wire.encode({
+                    "type": "get_frontier",
+                    "have": [deployment.genesis.hash.digest],
+                }))
+                await asyncio.wait_for(server, 5.0)  # ended, and not by raising
+                assert far.closed
+                with pytest.raises(TransportClosed):
+                    await near.recv()
 
         asyncio.run(scenario())
 

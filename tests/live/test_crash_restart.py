@@ -18,7 +18,7 @@ from repro.storage import BlockStore, load_node, save_node
 
 from tests.conftest import Deployment
 
-FAST = dict(interval_s=0.02, jitter_s=0.005, session_timeout_s=5.0)
+FAST = dict(interval_s=0.02, session_timeout_s=5.0)
 
 
 async def _crash(node):

@@ -12,7 +12,7 @@ from repro.obs.merge import NodeTrace, merge_traces
 from tests.conftest import Deployment
 from tests.obs.test_metrics import assert_valid_exposition
 
-FAST = dict(interval_s=0.04, jitter_s=0.01, session_timeout_s=5.0)
+FAST = dict(interval_s=0.04, session_timeout_s=5.0)
 
 
 def _wall_ms() -> int:
@@ -155,6 +155,7 @@ class TestLiveOps:
                 await blocker.wait_closed()
             # The failed start must not leak the gossip listener.
             assert node.peer_manager.listen_port is None
+            await node.stop()
 
         asyncio.run(scenario())
 

@@ -18,7 +18,7 @@ from repro.runtime import ListenError
 from repro import wire
 
 from tests.conftest import Deployment
-from tests.live.memory_runtime import stream_pair
+from tests.live.memory_runtime import open_pair, stream_pair
 
 
 def run(coro):
@@ -103,12 +103,11 @@ class TestHandshake:
         right = deployment.node(1)
 
         async def scenario():
-            a, b = stream_pair()
-            left_hello, right_hello = await asyncio.gather(
-                handshake(a, left, "left"),
-                handshake(b, right, "right"),
-            )
-            return left_hello, right_hello
+            async with open_pair() as (a, b):
+                return await asyncio.gather(
+                    handshake(a, left, "left"),
+                    handshake(b, right, "right"),
+                )
 
         left_hello, right_hello = run(scenario())
         assert left_hello["name"] == "right"
@@ -125,13 +124,12 @@ class TestHandshake:
         other = VegvisirNode(stranger_key, stranger)
 
         async def scenario():
-            a, b = stream_pair()
-            results = await asyncio.gather(
-                handshake(a, left, "left"),
-                handshake(b, other, "other"),
-                return_exceptions=True,
-            )
-            return results
+            async with open_pair() as (a, b):
+                return await asyncio.gather(
+                    handshake(a, left, "left"),
+                    handshake(b, other, "other"),
+                    return_exceptions=True,
+                )
 
         results = run(scenario())
         assert all(
@@ -143,9 +141,9 @@ class TestHandshake:
         left = deployment.node(0)
 
         async def scenario():
-            a, _b = stream_pair()
-            with pytest.raises(HandshakeError, match="no hello"):
-                await handshake(a, left, "left", timeout_s=0.05)
+            async with open_pair() as (a, _b):
+                with pytest.raises(HandshakeError, match="no hello"):
+                    await handshake(a, left, "left", timeout_s=0.05)
 
         run(scenario())
 
@@ -154,10 +152,10 @@ class TestHandshake:
         left = deployment.node(0)
 
         async def scenario():
-            a, b = stream_pair()
-            await b.send(wire.encode({"type": "get_frontier", "have": []}))
-            with pytest.raises(HandshakeError, match="not a live_hello"):
-                await handshake(a, left, "left", timeout_s=0.5)
+            async with open_pair() as (a, b):
+                await b.send(wire.encode({"type": "get_frontier", "have": []}))
+                with pytest.raises(HandshakeError, match="not a live_hello"):
+                    await handshake(a, left, "left", timeout_s=0.5)
 
         run(scenario())
 
@@ -433,7 +431,7 @@ class TestDynamicPeers:
         async def scenario():
             manager = LosesOneCancel(left, "left", seed=1)
             manager.dialing = asyncio.Event()
-            manager.near, _far = stream_pair()
+            manager.near, far = stream_pair()
             await manager.start("127.0.0.1", 0)
             manager.add_peer(PeerSpec("d:abc", "127.0.0.1", 1), dynamic=True)
             await asyncio.wait_for(manager.dialing.wait(), 5.0)
@@ -443,6 +441,7 @@ class TestDynamicPeers:
             published = manager.connection("d:abc")
             ended = loop.done()
             await manager.stop()
+            await far.close()
             return published, ended, manager.near
 
         published, ended, near = run(scenario())

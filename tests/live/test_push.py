@@ -18,7 +18,7 @@ from tests.conftest import Deployment
 
 #: The timer never ticks: every session here is started by hand, so a
 #: block that arrives was pushed.
-PARKED = dict(interval_s=3600.0, jitter_s=0.0, session_timeout_s=5.0)
+PARKED = dict(interval_s=3600.0, session_timeout_s=5.0)
 #: No scenario here may wait longer than this, whatever breaks.
 SCENARIO_LIMIT_S = 60.0
 #: Long enough for any push to have landed: a push takes milliseconds.

@@ -208,15 +208,16 @@ class _RecordingTransport(asyncio.WriteTransport):
     def __init__(self):
         super().__init__()
         self.writes = []
+        self.closing = False
 
     def write(self, data):
         self.writes.append(bytes(data))
 
     def is_closing(self):
-        return False
+        return self.closing
 
     def close(self):
-        pass
+        self.closing = True
 
 
 class TestStreamTransport:
@@ -231,8 +232,11 @@ class TestStreamTransport:
                 recorder, protocol, reader, asyncio.get_running_loop()
             )
             stream = StreamTransport(reader, writer)
-            await stream.send(b"one frame")
-            await stream.send(b"")
+            try:
+                await stream.send(b"one frame")
+                await stream.send(b"")
+            finally:
+                writer.close()
             assert recorder.writes == [
                 frame_header(len(b"one frame")) + b"one frame",
                 frame_header(0),

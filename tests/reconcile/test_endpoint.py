@@ -20,7 +20,7 @@ from repro.reconcile.session import (
 )
 
 from tests.conftest import InFlight, over_loopback
-from tests.live.memory_runtime import stream_pair
+from tests.live.memory_runtime import open_pair, stream_pair
 
 
 def _diverged(deployment, left_appends=3, right_appends=5):
@@ -127,17 +127,17 @@ def _answers(node, *requests) -> list:
     *requests* arrive on one connection, up to the close it must make
     itself."""
     async def scenario():
-        near, far = stream_pair()
-        server = asyncio.ensure_future(serve_connection(node, far))
-        for request in requests:
-            await near.send(request)
-        await asyncio.wait_for(server, 5.0)
-        answers = []
-        while True:
-            try:
-                answers.append(wire.decode(await near.recv()))
-            except TransportClosed:
-                return answers
+        async with open_pair() as (near, far):
+            server = asyncio.ensure_future(serve_connection(node, far))
+            for request in requests:
+                await near.send(request)
+            await asyncio.wait_for(server, 5.0)
+            answers = []
+            while True:
+                try:
+                    answers.append(wire.decode(await near.recv()))
+                except TransportClosed:
+                    return answers
 
     return asyncio.run(scenario())
 

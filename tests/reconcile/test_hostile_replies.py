@@ -353,6 +353,7 @@ class OnePeer:
     def __init__(self):
         self._end = None
         self.servers = []
+        self.ends = []
 
     def connected_peers(self):
         return ["evil"]
@@ -360,8 +361,14 @@ class OnePeer:
     def connection(self, name):
         if self._end is None or self._end.closed:
             self._end, far_end = stream_pair()
+            self.ends += [self._end, far_end]
             self.servers.append(asyncio.ensure_future(self._serve(far_end)))
         return self._end
+
+    async def close(self):
+        """Close both ends of every connection made."""
+        for end in self.ends:
+            await end.close()
 
     @staticmethod
     async def _serve(transport):
@@ -380,9 +387,7 @@ def test_antientropy_loop_outlives_a_hostile_peer():
     left, _ = _pair(2, 3)
     before = left.state_digest()
     peers = OnePeer()
-    loop = AntiEntropyLoop(
-        left, peers, interval_s=0.01, jitter_s=0.0, seed=1
-    )
+    loop = AntiEntropyLoop(left, peers, interval_s=0.01, seed=1)
 
     async def scenario():
         task = asyncio.ensure_future(loop.run())
@@ -394,6 +399,7 @@ def test_antientropy_loop_outlives_a_hostile_peer():
         for pending in (task, *peers.servers):
             pending.cancel()
         await asyncio.gather(task, *peers.servers, return_exceptions=True)
+        await peers.close()
         return died
 
     assert not asyncio.run(scenario()), "the gossip task died"

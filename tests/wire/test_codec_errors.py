@@ -79,11 +79,9 @@ class TestFlippedSignatureByte(object):
         assert reparsed.hash != signed_block.hash
         # ...and whose signature no longer verifies against the header.
         receiver = deployment.node(1)
-        validator = BlockValidator(
-            receiver.dag, receiver.csm.resolve_member, max_skew_ms=10**9
-        )
+        validator = BlockValidator(receiver.dag, receiver.csm.resolve_member)
         with pytest.raises(ChainError):
-            validator.validate(reparsed, now_ms=receiver.now_ms())
+            validator.validate(reparsed, now_ms=receiver.now_ms() + 10**9)
 
     def test_any_single_byte_flip_is_never_accepted(
         self, deployment, signed_block
@@ -92,9 +90,7 @@ class TestFlippedSignatureByte(object):
         either breaks decoding or fails validation — never slips in."""
         frame = signed_block.to_bytes()
         receiver = deployment.node(1)
-        validator = BlockValidator(
-            receiver.dag, receiver.csm.resolve_member, max_skew_ms=10**9
-        )
+        validator = BlockValidator(receiver.dag, receiver.csm.resolve_member)
         for index in range(0, len(frame), 13):
             damaged = bytearray(frame)
             damaged[index] ^= 0xA5
@@ -103,4 +99,4 @@ class TestFlippedSignatureByte(object):
             except (DecodeError, ChainError):
                 continue
             with pytest.raises(ChainError):
-                validator.validate(block, now_ms=receiver.now_ms())
+                validator.validate(block, now_ms=receiver.now_ms() + 10**9)
